@@ -27,16 +27,17 @@ import numpy as np
 
 from .extremal import ConvergenceError, ExtremalSpec, QuadratureConfig, extremal_fprime, extremal_value
 from .region import (
+    VERDICTS,
     EvalPoint,
     JanowskiParams,
     Verdict,
     boundary_curve,
-    contains,
+    classify,
     is_unit_modulus,
     singleton_value,
     variability_disk,
 )
-from .sampler import ConstrainedSchwarz, member_log_fprime, sample_inner
+from .sampler import BLOCK_ROWS, ConstrainedSchwarz, member_log_fprime, sample_members
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -303,25 +304,23 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_rows(cfg: RunConfig) -> tuple[list[tuple[int, complex, str]], list[dict]]:
-    rows: list[tuple[int, complex, str]] = []
-    breaches: list[dict] = []
+def _sample_blocks(cfg: RunConfig):
+    """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to mc_samples.
+
+    Each block is drawn and evaluated whole, so row i is the same for every
+    mc_samples and the arrays in use stay one block long.
+    """
     point, params = cfg.point, cfg.params
-    degenerate_zero = point.z0 == 0
-    unit_lam = is_unit_modulus(point.lam)
-    collapsed = singleton_value(point, params) if (degenerate_zero or unit_lam) else None
-    for i in range(cfg.mc_samples):
-        if collapsed is not None:
-            rows.append((i, collapsed, Verdict.BOUNDARY.value))
-            continue
-        inner = sample_inner(cfg.seed * 1_000_003 + i, complexity=i % 4)
-        s = ConstrainedSchwarz(inner=inner, lam=point.lam)
-        w = complex(member_log_fprime(s, params, point.z0))
-        verdict = contains(w, point, params, cfg.tol)
-        rows.append((i, w, verdict.status.value))
-        if verdict.status is Verdict.OUTSIDE:
-            breaches.append({"seed_index": i, "value": [w.real, w.imag], "slack": verdict.slack})
-    return rows, breaches
+    for start in range(0, cfg.mc_samples, BLOCK_ROWS):
+        if point.z0 == 0 or is_unit_modulus(point.lam):
+            w = np.full(BLOCK_ROWS, singleton_value(point, params))
+            slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
+        else:
+            s = ConstrainedSchwarz(sample_members(cfg.seed, BLOCK_ROWS, start), point.lam)
+            w = member_log_fprime(s, params, point.z0)
+            slack, status = classify(w, point, params, cfg.tol)
+        rows = np.arange(start, min(start + BLOCK_ROWS, cfg.mc_samples))
+        yield rows, w[:rows.size], status[:rows.size], slack[:rows.size]
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -332,19 +331,30 @@ def cmd_sample(args: argparse.Namespace) -> int:
                     output_path=args.out, format=args.format)
     if cfg.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
-    rows, breaches = _sample_rows(cfg)
+    names = np.array([v.value for v in VERDICTS])
+    parts: list = []  # CSV text per block, JSON sample rows or SVG cloud points
+    breaches: list[dict] = []
+    for rows, w, status, slack in _sample_blocks(cfg):
+        cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
+        if cfg.format == "csv":
+            parts.append("".join(map("{},{:.17g},{:.17g},{}\n".format, *cols)))
+        elif cfg.format == "json":
+            parts += map(list, zip(*cols))
+        else:
+            parts += w.tolist()
+        for k in np.flatnonzero(status == VERDICTS.index(Verdict.OUTSIDE)).tolist():
+            breaches.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
+                             "slack": float(slack[k])})
     if cfg.format == "csv":
-        lines = ["seed_index,re,im,verdict"]
-        lines += [f"{i},{_f17(w.real)},{_f17(w.imag)},{v}" for i, w, v in rows]
-        text = "\n".join(lines) + "\n"
+        text = "seed_index,re,im,verdict\n" + "".join(parts)
     elif cfg.format == "json":
         rec = region_record(params, point, cfg.theta_samples)
-        rec["samples"] = [[i, w.real + 0.0, w.imag + 0.0, v] for i, w, v in rows]
+        rec["samples"] = parts
         text = _json_text(rec)
     else:
         rec = region_record(params, point, cfg.theta_samples)
         boundary = [complex(re, im) for _, re, im in rec["boundary"]]
-        text = _svg_document(boundary, [w for _, w, _ in rows])
+        text = _svg_document(boundary, parts)
     _write_text(_resolve_out(cfg.output_path), text)
     if breaches:
         print(f"containment breach: {len(breaches)} sample(s) outside the region", file=sys.stderr)

@@ -39,6 +39,8 @@ __all__ = [
     "boundary_point",
     "boundary_curve",
     "contains",
+    "classify",
+    "VERDICTS",
     "pullback_modulus",
     "janowski_disk",
     "singleton_value",
@@ -140,6 +142,9 @@ class Verdict(enum.Enum):
     INTERIOR = "Interior"
     BOUNDARY = "Boundary"
     OUTSIDE = "Outside"
+
+
+VERDICTS: tuple[Verdict, ...] = tuple(Verdict)  # the order of classify's status codes
 
 
 @dataclass(frozen=True)
@@ -283,26 +288,24 @@ def pullback_modulus(w, point: EvalPoint, params: JanowskiParams):
     return np.abs(mobius_delta_inv(zeta, point.lam))
 
 
-def contains(
-    w: complex,
-    point: EvalPoint,
-    params: JanowskiParams,
-    tol: float = 1e-9,
-) -> MembershipVerdict:
-    """Exact membership test for w against the region at (z0, lambda).
+def classify(w, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9):
+    """Batch membership test: (slack, status) arrays over the claimed values w.
 
-    The region is closed, so ties within tol resolve to Boundary.
+    slack = |pullback| - |z0|; status indexes VERDICTS: Boundary when
+    |slack| <= tol (the region is closed), Interior below, Outside otherwise.
     """
     if not tol > 0.0:
         raise ValueError("require tol > 0")
-    slack = float(pullback_modulus(complex(w), point, params) - abs(point.z0))
-    if abs(slack) <= tol:
-        status = Verdict.BOUNDARY
-    elif slack < -tol:
-        status = Verdict.INTERIOR
-    else:
-        status = Verdict.OUTSIDE
-    return MembershipVerdict(status=status, slack=slack)
+    slack = pullback_modulus(w, point, params) - abs(point.z0)
+    status = np.where(np.abs(slack) <= tol, 1, np.where(slack < -tol, 0, 2))
+    return slack, status
+
+
+def contains(w: complex, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9
+             ) -> MembershipVerdict:
+    """Exact membership test for one value w against the region at (z0, lambda)."""
+    slack, status = classify(complex(w), point, params, tol)
+    return MembershipVerdict(status=VERDICTS[int(status)], slack=float(slack))
 
 
 def janowski_disk(params: JanowskiParams) -> Disk:

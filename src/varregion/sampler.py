@@ -22,20 +22,34 @@ __all__ = [
     "MonomialInner",
     "BlaschkeInner",
     "InnerFunction",
+    "InnerBatch",
+    "BLOCK_ROWS",
     "ConstrainedSchwarz",
     "sample_inner",
+    "sample_members",
+    "constant_inners",
     "inner_eval",
     "omega_eval",
     "member_log_fprime",
     "special_curvature",
 ]
 
+BLOCK_ROWS = 1024  # member rows drawn from one Generator by sample_members
 
-def _unit_normalized(w: complex, what: str) -> complex:
-    m = abs(w)
-    if abs(m - 1.0) > 1e-12:
+
+def _unit_normalized(w, what: str):
+    m = np.abs(w)
+    if np.any(np.abs(m - 1.0) > 1e-12):
         raise ValueError(f"require |{what}| = 1, got {m}")
     return w / m
+
+
+def _clipped_to_disk(c, what: str):
+    """c with |c| <= 1; moduli within 1e-12 above 1 are scaled back onto the circle."""
+    m = np.abs(c)
+    if np.any(m > 1.0 + 1e-12):
+        raise ValueError(f"require |{what}| <= 1, got {np.max(m)}")
+    return np.where(m > 1.0, c / np.maximum(m, 1.0), c)
 
 
 @dataclass(frozen=True)
@@ -45,13 +59,7 @@ class ConstantInner:
     c0: complex
 
     def __post_init__(self) -> None:
-        c0 = complex(self.c0)
-        m = abs(c0)
-        if m > 1.0 + 1e-12:
-            raise ValueError(f"require |c0| <= 1, got {m}")
-        if m > 1.0:
-            c0 = c0 / m
-        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c0", complex(_clipped_to_disk(complex(self.c0), "c0")))
 
 
 @dataclass(frozen=True)
@@ -64,13 +72,8 @@ class MonomialInner:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("require degree >= 0")
-        c = complex(self.coefficient)
-        m = abs(c)
-        if m > 1.0 + 1e-12:
-            raise ValueError(f"require |coefficient| <= 1, got {m}")
-        if m > 1.0:
-            c = c / m
-        object.__setattr__(self, "coefficient", c)
+        c = _clipped_to_disk(complex(self.coefficient), "coefficient")
+        object.__setattr__(self, "coefficient", complex(c))
 
 
 @dataclass(frozen=True)
@@ -88,25 +91,73 @@ class BlaschkeInner:
         if not 0.0 <= self.scale <= 1.0:
             raise ValueError(f"require scale in [0, 1], got {self.scale}")
         object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "rotation", _unit_normalized(complex(self.rotation), "rotation"))
+        object.__setattr__(self, "rotation", complex(_unit_normalized(complex(self.rotation), "rotation")))
         object.__setattr__(self, "scale", float(self.scale))
 
 
 InnerFunction = Union[ConstantInner, MonomialInner, BlaschkeInner]
 
 
-def inner_eval(psi: InnerFunction, z):
-    """Evaluate an inner function at scalar or ndarray z with |z| <= 1."""
+@dataclass(frozen=True)
+class InnerBatch:
+    """Inner functions as arrays: psi(z) = lead * prod_j (z - zeros[j])/(1 - conj(zeros[j]) z).
+
+    The product runs over the j with mask[j]; zeros and mask carry the padded
+    factors on a leading axis before the row shape of lead.  batch[i] is row i.
+    """
+
+    lead: np.ndarray
+    zeros: np.ndarray
+    mask: np.ndarray
+
+    def __getitem__(self, rows) -> "InnerBatch":
+        return InnerBatch(self.lead[rows], self.zeros[:, rows], self.mask[:, rows])
+
+
+def constant_inners(c) -> InnerBatch:
+    """The constant inner functions c (|c| <= 1), one row per entry."""
+    lead = _clipped_to_disk(np.asarray(c, dtype=complex), "c0")
+    return InnerBatch(lead, np.zeros((0,) + lead.shape, complex), np.zeros((0,) + lead.shape, bool))
+
+
+def _as_batch(psi) -> InnerBatch:
+    if isinstance(psi, InnerBatch):
+        return psi
     if isinstance(psi, ConstantInner):
-        return psi.c0 + 0.0 * z
-    if isinstance(psi, MonomialInner):
-        return psi.coefficient * z**psi.degree
-    if isinstance(psi, BlaschkeInner):
-        out = psi.scale * psi.rotation + 0.0 * z
-        for alpha in psi.zeros:
-            out = out * (z - alpha) / (1.0 - np.conjugate(alpha) * z)
-        return out
-    raise TypeError(f"not an inner function: {psi!r}")
+        lead, zeros = psi.c0, ()
+    elif isinstance(psi, MonomialInner):
+        lead, zeros = psi.coefficient, (0j,) * psi.degree  # z^degree: every zero at the origin
+    elif isinstance(psi, BlaschkeInner):
+        lead, zeros = psi.scale * psi.rotation, psi.zeros
+    else:
+        raise TypeError(f"not an inner function: {psi!r}")
+    return InnerBatch(np.asarray(lead), np.array(zeros, complex), np.ones(len(zeros), bool))
+
+
+def inner_eval(psi: InnerFunction | InnerBatch, z):
+    """Evaluate an inner function, or a batch of them, at scalar or ndarray z with |z| <= 1.
+
+    A batch broadcasts its row shape against z.
+    """
+    b = _as_batch(psi)
+    out = b.lead + 0.0 * z
+    for alpha, active in zip(b.zeros, b.mask):
+        out = np.where(active, out * (z - alpha) / (1.0 - np.conjugate(alpha) * z), out)
+    return out
+
+
+def _draw(rng: np.random.Generator, complexity: np.ndarray, zero_radius: float):
+    """(scale, turn, zeros, mask) for one row per entry of complexity.
+
+    Zeros are padded to at least 3 per row, the most that complexity i % 4 uses.
+    """
+    n = complexity.size
+    k = max(3, int(complexity.max()))
+    scale = rng.uniform(0.0, 1.0, n)
+    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    zeros = rng.uniform(0.0, zero_radius, (k, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (k, n)))
+    mask = np.arange(k)[:, None] < complexity
+    return scale, turn, np.where(mask, zeros, 0.0), mask
 
 
 def sample_inner(seed: int, complexity: int, zero_radius: float = 0.9) -> InnerFunction:
@@ -122,16 +173,32 @@ def sample_inner(seed: int, complexity: int, zero_radius: float = 0.9) -> InnerF
     if complexity < 0:
         raise ValueError("require complexity >= 0")
     rng = np.random.default_rng((int(seed), int(complexity)))
+    scale, turn, zeros, _ = _draw(rng, np.array([complexity]), zero_radius)
     if complexity == 0:
-        m = rng.uniform(0.0, 1.0)
-        phi = rng.uniform(-np.pi, np.pi)
-        return ConstantInner(m * np.exp(1j * phi))
-    radii = rng.uniform(0.0, zero_radius, size=complexity)
-    angles = rng.uniform(-np.pi, np.pi, size=complexity)
-    zeros = tuple(radii * np.exp(1j * angles))
-    scale = rng.uniform(0.0, 1.0)
-    rotation = np.exp(1j * rng.uniform(-np.pi, np.pi))
-    return BlaschkeInner(zeros=zeros, rotation=rotation, scale=scale)
+        return ConstantInner(scale[0] * turn[0])
+    return BlaschkeInner(zeros=tuple(zeros[:complexity, 0]), rotation=turn[0], scale=scale[0])
+
+
+def sample_members(seed: int, n: int, start: int = 0) -> InnerBatch:
+    """Rows start..start+n-1 of the member stream of seed.
+
+    Row i has complexity i % 4 and the distribution of sample_inner.  Rows are
+    drawn in whole blocks of BLOCK_ROWS, block b from default_rng((seed, b)),
+    so row i depends only on (seed, i).
+    """
+    if seed < 0:
+        raise ValueError(f"require seed >= 0, got {seed}")
+    if n < 0 or start < 0:
+        raise ValueError(f"require n >= 0 and start >= 0, got n={n}, start={start}")
+    first = start // BLOCK_ROWS
+    parts = []
+    for b in range(first, max(first + 1, -(-(start + n) // BLOCK_ROWS))):
+        rows = np.arange(b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)
+        scale, turn, zeros, mask = _draw(np.random.default_rng((int(seed), b)), rows % 4, 0.9)
+        lead = np.where(mask.any(axis=0), scale * _unit_normalized(turn, "rotation"), scale * turn)
+        parts.append((lead, zeros, mask))
+    offset = start - first * BLOCK_ROWS
+    return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
 
 
 @dataclass(frozen=True)
@@ -142,7 +209,7 @@ class ConstrainedSchwarz:
     construction.
     """
 
-    inner: InnerFunction
+    inner: InnerFunction | InnerBatch
     lam: complex
 
     def __post_init__(self) -> None:
@@ -152,7 +219,7 @@ class ConstrainedSchwarz:
 
 
 def omega_eval(s: ConstrainedSchwarz, z):
-    """omega(z) for scalar or ndarray z with |z| < 1."""
+    """omega(z) for scalar or ndarray z with |z| < 1; a batch of inners broadcasts against z."""
     return z * mobius_delta(z * inner_eval(s.inner, z), s.lam)
 
 

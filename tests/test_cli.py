@@ -154,6 +154,25 @@ def test_sample_csv_deterministic(tmp_path):
     assert verdicts <= {"Interior", "Boundary"}
 
 
+def test_sample_rows_are_prefixes_of_longer_runs(tmp_path):
+    argv = ["sample", "--A", "-0.5", "--B", "0.5", "--lambda", "0.3,0.4",
+            "--z0", "0.3,0.4", "--seed", "5"]
+    texts = {}
+    for n in (100, 1500, 3000):  # 1500 and 3000 cross block edges
+        out = tmp_path / f"{n}.csv"
+        assert run(argv + ["--mc-samples", str(n), "--out", str(out)]) == 0
+        texts[n] = out.read_text().splitlines()
+    assert len(texts[3000]) == 3001
+    assert texts[100] == texts[3000][:101]
+    assert texts[1500] == texts[3000][:1501]
+
+
+def test_sample_negative_seed_is_a_usage_error(capsys):
+    assert run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5",
+                "--z0", "0.5,0", "--seed=-1"]) == 2
+    assert "require seed >= 0" in capsys.readouterr().err
+
+
 def test_sample_singleton_z0_zero(tmp_path):
     out = tmp_path / "s.csv"
     code = run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5",
@@ -171,11 +190,12 @@ def test_sample_requires_positive_count(capsys):
 def test_sample_containment_breach_exit_code(tmp_path, monkeypatch, capsys):
     # a correct kernel cannot produce Outside, so force it to exercise exit 5
     from varregion import cli as cli_mod
-    from varregion.region import MembershipVerdict
+    from varregion.region import VERDICTS
 
     monkeypatch.setattr(
-        cli_mod, "contains",
-        lambda w, point, params, tol: MembershipVerdict(Verdict.OUTSIDE, 1.0),
+        cli_mod, "classify",
+        lambda w, point, params, tol: (
+            np.ones(w.shape), np.full(w.shape, VERDICTS.index(Verdict.OUTSIDE))),
     )
     out = tmp_path / "cloud.csv"
     code = run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5",

@@ -19,6 +19,8 @@ from varregion import (
     sample_inner,
     special_curvature,
 )
+from varregion.region import VERDICTS, classify
+from varregion.sampler import BLOCK_ROWS, constant_inners, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -45,6 +47,52 @@ def test_sample_inner_forms():
         sample_inner(-1, 0)
     with pytest.raises(ValueError):
         sample_inner(0, -1)
+
+
+def test_member_rows_depend_only_on_seed_and_row():
+    whole = sample_members(5, 3 * BLOCK_ROWS)
+    part = sample_members(5, 10, start=BLOCK_ROWS - 4)  # straddles a block edge
+    rows = slice(BLOCK_ROWS - 4, BLOCK_ROWS + 6)
+    assert np.array_equal(part.lead, whole.lead[rows])
+    assert np.array_equal(part.zeros, whole.zeros[:, rows])
+    assert np.array_equal(part.mask, whole.mask[:, rows])
+    assert np.array_equal(whole.mask.sum(axis=0), np.arange(3 * BLOCK_ROWS) % 4)
+    assert float(np.max(np.abs(whole.lead))) < 1.0
+    assert float(np.max(np.abs(whole.zeros))) <= 0.9
+    assert not np.array_equal(sample_members(6, 8).lead, whole.lead[:8])
+    with pytest.raises(ValueError, match="seed >= 0"):
+        sample_members(-1, 8)
+    with pytest.raises(ValueError, match="n >= 0"):
+        sample_members(5, -1)
+
+
+def _scalar_inner(batch, i):
+    """Row i of a batch rebuilt as a scalar inner-function object."""
+    zeros = tuple(batch.zeros[batch.mask[:, i], i])
+    lead = complex(batch.lead[i])
+    if not zeros:
+        return ConstantInner(lead)
+    return BlaschkeInner(zeros, rotation=lead / abs(lead), scale=abs(lead))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j])
+def test_batch_agrees_with_one_row_views(lam):
+    probes = constant_inners(np.exp(1j * np.linspace(-np.pi, np.pi, 8, endpoint=False)))
+    for batch in (sample_members(11, 48), probes):
+        s = ConstrainedSchwarz(batch, lam)
+        for params in DEFAULT_PARAM_SETS:
+            for z0 in (0.5, 0.3 + 0.4j):
+                point = EvalPoint(z0, lam)
+                w = member_log_fprime(s, params, z0)
+                slack, status = classify(w, point, params)
+                assert batch is not probes or set(status.tolist()) == {1}  # all Boundary
+                for i in range(w.size):
+                    for inner in (batch[i], _scalar_inner(batch, i)):
+                        wi = member_log_fprime(ConstrainedSchwarz(inner, lam), params, z0)
+                        assert abs(wi - w[i]) <= 1e-14
+                        v = contains(wi, point, params)
+                        assert v.status is VERDICTS[status[i]]
+                        assert abs(v.slack - slack[i]) <= 1e-14
 
 
 def test_inner_validation():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import varregion
 from varregion import (
     BoundaryCurve,
     ConstantInner,
@@ -22,11 +28,23 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
-from varregion.verify import SUITE_NAMES, run_convexity_default, run_inclusion_default
+from varregion.verify import SUITE_NAMES, _Tally, run_convexity_default, run_inclusion_default
 
 P05 = JanowskiParams(0.0, 0.5)
 LOG_1_25 = 0.22314355131420976
 SMALL_SETS = (P05, JanowskiParams(-0.9, -0.1))
+# (samples, parameter_sets) of every suite as run by `verify`: a faster suite
+# must not get there by checking less
+SUITE_COUNTS = {
+    "prop1": (3200, 5),
+    "corollary0": (960, 5),
+    "unit-lambda": (160, 5),
+    "rotation": (16000, 5),
+    "coverage": (6, 6),
+    "convexity": (80, 5),
+    "inclusion": (4, 4),
+    "halfplane": (3, 3),
+}
 
 
 def test_prop1_passes():
@@ -157,6 +175,37 @@ def test_all_suites_pass_and_have_consistent_fields():
             assert r.witnesses == []
         assert r.samples > 0
     assert [r.suite_name for r in reports] == list(SUITE_NAMES)
+    assert {r.suite_name: (r.samples, r.parameter_sets) for r in reports} == SUITE_COUNTS
+
+
+def test_tally_array_add_matches_per_sample_adds():
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, 200) * 1e-8
+    tol = 1e-9
+    one, many = _Tally(tol), _Tally(tol)
+    for k, x in enumerate(v):
+        one.add(x, {"k": k}, {"v": float(x)})
+    for lo, hi in ((0, 25), (25, 200)):  # the witness cap is reached inside the second call
+        many.add_many(v[lo:hi], lambda k: ({"k": lo + k}, {"v": float(v[lo + k])}))
+    a, b = one.report("s", 1), many.report("s", 1)
+    assert (a.samples, a.max_violation, a.witnesses) == (b.samples, b.max_violation, b.witnesses)
+    assert b.samples == 200 and b.max_violation == float(np.max(v))
+    first = [k for k in range(200) if v[k] > tol][:20]
+    assert 0 < sum(k < 25 for k in first) < 20
+    assert [w["inputs"]["k"] for w in b.witnesses] == first
+    assert [w["observed"]["v"] for w in b.witnesses] == [float(v[k]) for k in first]
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    out = tmp_path / "coverage.json"
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from varregion.cli import main\n"
+            f"sys.exit(main(['verify', '--suite', 'coverage', '--out', {str(out)!r}]))\n")
+    src = str(Path(varregion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert '"passed": true' in out.read_text()
 
 
 def test_run_suite_unknown_name():
