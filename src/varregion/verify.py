@@ -4,8 +4,9 @@ Each suite samples exact class members and checks one closed-form claim
 against them: the disk inequality for the pullback, its lambda = 0 corollary,
 the |lambda| = 1 collapse, rotation equivariance of membership verdicts, the
 coverage identity between the member image and the parametrized disk image,
-convexity/simplicity of boundary polygons, the strict-inclusion curvature
-witness, and the half-plane bound Re f' > 1/2 for A = 0.
+convexity/simplicity of boundary polygons (turns of one sign and a total
+turning of +-2 pi), the strict-inclusion curvature witness, and the half-plane
+bound Re f' > 1/2 for A = 0.
 
 Violations are hard failures against tolerances, reported as structured
 :class:`VerificationReport` records.  All suites are deterministic functions
@@ -116,13 +117,13 @@ class _Tally:
         """Record an array of violations; witness(k) gives (inputs, observed) of sample k.
 
         witness is called only for the first violators that still fit, in order.
-        NaN violations are skipped, as comparisons with NaN are false.
+        A NaN violation fails: it is a witness and max_violation becomes NaN.
         """
         v = np.asarray(violations, dtype=float).ravel()
         self.samples += v.size
-        self.max_violation = float(np.fmax.reduce(v, initial=self.max_violation))
+        self.max_violation = float(np.maximum.reduce(v, initial=self.max_violation))
         room = max(0, _MAX_WITNESSES - len(self.witnesses))
-        for k in np.flatnonzero(v > self.tol)[:room].tolist():
+        for k in np.flatnonzero(~(v <= self.tol))[:room].tolist():
             inputs, observed = witness(k)
             self.witnesses.append({"inputs": inputs, "observed": observed})
 
@@ -345,23 +346,12 @@ def check_coverage(
     )
 
 
-def _segments_properly_intersect(p, q, r, s) -> np.ndarray:
-    """Vectorized proper-crossing test for segment (p,q) against segments (r,s)."""
-
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-
-    o1 = orient(p, q, r)
-    o2 = orient(p, q, s)
-    o3 = orient(r, s, p)
-    o4 = orient(r, s, q)
-    return (o1 * o2 < 0) & (o3 * o4 < 0)
-
-
 def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> VerificationReport:
-    """Single-signed turning plus no crossing among non-adjacent edges."""
+    """Single-signed turning plus a total turning of one full turn in that sense.
+
+    By Hopf's Umlaufsatz for polygons, a closed polygon whose turns all have one
+    sign is convex and simple exactly when its exterior angles sum to +-2 pi.
+    """
     n = len(curve)
     if n < 16:
         raise ValueError(f"require at least 16 curve samples, got {n}")
@@ -377,17 +367,12 @@ def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> Veri
     worst = float(np.max(-sign * cross))
     tally.add(worst, {"check": "convexity"}, {"opposite_sign_excess": worst})
 
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    crossings = 0
-    for i in range(n):
-        js = np.arange(i + 2, n)
-        js = js[(js - i) % n != n - 1]
-        if js.size == 0:
-            continue
-        hits = _segments_properly_intersect(a[i], b[i], a[js], b[js])
-        crossings += int(np.count_nonzero(hits))
-    tally.add(float(crossings), {"check": "jordan"}, {"proper_crossings": crossings})
+    # repeated points turn nothing
+    e = edges[np.any(edges != 0.0, axis=1)]
+    f = np.roll(e, -1, axis=0)
+    turns = np.arctan2(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0], np.sum(e * f, axis=1))
+    winding = float(np.rint(np.sum(turns) / (2.0 * np.pi)))
+    tally.add(abs(winding - sign), {"check": "jordan"}, {"turning_number": winding})
     return tally.report("convexity", 1, n_samples_on_curve=n)
 
 

@@ -28,7 +28,15 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
-from varregion.verify import SUITE_NAMES, _Tally, run_convexity_default, run_inclusion_default
+from varregion.verify import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_PARAM_SETS,
+    DEFAULT_Z0S,
+    SUITE_NAMES,
+    _Tally,
+    run_convexity_default,
+    run_inclusion_default,
+)
 
 P05 = JanowskiParams(0.0, 0.5)
 LOG_1_25 = 0.22314355131420976
@@ -131,6 +139,103 @@ def test_jordan_flags_self_intersection():
     curve = BoundaryCurve(thetas, values + 0.001j * thetas)
     r = check_convexity_and_jordan(curve)
     assert not r.passed
+    jordan = [w for w in r.witnesses if w["inputs"]["check"] == "jordan"]
+    assert [w["observed"]["turning_number"] for w in jordan] == [2]
+
+
+def _segments_properly_intersect(p, q, r, s) -> np.ndarray:
+    """Vectorized proper-crossing test for segment (p,q) against segments (r,s)."""
+
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]
+        ) * (c[..., 0] - a[..., 0])
+
+    o1 = orient(p, q, r)
+    o2 = orient(p, q, s)
+    o3 = orient(r, s, p)
+    o4 = orient(r, s, q)
+    return (o1 * o2 < 0) & (o3 * o4 < 0)
+
+
+def _reference_crossings(pts: np.ndarray) -> int:
+    """Proper crossings among non-adjacent edges of the closed polygon, O(n^2)."""
+    n = len(pts)
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    crossings = 0
+    for i in range(n):
+        js = np.arange(i + 2, n)
+        js = js[(js - i) % n != n - 1]
+        if js.size == 0:
+            continue
+        crossings += int(np.count_nonzero(_segments_properly_intersect(a[i], b[i], a[js], b[js])))
+    return crossings
+
+
+def _reference_verdict(curve: BoundaryCurve, tol: float = 1e-10) -> tuple[bool, bool]:
+    """(single-signed turning within tol, no proper crossings) by the O(n^2) check."""
+    pts = curve.as_points()
+    edges = np.roll(pts, -1, axis=0) - pts
+    nxt = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    sign = 1.0 if cross[np.argmax(np.abs(cross))] >= 0 else -1.0
+    return float(np.max(-sign * cross)) <= tol, _reference_crossings(pts) == 0
+
+
+def _random_polygons(seed: int, count: int) -> list[BoundaryCurve]:
+    """Ellipses both ways round, noisy, multiply wound, star-shaped and dented curves."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for i in range(count):
+        n = int(rng.integers(16, 97))
+        t = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        t = t + rng.uniform(0.0, 0.5) * (2.0 * np.pi / n) * np.sin(t)  # uneven spacing
+        ellipse = np.cos(t) + 1j * rng.uniform(0.05, 1.0) * np.sin(t)
+        kind = i % 5
+        if kind == 0:
+            z = ellipse
+        elif kind == 1:
+            z = ellipse * (1.0 + 10.0 ** rng.uniform(-8, -1) * rng.standard_normal(n))
+        elif kind == 2:
+            k = int(rng.integers(2, 4))
+            z = np.exp(1j * k * t) + 10.0 ** rng.uniform(-4, -1) * rng.standard_normal() * t
+        elif kind == 3:
+            m = int(rng.integers(3, 8))
+            z = (1.0 + 10.0 ** rng.uniform(-4, -0.3) * np.cos(m * t)) * np.exp(1j * t)
+        else:
+            z = ellipse.copy()
+            j = int(rng.integers(n))
+            z[j] *= 1.0 - rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -1)
+        z = (3.0 * rng.standard_normal() + z * np.exp(1j * rng.uniform(-np.pi, np.pi))
+             * 10.0 ** rng.uniform(-2, 1))
+        curves.append(BoundaryCurve(t, z if rng.random() < 0.5 else z[::-1]))
+    return curves
+
+
+def test_turning_number_agrees_with_crossing_reference():
+    default = [boundary_curve(EvalPoint(z0, lam), params, 256)
+               for params in DEFAULT_PARAM_SETS for lam in DEFAULT_LAMBDAS for z0 in DEFAULT_Z0S]
+    fine = [boundary_curve(EvalPoint(z0, lam), params, 2048)
+            for params, lam, z0 in ((DEFAULT_PARAM_SETS[2], 0.9, -0.7),
+                                    (DEFAULT_PARAM_SETS[4], 0.0, 0.3 + 0.4j),
+                                    (DEFAULT_PARAM_SETS[0], 0.5, 0.1j))]
+    t = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    z = np.exp(1j * t)
+    side = np.linspace(-1.0, 1.0, 5)  # each corner of the square is its own next point
+    square = np.concatenate([side - 1j, 1 + 1j * side, -side + 1j, -1 - 1j * side])
+    repeated = [BoundaryCurve(t, np.insert(z, 5, z[5])[:-1]),  # convex, one point twice
+                BoundaryCurve(np.arange(20.0), square)]
+    random = _random_polygons(4, 600)
+    seen = set()
+    for curve in default + fine + repeated + random:
+        convex, simple = _reference_verdict(curve)
+        assert check_convexity_and_jordan(curve).passed == (convex and simple)
+        seen.add((convex, simple))
+    assert len(default) == 80 and all(check_convexity_and_jordan(c).passed for c in default)
+    assert all(check_convexity_and_jordan(c).passed for c in repeated)
+    # the random set passes, fails on convexity, and crosses itself with turns of one sign
+    assert seen == {(True, True), (False, True), (False, False), (True, False)}
 
 
 def test_strict_inclusion_witness():
@@ -193,6 +298,16 @@ def test_tally_array_add_matches_per_sample_adds():
     assert 0 < sum(k < 25 for k in first) < 20
     assert [w["inputs"]["k"] for w in b.witnesses] == first
     assert [w["observed"]["v"] for w in b.witnesses] == [float(v[k]) for k in first]
+
+
+def test_tally_nan_violation_fails():
+    t = _Tally(1e-9)
+    t.add(0.0, {"k": 0}, {})
+    t.add(float("nan"), {"k": 1}, {})
+    t.add(1.0, {"k": 2}, {})
+    r = t.report("s", 1)
+    assert not r.passed and np.isnan(r.max_violation)
+    assert [w["inputs"]["k"] for w in r.witnesses] == [1, 2]
 
 
 def test_verify_runs_without_scipy(tmp_path):
