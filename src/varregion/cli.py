@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,30 +52,6 @@ _SVG_MARGIN = 40  # 5% of the fixed viewport on each side
 
 GRID_KEYS = ("A", "B", "lambda_re", "lambda_im", "z0_re", "z0_im")
 GRID_REQUIRED = ("A", "B", "z0_re")
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings shared by the rendering/sampling commands."""
-
-    params: JanowskiParams
-    point: EvalPoint
-    theta_samples: int = 256
-    mc_samples: int = 1000
-    seed: int = 0
-    tol: float = 1e-9
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.theta_samples < 3:
-            raise ValueError("require theta_samples >= 3")
-        if self.mc_samples < 0:
-            raise ValueError("require mc_samples >= 0")
-        if not self.tol > 0.0:
-            raise ValueError("require tol > 0")
-        if self.format not in ("csv", "svg", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 class GridParseError(ValueError):
@@ -153,21 +128,6 @@ def _json_text(obj) -> str:
 # region records
 
 
-def _reduce_lambda(z0: complex, lam: complex) -> tuple[complex, float, bool]:
-    """Rewrite (z0, lam) with |lam| < 1 into an equivalent frame with real lam.
-
-    The region for coefficient parameter lam at z0 equals the region for
-    |lam| at (lam/|lam|) z0 (rotation equivalence), so complex lam reduces to
-    the real-parameter closed form without changing the value set.
-    """
-    if lam.imag == 0.0 and 0.0 <= lam.real < 1.0:
-        return z0, lam.real, False
-    s = abs(lam)
-    if s == 0.0:
-        return z0, 0.0, False
-    return z0 * (lam / s), s, True
-
-
 def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> dict:
     """JSON-ready region record; singleton cases carry an explanatory note."""
     rec: dict = {
@@ -183,17 +143,13 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
         rec.update(center=_pair(v), radius=0.0, boundary=[],
                    note="|lambda| = 1: the region is a singleton")
         return rec
-    z0_eff, lam_eff, reduced = _reduce_lambda(point.z0, point.lam)
-    eff = EvalPoint(z0_eff, lam_eff)
-    disk = variability_disk(eff, params)
-    curve = boundary_curve(eff, params, theta_samples)
+    disk = variability_disk(point, params)
+    curve = boundary_curve(point, params, theta_samples)
     rec.update(
         center=_pair(disk.center),
         radius=disk.radius + 0.0,
         boundary=[[t + 0.0, v.real + 0.0, v.imag + 0.0] for t, v in curve.samples],
     )
-    if reduced:
-        rec["note"] = "complex lambda reduced to an equivalent real-lambda frame by rotation"
     return rec
 
 
@@ -203,14 +159,14 @@ def load_region_record(path: Path | str) -> dict:
         rec = json.load(fh)
     if rec.get("rejected"):
         return rec
-    params = JanowskiParams(rec["params"]["A"], rec["params"]["B"])
-    point = EvalPoint(complex(*rec["point"]["z0"]), complex(*rec["point"]["lambda"]))
+    # the constructors raise ValueError on parameters outside the class
+    JanowskiParams(rec["params"]["A"], rec["params"]["B"])
+    EvalPoint(complex(*rec["point"]["z0"]), complex(*rec["point"]["lambda"]))
     if rec["radius"] < 0:
         raise ValueError("invalid record: negative radius")
     for row in rec["boundary"]:
         if len(row) != 3:
             raise ValueError("invalid record: boundary rows must be [theta, re, im]")
-    del params, point
     return rec
 
 
@@ -272,21 +228,28 @@ def _region_svg(rec: dict) -> str:
 # commands
 
 
+def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
+    """Validated (params, point) of a region/sample command, rejecting bad run flags too."""
+    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
+    if args.theta_samples < 3:
+        raise ValueError("require theta_samples >= 3")
+    if not args.tol > 0.0:
+        raise ValueError("require tol > 0")
+    return params, point
+
+
 def cmd_region(args: argparse.Namespace) -> int:
-    params = JanowskiParams(args.A, args.B)
-    point = EvalPoint(args.z0, args.lam)
-    cfg = RunConfig(params=params, point=point, theta_samples=args.theta_samples,
-                    seed=args.seed, tol=args.tol, output_path=args.out, format=args.format)
-    rec = region_record(params, point, cfg.theta_samples)
+    params, point = _point_args(args)
+    rec = region_record(params, point, args.theta_samples)
     if "note" in rec:
         print(f"note: {rec['note']}", file=sys.stderr)
-    if cfg.format == "json":
+    if args.format == "json":
         text = _json_text(rec)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = _region_csv(rec)
     else:
         text = _region_svg(rec)
-    _write_text(_resolve_out(cfg.output_path), text)
+    _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
 
@@ -304,58 +267,53 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_blocks(cfg: RunConfig):
-    """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to mc_samples.
+def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, tol: float):
+    """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to n.
 
     Each block is drawn and evaluated whole, so row i is the same for every
-    mc_samples and the arrays in use stay one block long.
+    n and the arrays in use stay one block long.
     """
-    point, params = cfg.point, cfg.params
-    for start in range(0, cfg.mc_samples, BLOCK_ROWS):
+    for start in range(0, n, BLOCK_ROWS):
         if point.z0 == 0 or is_unit_modulus(point.lam):
             w = np.full(BLOCK_ROWS, singleton_value(point, params))
             slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
         else:
-            s = ConstrainedSchwarz(sample_members(cfg.seed, BLOCK_ROWS, start), point.lam)
+            s = ConstrainedSchwarz(sample_members(seed, BLOCK_ROWS, start), point.lam)
             w = member_log_fprime(s, params, point.z0)
-            slack, status = classify(w, point, params, cfg.tol)
-        rows = np.arange(start, min(start + BLOCK_ROWS, cfg.mc_samples))
+            slack, status = classify(w, point, params, tol)
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
         yield rows, w[:rows.size], status[:rows.size], slack[:rows.size]
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    params = JanowskiParams(args.A, args.B)
-    point = EvalPoint(args.z0, args.lam)
-    cfg = RunConfig(params=params, point=point, theta_samples=args.theta_samples,
-                    mc_samples=args.mc_samples, seed=args.seed, tol=args.tol,
-                    output_path=args.out, format=args.format)
-    if cfg.mc_samples < 1:
+    params, point = _point_args(args)
+    if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
     names = np.array([v.value for v in VERDICTS])
     parts: list = []  # CSV text per block, JSON sample rows or SVG cloud points
     breaches: list[dict] = []
-    for rows, w, status, slack in _sample_blocks(cfg):
+    for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
         cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
-        if cfg.format == "csv":
+        if args.format == "csv":
             parts.append("".join(map("{},{:.17g},{:.17g},{}\n".format, *cols)))
-        elif cfg.format == "json":
+        elif args.format == "json":
             parts += map(list, zip(*cols))
         else:
             parts += w.tolist()
         for k in np.flatnonzero(status == VERDICTS.index(Verdict.OUTSIDE)).tolist():
             breaches.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
                              "slack": float(slack[k])})
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = "seed_index,re,im,verdict\n" + "".join(parts)
-    elif cfg.format == "json":
-        rec = region_record(params, point, cfg.theta_samples)
+    elif args.format == "json":
+        rec = region_record(params, point, args.theta_samples)
         rec["samples"] = parts
         text = _json_text(rec)
     else:
-        rec = region_record(params, point, cfg.theta_samples)
+        rec = region_record(params, point, args.theta_samples)
         boundary = [complex(re, im) for _, re, im in rec["boundary"]]
         text = _svg_document(boundary, parts)
-    _write_text(_resolve_out(cfg.output_path), text)
+    _write_text(_resolve_out(args.out), text)
     if breaches:
         print(f"containment breach: {len(breaches)} sample(s) outside the region", file=sys.stderr)
         for b in breaches[:20]:

@@ -7,9 +7,9 @@ second Taylor coefficient is pinned to f''(0) = lambda (A - B), the attainable
 values of log f'(z0) fill a closed convex region: the image of a closed disk
 D(c, r) under w -> ((A - B)/B) Log w.
 
-This module provides the disk automorphisms, the center/radius formulas for
-real lambda in [0, 1), the boundary parametrization, and an exact membership
-test valid for any complex |lambda| < 1 via the Schwarz-Pick pullback.
+This module provides the disk automorphisms, the center/radius formulas, the
+boundary parametrization, and an exact membership test via the Schwarz-Pick
+pullback, all valid for any complex |lambda| < 1.
 
 All powers and logarithms use the principal branch.  This is legitimate
 throughout: every quantity passed to Log has the form 1 + B*z0*delta with
@@ -199,27 +199,20 @@ def majorant_q(z, A: float, B: float):
     return np.exp((A / B - 1.0) * np.log(1.0 + B * z))
 
 
-def _real_unit_interval_lambda(lam: complex) -> float:
-    if complex(lam).imag != 0.0:
-        raise ValueError(f"require lambda real in [0, 1), got {lam!r}")
-    x = complex(lam).real
-    if not (0.0 <= x < 1.0):
-        raise ValueError(f"require lambda real in [0, 1), got {x!r}")
-    return x
-
-
 def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
     """Center and radius of the pre-log disk 1 + B z0 delta(z0 D, lambda).
 
-    Valid for real lambda in [0, 1).  At lambda = 0 this reduces exactly to
+    Valid for any complex |lambda| < 1.  At lambda = 0 this reduces exactly to
     Disk(1, |B| |z0|^2).
     """
-    lam = _real_unit_interval_lambda(point.lam)
-    z0 = point.z0
-    m2 = abs(z0) ** 2
-    den = 1.0 - lam * lam * m2
-    center = (1.0 - lam * lam * m2 + lam * params.B * (1.0 - m2) * z0) / den
-    radius = abs(params.B) * (1.0 - lam * lam) * m2 / den
+    lam, z0 = point.lam, point.z0
+    if abs(lam) >= 1.0:
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
+    # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not
+    l2, m2 = abs(lam) * abs(lam), abs(z0) ** 2
+    den = 1.0 - l2 * m2
+    center = (1.0 - l2 * m2 + lam * params.B * (1.0 - m2) * z0) / den
+    radius = abs(params.B) * (1.0 - l2) * m2 / den
     return Disk(center=center, radius=radius)
 
 
@@ -233,9 +226,8 @@ def region_point(a, point: EvalPoint, params: JanowskiParams):
 
 def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
     """Boundary parametrization ((A - B)/B) Log(1 + B z0 delta(e^{i theta} z0, lambda))."""
-    lam = _real_unit_interval_lambda(point.lam)
     z0 = point.z0
-    d = mobius_delta(np.exp(1j * np.asarray(theta)) * z0, lam)
+    d = mobius_delta(np.exp(1j * np.asarray(theta)) * z0, point.lam)
     return params.exponent * np.log(1.0 + params.B * z0 * d)
 
 
@@ -260,12 +252,11 @@ def boundary_curve(point: EvalPoint, params: JanowskiParams, n: int = 256) -> Bo
     """Sample the boundary on the uniform grid theta_k = -pi + 2 pi k/n, k = 1..n."""
     if n < 3:
         raise ValueError(f"require n >= 3 samples, got {n}")
-    lam = _real_unit_interval_lambda(point.lam)
     if point.z0 == 0:
         raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
     k = np.arange(1, n + 1)
     thetas = np.pi * (2.0 * k / n - 1.0)
-    d = mobius_delta(_unit_circle_grid(n) * point.z0, lam)
+    d = mobius_delta(_unit_circle_grid(n) * point.z0, point.lam)
     values = params.exponent * np.log(1.0 + params.B * point.z0 * d)
     return BoundaryCurve(thetas=thetas, values=values)
 
@@ -342,9 +333,10 @@ def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):
     matters for complex z0 and negative B.  A disk automorphism of k, so |a| <= 1
     whenever |k| <= 1, with equality on the unit circle.
     """
-    lam = _real_unit_interval_lambda(point.lam)
     z0 = point.z0
     if z0 == 0:
         raise ValueError("z0 = 0 has no boundary parametrization")
+    if abs(point.lam) >= 1.0:
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
     u0 = (params.B / abs(params.B)) * z0 * z0 / (abs(z0) ** 2)
-    return u0 * mobius_delta(k, lam * np.conjugate(z0))
+    return u0 * mobius_delta(k, point.lam * np.conjugate(z0))

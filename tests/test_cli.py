@@ -83,14 +83,27 @@ def test_region_invalid_parameters(capsys):
     assert "|z0| < 1" in capsys.readouterr().err
 
 
+def test_run_flag_rejections(capsys):
+    cases = [
+        (["region", "--z0", "0,0", "--theta-samples", "2"], "require theta_samples >= 3"),
+        (["region", "--z0", "0.5,0", "--tol", "0"], "require tol > 0"),
+        (["region", "--z0", "0.5,0", "--tol", "nan"], "require tol > 0"),
+        (["sample", "--z0", "0,0", "--tol", "0"], "require tol > 0"),
+    ]
+    for argv, message in cases:
+        assert run(argv[:1] + ["--A", "0", "--B", "0.5"] + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_region_complex_lambda_reduction(tmp_path, capsys):
     out = tmp_path / "region.json"
     code = run(["region", "--A", "0", "--B", "0.5", "--lambda", "0.3,0.4",
                 "--z0", "0.5,0", "--theta-samples", "32", "--format", "json",
                 "--out", str(out)])
     assert code == 0
-    assert "rotation" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
     rec = json.loads(out.read_text())
+    assert "note" not in rec
     point = EvalPoint(0.5, 0.3 + 0.4j)
     for _, re, im in rec["boundary"]:
         assert contains(complex(re, im), point, P05).status is Verdict.BOUNDARY

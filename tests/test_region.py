@@ -38,6 +38,9 @@ POINT_GRID = [
     (0.3 + 0.4j, 0.3),
     (-0.7, 0.9),
     (0.1j, 0.0),
+    (0.5, 0.3 + 0.4j),
+    (-0.7, -0.5),
+    (0.3 + 0.4j, -0.2 - 0.9j),
 ]
 
 
@@ -192,9 +195,14 @@ def test_variability_disk_lambda0_exact():
 
 
 def test_variability_disk_domain():
-    for lam in (1.0, -0.1, 0.5 + 0.1j):
-        with pytest.raises(ValueError, match="real in"):
-            variability_disk(EvalPoint(0.5, lam), P05)
+    with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
+        variability_disk(EvalPoint(0.5, 1.0), P05)
+    # rotation identity: the region at (z0, lam) is the region at (z0 lam/|lam|, |lam|)
+    for lam in (-0.1, 0.5 + 0.1j):
+        d = variability_disk(EvalPoint(0.5, lam), P05)
+        ref = variability_disk(EvalPoint(0.5 * lam / abs(lam), abs(lam)), P05)
+        assert d.radius == pytest.approx(ref.radius, rel=1e-14)
+        assert abs(d.center - ref.center) <= 1e-15
 
 
 def test_radius_monotone_vanishing():
@@ -250,6 +258,8 @@ def test_equivalent_disk_param_modulus():
     assert float(np.max(np.abs(inner))) < 1.0
     with pytest.raises(ValueError):
         equivalent_disk_param(1.0, EvalPoint(0.0, 0.5), params)
+    with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
+        equivalent_disk_param(1.0, EvalPoint(0.5, -1.0), params)
 
 
 def test_boundary_curve_examples():

@@ -105,6 +105,9 @@ def test_coverage_matches_to_roundoff():
     assert r.max_violation < 1e-8
     assert r.extra["hausdorff_member_to_region"] < 1e-10
     assert r.extra["hausdorff_region_to_member"] < 1e-10
+    r = check_coverage(EvalPoint(0.3 + 0.4j, -0.2 - 0.6j), P05)
+    assert r.passed
+    assert r.max_violation < 1e-12
 
 
 def test_convexity_on_computed_curves():
@@ -127,10 +130,16 @@ def test_convexity_flags_nonconvex_curve():
     thetas = np.linspace(-np.pi, np.pi, 24, endpoint=False)
     radii = 1.0 + 0.5 * np.cos(5 * thetas)  # five-petal star: wildly nonconvex
     star = BoundaryCurve(thetas, radii * np.exp(1j * thetas))
-    r = check_convexity_and_jordan(star)
-    assert not r.passed
-    assert r.max_violation > r.tolerance
-    assert r.witnesses
+    # a unit circle with one point pulled in, that point appearing twice in a row
+    thetas = np.linspace(-np.pi, np.pi, 33, endpoint=False)
+    values = np.exp(1j * np.linspace(-np.pi, np.pi, 32, endpoint=False))
+    values[5] *= 0.8
+    dent = BoundaryCurve(thetas, np.insert(values, 5, values[5]))
+    for curve in (star, dent):
+        r = check_convexity_and_jordan(curve)
+        assert not r.passed
+        assert r.max_violation > r.tolerance
+        assert r.witnesses
 
 
 def test_jordan_flags_self_intersection():
