@@ -32,15 +32,10 @@ from .region import (
     variability_disk,
 )
 from .sampler import (
-    BlaschkeInner,
-    ConstantInner,
     ConstrainedSchwarz,
-    InnerFunction,
-    MonomialInner,
     inner_eval,
     member_log_fprime,
     omega_eval,
-    sample_inner,
     special_curvature,
 )
 from .verify import (

@@ -262,8 +262,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     cfg = QuadratureConfig(abs_tol=args.quad_tol, max_panels=args.max_panels)
     value = extremal_value(spec, z, cfg)
     deriv = complex(extremal_fprime(spec, z))
-    sys.stdout.write(f"{_f15(value.real)} {_f15(value.imag)}\n")
-    sys.stdout.write(f"{_f15(deriv.real)} {_f15(deriv.imag)}\n")
+    text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
+    _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
 

@@ -2,30 +2,24 @@
 
 Every member of the lambda-constrained class arises as
 f'(z) = (1 + B z delta(z w(z), lambda))^((A-B)/B) for some analytic w with
-sup |w| <= 1.  The samplers here emit only inner-function forms whose bound
-is exact by construction (constants, rotated monomials, scaled finite
-Blaschke products), so containment checks never fail from a sloppy sup-norm
-estimate.
+sup |w| <= 1.  The samplers here emit only inner functions whose bound is
+exact by construction (constants and scaled finite Blaschke products), held
+in one representation, InnerBatch, so containment checks never fail from a
+sloppy sup-norm estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .region import JanowskiParams, mobius_delta
 
 __all__ = [
-    "ConstantInner",
-    "MonomialInner",
-    "BlaschkeInner",
-    "InnerFunction",
     "InnerBatch",
     "BLOCK_ROWS",
     "ConstrainedSchwarz",
-    "sample_inner",
     "sample_members",
     "constant_inners",
     "inner_eval",
@@ -37,65 +31,12 @@ __all__ = [
 BLOCK_ROWS = 1024  # member rows drawn from one Generator by sample_members
 
 
-def _unit_normalized(w, what: str):
-    m = np.abs(w)
-    if np.any(np.abs(m - 1.0) > 1e-12):
-        raise ValueError(f"require |{what}| = 1, got {m}")
-    return w / m
-
-
 def _clipped_to_disk(c, what: str):
     """c with |c| <= 1; moduli within 1e-12 above 1 are scaled back onto the circle."""
     m = np.abs(c)
     if np.any(m > 1.0 + 1e-12):
         raise ValueError(f"require |{what}| <= 1, got {np.max(m)}")
     return np.where(m > 1.0, c / np.maximum(m, 1.0), c)
-
-
-@dataclass(frozen=True)
-class ConstantInner:
-    """psi(z) = c0 with |c0| <= 1."""
-
-    c0: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", complex(_clipped_to_disk(complex(self.c0), "c0")))
-
-
-@dataclass(frozen=True)
-class MonomialInner:
-    """psi(z) = coefficient * z^degree with |coefficient| <= 1, degree >= 0."""
-
-    degree: int
-    coefficient: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("require degree >= 0")
-        c = _clipped_to_disk(complex(self.coefficient), "coefficient")
-        object.__setattr__(self, "coefficient", complex(c))
-
-
-@dataclass(frozen=True)
-class BlaschkeInner:
-    """psi(z) = scale * rotation * prod_j (z - alpha_j)/(1 - conj(alpha_j) z)."""
-
-    zeros: tuple[complex, ...]
-    rotation: complex = 1.0
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        zeros = tuple(complex(a) for a in self.zeros)
-        if any(abs(a) >= 1.0 for a in zeros):
-            raise ValueError("require all Blaschke zeros inside the open disk")
-        if not 0.0 <= self.scale <= 1.0:
-            raise ValueError(f"require scale in [0, 1], got {self.scale}")
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "rotation", complex(_unit_normalized(complex(self.rotation), "rotation")))
-        object.__setattr__(self, "scale", float(self.scale))
-
-
-InnerFunction = Union[ConstantInner, MonomialInner, BlaschkeInner]
 
 
 @dataclass(frozen=True)
@@ -120,96 +61,54 @@ def constant_inners(c) -> InnerBatch:
     return InnerBatch(lead, np.zeros((0,) + lead.shape, complex), np.zeros((0,) + lead.shape, bool))
 
 
-def _as_batch(psi) -> InnerBatch:
-    if isinstance(psi, InnerBatch):
-        return psi
-    if isinstance(psi, ConstantInner):
-        lead, zeros = psi.c0, ()
-    elif isinstance(psi, MonomialInner):
-        lead, zeros = psi.coefficient, (0j,) * psi.degree  # z^degree: every zero at the origin
-    elif isinstance(psi, BlaschkeInner):
-        lead, zeros = psi.scale * psi.rotation, psi.zeros
-    else:
-        raise TypeError(f"not an inner function: {psi!r}")
-    return InnerBatch(np.asarray(lead), np.array(zeros, complex), np.ones(len(zeros), bool))
+def inner_eval(b: InnerBatch, z):
+    """Evaluate a batch of inner functions at scalar or ndarray z with |z| <= 1.
 
-
-def inner_eval(psi: InnerFunction | InnerBatch, z):
-    """Evaluate an inner function, or a batch of them, at scalar or ndarray z with |z| <= 1.
-
-    A batch broadcasts its row shape against z.
+    The batch broadcasts its row shape against z.
     """
-    b = _as_batch(psi)
     out = b.lead + 0.0 * z
     for alpha, active in zip(b.zeros, b.mask):
         out = np.where(active, out * (z - alpha) / (1.0 - np.conjugate(alpha) * z), out)
     return out
 
 
-def _draw(rng: np.random.Generator, complexity: np.ndarray, zero_radius: float):
-    """(scale, turn, zeros, mask) for one row per entry of complexity.
-
-    Zeros are padded to at least 3 per row, the most that complexity i % 4 uses.
-    """
-    n = complexity.size
-    k = max(3, int(complexity.max()))
-    scale = rng.uniform(0.0, 1.0, n)
-    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    zeros = rng.uniform(0.0, zero_radius, (k, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (k, n)))
-    mask = np.arange(k)[:, None] < complexity
-    return scale, turn, np.where(mask, zeros, 0.0), mask
-
-
-def sample_inner(seed: int, complexity: int, zero_radius: float = 0.9) -> InnerFunction:
-    """Draw a reproducible inner function.
-
-    complexity 0 gives a constant; complexity k >= 1 gives a Blaschke product
-    with k zeros of modulus <= zero_radius, uniform scale in [0, 1] and a
-    uniform rotation.  Identical (seed, complexity) always reproduce the same
-    sampled parameters.
-    """
-    if seed < 0:
-        raise ValueError("require seed >= 0")
-    if complexity < 0:
-        raise ValueError("require complexity >= 0")
-    rng = np.random.default_rng((int(seed), int(complexity)))
-    scale, turn, zeros, _ = _draw(rng, np.array([complexity]), zero_radius)
-    if complexity == 0:
-        return ConstantInner(scale[0] * turn[0])
-    return BlaschkeInner(zeros=tuple(zeros[:complexity, 0]), rotation=turn[0], scale=scale[0])
-
-
 def sample_members(seed: int, n: int, start: int = 0) -> InnerBatch:
     """Rows start..start+n-1 of the member stream of seed.
 
-    Row i has complexity i % 4 and the distribution of sample_inner.  Rows are
-    drawn in whole blocks of BLOCK_ROWS, block b from default_rng((seed, b)),
-    so row i depends only on (seed, i).
+    Row i is a Blaschke product with i % 4 zeros of modulus uniform in
+    [0, 0.9) and uniform argument, times a uniform scale in [0, 1) and a
+    uniform rotation; with no zeros it is the constant scale * rotation.
+    Zeros are padded to 3 per row.  Rows are drawn in whole blocks of
+    BLOCK_ROWS, block b from default_rng((seed, b)), so row i depends only on
+    (seed, i).
     """
     if seed < 0:
         raise ValueError(f"require seed >= 0, got {seed}")
     if n < 0 or start < 0:
         raise ValueError(f"require n >= 0 and start >= 0, got n={n}, start={start}")
+    mask = np.arange(3)[:, None] < np.arange(BLOCK_ROWS) % 4
     first = start // BLOCK_ROWS
     parts = []
     for b in range(first, max(first + 1, -(-(start + n) // BLOCK_ROWS))):
-        rows = np.arange(b * BLOCK_ROWS, (b + 1) * BLOCK_ROWS)
-        scale, turn, zeros, mask = _draw(np.random.default_rng((int(seed), b)), rows % 4, 0.9)
-        lead = np.where(mask.any(axis=0), scale * _unit_normalized(turn, "rotation"), scale * turn)
-        parts.append((lead, zeros, mask))
+        rng = np.random.default_rng((int(seed), b))
+        scale = rng.uniform(0.0, 1.0, BLOCK_ROWS)
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, BLOCK_ROWS))
+        zeros = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS)))
+        lead = np.where(mask.any(axis=0), scale * (turn / np.abs(turn)), scale * turn)
+        parts.append((lead, np.where(mask, zeros, 0.0), mask))
     offset = start - first * BLOCK_ROWS
     return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
 
 
 @dataclass(frozen=True)
 class ConstrainedSchwarz:
-    """omega(z) = z delta(z psi(z), lambda): the Schwarz function of one member.
+    """omega(z) = z delta(z psi(z), lambda): the Schwarz function of each row of inner.
 
     omega(0) = 0, omega'(0) = lambda and |omega| < 1 on the open disk, all by
     construction.
     """
 
-    inner: InnerFunction | InnerBatch
+    inner: InnerBatch
     lam: complex
 
     def __post_init__(self) -> None:

@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from varregion import (
-    ConstantInner,
     ConstrainedSchwarz,
     EvalPoint,
     ExtremalSpec,
@@ -20,16 +19,16 @@ from varregion import (
     check_halfplane_univalence,
     check_rotation,
     closed_form_a0,
-    contains,
     extremal_fprime,
     extremal_value,
     member_log_fprime,
     pullback_modulus,
-    sample_inner,
     special_curvature,
     variability_disk,
 )
 from varregion.cli import main as cli_main
+from varregion.region import VERDICTS, classify
+from varregion.sampler import constant_inners, sample_members
 from varregion.verify import (
     DEFAULT_PARAM_SETS,
     DEFAULT_Z0S,
@@ -113,13 +112,11 @@ def test_criterion_04_second_derivative_law():
 def test_criterion_05_containment_of_random_members():
     t0 = time.time()
     outside = 0
+    point = EvalPoint(0.5, 0.5)
+    s = ConstrainedSchwarz(sample_members(0, 10_000), 0.5)
     for params in DEFAULT_PARAM_SETS:
-        point = EvalPoint(0.5, 0.5)
-        for i in range(10_000):
-            s = ConstrainedSchwarz(sample_inner(i, i % 4), 0.5)
-            w = complex(member_log_fprime(s, params, 0.5))
-            if contains(w, point, params, 1e-9).status is Verdict.OUTSIDE:
-                outside += 1
+        _, status = classify(member_log_fprime(s, params, 0.5), point, params, 1e-9)
+        outside += int(np.count_nonzero(status == VERDICTS.index(Verdict.OUTSIDE)))
     elapsed = time.time() - t0
     _criterion(5, "10^4 members x 5 sets never Outside at tol 1e-9 in < 60 s",
                outside == 0 and elapsed < 60.0,
@@ -128,11 +125,11 @@ def test_criterion_05_containment_of_random_members():
 
 def test_criterion_06_sharpness_of_extremal_members():
     worst = 0.0
+    theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    s = ConstrainedSchwarz(constant_inners(np.exp(1j * theta)), 0.5)
     for params in DEFAULT_PARAM_SETS:
-        for t in np.linspace(-np.pi, np.pi, 64, endpoint=False):
-            s = ConstrainedSchwarz(ConstantInner(np.exp(1j * t)), 0.5)
-            w = member_log_fprime(s, params, 0.5)
-            worst = max(worst, abs(pullback_modulus(w, PT, params) - 0.5))
+        w = member_log_fprime(s, params, 0.5)
+        worst = max(worst, float(np.max(np.abs(pullback_modulus(w, PT, params) - 0.5))))
     _criterion(6, "extremal members hit |pullback| = |z0| within 1e-10 (64 theta)",
                worst < 1e-10, f"max|diff|={worst:.2e}")
 

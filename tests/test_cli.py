@@ -131,6 +131,15 @@ def test_extremal_prints_value_and_derivative(capsys):
     assert lines[1] == "0.888888888888889 0"
 
 
+def test_extremal_writes_out_file(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    code = run(["extremal", "--A", "0", "--B", "0.5", "--lambda", "0.5",
+                "--a", "0,0", "--z", "0.5,0", "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == "0.471132142625534 0\n0.888888888888889 0\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_extremal_at_origin(capsys):
     code = run(["extremal", "--A", "0", "--B", "0.5", "--lambda", "0.5",
                 "--a", "1,0", "--z", "0,0"])

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varregion import (
-    BlaschkeInner,
-    ConstantInner,
     ConstrainedSchwarz,
     EvalPoint,
     JanowskiParams,
-    MonomialInner,
     Verdict,
     boundary_point,
     contains,
@@ -16,37 +13,22 @@ from varregion import (
     janowski_disk,
     member_log_fprime,
     omega_eval,
-    sample_inner,
     special_curvature,
 )
 from varregion.region import VERDICTS, classify
-from varregion.sampler import BLOCK_ROWS, constant_inners, sample_members
+from varregion.sampler import BLOCK_ROWS, InnerBatch, constant_inners, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 P05 = JanowskiParams(0.0, 0.5)
 CURV_099 = 0.3422368376900104  # (1 - 0.5*0.9801)/(1 + 0.5*0.9801)
 
 BOUNDARY_GRID = np.exp(1j * np.linspace(-np.pi, np.pi, 4096, endpoint=False))
+OUTSIDE = VERDICTS.index(Verdict.OUTSIDE)
 
 
-def test_sample_inner_deterministic():
-    assert sample_inner(42, 0) == sample_inner(42, 0)
-    assert sample_inner(42, 3) == sample_inner(42, 3)
-    assert sample_inner(42, 0) != sample_inner(43, 0)
-
-
-def test_sample_inner_forms():
-    psi = sample_inner(7, 0)
-    assert isinstance(psi, ConstantInner) and abs(psi.c0) <= 1.0
-    psi = sample_inner(7, 3)
-    assert isinstance(psi, BlaschkeInner)
-    assert len(psi.zeros) == 3
-    assert all(abs(a) <= 0.9 for a in psi.zeros)
-    assert 0.0 <= psi.scale <= 1.0
-    with pytest.raises(ValueError):
-        sample_inner(-1, 0)
-    with pytest.raises(ValueError):
-        sample_inner(0, -1)
+def _row(lead, zeros):
+    """One unpadded row: lead * prod_j (z - zeros[j])/(1 - conj(zeros[j]) z)."""
+    return InnerBatch(np.asarray(complex(lead)), np.array(zeros, complex), np.ones(len(zeros), bool))
 
 
 def test_member_rows_depend_only_on_seed_and_row():
@@ -66,15 +48,6 @@ def test_member_rows_depend_only_on_seed_and_row():
         sample_members(5, -1)
 
 
-def _scalar_inner(batch, i):
-    """Row i of a batch rebuilt as a scalar inner-function object."""
-    zeros = tuple(batch.zeros[batch.mask[:, i], i])
-    lead = complex(batch.lead[i])
-    if not zeros:
-        return ConstantInner(lead)
-    return BlaschkeInner(zeros, rotation=lead / abs(lead), scale=abs(lead))
-
-
 @pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j])
 def test_batch_agrees_with_one_row_views(lam):
     probes = constant_inners(np.exp(1j * np.linspace(-np.pi, np.pi, 8, endpoint=False)))
@@ -87,7 +60,7 @@ def test_batch_agrees_with_one_row_views(lam):
                 slack, status = classify(w, point, params)
                 assert batch is not probes or set(status.tolist()) == {1}  # all Boundary
                 for i in range(w.size):
-                    for inner in (batch[i], _scalar_inner(batch, i)):
+                    for inner in (batch[i], _row(batch.lead[i], batch.zeros[batch.mask[:, i], i])):
                         wi = member_log_fprime(ConstrainedSchwarz(inner, lam), params, z0)
                         assert abs(wi - w[i]) <= 1e-14
                         v = contains(wi, point, params)
@@ -96,60 +69,49 @@ def test_batch_agrees_with_one_row_views(lam):
 
 
 def test_inner_validation():
-    with pytest.raises(ValueError):
-        ConstantInner(1.5)
-    with pytest.raises(ValueError):
-        MonomialInner(-1)
-    with pytest.raises(ValueError):
-        MonomialInner(2, coefficient=2.0)
-    with pytest.raises(ValueError):
-        BlaschkeInner(zeros=(1.0,))
-    with pytest.raises(ValueError):
-        BlaschkeInner(zeros=(0.5,), scale=1.5)
-    with pytest.raises(ValueError, match="rotation"):
-        BlaschkeInner(zeros=(0.5,), rotation=0.5)
+    with pytest.raises(ValueError, match="c0"):
+        constant_inners(1.5)
+    with pytest.raises(ValueError, match="c0"):
+        constant_inners([0.5, 0.0, 1.5j])
+    assert abs(complex(constant_inners(1.0 + 1e-13).lead)) == 1.0  # roundoff above 1 is clipped
 
 
 def test_inner_eval_examples():
-    c = ConstantInner(0.3 - 0.4j)
+    c = constant_inners(0.3 - 0.4j)
     assert inner_eval(c, 0.9j) == 0.3 - 0.4j
     alpha = 0.4 + 0.2j
-    b = BlaschkeInner(zeros=(alpha,))
+    b = _row(1.0, [alpha])
     assert abs(inner_eval(b, alpha)) == 0.0
     mod = np.abs(inner_eval(b, BOUNDARY_GRID))
     assert float(np.max(np.abs(mod - 1.0))) < 1e-12
-    m = MonomialInner(2, coefficient=0.5j)
+    m = _row(0.5j, [0.0, 0.0])  # 0.5i z^2
     assert inner_eval(m, 0.5) == pytest.approx(0.125j, abs=1e-16)
-    assert inner_eval(MonomialInner(0, coefficient=0.7), 0.0) == 0.7
-    with pytest.raises(TypeError):
-        inner_eval(object(), 0.0)
+    assert inner_eval(_row(0.7, []), 0.0) == 0.7
 
 
 def test_inner_boundedness_on_boundary_grid():
     for seed in range(12):
-        for complexity in range(4):
-            psi = sample_inner(seed, complexity)
-            sup = float(np.max(np.abs(inner_eval(psi, BOUNDARY_GRID))))
-            assert sup <= 1.0 + 1e-12
+        sup = float(np.max(np.abs(inner_eval(sample_members(seed, 64), BOUNDARY_GRID[:, None]))))
+        assert sup <= 1.0 + 1e-12
 
 
-@given(st.integers(0, 10**6), st.integers(0, 4))
-def test_inner_boundedness_property(seed, complexity):
-    psi = sample_inner(seed, complexity)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_inner_boundedness_property(seed, start):
+    batch = sample_members(seed, 4, start)  # four consecutive rows: every zero count
     grid = np.exp(1j * np.linspace(-np.pi, np.pi, 64, endpoint=False))
-    assert float(np.max(np.abs(inner_eval(psi, grid)))) <= 1.0 + 1e-12
+    assert float(np.max(np.abs(inner_eval(batch, grid[:, None])))) <= 1.0 + 1e-12
 
 
 def test_constrained_schwarz_validation():
     with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
-        ConstrainedSchwarz(ConstantInner(0.5), 1.0)
+        ConstrainedSchwarz(constant_inners(0.5), 1.0)
 
 
 def test_omega_basic():
-    s = ConstrainedSchwarz(sample_inner(3, 2), 0.4 + 0.1j)
-    assert omega_eval(s, 0.0) == 0.0
+    s = ConstrainedSchwarz(sample_members(3, 8), 0.4 + 0.1j)
+    assert np.all(omega_eval(s, 0.0) == 0.0)
     # psi == 1 with lambda = 0 realizes the Schwarz function z^2
-    s = ConstrainedSchwarz(ConstantInner(1.0), 0.0)
+    s = ConstrainedSchwarz(constant_inners(1.0), 0.0)
     z = np.array([0.3, -0.5j, 0.4 + 0.4j])
     np.testing.assert_allclose(omega_eval(s, z), z**2, atol=1e-16)
 
@@ -157,54 +119,77 @@ def test_omega_basic():
 def test_omega_derivative_is_lambda():
     h = 1e-6
     for seed, lam in [(0, 0.5), (1, 0.3 - 0.6j), (2, 0.0)]:
-        s = ConstrainedSchwarz(sample_inner(seed, seed % 4), lam)
+        s = ConstrainedSchwarz(sample_members(seed, 8), lam)
         fd = (omega_eval(s, h) - omega_eval(s, -h)) / (2 * h)
-        assert abs(fd - lam) < 1e-6
+        assert float(np.max(np.abs(fd - lam))) < 1e-6
 
 
 def test_omega_stays_in_disk():
     rng = np.random.default_rng(1)
     z = 0.98 * np.sqrt(rng.uniform(0, 1, 512)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 512))
-    for seed in range(8):
-        s = ConstrainedSchwarz(sample_inner(seed, seed % 4), 0.6)
-        assert float(np.max(np.abs(omega_eval(s, z)))) < 1.0
+    s = ConstrainedSchwarz(sample_members(0, 64), 0.6)
+    assert float(np.max(np.abs(omega_eval(s, z[:, None])))) < 1.0
 
 
 def test_member_normalization():
-    s = ConstrainedSchwarz(sample_inner(5, 1), 0.2)
-    assert member_log_fprime(s, P05, 0.0) == 0.0
+    s = ConstrainedSchwarz(sample_members(5, 8), 0.2)
+    assert np.all(member_log_fprime(s, P05, 0.0) == 0.0)
 
 
 def test_member_constant_unimodular_hits_boundary_curve():
     point = EvalPoint(0.3 + 0.4j, 0.5)
+    th = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    s = ConstrainedSchwarz(constant_inners(np.exp(1j * th)), 0.5)
     for params in DEFAULT_PARAM_SETS:
-        for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
-            s = ConstrainedSchwarz(ConstantInner(np.exp(1j * th)), 0.5)
-            got = member_log_fprime(s, params, point.z0)
-            want = boundary_point(th, point, params)
-            assert abs(got - want) < 1e-14
+        got = member_log_fprime(s, params, point.z0)
+        want = boundary_point(th, point, params)
+        assert float(np.max(np.abs(got - want))) < 1e-14
 
 
 def test_members_never_outside():
     point = EvalPoint(0.5, 0.5)
-    for i in range(2000):
-        s = ConstrainedSchwarz(sample_inner(i, i % 4), 0.5)
-        w = complex(member_log_fprime(s, P05, 0.5))
-        assert contains(w, point, P05).status is not Verdict.OUTSIDE
+    s = ConstrainedSchwarz(sample_members(0, 2000), 0.5)
+    _, status = classify(member_log_fprime(s, P05, 0.5), point, P05)
+    assert not np.any(status == OUTSIDE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-2.0, 0.0), st.booleans(), st.floats(0.0, 1.0),
+    st.floats(0.0, 0.9), st.floats(-np.pi, np.pi),
+    st.floats(0.05, 0.95), st.floats(-np.pi, np.pi),
+    st.integers(0, 10**6),
+)
+def test_member_slack_matches_exact_oracle(u, negative, t, lam_mod, lam_arg, z_mod, z_arg, seed):
+    # omega(z0)/z0 = delta(z0 psi(z0), lambda), so the pullback of a member's value
+    # is |z0| |psi(z0)| and its exact slack is |z0| (|psi(z0)| - 1)
+    B = -(10.0**u) if negative else 10.0**u
+    assume(B > -1.0)
+    A = -1.0 + t * (B + 1.0)
+    assume(A < B)
+    params = JanowskiParams(A, B)
+    point = EvalPoint(z_mod * np.exp(1j * z_arg), lam_mod * np.exp(1j * lam_arg))
+    constants = constant_inners(np.exp(1j * np.linspace(-np.pi, np.pi, 16, endpoint=False)))
+    for batch, on_boundary in ((sample_members(seed, 64), False), (constants, True)):
+        w = member_log_fprime(ConstrainedSchwarz(batch, point.lam), params, point.z0)
+        slack, status = classify(w, point, params)
+        oracle = abs(point.z0) * (np.abs(inner_eval(batch, point.z0)) - 1.0)
+        assert float(np.max(np.abs(slack - oracle))) <= 1e-10
+        assert not np.any(status == OUTSIDE)
+        assert not on_boundary or np.all(status == VERDICTS.index(Verdict.BOUNDARY))
 
 
 def test_member_subordination_pullback():
     # |((f')^(B/(A-B)) - 1)/B| < 1: the defining subordination
     rng = np.random.default_rng(8)
     z = 0.95 * np.sqrt(rng.uniform(0, 1, 50)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
+    s = ConstrainedSchwarz(sample_members(0, 40), 0.45)
     count = 0
     for params in DEFAULT_PARAM_SETS:
-        for i in range(40):
-            s = ConstrainedSchwarz(sample_inner(i, i % 4), 0.45)
-            w = member_log_fprime(s, params, z)
-            omega = (np.exp(w / params.exponent) - 1.0) / params.B
-            assert float(np.max(np.abs(omega))) < 1.0
-            count += z.size
+        w = member_log_fprime(s, params, z[:, None])
+        omega = (np.exp(w / params.exponent) - 1.0) / params.B
+        assert float(np.max(np.abs(omega))) < 1.0
+        count += w.size
     assert count >= 10_000
 
 
@@ -212,10 +197,10 @@ def test_member_second_coefficient():
     h = 1e-4
     for i, lam in enumerate((0.5, 0.3 - 0.2j, 0.0, 0.8)):
         for params in (P05, JanowskiParams(-0.9, -0.1)):
-            s = ConstrainedSchwarz(sample_inner(i, i % 4), lam)
+            s = ConstrainedSchwarz(sample_members(i, 8), lam)
             fprime = lambda z: np.exp(member_log_fprime(s, params, z))
             second = (fprime(h) - fprime(-h)) / (2 * h)
-            assert abs(second - lam * (params.A - params.B)) < 1e-5
+            assert float(np.max(np.abs(second - lam * (params.A - params.B)))) < 1e-5
 
 
 def test_special_curvature_values():
@@ -244,9 +229,7 @@ def test_curvature_witness_exits_janowski_disk():
 def test_halfplane_bound_for_members():
     rng = np.random.default_rng(4)
     z = 0.95 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+    s = ConstrainedSchwarz(sample_members(0, 30), 0.4)
     for B in (0.25, 0.5, 1.0):
-        params = JanowskiParams(0.0, B)
-        for i in range(30):
-            s = ConstrainedSchwarz(sample_inner(i, i % 4), 0.4)
-            fprime = np.exp(member_log_fprime(s, params, z))
-            assert float(np.min(fprime.real)) > 0.5
+        fprime = np.exp(member_log_fprime(s, JanowskiParams(0.0, B), z[:, None]))
+        assert float(np.min(fprime.real)) > 0.5

@@ -9,7 +9,6 @@ import pytest
 import varregion
 from varregion import (
     BoundaryCurve,
-    ConstantInner,
     ConstrainedSchwarz,
     EvalPoint,
     JanowskiParams,
@@ -28,6 +27,7 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
+from varregion.sampler import constant_inners
 from varregion.verify import (
     DEFAULT_LAMBDAS,
     DEFAULT_PARAM_SETS,
@@ -66,7 +66,7 @@ def test_prop1_extremal_equality_case():
     point = EvalPoint(0.5, 0.5)
     disk = variability_disk(point, P05)
     for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
-        s = ConstrainedSchwarz(ConstantInner(np.exp(1j * th)), 0.5)
+        s = ConstrainedSchwarz(constant_inners(np.exp(1j * th)), 0.5)
         w = member_log_fprime(s, P05, 0.5)
         pullback = np.exp(w / P05.exponent)
         assert abs(abs(pullback - disk.center) - disk.radius) < 1e-12
@@ -76,7 +76,7 @@ def test_corollary0_passes_and_is_sharp():
     r = check_corollary0(param_sets=SMALL_SETS, n_samples=24, seed=1)
     assert r.passed and r.witnesses == []
     # direct sharpness: psi == 1 at real z gives |1 + Bz^2 - 1| = |B| z^2
-    s = ConstrainedSchwarz(ConstantInner(1.0), 0.0)
+    s = ConstrainedSchwarz(constant_inners(1.0), 0.0)
     for z in (0.3, 0.7):
         w = member_log_fprime(s, P05, z)
         assert abs(np.exp(w / P05.exponent) - 1.0) == pytest.approx(
