@@ -121,7 +121,25 @@ def _write_text(path: Path | None, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``indent`` makes the stdlib use its pure-Python encoder, so each top-level
+    row list of a dict (a non-empty list of non-empty lists) is encoded
+    compactly by the C encoder instead, re-indented and spliced in where a
+    ``null`` placeholder stands.  Both encoders write the same tokens (floats
+    by ``float.__repr__``, ``NaN``, ``Infinity``), and row cells are numbers or
+    verdict names (never lists), so no cell holds ``", "`` or ``"], ["``.
+    """
+    rows = {}
+    if isinstance(obj, dict):
+        rows = {k: v for k, v in obj.items()
+                if isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)}
+    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2) + "\n"
+    for key, v in rows.items():
+        body = json.dumps(v)[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+        slot = f"\n  {json.dumps(key)}: "  # two spaces: only a top-level key matches
+        text = text.replace(slot + "null", slot + "[\n    [\n      " + body + "\n    ]\n  ]", 1)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +166,7 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     rec.update(
         center=_pair(disk.center),
         radius=disk.radius + 0.0,
-        boundary=[[t + 0.0, v.real + 0.0, v.imag + 0.0] for t, v in curve.samples],
+        boundary=(np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist(),
     )
     return rec
 
@@ -411,11 +429,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-9, help="membership tolerance (default 1e-9)")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
+_COMMON_FLAGS = {
+    "seed": dict(type=int, default=0, help="random seed (default 0)"),
+    "tol": dict(type=float, default=1e-9, help="membership tolerance (default 1e-9)"),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "format": dict(choices=("csv", "svg", "json"), default="csv"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags a command reads, so any other one is a usage error."""
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
@@ -436,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     p.add_argument("--z0", type=parse_complex, required=True, help="evaluation point, 're,im'")
     p.add_argument("--theta-samples", type=int, default=256)
-    _add_common(p)
+    _add_common(p, "tol", "out", "format")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("extremal", help="evaluate one extremal map F and F'")
@@ -445,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=parse_complex, required=True, help="evaluation point, |z| < 1")
     p.add_argument("--quad-tol", type=float, default=1e-12)
     p.add_argument("--max-panels", type=int, default=1024)
-    _add_common(p)
+    _add_common(p, "out")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("sample", help="seeded cloud of member values with verdicts")
@@ -453,20 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=parse_complex, required=True)
     p.add_argument("--mc-samples", type=int, default=1000)
     p.add_argument("--theta-samples", type=int, default=256)
-    _add_common(p)
+    _add_common(p, "seed", "tol", "out", "format")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
-    _add_common(p)
+    _add_common(p, "seed", "tol", "out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="batch region records from a grid file")
     p.add_argument("--grid", required=True, help="grid file of key=value blocks")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--theta-samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_sweep)
 
     return parser

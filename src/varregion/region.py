@@ -129,10 +129,6 @@ class BoundaryCurve:
     def __len__(self) -> int:
         return int(self.thetas.size)
 
-    @property
-    def samples(self) -> list[tuple[float, complex]]:
-        return list(zip(self.thetas.tolist(), self.values.tolist()))
-
     def as_points(self) -> np.ndarray:
         """Curve values as an (n, 2) real array of (Re, Im) pairs."""
         return np.column_stack([self.values.real, self.values.imag])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from varregion import EvalPoint, JanowskiParams, Verdict, contains
-from varregion.cli import load_region_record, main, parse_complex
+from varregion.cli import _json_text, _sweep_record, load_region_record, main, parse_complex, region_record
+from varregion.verify import run_suites
 
 P05 = JanowskiParams(0.0, 0.5)
 
@@ -93,6 +94,51 @@ def test_run_flag_rejections(capsys):
     for argv, message in cases:
         assert run(argv[:1] + ["--A", "0", "--B", "0.5"] + argv[1:]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--format"), ("extremal", "--seed"), ("extremal", "--tol"), ("extremal", "--format"),
+    ("region", "--seed"), ("sweep", "--seed"), ("sweep", "--tol"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("A=0\nB=0.5\nz0_re=0.5\n")
+    point = ["--A", "0", "--B", "0.5"]
+    argv = {
+        "verify": ["--suite", "inclusion"],
+        "extremal": point + ["--a", "0,0", "--z", "0.5,0"],
+        "region": point + ["--z0", "0.5,0"],
+        "sweep": ["--grid", str(grid), "--out", str(tmp_path / "o")],
+    }[command]
+    value = "csv" if flag == "--format" else "1"
+    assert run([command, *argv, flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _json_records():
+    rows = [[0, float("nan"), -0.0, "Interior"], [1, float("inf"), float("-inf"), "Boundary"], [2, 0.5, 1e-300, "Outside"]]
+    sample = region_record(P05, EvalPoint(0.5, 0.5), 8)
+    sample["samples"] = rows
+    records = [region_record(P05, EvalPoint(z0, lam), n)
+               for n in (3, 256, 4096) for z0, lam in ((0.5, 0.5), (0.3 + 0.4j, -0.2 - 0.6j))]
+    records += [
+        region_record(P05, EvalPoint(0.0, 0.5), 256),  # singleton, z0 = 0
+        region_record(P05, EvalPoint(0.5, 1.0), 256),  # singleton, |lambda| = 1
+        _sweep_record({"A": 0.9, "B": 0.5, "z0_re": 0.5}, 256),
+        sample,
+        {"meta": {"samples": None}, "samples": rows, "z": [[1]]},  # nested key of the same name stays
+        [r.to_dict() for r in run_suites(["inclusion"], seed=0, tol=1e-9)],
+        [[1.5, -0.0], [2, 3]],
+        {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]},
+    ]
+    return records
+
+
+@pytest.mark.parametrize("obj", _json_records())
+def test_json_text_matches_stdlib_indented_encoding(obj):
+    # compared as lines: pytest's diff of two long strings takes minutes
+    expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert _json_text(obj).splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_region_complex_lambda_reduction(tmp_path, capsys):
@@ -280,6 +326,11 @@ def test_sweep_dedup_and_rejection(tmp_path):
     reasons = {json.loads((out / e["file"]).read_text())["reason"] for e in rejected}
     assert any("A < B" in r for r in reasons)
     assert any("missing key" in r for r in reasons)
+    # every file is the stdlib's indented encoding of its own content
+    for f in out.iterdir():
+        text = f.read_text()
+        expected = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_sweep_parse_error_reports_line(tmp_path, capsys):

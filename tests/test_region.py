@@ -271,7 +271,7 @@ def test_boundary_curve_examples():
     np.testing.assert_allclose(curve.thetas, [-np.pi / 2, 0.0, np.pi / 2, np.pi])
     assert curve.values[-1] == 0.0  # theta = pi lands exactly on log 1 = 0
     assert curve.values[1] == pytest.approx(-LOG_1_2, abs=1e-14)
-    for _, v in curve.samples:
+    for v in curve.values.tolist():
         assert contains(v, PT, P05).status is Verdict.BOUNDARY
 
 
