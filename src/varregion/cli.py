@@ -15,6 +15,7 @@ landed outside the region, which indicates a kernel bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -275,7 +276,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     params = JanowskiParams(args.A, args.B)
     spec = ExtremalSpec(a=args.a, lam=args.lam, params=params)
     z = args.z
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"require |z| < 1, got |z| = {abs(z)}")
     cfg = QuadratureConfig(abs_tol=args.quad_tol, max_panels=args.max_panels)
     value = extremal_value(spec, z, cfg)
@@ -495,10 +496,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, reused by every later one.
+
+    Parsing writes only the namespace it returns, never the parser, so one
+    parser serves every call; ``build_parser`` still returns a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

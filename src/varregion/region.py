@@ -80,9 +80,9 @@ class EvalPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "z0", complex(self.z0))
         object.__setattr__(self, "lam", complex(self.lam))
-        if abs(self.z0) >= 1.0:
+        if not abs(self.z0) < 1.0:
             raise ValueError(f"require |z0| < 1, got |z0| = {abs(self.z0)}")
-        if abs(self.lam) > 1.0 + 1e-12:
+        if not abs(self.lam) <= 1.0 + 1e-12:
             raise ValueError(f"require |lambda| <= 1, got |lambda| = {abs(self.lam)}")
 
 

@@ -1,10 +1,19 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from varregion import EvalPoint, JanowskiParams, Verdict, contains
-from varregion.cli import _json_text, _sweep_record, load_region_record, main, parse_complex, region_record
+from varregion.cli import (
+    _json_text,
+    _parser,
+    _sweep_record,
+    load_region_record,
+    main,
+    parse_complex,
+    region_record,
+)
 from varregion.verify import run_suites
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -200,6 +209,19 @@ def test_extremal_domain_errors(capsys):
     assert run(["extremal", "--A", "0", "--B", "0.5", "--a", "1,0", "--z", "1,0"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "--a=0.5", "--z=nan"], "require |z| < 1, got |z| = nan"),
+    (["extremal", "--a=nan", "--z=0.5"], "require |a| <= 1, got |a| = nan"),
+    (["extremal", "--a=0.5", "--lambda=nan", "--z=0.5"], "require |lambda| < 1, got |lambda| = nan"),
+    (["region", "--z0=nan"], "require |z0| < 1, got |z0| = nan"),
+    (["region", "--z0=0.5", "--lambda=0.5,nan"], "require |lambda| <= 1, got |lambda| = nan"),
+    (["sample", "--z0=nan,0.5"], "require |z0| < 1, got |z0| = nan"),
+], ids=["extremal-z", "extremal-a", "extremal-lambda", "region-z0", "region-lambda", "sample-z0"])
+def test_nan_inputs_are_usage_errors(argv, message, capsys):
+    assert run(argv[:1] + ["--A=0", "--B=1"] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_extremal_nonconvergence_exit_code(capsys):
     code = run(["extremal", "--A", "-1", "--B", "1", "--lambda", "0.7",
                 "--a", "0.9,0", "--z", "0.8,0", "--quad-tol", "1e-30",
@@ -384,3 +406,42 @@ def test_stdout_output(capsys):
                 "--z0", "0.5,0", "--theta-samples", "4"]) == 0
     outerr = capsys.readouterr()
     assert outerr.out.startswith("theta,re,im")
+
+
+def test_main_is_reentrant(tmp_path, capsys):
+    """main reuses one parser: calls in order and in reverse give what a fresh parser gives."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text("A=0\nB=0.5\nz0_re=0.5\n\nA=0.9\nB=0.5\nz0_re=0.5\n")
+    out = tmp_path / "sweep"
+    point = ["--A", "0", "--B", "0.5"]
+    argvs = [
+        ["region", *point, "--z0", "0.5,0.1", "--theta-samples", "8", "--format", "json"],
+        ["region", *point, "--z0", "0"],  # singleton: a note on stderr
+        ["extremal", *point, "--lambda", "0.3", "--a", "0.6,0.2", "--z", "0.5,0"],
+        ["sample", *point, "--lambda", "0.5", "--z0", "0.5,0", "--mc-samples", "20", "--seed", "3"],
+        ["verify", "--suite", "inclusion"],
+        ["sweep", "--grid", str(grid), "--out", str(out), "--theta-samples", "4"],
+        ["--help"],
+        ["extremal", "--help"],
+        ["region", *point],  # missing --z0
+        ["verify", "--suite", "inclusion", "--format", "csv"],  # a flag verify does not read
+        ["verify", "--suite", "bogus"],
+        ["region", "--A", "0.5", "--B", "0.3", "--z0", "0.5"],  # A >= B
+        [],  # no command
+    ]
+
+    def call(argv, fresh_parser=False):
+        if fresh_parser:
+            _parser.cache_clear()
+        code = main(argv)
+        files = sorted((f.name, f.read_bytes()) for f in out.glob("*"))
+        shutil.rmtree(out, ignore_errors=True)
+        return code, *capsys.readouterr(), files
+
+    fresh = [call(argv, fresh_parser=True) for argv in argvs]
+    forward = [call(argv) for argv in argvs]
+    backward = [call(argv) for argv in reversed(argvs)][::-1]
+    assert _parser.cache_info().misses == 1  # both passes shared the last fresh parser
+    assert [r[0] for r in fresh] == [0] * 8 + [2] * 5
+    for argv, r, f, b in zip(argvs, fresh, forward, backward):
+        assert (f, b) == (r, r), argv

@@ -15,6 +15,7 @@ from varregion import (
     extremal_value,
     fprime_segment_integral,
 )
+from varregion import extremal
 
 P05 = JanowskiParams(0.0, 0.5)
 
@@ -107,6 +108,8 @@ def test_closed_form_domain():
     assert closed_form_a0(0.3, P05, 0.0) == 0.0
     with pytest.raises(ValueError, match="lambda = 0"):
         closed_form_a0(0.0, P05, 0.5)
+    with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
+        closed_form_a0(float("nan"), P05, 0.5)
     # lambda = 0 needs no oracle: the integrand is 1 and F(z) = z
     spec = ExtremalSpec(0.0, 0.0, P05)
     for z in (0.5, -0.3 + 0.2j):
@@ -147,6 +150,8 @@ def test_segment_endpoint_validation():
     spec = ExtremalSpec(0.5, 0.3, P05)
     with pytest.raises(ValueError, match="open unit disk"):
         fprime_segment_integral(spec, 0.0, 1.0)
+    with pytest.raises(ValueError, match="open unit disk"):
+        fprime_segment_integral(spec, 0.0, complex(0.5, float("nan")))
 
 
 def test_convergence_error():
@@ -156,6 +161,37 @@ def test_convergence_error():
         extremal_value(spec, 0.8, cfg)
     assert np.isfinite(exc.value.achieved)
     assert abs(exc.value.estimate) > 0
+
+
+@pytest.mark.parametrize("max_panels, schedule", [
+    (3, [1, 2]),
+    (1000, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
+])
+def test_max_panels_caps_the_panels_evaluated(max_panels, schedule, monkeypatch):
+    panels, composite = [], extremal._composite_estimate
+
+    def counted(*args):
+        panels.append(args[-1])
+        return composite(*args)
+
+    monkeypatch.setattr(extremal, "_composite_estimate", counted)
+    # steep: 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
+    z = 0.99 * np.exp(0.7j)
+    spec = ExtremalSpec(-(np.conj(z) / abs(z)) ** 2, 0.05, JanowskiParams(-1.0, 1.0))
+    with pytest.raises(ConvergenceError, match=f"within {max_panels} panels"):
+        extremal_value(spec, z, QuadratureConfig(max_panels=max_panels, abs_tol=1e-30))
+    assert panels == schedule
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 32])
+def test_gauss_legendre_rule_is_cached_and_read_only(n):
+    nodes, weights = extremal._gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    assert extremal._gauss_legendre(n) is extremal._gauss_legendre(n)
 
 
 def test_fprime_subordination_pullback():
