@@ -162,15 +162,18 @@ def mobius_delta(z, lam):
     Maps the closed unit disk into itself and the unit circle onto itself.
     Accepts scalar or ndarray z (|z| <= 1); lam must be a scalar.
     """
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
     return (z + lam) / (1.0 + np.conjugate(lam) * z)
 
 
 def mobius_delta_inv(s, lam):
-    """Functional inverse of :func:`mobius_delta`: (s - lam) / (1 - conj(lam) s)."""
-    if abs(lam) >= 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
+    """Functional inverse of :func:`mobius_delta`: (s - lam) / (1 - conj(lam) s).
+
+    lam may be an ndarray that broadcasts against s.
+    """
+    if not np.all(np.abs(lam) < 1.0):
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {np.max(np.abs(lam))}")
     den = 1.0 - np.conjugate(lam) * s
     if np.any(np.abs(den) == 0.0):
         raise ValueError("mobius_delta_inv: denominator 1 - conj(lambda) s vanished")
@@ -195,20 +198,29 @@ def majorant_q(z, A: float, B: float):
     return np.exp((A / B - 1.0) * np.log(1.0 + B * z))
 
 
+def _disk(z0, lam, B: float):
+    """(center, radius) of the pre-log disk; z0 and lam may be broadcasting ndarrays.
+
+    No domain checks: the caller guarantees |z0| < 1 and |lam| < 1.
+    """
+    # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not.
+    # Python abs on scalars: numpy's complex modulus can differ in the last bit.
+    l2, m2 = abs(lam) * abs(lam), abs(z0) ** 2
+    den = 1.0 - l2 * m2
+    center = (1.0 - l2 * m2 + lam * B * (1.0 - m2) * z0) / den
+    radius = abs(B) * (1.0 - l2) * m2 / den
+    return center, radius
+
+
 def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
     """Center and radius of the pre-log disk 1 + B z0 delta(z0 D, lambda).
 
     Valid for any complex |lambda| < 1.  At lambda = 0 this reduces exactly to
     Disk(1, |B| |z0|^2).
     """
-    lam, z0 = point.lam, point.z0
-    if abs(lam) >= 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
-    # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not
-    l2, m2 = abs(lam) * abs(lam), abs(z0) ** 2
-    den = 1.0 - l2 * m2
-    center = (1.0 - l2 * m2 + lam * params.B * (1.0 - m2) * z0) / den
-    radius = abs(params.B) * (1.0 - l2) * m2 / den
+    if not abs(point.lam) < 1.0:
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
+    center, radius = _disk(point.z0, point.lam, params.B)
     return Disk(center=center, radius=radius)
 
 
@@ -220,11 +232,14 @@ def region_point(a, point: EvalPoint, params: JanowskiParams):
     return params.exponent * np.log(disk.center + a * disk.radius)
 
 
+def _boundary_values(k, z0, lam, params: JanowskiParams):
+    """((A - B)/B) Log(1 + B z0 delta(k z0, lambda)) for unimodular k."""
+    return params.exponent * np.log(1.0 + params.B * z0 * mobius_delta(k * z0, lam))
+
+
 def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
     """Boundary parametrization ((A - B)/B) Log(1 + B z0 delta(e^{i theta} z0, lambda))."""
-    z0 = point.z0
-    d = mobius_delta(np.exp(1j * np.asarray(theta)) * z0, point.lam)
-    return params.exponent * np.log(1.0 + params.B * z0 * d)
+    return _boundary_values(np.exp(1j * np.asarray(theta)), point.z0, point.lam, params)
 
 
 def _unit_circle_grid(n: int) -> np.ndarray:
@@ -252,9 +267,30 @@ def boundary_curve(point: EvalPoint, params: JanowskiParams, n: int = 256) -> Bo
         raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
     k = np.arange(1, n + 1)
     thetas = np.pi * (2.0 * k / n - 1.0)
-    d = mobius_delta(_unit_circle_grid(n) * point.z0, point.lam)
-    values = params.exponent * np.log(1.0 + params.B * point.z0 * d)
+    values = _boundary_values(_unit_circle_grid(n), point.z0, point.lam, params)
     return BoundaryCurve(thetas=thetas, values=values)
+
+
+def _check_membership_point(point: EvalPoint) -> None:
+    """Reject the points where the membership test is undefined."""
+    if point.z0 == 0:
+        raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
+    if not abs(point.lam) < 1.0:
+        raise ValueError("membership test requires |lambda| < 1")
+
+
+def _pullback(w, z0, lam, params: JanowskiParams):
+    """pullback_modulus with z0 and lam as ndarrays that broadcast against w; no domain checks."""
+    u = np.exp(np.asarray(w) / params.exponent)
+    zeta = (u - 1.0) / (params.B * z0)
+    return np.abs(mobius_delta_inv(zeta, lam))
+
+
+def _classify(w, z0, lam, params: JanowskiParams, tol: float):
+    """classify with z0 and lam as ndarrays that broadcast against w; no domain checks."""
+    slack = _pullback(w, z0, lam, params) - abs(z0)
+    status = np.where(np.abs(slack) <= tol, 1, np.where(slack < -tol, 0, 2))
+    return slack, status
 
 
 def pullback_modulus(w, point: EvalPoint, params: JanowskiParams):
@@ -266,13 +302,8 @@ def pullback_modulus(w, point: EvalPoint, params: JanowskiParams):
     complex |lambda| < 1; for real lambda it reduces to the classical
     two-point Schwarz inequality.
     """
-    if point.z0 == 0:
-        raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
-    if abs(point.lam) >= 1.0:
-        raise ValueError("membership test requires |lambda| < 1")
-    u = np.exp(np.asarray(w) / params.exponent)
-    zeta = (u - 1.0) / (params.B * point.z0)
-    return np.abs(mobius_delta_inv(zeta, point.lam))
+    _check_membership_point(point)
+    return _pullback(w, point.z0, point.lam, params)
 
 
 def classify(w, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9):
@@ -283,9 +314,8 @@ def classify(w, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9):
     """
     if not tol > 0.0:
         raise ValueError("require tol > 0")
-    slack = pullback_modulus(w, point, params) - abs(point.z0)
-    status = np.where(np.abs(slack) <= tol, 1, np.where(slack < -tol, 0, 2))
-    return slack, status
+    _check_membership_point(point)
+    return _classify(w, point.z0, point.lam, params, tol)
 
 
 def contains(w: complex, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9
@@ -332,7 +362,7 @@ def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):
     z0 = point.z0
     if z0 == 0:
         raise ValueError("z0 = 0 has no boundary parametrization")
-    if abs(point.lam) >= 1.0:
+    if not abs(point.lam) < 1.0:
         raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
     u0 = (params.B / abs(params.B)) * z0 * z0 / (abs(z0) ** 2)
     return u0 * mobius_delta(k, point.lam * np.conjugate(z0))

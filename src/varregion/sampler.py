@@ -24,6 +24,7 @@ __all__ = [
     "constant_inners",
     "inner_eval",
     "omega_eval",
+    "log_fprime",
     "member_log_fprime",
     "special_curvature",
 ]
@@ -113,7 +114,7 @@ class ConstrainedSchwarz:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", complex(self.lam))
-        if abs(self.lam) >= 1.0:
+        if not abs(self.lam) < 1.0:
             raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(self.lam)}")
 
 
@@ -122,9 +123,14 @@ def omega_eval(s: ConstrainedSchwarz, z):
     return z * mobius_delta(z * inner_eval(s.inner, z), s.lam)
 
 
+def log_fprime(omega, params: JanowskiParams):
+    """((A-B)/B) Log(1 + B omega): log f' where the member's Schwarz function is omega."""
+    return params.exponent * np.log(1.0 + params.B * omega)
+
+
 def member_log_fprime(s: ConstrainedSchwarz, params: JanowskiParams, z):
     """log f'(z) = ((A-B)/B) Log(1 + B omega(z)) for the member induced by s."""
-    return params.exponent * np.log(1.0 + params.B * omega_eval(s, z))
+    return log_fprime(omega_eval(s, z), params)
 
 
 def special_curvature(params: JanowskiParams, z):

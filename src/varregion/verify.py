@@ -25,9 +25,11 @@ from .region import (
     BoundaryCurve,
     EvalPoint,
     JanowskiParams,
+    _boundary_values,
+    _check_membership_point,
+    _classify,
+    _disk,
     boundary_curve,
-    boundary_point,
-    classify,
     equivalent_disk_param,
     janowski_disk,
     region_point,
@@ -38,7 +40,9 @@ from .sampler import (
     ConstrainedSchwarz,
     InnerBatch,
     constant_inners,
+    log_fprime,
     member_log_fprime,
+    omega_eval,
     sample_members,
     special_curvature,
 )
@@ -225,19 +229,15 @@ def check_unit_lambda(
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
             target = singleton_value(EvalPoint(z0, 1.0), params)
-            radii = []
-            for k in range(1, k_max + 1):
-                lam_k = 1.0 - 2.0**-k
-                point = EvalPoint(z0, lam_k)
-                radii.append(variability_disk(point, params).radius)
-                if k == k_max:
-                    for a in (0.0, 1.0, -1.0, 1j):
-                        d = abs(region_point(a, point, params) - target)
-                        tally.add(
-                            d,
-                            {"A": params.A, "B": params.B, "z0": _cstr(z0), "k": k, "a": _cstr(a)},
-                            {"distance_to_singleton": float(d)},
-                        )
+            _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)), params.B)
+            point = EvalPoint(z0, 1.0 - 2.0**-k_max)
+            for a in (0.0, 1.0, -1.0, 1j):
+                d = abs(region_point(a, point, params) - target)
+                tally.add(
+                    d,
+                    {"A": params.A, "B": params.B, "z0": _cstr(z0), "k": k_max, "a": _cstr(a)},
+                    {"distance_to_singleton": float(d)},
+                )
             drops = np.diff(radii)
             tally.add(
                 float(np.max(drops)),
@@ -257,26 +257,6 @@ def check_unit_lambda(
     return tally.report("unit-lambda", len(param_sets))
 
 
-def _rotation_test_values(
-    params: JanowskiParams, z0: complex, lam: float, thetas: np.ndarray, members: InnerBatch
-) -> np.ndarray:
-    """Mix of attainable, boundary and exterior values for the frame (z0, lam).
-
-    Row i is a member value, a boundary value at thetas[i] and an exterior value
-    at thetas[i] in turn, by i % 3.
-    """
-    point = EvalPoint(z0, lam)
-    disk = variability_disk(point, params)
-    values = np.empty(thetas.size, complex)
-    values[0::3] = member_log_fprime(ConstrainedSchwarz(members[0::3], lam), params, z0)
-    values[1::3] = boundary_point(thetas[1::3], point, params)
-    th = thetas[2::3]
-    w_pre = disk.center + 1.2 * disk.radius * np.exp(1j * th)
-    w_pre = np.where(w_pre.real <= 1e-6, disk.center + 1.05 * disk.radius * np.exp(1j * th), w_pre)
-    values[2::3] = params.exponent * np.log(w_pre)
-    return values
-
-
 def check_rotation(
     param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
     z0s: Sequence[complex] = (0.5, 0.3 + 0.4j),
@@ -286,26 +266,43 @@ def check_rotation(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> VerificationReport:
-    """Verdicts agree between frames (e^{i theta} z0, lambda) and (z0, lambda e^{i theta})."""
+    """Verdicts agree between frames (e^{i theta} z0, lambda) and (z0, lambda e^{i theta}).
+
+    Each frame is tested on a mix of values attainable, on the boundary and
+    outside in the rotated-point frame: sample j is a member value, a boundary
+    value at thetas[j] and an exterior value at thetas[j] in turn, by j % 3.
+    All turns of one (params, z0, lambda) are evaluated at once, one row per turn.
+    """
     tally = _Tally(tol)
     turns = 2.0 * np.pi * np.arange(n_rotations) / n_rotations
+    rots = np.exp(1j * turns)[:, None]
     per_frame = max(1, n_samples // (len(z0s) * len(lambdas)))
     thetas = np.random.default_rng((seed, 777)).uniform(-np.pi, np.pi, size=per_frame)
     members = sample_members(seed, per_frame)
+    circle = np.exp(1j * thetas)
     for params in param_sets:
         for z0 in z0s:
+            z0_rot = rots * z0
             for lam in lambdas:
-                for th in turns:
-                    rot = np.exp(1j * th)
-                    ws = _rotation_test_values(params, rot * z0, lam, thetas, members)
-                    _, v1 = classify(ws, EvalPoint(rot * z0, lam), params, tol)
-                    _, v2 = classify(ws, EvalPoint(z0, lam * rot), params, tol)
-                    inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0), "lambda": lam,
-                              "theta": float(th)}
-                    tally.add_many((v1 != v2).astype(float), lambda k: (
-                        dict(inputs, w=_cstr(ws[k])),
-                        {"rotated_point": VERDICTS[v1[k]].value,
-                         "rotated_lambda": VERDICTS[v2[k]].value}))
+                _check_membership_point(EvalPoint(z0, lam))
+                center, radius = _disk(z0_rot, lam, params.B)
+                w_pre = center + 1.2 * radius * circle[2::3]
+                w_pre = np.where(w_pre.real <= 1e-6, center + 1.05 * radius * circle[2::3], w_pre)
+                ws = np.empty((n_rotations, per_frame), complex)
+                ws[:, 0::3] = member_log_fprime(ConstrainedSchwarz(members[0::3], lam), params, z0_rot)
+                ws[:, 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
+                ws[:, 2::3] = params.exponent * np.log(w_pre)
+                _, v1 = _classify(ws, z0_rot, lam, params, tol)
+                _, v2 = _classify(ws, z0, lam * rots, params, tol)
+                inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0), "lambda": lam}
+
+                def witness(k):
+                    t, j = divmod(k, per_frame)
+                    return (dict(inputs, theta=float(turns[t]), w=_cstr(ws[t, j])),
+                            {"rotated_point": VERDICTS[v1[t, j]].value,
+                             "rotated_lambda": VERDICTS[v2[t, j]].value})
+
+                tally.add_many(v1 != v2, witness)
     return tally.report("rotation", len(param_sets))
 
 
@@ -458,12 +455,13 @@ def check_halfplane_univalence(
     tally = _Tally(tol)
     zgrid = 0.95 * _polar_grid(12)[:, None]  # grid points x members
     members = _members_with_probes(seed, n_samples)
+    omegas = [omega_eval(ConstrainedSchwarz(members, lam), zgrid) for lam in (0.0, 0.3, 0.5 + 0.2j)]
     min_re = {}
     for B in Bs:
         params = JanowskiParams(0.0, B)
         lo = np.inf
-        for lam in (0.0, 0.3, 0.5 + 0.2j):
-            fprime = np.exp(member_log_fprime(ConstrainedSchwarz(members, lam), params, zgrid))
+        for omega in omegas:
+            fprime = np.exp(log_fprime(omega, params))
             lo = min(lo, float(np.min(fprime.real, initial=np.inf)))
         # the infimum is approached by the collapsed lambda = 1 member with
         # omega(z) = z: f'(x) = (1 + B x)^(-1) -> 1/(1 + B) as x -> 1

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from varregion import (
     BoundaryCurve,
+    ConstrainedSchwarz,
     Disk,
     EvalPoint,
     JanowskiParams,
@@ -22,6 +23,7 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
+from varregion.sampler import sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 # frozen oracle values (high-precision logs, correctly rounded to binary64)
@@ -113,6 +115,25 @@ def test_mobius_domain_errors():
         mobius_delta_inv(0.5, 1.2)
     with pytest.raises(ValueError, match="vanished"):
         mobius_delta_inv(2.0, 0.5)  # 1 - 0.5*2 = 0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, lam", [
+    (lambda lam: mobius_delta(0.5, lam), NAN),
+    (lambda lam: mobius_delta(0.5, lam), complex(NAN, 0.0)),
+    (lambda lam: mobius_delta_inv(0.5, lam), NAN),
+    (lambda lam: mobius_delta_inv(0.5, lam), complex(NAN, 0.0)),
+    (lambda lam: mobius_delta_inv(np.array([0.5, 0.2]), lam), np.array([0.3, NAN])),
+    (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), NAN),
+    (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), complex(NAN, 0.0)),
+], ids=["delta-nan", "delta-complex-nan", "inv-nan", "inv-complex-nan", "inv-array-nan",
+        "schwarz-nan", "schwarz-complex-nan"])
+def test_nan_lambda_is_rejected(make, lam):
+    # NaN fails every comparison, so |lambda| >= 1 let it through
+    with pytest.raises(ValueError, match=r"require \|lambda\| < 1, got \|lambda\| = nan"):
+        make(lam)
 
 
 def test_mobius_inv_examples():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 import varregion
+import varregion.region
+import varregion.sampler
+import varregion.verify
 from varregion import (
     BoundaryCurve,
     ConstrainedSchwarz,
@@ -27,12 +31,16 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
+from varregion.region import classify
 from varregion.sampler import constant_inners
 from varregion.verify import (
     DEFAULT_LAMBDAS,
     DEFAULT_PARAM_SETS,
     DEFAULT_Z0S,
     SUITE_NAMES,
+    _cstr,
+    _members_with_probes,
+    _polar_grid,
     _Tally,
     run_convexity_default,
     run_inclusion_default,
@@ -97,6 +105,98 @@ def test_rotation_suite_zero_mismatches():
     r = check_rotation(param_sets=SMALL_SETS, n_rotations=8, n_samples=40, seed=2)
     assert r.passed
     assert r.max_violation == 0.0
+
+
+def test_batched_unit_lambda_radii_equal_per_point_disks(monkeypatch):
+    calls = []
+
+    def spy(z0, lam, B):
+        center, radius = varregion.region._disk(z0, lam, B)
+        calls.append((z0, B, radius))
+        return center, radius
+
+    monkeypatch.setattr(varregion.verify, "_disk", spy)
+    assert check_unit_lambda(param_sets=SMALL_SETS).passed
+    z0s = [z0 for z0 in DEFAULT_Z0S if z0 != 0]
+    assert [(z0, B) for z0, B, _ in calls] == [(z0, p.B) for p in SMALL_SETS for z0 in z0s]
+    for (z0, B, radii), params in zip(calls, [p for p in SMALL_SETS for _ in z0s]):
+        ref = [variability_disk(EvalPoint(z0, 1 - 2**-k), params).radius for k in range(1, 41)]
+        assert radii.tolist() == ref
+
+
+def _rotation_turns(n: int) -> np.ndarray:
+    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+
+
+def test_batched_rotation_verdicts_equal_per_frame_classify(monkeypatch):
+    calls = []
+
+    def spy(w, z0, lam, params, tol):
+        slack, status = varregion.region._classify(w, z0, lam, params, tol)
+        calls.append((w, z0, lam, params, status))
+        return slack, status
+
+    monkeypatch.setattr(varregion.verify, "_classify", spy)
+    z0s, lambdas, n_rot = (0.5, 0.3 + 0.4j), (0.3, 0.5), 8
+    r = check_rotation(param_sets=SMALL_SETS, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
+                       n_samples=120, seed=4)
+    assert r.passed and r.samples == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * 30
+    frames = [(p, z0, lam) for p in SMALL_SETS for z0 in z0s for lam in lambdas]
+    assert len(calls) == 2 * len(frames)
+    rots = _rotation_turns(n_rot)
+    for (params, z0, lam), rotated_point, rotated_lambda in zip(frames, calls[0::2], calls[1::2]):
+        ws, status_point, status_lambda = rotated_point[0], rotated_point[4], rotated_lambda[4]
+        assert ws.shape == (n_rot, 30) and rotated_lambda[0] is ws
+        assert rotated_point[3] is params and rotated_lambda[3] is params
+        for t, rot in enumerate(rots):
+            _, ref_point = classify(ws[t], EvalPoint(rot * z0, lam), params)
+            _, ref_lambda = classify(ws[t], EvalPoint(z0, lam * rot), params)
+            assert np.array_equal(status_point[t], ref_point)
+            assert np.array_equal(status_lambda[t], ref_lambda)
+        # member, boundary and exterior values in turn, seen from the rotated point
+        assert np.all(status_point[:, 0::3] != 2)
+        assert np.all(status_point[:, 1::3] == 1)
+        assert np.all(status_point[:, 2::3] == 2)
+
+
+def test_batched_rotation_reports_disagreements_in_turn_then_sample_order(monkeypatch):
+    per_frame, n_rot = 30, 4
+    bump = np.zeros((n_rot, per_frame))
+    chosen = [(1, 4), (1, 0), (3, 1)] + [(2, j) for j in range(per_frame) if j % 3 != 2]
+    for t, j in chosen:
+        bump[t, j] = 1.0  # slack >= 1 - |z0|: Outside where the rotated point reads otherwise
+    seen = []
+
+    def disagreeing_pullback(w, z0, lam, params):
+        out = real_pullback(w, z0, lam, params)
+        if np.ndim(lam) == 0:
+            return out
+        seen.append(w)
+        return out + bump
+
+    real_pullback = varregion.region._pullback
+    monkeypatch.setattr(varregion.region, "_pullback", disagreeing_pullback)
+    r = check_rotation(param_sets=(P05,), z0s=(0.5,), lambdas=(0.3,), n_rotations=n_rot,
+                       n_samples=per_frame, seed=5)
+    assert not r.passed and r.max_violation == 1.0
+    assert r.samples == n_rot * per_frame and len(seen) == 1
+    expected = sorted(chosen)[:20]
+    assert len(r.witnesses) == 20
+    for (t, j), wit in zip(expected, r.witnesses):
+        assert wit["inputs"] == {"A": 0.0, "B": 0.5, "z0": _cstr(0.5), "lambda": 0.3,
+                                 "theta": float(2.0 * np.pi * t / n_rot), "w": _cstr(seen[0][t, j])}
+        assert wit["observed"]["rotated_point"] == ("Interior" if j % 3 == 0 else "Boundary")
+        assert wit["observed"]["rotated_lambda"] == "Outside"
+
+
+@pytest.mark.parametrize("z0s, lambdas, message", [
+    ((0.0,), (0.3,), "z0 = 0"),
+    ((1.2,), (0.3,), r"\|z0\| < 1"),
+    ((0.5,), (1.0,), r"\|lambda\| < 1"),
+])
+def test_rotation_rejects_frames_outside_the_domain(z0s, lambdas, message):
+    with pytest.raises(ValueError, match=message):
+        check_rotation(param_sets=(P05,), z0s=z0s, lambdas=lambdas, n_rotations=4, n_samples=9)
 
 
 def test_coverage_matches_to_roundoff():
@@ -270,6 +370,29 @@ def test_halfplane_suite():
     assert r.extra["min_re_fprime"]["B=1.0"] > 0.5 - 1e-9
 
 
+def test_halfplane_values_equal_per_lambda_members(monkeypatch):
+    calls = []
+
+    def spy(omega, params):
+        out = varregion.sampler.log_fprime(omega, params)
+        calls.append((params, out))
+        return out
+
+    monkeypatch.setattr(varregion.verify, "log_fprime", spy)
+    r = check_halfplane_univalence(n_samples=24, seed=3)
+    members = _members_with_probes(3, 24)
+    zgrid = 0.95 * _polar_grid(12)[:, None]
+    lambdas = (0.0, 0.3, 0.5 + 0.2j)
+    assert len(calls) == 3 * len(lambdas)
+    for i, B in enumerate((0.25, 0.5, 1.0)):
+        ref = [member_log_fprime(ConstrainedSchwarz(members, lam), JanowskiParams(0.0, B), zgrid)
+               for lam in lambdas]
+        for (params, out), want in zip(calls[3 * i:3 * i + 3], ref):
+            assert params == JanowskiParams(0.0, B) and np.array_equal(out, want)
+        lo = min(float(np.min(np.exp(w).real)) for w in ref)
+        assert r.extra["min_re_fprime"][f"B={B}"] == min(lo, 1.0 / (1.0 + B * 0.999999))
+
+
 def test_convexity_default_sweep():
     r = run_convexity_default(param_sets=SMALL_SETS, n=64)
     assert r.passed
@@ -290,6 +413,17 @@ def test_all_suites_pass_and_have_consistent_fields():
         assert r.samples > 0
     assert [r.suite_name for r in reports] == list(SUITE_NAMES)
     assert {r.suite_name: (r.samples, r.parameter_sets) for r in reports} == SUITE_COUNTS
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_report_counts_match_the_benchmark_checker(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    reports = run_suites(SUITE_NAMES, seed=seed)
+    counts = {r.suite_name: (r.samples, r.parameter_sets) for r in reports}
+    assert counts == check.VERIFY_COUNTS == SUITE_COUNTS
 
 
 def test_tally_array_add_matches_per_sample_adds():
