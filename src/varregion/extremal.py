@@ -45,13 +45,20 @@ class ExtremalSpec:
             raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(self.lam)}")
 
 
+MAX_PANELS = 65536
+_EPS4 = 4.0 * np.finfo(float).eps  # times |estimate|: the rounding floor of an estimate
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Gauss-Legendre settings.
 
     Panels double (1, 2, 4, ...) until two successive composite estimates
     differ by at most abs_tol, and never beyond max_panels; max_panels = 1 can
-    therefore never confirm the tolerance.
+    therefore never confirm the tolerance.  An abs_tol below the rounding
+    floor 4 eps |estimate| is never confirmed either: two estimates that round
+    to the same double do not meet it.  max_panels is capped at MAX_PANELS,
+    about 80 MiB of panel arrays (~1.2 KiB per panel).
     """
 
     nodes_per_panel: int = 16
@@ -61,8 +68,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.nodes_per_panel < 2:
             raise ValueError("require nodes_per_panel >= 2")
-        if self.max_panels < 1:
-            raise ValueError("require max_panels >= 1")
+        if not 1 <= self.max_panels <= MAX_PANELS:
+            raise ValueError(f"require 1 <= max_panels <= {MAX_PANELS}, got {self.max_panels}")
         if not self.abs_tol > 0.0:
             raise ValueError("require abs_tol > 0")
 
@@ -124,6 +131,14 @@ def fprime_segment_integral(
         if prev is not None:
             achieved = abs(est - prev)
             if achieved <= cfg.abs_tol:
+                floor = _EPS4 * abs(est)
+                if cfg.abs_tol < floor:
+                    raise ConvergenceError(
+                        f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                        f"= {floor:.3e}, so no estimate can confirm it",
+                        estimate=complex(est),
+                        achieved=float(achieved),
+                    )
                 return complex(est)
         if 2 * panels > cfg.max_panels:
             achieved = float("inf") if prev is None else abs(est - prev)

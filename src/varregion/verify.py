@@ -29,7 +29,7 @@ from .region import (
     _check_membership_point,
     _classify,
     _disk,
-    boundary_curve,
+    _unit_circle_grid,
     equivalent_disk_param,
     janowski_disk,
     region_point,
@@ -172,18 +172,23 @@ def check_prop1(
     """Members' pullback (f')^(B/(A-B)) stays in the closed disk D(c, r)."""
     tally = _Tally(tol)
     members = _members_with_probes(seed, n_samples)
+    zs = [z0 for z0 in z0s if z0 != 0]
+    z0_col = np.array(zs, dtype=complex)[:, None]
     for params in param_sets:
         for lam in lambdas:
+            disks = [variability_disk(EvalPoint(z0, lam), params) for z0 in zs]
+            center = np.array([d.center for d in disks], dtype=complex)[:, None]
+            radius = np.array([d.radius for d in disks], dtype=float)[:, None]
             s = ConstrainedSchwarz(members, lam)
-            for z0 in z0s:
-                if z0 == 0:
-                    continue
-                disk = variability_disk(EvalPoint(z0, lam), params)
-                pullback = np.exp(member_log_fprime(s, params, z0) / params.exponent)
-                violation = np.abs(pullback - disk.center) - disk.radius
-                inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
-                tally.add_many(violation, lambda k: (inputs, {
-                    "pullback": _cstr(pullback[k]), "distance_minus_r": float(violation[k])}))
+            pullback = np.exp(member_log_fprime(s, params, z0_col) / params.exponent)
+            violation = np.abs(pullback - center) - radius
+
+            def witness(k):
+                t, j = divmod(k, violation.shape[1])
+                return ({"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(zs[t])},
+                        {"pullback": _cstr(pullback[t, j]), "distance_minus_r": float(violation[t, j])})
+
+            tally.add_many(violation, witness)
     return tally.report("prop1", len(param_sets))
 
 
@@ -199,18 +204,23 @@ def check_corollary0(
     members = ConstrainedSchwarz(_members_with_probes(seed, n_samples), lam=0.0)
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
     sharp = ConstrainedSchwarz(constant_inners(np.exp(1j * phis)), lam=0.0)
+    z0_col = np.array(z0s, dtype=complex)[:, None]
     for params in param_sets:
-        for z0 in z0s:
-            bound = abs(params.B) * abs(z0) ** 2
-            inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
-            lhs = np.abs(np.exp(member_log_fprime(members, params, z0) / params.exponent) - 1.0)
-            tally.add_many(lhs - bound, lambda k: (
-                inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
-            # sharpness probes: equality up to roundoff
-            lhs_sharp = np.abs(np.exp(member_log_fprime(sharp, params, z0) / params.exponent) - 1.0)
-            tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
-                dict(inputs, sharp_phi=float(phis[k])),
-                {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
+        bound = np.array([abs(params.B) * abs(z0) ** 2 for z0 in z0s], dtype=float)[:, None]
+        # row t: the members at z0s[t], then the sharpness probes (equality up to roundoff)
+        lhs = np.concatenate([np.abs(np.exp(member_log_fprime(s, params, z0_col) / params.exponent) - 1.0)
+                              for s in (members, sharp)], axis=1)
+        violation = lhs - bound
+        violation[:, n_samples:] = np.abs(violation[:, n_samples:])
+
+        def witness(k):
+            t, j = divmod(k, lhs.shape[1])
+            inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0s[t])}
+            if j >= n_samples:
+                inputs["sharp_phi"] = float(phis[j - n_samples])
+            return inputs, {"lhs": float(lhs[t, j]), "bound": float(bound[t, 0])}
+
+        tally.add_many(violation, witness)
     return tally.report("corollary0", len(param_sets))
 
 
@@ -222,6 +232,8 @@ def check_unit_lambda(
 ) -> VerificationReport:
     """|lambda| = 1 collapse: r -> 0 monotonically and the disk converges to the singleton."""
     tally = _Tally(tol)
+    a_values = (0.0, 1.0, -1.0, 1j)
+    phis = (0.0, 1.0, 2.5)
     for params in param_sets:
         for z0 in z0s:
             if z0 == 0:
@@ -229,31 +241,20 @@ def check_unit_lambda(
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
             target = singleton_value(EvalPoint(z0, 1.0), params)
+            values = region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-k_max), params)
+            # Python abs: numpy's complex modulus can differ in the last bit
+            dists = [abs(w - target) for w in values.tolist()]
             _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)), params.B)
-            point = EvalPoint(z0, 1.0 - 2.0**-k_max)
-            for a in (0.0, 1.0, -1.0, 1j):
-                d = abs(region_point(a, point, params) - target)
-                tally.add(
-                    d,
-                    {"A": params.A, "B": params.B, "z0": _cstr(z0), "k": k_max, "a": _cstr(a)},
-                    {"distance_to_singleton": float(d)},
-                )
-            drops = np.diff(radii)
-            tally.add(
-                float(np.max(drops)),
-                {"A": params.A, "B": params.B, "z0": _cstr(z0)},
-                {"max_radius_increase": float(np.max(drops))},
-            )
+            max_increase = float(np.max(np.diff(radii)))
             # rotation consistency of the collapsed value for unimodular lambda
-            for phi in (0.0, 1.0, 2.5):
-                u = np.exp(1j * phi)
-                lhs = singleton_value(EvalPoint(z0, u), params)
-                rhs = singleton_value(EvalPoint(u * z0, 1.0), params)
-                tally.add(
-                    abs(lhs - rhs),
-                    {"A": params.A, "B": params.B, "z0": _cstr(z0), "phi": phi},
-                    {"lhs": _cstr(lhs), "rhs": _cstr(rhs)},
-                )
+            pairs = [(singleton_value(EvalPoint(z0, u), params),
+                      singleton_value(EvalPoint(u * z0, 1.0), params)) for u in np.exp(1j * np.array(phis))]
+            inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
+            tally.add_many(dists, lambda k: (
+                dict(inputs, k=k_max, a=_cstr(a_values[k])), {"distance_to_singleton": dists[k]}))
+            tally.add(max_increase, inputs, {"max_radius_increase": max_increase})
+            tally.add_many([abs(lhs - rhs) for lhs, rhs in pairs], lambda k: (
+                dict(inputs, phi=phis[k]), {"lhs": _cstr(pairs[k][0]), "rhs": _cstr(pairs[k][1])}))
     return tally.report("unit-lambda", len(param_sets))
 
 
@@ -343,33 +344,42 @@ def check_coverage(
     )
 
 
+def _turning(values: np.ndarray):
+    """Per row of an (m, n) array of closed polygons: the sense of its largest turn,
+    its largest turn against that sense (cross product of consecutive edges), and
+    its total turning in full turns.
+
+    Repeated points turn nothing: each row's non-zero edges move to its front, in
+    order, and turns are taken between consecutive ones.
+    """
+    n = values.shape[-1]
+    if n < 16:
+        raise ValueError(f"require at least 16 curve samples, got {n}")
+    if np.any(np.maximum(np.ptp(values.real, axis=-1), np.ptp(values.imag, axis=-1)) <= 1e-15):
+        raise ValueError("degenerate curve (zero radius) is not a Jordan curve")
+    e = np.roll(values, -1, axis=-1) - values
+    i, edges = np.arange(n), np.count_nonzero(e, axis=-1)[:, None]
+    e = np.take_along_axis(e, np.argsort(e == 0.0, axis=-1, kind="stable"), -1)
+    f = np.take_along_axis(e, np.where(i + 1 < edges, i + 1, 0), -1)
+    cross = e.real * f.imag - e.imag * f.real
+    sign = np.where(cross[np.arange(len(cross)), np.argmax(np.abs(cross), axis=-1)] >= 0, 1.0, -1.0)
+    worst = np.max(np.where(i < edges, -sign[:, None] * cross, -np.inf), axis=-1)
+    turns = np.where(i < edges, np.arctan2(cross, e.real * f.real + e.imag * f.imag), 0.0)
+    return sign, worst, np.rint(np.sum(turns, axis=-1) / (2.0 * np.pi))
+
+
 def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> VerificationReport:
     """Single-signed turning plus a total turning of one full turn in that sense.
 
     By Hopf's Umlaufsatz for polygons, a closed polygon whose turns all have one
     sign is convex and simple exactly when its exterior angles sum to +-2 pi.
+    This is the one-row case of the kernel run_convexity_default batches.
     """
-    n = len(curve)
-    if n < 16:
-        raise ValueError(f"require at least 16 curve samples, got {n}")
-    pts = curve.as_points()
-    if float(np.max(np.ptp(pts, axis=0))) <= 1e-15:
-        raise ValueError("degenerate curve (zero radius) is not a Jordan curve")
+    sign, worst, winding = (float(v[0]) for v in _turning(curve.values[None, :]))
     tally = _Tally(tol)
-
-    # repeated points turn nothing: turns are taken between consecutive non-zero edges
-    e = np.roll(pts, -1, axis=0) - pts
-    e = e[np.any(e != 0.0, axis=1)]
-    f = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-    sign = 1.0 if cross[np.argmax(np.abs(cross))] >= 0 else -1.0
-    worst = float(np.max(-sign * cross))
     tally.add(worst, {"check": "convexity"}, {"opposite_sign_excess": worst})
-
-    turns = np.arctan2(cross, np.sum(e * f, axis=1))
-    winding = float(np.rint(np.sum(turns) / (2.0 * np.pi)))
     tally.add(abs(winding - sign), {"check": "jordan"}, {"turning_number": winding})
-    return tally.report("convexity", 1, n_samples_on_curve=n)
+    return tally.report("convexity", 1, n_samples_on_curve=len(curve))
 
 
 def run_convexity_default(
@@ -381,21 +391,20 @@ def run_convexity_default(
 ) -> VerificationReport:
     """check_convexity_and_jordan over every computed default boundary curve."""
     tally = _Tally(tol)
-    curves = 0
+    zs = [z0 for z0 in z0s if z0 != 0]
+    cells = [(lam, EvalPoint(z0, lam)) for lam in lambdas for z0 in zs]
+    z0_col = np.array(zs, dtype=complex)[:, None]
+    k = _unit_circle_grid(n)
     for params in param_sets:
-        for lam in lambdas:
-            for z0 in z0s:
-                if z0 == 0:
-                    continue
-                curve = boundary_curve(EvalPoint(z0, lam), params, n)
-                sub = check_convexity_and_jordan(curve, tol)
-                curves += 1
-                tally.add(
-                    sub.max_violation,
-                    {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)},
-                    {"max_violation": sub.max_violation},
-                )
-    return tally.report("convexity", len(param_sets), curves=curves)
+        # the curves of one parameter set are the rows of one (lambda x z0, n) array
+        values = np.reshape([_boundary_values(k, z0_col, complex(lam), params) for lam in lambdas], (-1, n))
+        sign, worst, winding = _turning(values)
+        # a curve's violation is the larger of its two checks, as in its own report
+        violation = np.maximum(worst, np.abs(winding - sign))
+        tally.add_many(violation, lambda c: (
+            {"A": params.A, "B": params.B, "lambda": cells[c][0], "z0": _cstr(cells[c][1].z0)},
+            {"max_violation": float(violation[c])}))
+    return tally.report("convexity", len(param_sets), curves=tally.samples)
 
 
 def check_strict_inclusion(

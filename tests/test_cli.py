@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import varregion.extremal
 from varregion import EvalPoint, JanowskiParams, Verdict, contains
 from varregion.cli import (
     _json_text,
@@ -228,6 +229,31 @@ def test_extremal_nonconvergence_exit_code(capsys):
                 "--max-panels", "2"])
     assert code == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_extremal_tolerance_below_the_rounding_floor_exit_code(capsys):
+    # F' = 1, so every estimate is exactly z: they agree, but not to 1e-30
+    code = run(["extremal", "--A=0", "--B=1", "--a=0", "--lambda=0", "--z=0.5",
+                "--quad-tol=1e-30"])
+    assert code == 4
+    assert "below the rounding floor" in capsys.readouterr().err
+
+
+def test_extremal_max_panels_cap(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return composite(*args)
+
+    composite = varregion.extremal._composite_estimate
+    monkeypatch.setattr(varregion.extremal, "_composite_estimate", counted)
+    argv = ["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"]
+    assert run(argv + ["--max-panels=16777216"]) == 2
+    assert capsys.readouterr().err == "error: require 1 <= max_panels <= 65536, got 16777216\n"
+    assert calls == []
+    assert run(argv + ["--max-panels=65536"]) == 0
+    assert calls
 
 
 def test_sample_csv_deterministic(tmp_path):

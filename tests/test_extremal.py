@@ -183,6 +183,24 @@ def test_max_panels_caps_the_panels_evaluated(max_panels, schedule, monkeypatch)
     assert panels == schedule
 
 
+def test_tolerance_below_the_rounding_floor_is_never_confirmed():
+    spec = ExtremalSpec(0.5j, 0.3, JanowskiParams(-0.5, 0.5))
+    z = 0.5 + 0.3j
+    with pytest.raises(ConvergenceError, match="below the rounding floor") as exc:
+        fprime_segment_integral(spec, 0j, z, QuadratureConfig(abs_tol=1e-30, max_panels=64))
+    # the two last estimates agree to the double: only the floor refuses them
+    assert exc.value.achieved <= 1e-30
+    floor = 4.0 * np.finfo(float).eps * abs(exc.value.estimate)
+    value = fprime_segment_integral(spec, 0j, z, QuadratureConfig(abs_tol=floor, max_panels=64))
+    assert value == exc.value.estimate
+
+
+def test_max_panels_is_capped():
+    assert QuadratureConfig(max_panels=extremal.MAX_PANELS).max_panels == 65536
+    with pytest.raises(ValueError, match="max_panels <= 65536"):
+        QuadratureConfig(max_panels=65537)
+
+
 @pytest.mark.parametrize("n", [2, 4, 16, 32])
 def test_gauss_legendre_rule_is_cached_and_read_only(n):
     nodes, weights = extremal._gauss_legendre(n)

@@ -38,10 +38,12 @@ from varregion.verify import (
     DEFAULT_PARAM_SETS,
     DEFAULT_Z0S,
     SUITE_NAMES,
+    VerificationReport,
     _cstr,
     _members_with_probes,
     _polar_grid,
     _Tally,
+    _turning,
     run_convexity_default,
     run_inclusion_default,
 )
@@ -347,6 +349,288 @@ def test_turning_number_agrees_with_crossing_reference():
     assert seen == {(True, True), (False, True), (False, False), (True, False)}
 
 
+def _reference_turning(curve: BoundaryCurve) -> tuple[float, float, float]:
+    """(sign, worst, winding) by the one-curve check the turning kernel replaced."""
+    pts = curve.as_points()
+    e = np.roll(pts, -1, axis=0) - pts
+    e = e[np.any(e != 0.0, axis=1)]
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    sign = 1.0 if cross[np.argmax(np.abs(cross))] >= 0 else -1.0
+    turns = np.arctan2(cross, np.sum(e * f, axis=1))
+    return sign, float(np.max(-sign * cross)), float(np.rint(np.sum(turns) / (2.0 * np.pi)))
+
+
+def _assert_batches_equal_one_row_calls(curves: list[BoundaryCurve]) -> None:
+    sign, worst, winding = _turning(np.stack([c.values for c in curves]))
+    for c, curve in enumerate(curves):
+        one = _turning(curve.values[None, :])
+        assert (sign[c], worst[c], winding[c]) == (one[0][0], one[1][0], one[2][0])
+        assert (sign[c], worst[c], winding[c]) == _reference_turning(curve)
+        verdict = worst[c] <= 1e-10 and winding[c] == sign[c]
+        assert check_convexity_and_jordan(curve).passed == verdict
+
+
+def test_turning_kernel_batches_equal_one_row_calls():
+    default = [boundary_curve(EvalPoint(z0, lam), params, 256)
+               for params in DEFAULT_PARAM_SETS for lam in DEFAULT_LAMBDAS for z0 in DEFAULT_Z0S]
+    fine = [boundary_curve(EvalPoint(z0, lam), params, 2048)
+            for params, lam, z0 in ((DEFAULT_PARAM_SETS[2], 0.9, -0.7),
+                                    (DEFAULT_PARAM_SETS[4], 0.0, 0.3 + 0.4j),
+                                    (DEFAULT_PARAM_SETS[0], 0.5, 0.1j))]
+    t = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    z = np.exp(1j * t)
+    side = np.linspace(-1.0, 1.0, 5)
+    square = np.concatenate([side - 1j, 1 + 1j * side, -side + 1j, -1 - 1j * side])
+    twice = np.insert(z, 5, z[5])[:-1]
+    dent = z.copy()
+    dent[9] *= 0.8
+    by_length: dict[int, list[BoundaryCurve]] = {}
+    for curve in _random_polygons(4, 600):
+        by_length.setdefault(len(curve), []).append(curve)
+    # the repeated-point curves, starting from each quadrant: the padding after
+    # a row's non-zero edges must turn nothing whatever its first edge
+    repeated = [BoundaryCurve(t, np.roll(c, -shift)) for shift in range(0, 32, 4)
+                for c in (twice, np.insert(dent, 9, dent[9])[:-1])]
+    batches = [default, fine, repeated, [BoundaryCurve(np.arange(20.0), square)], *by_length.values()]
+    # one row with a zero-length edge among rows without one
+    batches.append([BoundaryCurve(t, z), BoundaryCurve(t, twice), BoundaryCurve(t, dent), BoundaryCurve(t, 2 * z)])
+    for batch in batches:
+        _assert_batches_equal_one_row_calls(batch)
+    assert len(default) == 80 and max(map(len, by_length.values())) > 1
+
+
+# The per-cell loops the batched suites replaced, kept as references.  They
+# look kernels up on varregion.verify at call time, so a monkeypatch reaches
+# them and the suites alike.
+
+def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
+                     lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> VerificationReport:
+    V = varregion.verify
+    tally = _Tally(tol)
+    members = _members_with_probes(seed, 40)
+    for params in param_sets:
+        for lam in lambdas:
+            s = ConstrainedSchwarz(members, lam)
+            for z0 in z0s:
+                if z0 == 0:
+                    continue
+                disk = variability_disk(EvalPoint(z0, lam), params)
+                pullback = np.exp(V.member_log_fprime(s, params, z0) / params.exponent)
+                violation = np.abs(pullback - disk.center) - disk.radius
+                inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
+                tally.add_many(violation, lambda k: (inputs, {
+                    "pullback": _cstr(pullback[k]), "distance_minus_r": float(violation[k])}))
+    return tally.report("prop1", len(param_sets))
+
+
+def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
+                          z0s=DEFAULT_Z0S) -> VerificationReport:
+    V = varregion.verify
+    tally = _Tally(tol)
+    members = ConstrainedSchwarz(_members_with_probes(seed, 40), lam=0.0)
+    phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    sharp = ConstrainedSchwarz(constant_inners(np.exp(1j * phis)), lam=0.0)
+    for params in param_sets:
+        for z0 in z0s:
+            bound = abs(params.B) * abs(z0) ** 2
+            inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
+            lhs = np.abs(np.exp(V.member_log_fprime(members, params, z0) / params.exponent) - 1.0)
+            tally.add_many(lhs - bound, lambda k: (
+                inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
+            lhs_sharp = np.abs(np.exp(V.member_log_fprime(sharp, params, z0) / params.exponent) - 1.0)
+            tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
+                dict(inputs, sharp_phi=float(phis[k])),
+                {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
+    return tally.report("corollary0", len(param_sets))
+
+
+def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s=DEFAULT_Z0S,
+                           k_max: int = 40) -> VerificationReport:
+    V = varregion.verify
+    tally = _Tally(tol)
+    for params in param_sets:
+        for z0 in z0s:
+            if z0 == 0:
+                target = V.singleton_value(EvalPoint(0.0, 1.0), params)
+                tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
+                continue
+            target = V.singleton_value(EvalPoint(z0, 1.0), params)
+            _, radii = V._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)), params.B)
+            point = EvalPoint(z0, 1.0 - 2.0**-k_max)
+            for a in (0.0, 1.0, -1.0, 1j):
+                d = abs(V.region_point(a, point, params) - target)
+                tally.add(d, {"A": params.A, "B": params.B, "z0": _cstr(z0), "k": k_max, "a": _cstr(a)},
+                          {"distance_to_singleton": float(d)})
+            drops = np.diff(radii)
+            tally.add(float(np.max(drops)), {"A": params.A, "B": params.B, "z0": _cstr(z0)},
+                      {"max_radius_increase": float(np.max(drops))})
+            for phi in (0.0, 1.0, 2.5):
+                u = np.exp(1j * phi)
+                lhs = V.singleton_value(EvalPoint(z0, u), params)
+                rhs = V.singleton_value(EvalPoint(u * z0, 1.0), params)
+                tally.add(abs(lhs - rhs), {"A": params.A, "B": params.B, "z0": _cstr(z0), "phi": phi},
+                          {"lhs": _cstr(lhs), "rhs": _cstr(rhs)})
+    return tally.report("unit-lambda", len(param_sets))
+
+
+def _reference_convexity(tol: float = 1e-10, n: int = 256, param_sets=DEFAULT_PARAM_SETS,
+                         lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> VerificationReport:
+    tally = _Tally(tol)
+    curves = 0
+    for params in param_sets:
+        for lam in lambdas:
+            for z0 in z0s:
+                if z0 == 0:
+                    continue
+                sign, worst, winding = _reference_turning(boundary_curve(EvalPoint(z0, lam), params, n))
+                sub = _Tally(tol)
+                sub.add(worst, {}, None)
+                sub.add(abs(winding - sign), {}, None)
+                curves += 1
+                tally.add(sub.max_violation,
+                          {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)},
+                          {"max_violation": sub.max_violation})
+    return tally.report("convexity", len(param_sets), curves=curves)
+
+
+REFERENCE_SUITES = {
+    "prop1": _reference_prop1,
+    "corollary0": _reference_corollary0,
+    "unit-lambda": lambda seed: _reference_unit_lambda(),
+    "convexity": lambda seed: _reference_convexity(),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_batched_suites_equal_per_cell_reference_loops(seed):
+    for name, reference in REFERENCE_SUITES.items():
+        assert run_suite(name, seed=seed).to_dict() == reference(seed).to_dict(), name
+
+
+def test_batched_suites_equal_reference_loops_off_the_default_grid():
+    rng = np.random.default_rng(23)
+    witnessed = set()
+    for tol in (1e-9, 1e-13, 1e-16, 1e-17):  # the smaller ones give witnesses
+        AB = np.sort(rng.uniform(-1.0, 1.0, (3, 2)), axis=1)
+        param_sets = [JanowskiParams(float(A), float(B)) for A, B in AB if B != 0.0]
+        lambdas = [0.0, *(0.95 * rng.uniform(0, 1, 3) ** 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, 3)))]
+        z0s = [0.0, *(0.98 * rng.uniform(0, 1, 4) ** 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, 4)))]
+        seed = int(rng.integers(100))
+        pairs = [
+            (check_prop1(param_sets, lambdas, z0s, tol=tol, seed=seed),
+             _reference_prop1(seed, tol, param_sets, lambdas, z0s)),
+            (check_corollary0(param_sets, z0s, tol=tol, seed=seed),
+             _reference_corollary0(seed, tol, param_sets, z0s)),
+            (check_unit_lambda(param_sets, z0s, tol=tol), _reference_unit_lambda(tol, param_sets, z0s)),
+            (run_convexity_default(param_sets, lambdas, z0s, n=128, tol=tol),
+             _reference_convexity(tol, 128, param_sets, lambdas, z0s)),
+        ]
+        for batched, reference in pairs:
+            assert batched.to_dict() == reference.to_dict(), batched.suite_name
+        witnessed.update(r.suite_name for r, _ in pairs if r.witnesses)
+    assert witnessed == {"prop1", "corollary0", "unit-lambda"}
+
+
+def _cell(params, lam, z0) -> tuple[int, int, int]:
+    return DEFAULT_PARAM_SETS.index(params), DEFAULT_LAMBDAS.index(lam), DEFAULT_Z0S.index(z0)
+
+
+def _bump_members(monkeypatch, forced: set) -> None:
+    """member_log_fprime moved off at the forced (cell, rows, sample) entries.
+
+    Rows of 40 members move far out of the region; rows of 8 (the corollary0
+    sharpness probes) move to w = 0, far inside the bound they must meet.
+    """
+    real = varregion.verify.member_log_fprime
+
+    def bumped(s, params, z):
+        w = np.array(real(s, params, z))
+        rows = w.reshape(np.size(z), -1)
+        for t, z0 in enumerate(np.ravel(z).tolist()):
+            for j in range(rows.shape[1]):
+                if (*_cell(params, s.lam, z0), rows.shape[1], j) in forced:
+                    rows[t, j] = 0.0 if rows.shape[1] == 8 else rows[t, j] + 10.0 * params.exponent
+        return w
+
+    monkeypatch.setattr(varregion.verify, "member_log_fprime", bumped)
+
+
+def _draw_forced(count: int, cells: list[tuple], samples: int) -> set:
+    rng = np.random.default_rng(11)
+    picks = rng.choice(len(cells) * samples, size=count, replace=False)
+    return {(*cells[p // samples], p % samples) for p in picks.tolist()}
+
+
+def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
+    cells = [(p, l, t, 40) for p in range(5) for l in range(4) for t in range(4)]
+    forced = _draw_forced(60, cells, 40)
+    _bump_members(monkeypatch, forced)
+    r = check_prop1(seed=6)
+    assert r.to_dict() == _reference_prop1(6).to_dict()
+    assert not r.passed and len(r.witnesses) == 20
+    for (p, l, t, _, j), wit in zip(sorted(forced), r.witnesses):
+        params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
+        assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
+        w = varregion.verify.member_log_fprime(ConstrainedSchwarz(_members_with_probes(6, 40), lam),
+                                               params, z0)[j]
+        assert wit["observed"]["pullback"] == _cstr(np.exp(w / params.exponent))
+
+
+def test_batched_corollary0_witnesses_follow_the_reference_loop(monkeypatch):
+    # members (40 rows) and sharpness probes (8 rows) forced in every z0 row
+    cells = [(p, 0, t, rows) for p in range(5) for t in range(4) for rows in (40, 8)]
+    forced = _draw_forced(50, cells, 8)
+    _bump_members(monkeypatch, forced)
+    r = check_corollary0(seed=2)
+    assert not r.passed and len(r.witnesses) == 20
+    assert any("sharp_phi" in w["inputs"] for w in r.witnesses)
+    assert r.to_dict() == _reference_corollary0(2).to_dict()
+
+
+def test_batched_unit_lambda_witnesses_follow_the_reference_loop(monkeypatch):
+    real_point, real_singleton = varregion.verify.region_point, varregion.verify.singleton_value
+
+    def moved_point(a, point, params):  # a = -1 and a = 1j off the singleton where B < 0.6
+        return real_point(a, point, params) + np.where(np.isin(a, (-1.0, 1j)) & (params.B < 0.6), 1.0, 0.0)
+
+    def moved_singleton(point, params):  # rotated singletons off at phi = 1
+        return real_singleton(point, params) + (1.0 if point.lam == np.exp(1j) else 0.0)
+
+    monkeypatch.setattr(varregion.verify, "region_point", moved_point)
+    monkeypatch.setattr(varregion.verify, "singleton_value", moved_singleton)
+    r = check_unit_lambda()
+    assert not r.passed and len(r.witnesses) == 20
+    assert {"a", "phi"} <= {key for w in r.witnesses for key in w["inputs"]}
+    assert r.to_dict() == _reference_unit_lambda().to_dict()
+
+
+def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
+    cells = [(p, l, t) for p in range(5) for l in range(4) for t in range(4)]
+    forced = set(map(tuple, np.array(cells)[np.random.default_rng(5).choice(80, 30, replace=False)].tolist()))
+
+    def dented(k, z0, lam, params):
+        values = real(k, z0, lam, params)
+        rows = values.reshape(np.size(z0), -1)
+        for t, z in enumerate(np.ravel(z0).tolist()):
+            if _cell(params, lam, z) in forced:
+                center = rows[t].mean()
+                rows[t, 5] = center + 0.5 * (rows[t, 5] - center)
+        return values
+
+    real = varregion.region._boundary_values
+    monkeypatch.setattr(varregion.region, "_boundary_values", dented)
+    monkeypatch.setattr(varregion.verify, "_boundary_values", dented)
+    r = run_convexity_default()
+    assert r.to_dict() == _reference_convexity().to_dict()
+    assert not r.passed and len(r.witnesses) == 20 and r.samples == 80
+    for (p, l, t), wit in zip(sorted(forced), r.witnesses):
+        params = DEFAULT_PARAM_SETS[p]
+        assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": DEFAULT_LAMBDAS[l],
+                                 "z0": _cstr(DEFAULT_Z0S[t])}
+        assert wit["observed"]["max_violation"] > r.tolerance
+
+
 def test_strict_inclusion_witness():
     r = check_strict_inclusion(P05)
     assert r.passed
@@ -396,6 +680,8 @@ def test_halfplane_values_equal_per_lambda_members(monkeypatch):
 def test_convexity_default_sweep():
     r = run_convexity_default(param_sets=SMALL_SETS, n=64)
     assert r.passed
+    for empty in (run_convexity_default(lambdas=()), run_convexity_default(z0s=(0.0,))):
+        assert empty.passed and empty.samples == 0 and empty.extra == {"curves": 0}
 
 
 def test_reports_deterministic():
