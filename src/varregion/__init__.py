@@ -20,7 +20,6 @@ from .region import (
     boundary_point,
     contains,
     equivalent_disk_param,
-    is_unit_modulus,
     janowski_disk,
     majorant_q,
     mobius_delta,

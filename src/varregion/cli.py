@@ -31,9 +31,9 @@ from .region import (
     EvalPoint,
     JanowskiParams,
     Verdict,
+    _singleton_note,
     boundary_curve,
     classify,
-    is_unit_modulus,
     singleton_value,
     variability_disk,
 )
@@ -153,14 +153,9 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
         "params": {"A": params.A, "B": params.B},
         "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
     }
-    if point.z0 == 0:
-        rec.update(center=[0.0, 0.0], radius=0.0, boundary=[],
-                   note="z0 = 0: the region is the singleton {0}")
-        return rec
-    if is_unit_modulus(point.lam):
-        v = singleton_value(point, params)
-        rec.update(center=_pair(v), radius=0.0, boundary=[],
-                   note="|lambda| = 1: the region is a singleton")
+    single = singleton_value(point, params)
+    if single is not None:
+        rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
         return rec
     disk = variability_disk(point, params)
     curve = boundary_curve(point, params, theta_samples)
@@ -189,25 +184,18 @@ def load_region_record(path: Path | str) -> dict:
     return rec
 
 
-def _singleton_of(rec: dict) -> complex | None:
-    if rec.get("boundary"):
-        return None
-    return complex(rec["center"][0], rec["center"][1])
-
-
 def _region_csv(rec: dict) -> str:
-    lines = ["theta,re,im"]
-    single = _singleton_of(rec)
-    if single is not None:
-        lines.append(f"{_f17(0.0)},{_f17(single.real)},{_f17(single.imag)}")
-    else:
-        for t, re, im in rec["boundary"]:
-            lines.append(f"{_f17(t)},{_f17(re)},{_f17(im)}")
-    return "\n".join(lines) + "\n"
+    """Boundary rows of a record; a singleton's one row is its value at theta 0."""
+    rows = rec["boundary"] or [[0.0, *rec["center"]]]
+    return "theta,re,im\n" + "".join(f"{_f17(t)},{_f17(re)},{_f17(im)}\n" for t, re, im in rows)
 
 
-def _svg_document(boundary: list[complex], cloud: list[complex]) -> str:
-    pts = list(boundary) + list(cloud)
+def _region_svg(rec: dict, cloud: list[complex]) -> str:
+    """A record's boundary polygon and cloud as dots; a singleton with no cloud shows its value."""
+    boundary = [complex(re, im) for _, re, im in rec["boundary"]]
+    if not (boundary or cloud):
+        cloud = [complex(*rec["center"])]
+    pts = boundary + cloud
     xs = np.array([p.real for p in pts])
     ys = np.array([p.imag for p in pts])
     span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-30)
@@ -235,14 +223,6 @@ def _svg_document(boundary: list[complex], cloud: list[complex]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _region_svg(rec: dict) -> str:
-    single = _singleton_of(rec)
-    if single is not None:
-        return _svg_document([], [single])
-    boundary = [complex(re, im) for _, re, im in rec["boundary"]]
-    return _svg_document(boundary, [])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -267,7 +247,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = _region_csv(rec)
     else:
-        text = _region_svg(rec)
+        text = _region_svg(rec, [])
     _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
@@ -292,11 +272,12 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
     Each block is drawn and evaluated whole, so row i is the same for every
     n and the arrays in use stay one block long.
     """
+    single = singleton_value(point, params)
+    if single is not None:
+        w = np.full(BLOCK_ROWS, single)
+        slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
     for start in range(0, n, BLOCK_ROWS):
-        if point.z0 == 0 or is_unit_modulus(point.lam):
-            w = np.full(BLOCK_ROWS, singleton_value(point, params))
-            slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
-        else:
+        if single is None:
             s = ConstrainedSchwarz(sample_members(seed, BLOCK_ROWS, start), point.lam)
             w = member_log_fprime(s, params, point.z0)
             slack, status = classify(w, point, params, tol)
@@ -324,14 +305,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
                              "slack": float(slack[k])})
     if args.format == "csv":
         text = "seed_index,re,im,verdict\n" + "".join(parts)
-    elif args.format == "json":
-        rec = region_record(params, point, args.theta_samples)
-        rec["samples"] = parts
-        text = _json_text(rec)
     else:
         rec = region_record(params, point, args.theta_samples)
-        boundary = [complex(re, im) for _, re, im in rec["boundary"]]
-        text = _svg_document(boundary, parts)
+        text = _json_text({**rec, "samples": parts}) if args.format == "json" else _region_svg(rec, parts)
     _write_text(_resolve_out(args.out), text)
     if breaches:
         print(f"containment breach: {len(breaches)} sample(s) outside the region", file=sys.stderr)

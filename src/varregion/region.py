@@ -45,8 +45,9 @@ __all__ = [
     "janowski_disk",
     "singleton_value",
     "equivalent_disk_param",
-    "is_unit_modulus",
 ]
+
+UNIT_TOL = 1e-12  # |lambda| within UNIT_TOL of 1 counts as unimodular
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class EvalPoint:
         object.__setattr__(self, "lam", complex(self.lam))
         if not abs(self.z0) < 1.0:
             raise ValueError(f"require |z0| < 1, got |z0| = {abs(self.z0)}")
-        if not abs(self.lam) <= 1.0 + 1e-12:
+        if not abs(self.lam) <= 1.0 + UNIT_TOL:
             raise ValueError(f"require |lambda| <= 1, got |lambda| = {abs(self.lam)}")
 
 
@@ -149,11 +150,6 @@ class MembershipVerdict:
 
     status: Verdict
     slack: float
-
-
-def is_unit_modulus(w: complex, tol: float = 1e-12) -> bool:
-    """True when |w| = 1 up to construction roundoff."""
-    return abs(abs(w) - 1.0) <= tol
 
 
 def mobius_delta(z, lam):
@@ -226,7 +222,7 @@ def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
 
 def region_point(a, point: EvalPoint, params: JanowskiParams):
     """((A - B)/B) Log(c + a r) for |a| <= 1; the full region as a ranges over D."""
-    if np.any(np.abs(a) > 1.0 + 1e-12):
+    if not np.all(np.abs(a) <= 1.0 + 1e-12):
         raise ValueError("require |a| <= 1")
     disk = variability_disk(point, params)
     return params.exponent * np.log(disk.center + a * disk.radius)
@@ -263,20 +259,19 @@ def boundary_curve(point: EvalPoint, params: JanowskiParams, n: int = 256) -> Bo
     """Sample the boundary on the uniform grid theta_k = -pi + 2 pi k/n, k = 1..n."""
     if n < 3:
         raise ValueError(f"require n >= 3 samples, got {n}")
-    if point.z0 == 0:
-        raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
+    _require_disk(point)
     k = np.arange(1, n + 1)
     thetas = np.pi * (2.0 * k / n - 1.0)
     values = _boundary_values(_unit_circle_grid(n), point.z0, point.lam, params)
     return BoundaryCurve(thetas=thetas, values=values)
 
 
-def _check_membership_point(point: EvalPoint) -> None:
-    """Reject the points where the membership test is undefined."""
+def _require_disk(point: EvalPoint) -> None:
+    """Reject the points where the region is not the log-image of a disk: z0 = 0, |lambda| >= 1."""
     if point.z0 == 0:
         raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
     if not abs(point.lam) < 1.0:
-        raise ValueError("membership test requires |lambda| < 1")
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
 
 
 def _pullback(w, z0, lam, params: JanowskiParams):
@@ -302,7 +297,7 @@ def pullback_modulus(w, point: EvalPoint, params: JanowskiParams):
     complex |lambda| < 1; for real lambda it reduces to the classical
     two-point Schwarz inequality.
     """
-    _check_membership_point(point)
+    _require_disk(point)
     return _pullback(w, point.z0, point.lam, params)
 
 
@@ -314,7 +309,7 @@ def classify(w, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9):
     """
     if not tol > 0.0:
         raise ValueError("require tol > 0")
-    _check_membership_point(point)
+    _require_disk(point)
     return _classify(w, point.z0, point.lam, params, tol)
 
 
@@ -339,17 +334,25 @@ def janowski_disk(params: JanowskiParams) -> Disk:
     )
 
 
-def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex:
-    """The single attainable value of log f'(z0) when |lambda| = 1 or z0 = 0.
+def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
+    """The single attainable value of log f'(z0) when z0 = 0 or |lambda| = 1, else None.
 
-    |lambda| = 1 forces omega(z) = lambda z, so the class collapses to one
-    function and the region to ((A - B)/B) Log(1 + B lambda z0).
+    |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z, so the class
+    collapses to one function and the region to ((A - B)/B) Log(1 + B lambda z0).
+    Everywhere else the region is the log-image of variability_disk.
     """
     if point.z0 == 0:
         return 0j
-    if not is_unit_modulus(point.lam):
-        raise ValueError(f"singleton requires |lambda| = 1, got |lambda| = {abs(point.lam)}")
-    return complex(params.exponent * np.log(1.0 + params.B * point.lam * point.z0))
+    if abs(abs(point.lam) - 1.0) <= UNIT_TOL:
+        return complex(params.exponent * np.log(1.0 + params.B * point.lam * point.z0))
+    return None
+
+
+def _singleton_note(point: EvalPoint) -> str:
+    """Why singleton_value is not None at point."""
+    if point.z0 == 0:
+        return "z0 = 0: the region is the singleton {0}"
+    return "|lambda| = 1: the region is a singleton"
 
 
 def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):
@@ -359,10 +362,7 @@ def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):
     matters for complex z0 and negative B.  A disk automorphism of k, so |a| <= 1
     whenever |k| <= 1, with equality on the unit circle.
     """
+    _require_disk(point)
     z0 = point.z0
-    if z0 == 0:
-        raise ValueError("z0 = 0 has no boundary parametrization")
-    if not abs(point.lam) < 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
     u0 = (params.B / abs(params.B)) * z0 * z0 / (abs(z0) ** 2)
     return u0 * mobius_delta(k, point.lam * np.conjugate(z0))

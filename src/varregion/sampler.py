@@ -35,7 +35,7 @@ BLOCK_ROWS = 1024  # member rows drawn from one Generator by sample_members
 def _clipped_to_disk(c, what: str):
     """c with |c| <= 1; moduli within 1e-12 above 1 are scaled back onto the circle."""
     m = np.abs(c)
-    if np.any(m > 1.0 + 1e-12):
+    if not np.all(m <= 1.0 + 1e-12):
         raise ValueError(f"require |{what}| <= 1, got {np.max(m)}")
     return np.where(m > 1.0, c / np.maximum(m, 1.0), c)
 

@@ -26,9 +26,9 @@ from .region import (
     EvalPoint,
     JanowskiParams,
     _boundary_values,
-    _check_membership_point,
     _classify,
     _disk,
+    _require_disk,
     _unit_circle_grid,
     equivalent_disk_param,
     janowski_disk,
@@ -181,12 +181,15 @@ def check_prop1(
             radius = np.array([d.radius for d in disks], dtype=float)[:, None]
             s = ConstrainedSchwarz(members, lam)
             pullback = np.exp(member_log_fprime(s, params, z0_col) / params.exponent)
-            violation = np.abs(pullback - center) - radius
+            distance = np.abs(pullback - center) - radius
+            # the on-circle probes must sit on the circle: a radius too large fails them too
+            violation = distance.copy()
+            violation[:, 7::8] = np.abs(distance[:, 7::8])
 
             def witness(k):
                 t, j = divmod(k, violation.shape[1])
                 return ({"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(zs[t])},
-                        {"pullback": _cstr(pullback[t, j]), "distance_minus_r": float(violation[t, j])})
+                        {"pullback": _cstr(pullback[t, j]), "distance_minus_r": float(distance[t, j])})
 
             tally.add_many(violation, witness)
     return tally.report("prop1", len(param_sets))
@@ -285,7 +288,7 @@ def check_rotation(
         for z0 in z0s:
             z0_rot = rots * z0
             for lam in lambdas:
-                _check_membership_point(EvalPoint(z0, lam))
+                _require_disk(EvalPoint(z0, lam))
                 center, radius = _disk(z0_rot, lam, params.B)
                 w_pre = center + 1.2 * radius * circle[2::3]
                 w_pre = np.where(w_pre.real <= 1e-6, center + 1.05 * radius * circle[2::3], w_pre)

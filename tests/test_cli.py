@@ -1,12 +1,14 @@
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
 
 import varregion.extremal
-from varregion import EvalPoint, JanowskiParams, Verdict, contains
+from varregion import EvalPoint, JanowskiParams, Verdict, contains, singleton_value
 from varregion.cli import (
+    _f17,
     _json_text,
     _parser,
     _sweep_record,
@@ -163,6 +165,59 @@ def test_region_complex_lambda_reduction(tmp_path, capsys):
     point = EvalPoint(0.5, 0.3 + 0.4j)
     for _, re, im in rec["boundary"]:
         assert contains(complex(re, im), point, P05).status is Verdict.BOUNDARY
+
+
+SEAM_PARAMS = JanowskiParams(-0.5, 0.5)
+SEAM_FORMATS = [(command, fmt) for command in ("region", "sample") for fmt in ("csv", "json", "svg")]
+# |lambda| within 1e-12 of 1 is unimodular.  The double nearest 1 + 1e-12 lies
+# 1.00009e-12 above 1, outside that band, so 1 + 0.9e-12 stands for the upper edge.
+UNIMODULAR_LAMBDAS = ["1", "-1", "0,1", f"{math.cos(2.5)!r},{math.sin(2.5)!r}", repr(1 + 0.9e-12), repr(1 - 1e-12)]
+
+
+def _seam_run(capsys, command, fmt, lam, z0):
+    argv = [command, "--A=-0.5", "--B=0.5", f"--lambda={lam}", f"--z0={z0}", "--format", fmt,
+            "--theta-samples", "8"] + (["--mc-samples", "5"] if command == "sample" else [])
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command,fmt", SEAM_FORMATS)
+@pytest.mark.parametrize("lam,z0", [(lam, "0.3,0.4") for lam in UNIMODULAR_LAMBDAS] + [("0.5", "0")])
+def test_singleton_output_in_every_format(capsys, command, fmt, lam, z0):
+    code, out, err = _seam_run(capsys, command, fmt, lam, z0)
+    assert code == 0
+    value = singleton_value(EvalPoint(parse_complex(z0), parse_complex(lam)), SEAM_PARAMS)
+    note = "z0 = 0: the region is the singleton {0}" if z0 == "0" else "|lambda| = 1: the region is a singleton"
+    assert err == (f"note: {note}\n" if command == "region" else "")
+    pair = f"{_f17(value.real)},{_f17(value.imag)}"
+    if fmt == "csv":
+        expected = [f"0,{pair}"] if command == "region" else [f"{i},{pair},Boundary" for i in range(5)]
+        assert out.splitlines()[1:] == expected
+    elif fmt == "json":
+        rec = json.loads(out)
+        assert (rec["center"], rec["radius"], rec["boundary"], rec["note"]) == (
+            [value.real, value.imag], 0.0, [], note)
+        if command == "sample":
+            assert rec["samples"] == [[i, value.real, value.imag, "Boundary"] for i in range(5)]
+    else:
+        assert "<polygon" not in out
+        assert out.count("<circle") == (1 if command == "region" else 5)
+
+
+@pytest.mark.parametrize("command,fmt", SEAM_FORMATS)
+def test_lambda_past_the_unimodular_band_gives_a_disk(capsys, command, fmt):
+    code, out, err = _seam_run(capsys, command, fmt, repr(1 - 2e-12), "0.3,0.4")
+    assert code == 0 and err == ""
+    if fmt == "csv":
+        rows = out.splitlines()[1:]
+        assert len(rows) == (5 if command == "sample" else 8)
+        assert len({tuple(row.split(",")[1:3]) for row in rows}) == len(rows)  # distinct values
+    elif fmt == "json":
+        rec = json.loads(out)
+        assert rec["radius"] > 0.0 and len(rec["boundary"]) == 8 and "note" not in rec
+    else:
+        assert "<polygon" in out
 
 
 def test_region_svg_deterministic(tmp_path):

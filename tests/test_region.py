@@ -388,8 +388,12 @@ def test_janowski_disk():
         assert d.center + d.radius == pytest.approx(right, abs=1e-12)
 
 
+def test_region_point_rejects_nan():
+    with pytest.raises(ValueError, match=r"\|a\| <= 1"):
+        region_point(float("nan"), PT, P05)
+
+
 def test_singleton_value():
     assert singleton_value(EvalPoint(0.5, 1.0), P05) == pytest.approx(-LOG_1_25, abs=1e-15)
     assert singleton_value(EvalPoint(0.0, 0.3), P05) == 0.0
-    with pytest.raises(ValueError, match=r"\|lambda\| = 1"):
-        singleton_value(EvalPoint(0.5, 0.5), P05)
+    assert singleton_value(EvalPoint(0.5, 0.5), P05) is None

@@ -76,6 +76,11 @@ def test_inner_validation():
     assert abs(complex(constant_inners(1.0 + 1e-13).lead)) == 1.0  # roundoff above 1 is clipped
 
 
+def test_constant_inners_rejects_nan():
+    with pytest.raises(ValueError, match="c0"):
+        constant_inners([float("nan")])
+
+
 def test_inner_eval_examples():
     c = constant_inners(0.3 - 0.4j)
     assert inner_eval(c, 0.9j) == 0.3 - 0.4j

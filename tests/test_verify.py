@@ -14,6 +14,7 @@ import varregion.verify
 from varregion import (
     BoundaryCurve,
     ConstrainedSchwarz,
+    Disk,
     EvalPoint,
     JanowskiParams,
     boundary_curve,
@@ -80,6 +81,20 @@ def test_prop1_extremal_equality_case():
         w = member_log_fprime(s, P05, 0.5)
         pullback = np.exp(w / P05.exponent)
         assert abs(abs(pullback - disk.center) - disk.radius) < 1e-12
+
+
+def test_prop1_fails_a_radius_that_is_too_large(monkeypatch):
+    # a larger disk still holds every member; only the on-circle probes can tell
+    real = varregion.verify.variability_disk
+
+    def widened(point, params):
+        disk = real(point, params)
+        return Disk(disk.center, disk.radius * (1.0 + 1e-7))
+
+    monkeypatch.setattr(varregion.verify, "variability_disk", widened)
+    r = check_prop1()
+    assert not r.passed and r.witnesses
+    assert all(w["observed"]["distance_minus_r"] < 0.0 for w in r.witnesses)  # signed: inside the circle
 
 
 def test_corollary0_passes_and_is_sharp():
@@ -417,10 +432,11 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
                     continue
                 disk = variability_disk(EvalPoint(z0, lam), params)
                 pullback = np.exp(V.member_log_fprime(s, params, z0) / params.exponent)
-                violation = np.abs(pullback - disk.center) - disk.radius
+                distance = np.abs(pullback - disk.center) - disk.radius
+                probe = np.arange(distance.size) % 8 == 7  # on-circle probes: gated on both sides
                 inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
-                tally.add_many(violation, lambda k: (inputs, {
-                    "pullback": _cstr(pullback[k]), "distance_minus_r": float(violation[k])}))
+                tally.add_many(np.where(probe, np.abs(distance), distance), lambda k: (inputs, {
+                    "pullback": _cstr(pullback[k]), "distance_minus_r": float(distance[k])}))
     return tally.report("prop1", len(param_sets))
 
 
