@@ -38,11 +38,13 @@ from .sampler import (
     special_curvature,
 )
 from .verify import (
+    DEFAULT_COVERAGE_CASES,
     DEFAULT_LAMBDAS,
     DEFAULT_PARAM_SETS,
     DEFAULT_Z0S,
     SUITE_NAMES,
     VerificationReport,
+    check_convexity,
     check_convexity_and_jordan,
     check_corollary0,
     check_coverage,

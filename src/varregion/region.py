@@ -83,7 +83,7 @@ class EvalPoint:
         object.__setattr__(self, "lam", complex(self.lam))
         if not abs(self.z0) < 1.0:
             raise ValueError(f"require |z0| < 1, got |z0| = {abs(self.z0)}")
-        if not abs(self.lam) <= 1.0 + UNIT_TOL:
+        if not abs(self.lam) - 1.0 <= UNIT_TOL:
             raise ValueError(f"require |lambda| <= 1, got |lambda| = {abs(self.lam)}")
 
 

@@ -15,7 +15,7 @@ of their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -52,12 +52,14 @@ __all__ = [
     "DEFAULT_PARAM_SETS",
     "DEFAULT_LAMBDAS",
     "DEFAULT_Z0S",
+    "DEFAULT_COVERAGE_CASES",
     "check_prop1",
     "check_corollary0",
     "check_unit_lambda",
     "check_rotation",
     "check_coverage",
     "check_convexity_and_jordan",
+    "check_convexity",
     "check_strict_inclusion",
     "check_halfplane_univalence",
     "SUITE_NAMES",
@@ -74,8 +76,15 @@ DEFAULT_PARAM_SETS: tuple[JanowskiParams, ...] = (
 )
 DEFAULT_LAMBDAS: tuple[float, ...] = (0.0, 0.3, 0.5, 0.9)
 DEFAULT_Z0S: tuple[complex, ...] = (0.5, 0.3 + 0.4j, -0.7, 0.1j)
+DEFAULT_COVERAGE_CASES: tuple[tuple[JanowskiParams, EvalPoint], ...] = (
+    *((params, EvalPoint(0.5, 0.5)) for params in DEFAULT_PARAM_SETS),
+    (DEFAULT_PARAM_SETS[0], EvalPoint(0.3 + 0.4j, 0.3)),
+)
+# the strict-inclusion witness needs the disk case B < 1
+_INCLUSION_PARAM_SETS = tuple(p for p in DEFAULT_PARAM_SETS if p.B < 1.0)
 
 _MAX_WITNESSES = 20
+_K_MAX = 40  # unit-lambda approaches |lambda| = 1 through 1 - 2^-k, k = 1.._K_MAX
 
 
 @dataclass
@@ -92,16 +101,7 @@ class VerificationReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "suite_name": self.suite_name,
-            "parameter_sets": self.parameter_sets,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 class _Tally:
@@ -231,7 +231,6 @@ def check_unit_lambda(
     param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
     z0s: Sequence[complex] = DEFAULT_Z0S,
     tol: float = 1e-9,
-    k_max: int = 40,
 ) -> VerificationReport:
     """|lambda| = 1 collapse: r -> 0 monotonically and the disk converges to the singleton."""
     tally = _Tally(tol)
@@ -244,17 +243,17 @@ def check_unit_lambda(
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
             target = singleton_value(EvalPoint(z0, 1.0), params)
-            values = region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-k_max), params)
+            values = region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-_K_MAX), params)
             # Python abs: numpy's complex modulus can differ in the last bit
             dists = [abs(w - target) for w in values.tolist()]
-            _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)), params.B)
+            _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX + 1)), params.B)
             max_increase = float(np.max(np.diff(radii)))
             # rotation consistency of the collapsed value for unimodular lambda
             pairs = [(singleton_value(EvalPoint(z0, u), params),
                       singleton_value(EvalPoint(u * z0, 1.0), params)) for u in np.exp(1j * np.array(phis))]
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
             tally.add_many(dists, lambda k: (
-                dict(inputs, k=k_max, a=_cstr(a_values[k])), {"distance_to_singleton": dists[k]}))
+                dict(inputs, k=_K_MAX, a=_cstr(a_values[k])), {"distance_to_singleton": dists[k]}))
             tally.add(max_increase, inputs, {"max_radius_increase": max_increase})
             tally.add_many([abs(lhs - rhs) for lhs, rhs in pairs], lambda k: (
                 dict(inputs, phi=phis[k]), {"lhs": _cstr(pairs[k][0]), "rhs": _cstr(pairs[k][1])}))
@@ -318,12 +317,11 @@ def _polar_grid(n: int) -> np.ndarray:
 
 
 def check_coverage(
-    point: EvalPoint,
-    params: JanowskiParams,
-    grid_n: int = 128,
+    cases: Sequence[tuple[JanowskiParams, EvalPoint]] = DEFAULT_COVERAGE_CASES,
+    grid_n: int = 96,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Member image of constant inners equals the parametrized disk image.
+    """Member image of constant inners equals the parametrized disk image, per (params, point).
 
     The two point sets sample the same region along matched grids (the disk
     parameter a(k) is the Mobius image of the inner constant k), so the largest
@@ -332,19 +330,17 @@ def check_coverage(
     """
     tally = _Tally(tol)
     ks = _polar_grid(grid_n)
-    s = ConstrainedSchwarz(constant_inners(ks), point.lam)
-    member_vals = member_log_fprime(s, params, point.z0)
-    region_vals = region_point(equivalent_disk_param(ks, point, params), point, params)
-    h = float(np.max(np.abs(member_vals - region_vals)))
-    tally.add(
-        h,
-        {"A": params.A, "B": params.B, "z0": _cstr(point.z0), "lambda": _cstr(point.lam),
-         "grid_n": grid_n},
-        {"hausdorff": h},
-    )
-    return tally.report(
-        "coverage", 1, hausdorff_member_to_region=h, hausdorff_region_to_member=h
-    )
+    inners = constant_inners(ks)
+    per_combo = []
+    for params, point in cases:
+        member_vals = member_log_fprime(ConstrainedSchwarz(inners, point.lam), params, point.z0)
+        region_vals = region_point(equivalent_disk_param(ks, point, params), point, params)
+        h = float(np.max(np.abs(member_vals - region_vals)))
+        gaps = {"hausdorff_member_to_region": h, "hausdorff_region_to_member": h}
+        per_combo.append(gaps)
+        tally.add(h, {"A": params.A, "B": params.B, "z0": _cstr(point.z0), "lambda": _cstr(point.lam)},
+                  gaps)
+    return tally.report("coverage", len(cases), per_combo=per_combo)
 
 
 def _turning(values: np.ndarray):
@@ -376,7 +372,7 @@ def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> Veri
 
     By Hopf's Umlaufsatz for polygons, a closed polygon whose turns all have one
     sign is convex and simple exactly when its exterior angles sum to +-2 pi.
-    This is the one-row case of the kernel run_convexity_default batches.
+    This is the one-row case of the kernel check_convexity batches.
     """
     sign, worst, winding = (float(v[0]) for v in _turning(curve.values[None, :]))
     tally = _Tally(tol)
@@ -385,7 +381,7 @@ def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> Veri
     return tally.report("convexity", 1, n_samples_on_curve=len(curve))
 
 
-def run_convexity_default(
+def check_convexity(
     param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
     lambdas: Sequence[float] = DEFAULT_LAMBDAS,
     z0s: Sequence[complex] = DEFAULT_Z0S,
@@ -411,50 +407,28 @@ def run_convexity_default(
 
 
 def check_strict_inclusion(
-    params: JanowskiParams,
+    param_sets: Sequence[JanowskiParams] = _INCLUSION_PARAM_SETS,
     tol: float = 1e-9,
-    z_grid: np.ndarray | None = None,
 ) -> VerificationReport:
-    """Find real z in (0,1) whose special curvature exits the convex-class disk."""
-    if params.B >= 1.0:
+    """Per pair, find real z in (0,1) whose special curvature exits the convex-class disk."""
+    if any(params.B >= 1.0 for params in param_sets):
         raise ValueError("strict-inclusion witness needs B < 1 (disk case)")
-    zs = z_grid if z_grid is not None else np.linspace(0.5, 0.999, 200)
-    disk = janowski_disk(params)
-    kappa = special_curvature(params, zs.astype(complex))
-    dist = np.abs(kappa - disk.center) - disk.radius
-    i = int(np.argmax(dist))
-    best = float(dist[i])
     tally = _Tally(tol)
-    # violation is negative precisely when a witness outside the disk exists
-    tally.add(
-        -best,
-        {"A": params.A, "B": params.B},
-        {"witness_z": float(zs[i]), "distance_outside": best},
-    )
-    return tally.report(
-        "inclusion", 1, witness_z=float(zs[i]), distance_outside=best,
-        limit_value=float((1.0 + 2.0 * params.A - params.B) / (1.0 + params.B)),
-        left_endpoint=float((1.0 + params.A) / (1.0 + params.B)),
-    )
-
-
-def run_inclusion_default(
-    param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
-    tol: float = 1e-9,
-) -> VerificationReport:
-    """Strict-inclusion witnesses for every default pair with B < 1."""
-    tally = _Tally(tol)
-    details = []
-    pairs = [p for p in param_sets if p.B < 1.0]
-    for params in pairs:
-        sub = check_strict_inclusion(params, tol)
-        details.append(sub.extra)
-        tally.add(
-            sub.max_violation,
-            {"A": params.A, "B": params.B},
-            sub.extra,
-        )
-    return tally.report("inclusion", len(pairs), witnesses_found=details)
+    zs = np.linspace(0.5, 0.999, 200)
+    found = []
+    for params in param_sets:
+        disk = janowski_disk(params)
+        dist = np.abs(special_curvature(params, zs.astype(complex)) - disk.center) - disk.radius
+        i = int(np.argmax(dist))
+        witness = {
+            "witness_z": float(zs[i]), "distance_outside": float(dist[i]),
+            "limit_value": float((1.0 + 2.0 * params.A - params.B) / (1.0 + params.B)),
+            "left_endpoint": float((1.0 + params.A) / (1.0 + params.B)),
+        }
+        found.append(witness)
+        # violation is negative precisely when a witness outside the disk exists
+        tally.add(-witness["distance_outside"], {"A": params.A, "B": params.B}, witness)
+    return tally.report("inclusion", len(param_sets), witnesses_found=found)
 
 
 def check_halfplane_univalence(
@@ -463,42 +437,37 @@ def check_halfplane_univalence(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> VerificationReport:
-    """A = 0 members satisfy Re f' > 1/2 on the disk (univalence via Re f' > 0)."""
+    """A = 0 members satisfy Re f' > 1/2 on the disk (univalence via Re f' > 0).
+
+    Each member point is also gated on its own bound Re f'(z) >= 1/(1 + |B| rho(z)):
+    Schwarz-Pick gives |omega(z)| <= rho(z) = |z| (|z| + |lambda|)/(1 + |lambda| |z|),
+    and Re 1/(1 + w) >= 1/(1 + rho) on |w| <= rho.  A suite violation is the
+    larger of 1/2 - min Re f' and the largest excess of a bound over its member.
+    """
     tally = _Tally(tol)
     zgrid = 0.95 * _polar_grid(12)[:, None]  # grid points x members
     members = _members_with_probes(seed, n_samples)
-    omegas = [omega_eval(ConstrainedSchwarz(members, lam), zgrid) for lam in (0.0, 0.3, 0.5 + 0.2j)]
+    lambdas = (0.0, 0.3, 0.5 + 0.2j)
+    omegas = [omega_eval(ConstrainedSchwarz(members, lam), zgrid) for lam in lambdas]
+    r = np.abs(zgrid)
+    rhos = [r * (r + abs(lam)) / (1.0 + abs(lam) * r) for lam in lambdas]
     min_re = {}
     for B in Bs:
         params = JanowskiParams(0.0, B)
-        lo = np.inf
-        for omega in omegas:
-            fprime = np.exp(log_fprime(omega, params))
-            lo = min(lo, float(np.min(fprime.real, initial=np.inf)))
+        lo, excess = np.inf, -np.inf
+        for omega, rho in zip(omegas, rhos):
+            re_fprime = np.exp(log_fprime(omega, params)).real
+            lo = min(lo, float(np.min(re_fprime, initial=np.inf)))
+            excess = np.maximum(excess, np.max(1.0 / (1.0 + abs(B) * rho) - re_fprime, initial=-np.inf))
         # the infimum is approached by the collapsed lambda = 1 member with
         # omega(z) = z: f'(x) = (1 + B x)^(-1) -> 1/(1 + B) as x -> 1
         edge = float(np.real((1.0 + B * 0.999999) ** (-1.0)))
         lo = min(lo, edge)
         min_re[f"B={B}"] = lo
-        tally.add(0.5 - lo, {"B": B}, {"min_re_fprime": lo})
+        excess = float(excess)
+        # np.maximum, not max: a NaN excess must fail the suite
+        tally.add(np.maximum(0.5 - lo, excess), {"B": B}, {"min_re_fprime": lo, "max_bound_excess": excess})
     return tally.report("halfplane", len(Bs), min_re_fprime=min_re)
-
-
-def _default_coverage(tol: float = 1e-8, seed: int = 0) -> VerificationReport:
-    tally = _Tally(tol)
-    combos = [
-        (params, EvalPoint(0.5, 0.5)) for params in DEFAULT_PARAM_SETS
-    ] + [(DEFAULT_PARAM_SETS[0], EvalPoint(0.3 + 0.4j, 0.3))]
-    d_pairs = []
-    for params, point in combos:
-        sub = check_coverage(point, params, grid_n=96, tol=tol)
-        d_pairs.append(sub.extra)
-        tally.add(
-            sub.max_violation,
-            {"A": params.A, "B": params.B, "z0": _cstr(point.z0), "lambda": _cstr(point.lam)},
-            sub.extra,
-        )
-    return tally.report("coverage", len(combos), per_combo=d_pairs)
 
 
 _SUITES: dict[str, Callable[[int, float], VerificationReport]] = {
@@ -506,9 +475,9 @@ _SUITES: dict[str, Callable[[int, float], VerificationReport]] = {
     "corollary0": lambda seed, tol: check_corollary0(tol=tol, seed=seed),
     "unit-lambda": lambda seed, tol: check_unit_lambda(tol=tol),
     "rotation": lambda seed, tol: check_rotation(tol=tol, seed=seed),
-    "coverage": lambda seed, tol: _default_coverage(seed=seed),
-    "convexity": lambda seed, tol: run_convexity_default(),
-    "inclusion": lambda seed, tol: run_inclusion_default(tol=tol),
+    "coverage": lambda seed, tol: check_coverage(),
+    "convexity": lambda seed, tol: check_convexity(),
+    "inclusion": lambda seed, tol: check_strict_inclusion(tol=tol),
     "halfplane": lambda seed, tol: check_halfplane_univalence(tol=tol, seed=seed),
 }
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)

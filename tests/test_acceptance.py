@@ -15,9 +15,11 @@ from varregion import (
     QuadratureConfig,
     Verdict,
     boundary_point,
+    check_convexity,
     check_coverage,
     check_halfplane_univalence,
     check_rotation,
+    check_strict_inclusion,
     closed_form_a0,
     extremal_fprime,
     extremal_value,
@@ -29,12 +31,7 @@ from varregion import (
 from varregion.cli import main as cli_main
 from varregion.region import VERDICTS, classify
 from varregion.sampler import constant_inners, sample_members
-from varregion.verify import (
-    DEFAULT_PARAM_SETS,
-    DEFAULT_Z0S,
-    run_convexity_default,
-    run_inclusion_default,
-)
+from varregion.verify import DEFAULT_PARAM_SETS, DEFAULT_Z0S
 
 P05 = JanowskiParams(0.0, 0.5)
 PT = EvalPoint(0.5, 0.5)
@@ -135,7 +132,7 @@ def test_criterion_06_sharpness_of_extremal_members():
 
 
 def test_criterion_07_coverage_hausdorff():
-    r = check_coverage(PT, P05, grid_n=256, tol=1e-8)
+    r = check_coverage([(P05, PT)], grid_n=256, tol=1e-8)
     _criterion(7, "bidirectional Hausdorff of member vs region grids < 1e-8 at 256x256",
                r.passed, f"h={r.max_violation:.2e}")
 
@@ -148,13 +145,13 @@ def test_criterion_08_rotation_equivariance():
 
 
 def test_criterion_09_convexity_and_jordan():
-    r = run_convexity_default(tol=1e-10)
+    r = check_convexity(tol=1e-10)
     _criterion(9, "all computed boundary curves convex and simple at tol 1e-10",
                r.passed, f"max_violation={r.max_violation:.2e}")
 
 
 def test_criterion_10_strict_inclusion():
-    r = run_inclusion_default()
+    r = check_strict_inclusion()
     found_all = r.passed and all(
         d["distance_outside"] > 0 for d in r.extra["witnesses_found"]
     )

@@ -278,6 +278,12 @@ def test_nan_inputs_are_usage_errors(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_lambda_just_past_the_unimodular_band_is_a_domain_error(capsys):
+    # the double nearest 1 + 1e-12 lies 1.00009e-12 above 1: outside the band, so not admitted
+    assert run(["region", "--A=0", "--B=0.5", "--lambda=1.000000000001", "--z0=0.5"]) == 2
+    assert capsys.readouterr().err == "error: require |lambda| <= 1, got |lambda| = 1.000000000001\n"
+
+
 def test_extremal_nonconvergence_exit_code(capsys):
     code = run(["extremal", "--A", "-1", "--B", "1", "--lambda", "0.7",
                 "--a", "0.9,0", "--z", "0.8,0", "--quad-tol", "1e-30",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +136,22 @@ def test_nan_lambda_is_rejected(make, lam):
     # NaN fails every comparison, so |lambda| >= 1 let it through
     with pytest.raises(ValueError, match=r"require \|lambda\| < 1, got \|lambda\| = nan"):
         make(lam)
+
+
+def test_evalpoint_admits_lambda_above_one_exactly_where_it_is_a_singleton():
+    # 1 + k ulp for k up to 5000 crosses 1 + UNIT_TOL; a point admitted above 1
+    # that is no singleton would be neither a singleton nor a disk
+    for k in range(5001):
+        lam = 1.0 + k * 2.0**-52
+        try:
+            EvalPoint(0.5, lam)
+        except ValueError:
+            admitted = False
+        else:
+            admitted = True
+        # singleton_value reads only z0 and lam, so a stand-in point reaches the rejected lam too
+        stand_in = SimpleNamespace(z0=0.5 + 0j, lam=complex(lam))
+        assert admitted == (singleton_value(stand_in, P05) is not None), k
 
 
 def test_mobius_inv_examples():

@@ -18,6 +18,7 @@ from varregion import (
     EvalPoint,
     JanowskiParams,
     boundary_curve,
+    check_convexity,
     check_convexity_and_jordan,
     check_corollary0,
     check_coverage,
@@ -26,6 +27,7 @@ from varregion import (
     check_rotation,
     check_strict_inclusion,
     check_unit_lambda,
+    janowski_disk,
     member_log_fprime,
     run_suite,
     run_suites,
@@ -45,8 +47,6 @@ from varregion.verify import (
     _polar_grid,
     _Tally,
     _turning,
-    run_convexity_default,
-    run_inclusion_default,
 )
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -217,12 +217,12 @@ def test_rotation_rejects_frames_outside_the_domain(z0s, lambdas, message):
 
 
 def test_coverage_matches_to_roundoff():
-    r = check_coverage(EvalPoint(0.5, 0.5), P05, grid_n=64)
+    r = check_coverage([(P05, EvalPoint(0.5, 0.5))], grid_n=64)
     assert r.passed
     assert r.max_violation < 1e-8
-    assert r.extra["hausdorff_member_to_region"] < 1e-10
-    assert r.extra["hausdorff_region_to_member"] < 1e-10
-    r = check_coverage(EvalPoint(0.3 + 0.4j, -0.2 - 0.6j), P05)
+    assert r.extra["per_combo"][0]["hausdorff_member_to_region"] < 1e-10
+    assert r.extra["per_combo"][0]["hausdorff_region_to_member"] < 1e-10
+    r = check_coverage([(P05, EvalPoint(0.3 + 0.4j, -0.2 - 0.6j))], grid_n=128)
     assert r.passed
     assert r.max_violation < 1e-12
 
@@ -510,11 +510,64 @@ def _reference_convexity(tol: float = 1e-10, n: int = 256, param_sets=DEFAULT_PA
     return tally.report("convexity", len(param_sets), curves=curves)
 
 
+def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> VerificationReport:
+    """One single-case report per combo, re-tallied into the suite's report."""
+    V = varregion.verify
+    tally = _Tally(tol)
+    combos = [
+        (params, EvalPoint(0.5, 0.5)) for params in DEFAULT_PARAM_SETS
+    ] + [(DEFAULT_PARAM_SETS[0], EvalPoint(0.3 + 0.4j, 0.3))]
+    d_pairs = []
+    for params, point in combos:
+        ks = _polar_grid(grid_n)
+        s = ConstrainedSchwarz(constant_inners(ks), point.lam)
+        member_vals = V.member_log_fprime(s, params, point.z0)
+        region_vals = V.region_point(V.equivalent_disk_param(ks, point, params), point, params)
+        h = float(np.max(np.abs(member_vals - region_vals)))
+        sub = _Tally(tol)
+        sub.add(h, {}, None)
+        extra = {"hausdorff_member_to_region": h, "hausdorff_region_to_member": h}
+        d_pairs.append(extra)
+        tally.add(
+            sub.max_violation,
+            {"A": params.A, "B": params.B, "z0": _cstr(point.z0), "lambda": _cstr(point.lam)},
+            extra,
+        )
+    return tally.report("coverage", len(combos), per_combo=d_pairs)
+
+
+def _reference_inclusion(tol: float = 1e-9) -> VerificationReport:
+    """One single-pair report per default pair with B < 1, re-tallied into the suite's report."""
+    V = varregion.verify
+    tally = _Tally(tol)
+    details = []
+    pairs = [p for p in DEFAULT_PARAM_SETS if p.B < 1.0]
+    for params in pairs:
+        zs = np.linspace(0.5, 0.999, 200)
+        disk = janowski_disk(params)
+        kappa = V.special_curvature(params, zs.astype(complex))
+        dist = np.abs(kappa - disk.center) - disk.radius
+        i = int(np.argmax(dist))
+        best = float(dist[i])
+        sub = _Tally(tol)
+        sub.add(-best, {}, None)
+        extra = {
+            "witness_z": float(zs[i]), "distance_outside": best,
+            "limit_value": float((1.0 + 2.0 * params.A - params.B) / (1.0 + params.B)),
+            "left_endpoint": float((1.0 + params.A) / (1.0 + params.B)),
+        }
+        details.append(extra)
+        tally.add(sub.max_violation, {"A": params.A, "B": params.B}, extra)
+    return tally.report("inclusion", len(pairs), witnesses_found=details)
+
+
 REFERENCE_SUITES = {
     "prop1": _reference_prop1,
     "corollary0": _reference_corollary0,
     "unit-lambda": lambda seed: _reference_unit_lambda(),
     "convexity": lambda seed: _reference_convexity(),
+    "coverage": lambda seed: _reference_coverage(),
+    "inclusion": lambda seed: _reference_inclusion(),
 }
 
 
@@ -539,7 +592,7 @@ def test_batched_suites_equal_reference_loops_off_the_default_grid():
             (check_corollary0(param_sets, z0s, tol=tol, seed=seed),
              _reference_corollary0(seed, tol, param_sets, z0s)),
             (check_unit_lambda(param_sets, z0s, tol=tol), _reference_unit_lambda(tol, param_sets, z0s)),
-            (run_convexity_default(param_sets, lambdas, z0s, n=128, tol=tol),
+            (check_convexity(param_sets, lambdas, z0s, n=128, tol=tol),
              _reference_convexity(tol, 128, param_sets, lambdas, z0s)),
         ]
         for batched, reference in pairs:
@@ -637,7 +690,7 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
     real = varregion.region._boundary_values
     monkeypatch.setattr(varregion.region, "_boundary_values", dented)
     monkeypatch.setattr(varregion.verify, "_boundary_values", dented)
-    r = run_convexity_default()
+    r = check_convexity()
     assert r.to_dict() == _reference_convexity().to_dict()
     assert not r.passed and len(r.witnesses) == 20 and r.samples == 80
     for (p, l, t), wit in zip(sorted(forced), r.witnesses):
@@ -647,17 +700,36 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
         assert wit["observed"]["max_violation"] > r.tolerance
 
 
+def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch):
+    real_member, real_curvature = varregion.verify.member_log_fprime, varregion.verify.special_curvature
+
+    def moved_member(s, params, z):  # off the region image where lambda = 0.5 and B < 0.6
+        return real_member(s, params, z) + (1e-6 if s.lam == 0.5 and params.B < 0.6 else 0.0)
+
+    def inside_curvature(params, z):  # the disk center for B > 0: no witness outside the disk
+        return np.full_like(z, janowski_disk(params).center) if params.B > 0 else real_curvature(params, z)
+
+    monkeypatch.setattr(varregion.verify, "member_log_fprime", moved_member)
+    monkeypatch.setattr(varregion.verify, "special_curvature", inside_curvature)
+    coverage, inclusion = run_suite("coverage"), run_suite("inclusion")
+    assert coverage.to_dict() == _reference_coverage().to_dict()
+    assert inclusion.to_dict() == _reference_inclusion().to_dict()
+    assert not coverage.passed and len(coverage.witnesses) == 3
+    assert [w["inputs"]["B"] for w in coverage.witnesses] == [0.5, 0.5, -0.1]
+    assert not inclusion.passed and [w["inputs"]["B"] for w in inclusion.witnesses] == [0.5, 0.5, 0.7]
+
+
 def test_strict_inclusion_witness():
-    r = check_strict_inclusion(P05)
+    r = check_strict_inclusion([P05])
     assert r.passed
-    assert r.extra["distance_outside"] > 0.3
-    assert 0.9 <= r.extra["witness_z"] < 1.0
+    assert r.extra["witnesses_found"][0]["distance_outside"] > 0.3
+    assert 0.9 <= r.extra["witnesses_found"][0]["witness_z"] < 1.0
     with pytest.raises(ValueError, match="B < 1"):
-        check_strict_inclusion(JanowskiParams(-1.0, 1.0))
+        check_strict_inclusion([JanowskiParams(-1.0, 1.0)])
 
 
 def test_inclusion_default_covers_all_disk_pairs():
-    r = run_inclusion_default()
+    r = check_strict_inclusion()
     assert r.passed
     assert r.parameter_sets == 4  # (A, B) = (-1, 1) is the excluded half-plane case
     assert all(d["distance_outside"] > 0 for d in r.extra["witnesses_found"])
@@ -693,10 +765,42 @@ def test_halfplane_values_equal_per_lambda_members(monkeypatch):
         assert r.extra["min_re_fprime"][f"B={B}"] == min(lo, 1.0 / (1.0 + B * 0.999999))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_halfplane_members_meet_their_pointwise_bound(seed):
+    # the bound is 1 at z = 0, where every member has f' = 1 exactly
+    r = run_suite("halfplane", seed=seed)
+    assert r.passed and r.max_violation == 0.0
+
+
+def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
+    # omega scaled by 1.001 leaves Re f' far above 1/2, so only the pointwise bound can tell
+    real = varregion.verify.omega_eval
+    monkeypatch.setattr(varregion.verify, "omega_eval", lambda s, z: 1.001 * real(s, z))
+    r = run_suite("halfplane", seed=0)
+    assert not r.passed and (r.samples, r.parameter_sets) == (3, 3)
+    assert min(r.extra["min_re_fprime"].values()) > 0.5
+    assert r.max_violation > 2e-4
+    assert [w["inputs"]["B"] for w in r.witnesses] == [0.5, 1.0]
+    assert all(w["observed"]["max_bound_excess"] > 5e-5 for w in r.witnesses)
+
+
+def test_halfplane_fails_a_nan_member_value(monkeypatch):
+    real = varregion.verify.omega_eval
+
+    def one_nan(s, z):
+        omega = real(s, z)
+        omega[5, 3] = np.nan
+        return omega
+
+    monkeypatch.setattr(varregion.verify, "omega_eval", one_nan)
+    r = run_suite("halfplane", seed=0)
+    assert not r.passed and np.isnan(r.max_violation) and len(r.witnesses) == 3
+
+
 def test_convexity_default_sweep():
-    r = run_convexity_default(param_sets=SMALL_SETS, n=64)
+    r = check_convexity(param_sets=SMALL_SETS, n=64)
     assert r.passed
-    for empty in (run_convexity_default(lambdas=()), run_convexity_default(z0s=(0.0,))):
+    for empty in (check_convexity(lambdas=()), check_convexity(z0s=(0.0,))):
         assert empty.passed and empty.samples == 0 and empty.extra == {"curves": 0}
 
 
