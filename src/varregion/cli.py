@@ -32,6 +32,7 @@ from .region import (
     JanowskiParams,
     Verdict,
     _singleton_note,
+    _theta_grid,
     boundary_curve,
     classify,
     singleton_value,
@@ -121,34 +122,48 @@ def _write_text(path: Path | None, text: str) -> None:
         raise
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+def _tokens(col: list) -> list[str]:
+    """JSON tokens of a non-empty list of numbers or verdict names (none holds ", "), by the C encoder."""
+    return json.dumps(col)[1:-1].split(", ")
 
-    ``indent`` makes the stdlib use its pure-Python encoder, so each top-level
-    row list of a dict (a non-empty list of non-empty lists) is encoded
-    compactly by the C encoder instead, re-indented and spliced in where a
-    ``null`` placeholder stands.  Both encoders write the same tokens (floats
-    by ``float.__repr__``, ``NaN``, ``Infinity``), and row cells are numbers or
-    verdict names (never lists), so no cell holds ``", "`` or ``"], ["``.
+
+def _rows_json(rows) -> str:
+    """A top-level row list in the ``indent=2`` layout, from non-empty rows of JSON tokens."""
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]\n  ]"
+
+
+_ROW_TYPES = (int, float, bool, type(None))
+_VERDICT_NAMES = frozenset(v.value for v in VERDICTS)
+
+
+def _json_text(obj, **rows) -> str:
+    """``json.dumps({**obj, **rows}, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``rows`` maps top-level keys to rows of JSON tokens.  With ``indent`` the
+    stdlib encodes in pure Python; here the C encoder writes the cells of each
+    top-level row list whose cells are numbers, booleans, None or verdict names
+    (the same tokens), ``_rows_json`` lays the rows out, and the other values
+    are encoded one by one.  Any other object goes through ``json.dumps``.
     """
-    rows = {}
-    if isinstance(obj, dict):
-        rows = {k: v for k, v in obj.items()
-                if isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)}
-    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2) + "\n"
-    for key, v in rows.items():
-        body = json.dumps(v)[2:-2].replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
-        slot = f"\n  {json.dumps(key)}: "  # two spaces: only a top-level key matches
-        text = text.replace(slot + "null", slot + "[\n    [\n      " + body + "\n    ]\n  ]", 1)
-    return text
+    if isinstance(obj, dict) and all(type(k) is str for k in obj):
+        for key, v in obj.items():
+            if (isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)
+                    and all(type(c) in _ROW_TYPES or type(c) is str and c in _VERDICT_NAMES for r in v for c in r)):
+                cells = iter(_tokens([c for r in v for c in r]))
+                rows[key] = [[next(cells) for _ in r] for r in v]
+    if not rows:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    items = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ") for k, v in obj.items() if k not in rows}
+    items.update((k, _rows_json(r)) for k, r in rows.items())
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {items[k]}" for k in sorted(items)) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
 # region records
 
 
-def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> dict:
-    """JSON-ready region record; singleton cases carry an explanatory note."""
+def _region_head(params: JanowskiParams, point: EvalPoint, theta_samples: int):
+    """A region record without boundary rows, and the curve they come from (None for a singleton)."""
     rec: dict = {
         "params": {"A": params.A, "B": params.B},
         "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
@@ -156,14 +171,17 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     single = singleton_value(point, params)
     if single is not None:
         rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
-        return rec
+        return rec, None
     disk = variability_disk(point, params)
-    curve = boundary_curve(point, params, theta_samples)
-    rec.update(
-        center=_pair(disk.center),
-        radius=disk.radius + 0.0,
-        boundary=(np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist(),
-    )
+    rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
+    return rec, boundary_curve(point, params, theta_samples)
+
+
+def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> dict:
+    """JSON-ready region record; singleton cases carry an explanatory note."""
+    rec, curve = _region_head(params, point, theta_samples)
+    if curve is not None:
+        rec["boundary"] = (np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist()
     return rec
 
 
@@ -362,43 +380,40 @@ def _block_hash(block: dict[str, float]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _sweep_record(block: dict[str, float], theta_samples: int) -> dict:
+def _sweep_record(block: dict[str, float], theta_samples: int, theta_tokens: list[str]) -> tuple[dict, dict]:
+    """(rec, rows) of a block, written as ``_json_text(rec, **rows)``; rows are {} unless rec is a disk."""
     for key in GRID_REQUIRED:
         if key not in block:
-            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}
+            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}, {}
     lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
     z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
     try:
-        params = JanowskiParams(block["A"], block["B"])
-        point = EvalPoint(z0, lam)
-        return region_record(params, point, theta_samples)
+        rec, curve = _region_head(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), theta_samples)
     except ValueError as exc:
-        return {"rejected": True, "reason": str(exc), "block": block}
+        return {"rejected": True, "reason": str(exc), "block": block}, {}
+    if curve is None:
+        return rec, {}
+    w = curve.values
+    return rec, {"boundary": zip(theta_tokens, _tokens((w.real + 0.0).tolist()), _tokens((w.imag + 0.0).tolist()))}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     blocks = _parse_grid_file(Path(args.grid))
     out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    index: list[dict] = []
-    by_hash: dict[str, dict] = {}
+    # every curve of the call has the same theta column: encode it once, here
+    theta_tokens = _tokens(_theta_grid(args.theta_samples).tolist())
+    by_hash: dict[str, dict] = {}  # index entries in first-seen order
     for block in blocks:
         h = _block_hash(block)
         if h in by_hash:
             by_hash[h]["count"] += 1
             continue
-        rec = _sweep_record(block, args.theta_samples)
+        rec, rows = _sweep_record(block, args.theta_samples, theta_tokens)
         fname = f"region-{h}.json"
-        _write_text(out_dir / fname, _json_text(rec))
-        entry = {
-            "hash": h,
-            "file": fname,
-            "status": "rejected" if rec.get("rejected") else "ok",
-            "count": 1,
-        }
-        by_hash[h] = entry
-        index.append(entry)
-    _write_text(out_dir / "index.json", _json_text({"records": index}))
+        _write_text(out_dir / fname, _json_text(rec, **rows))
+        by_hash[h] = {"hash": h, "file": fname, "status": "rejected" if rec.get("rejected") else "ok", "count": 1}
+    _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
     return EXIT_OK
 
 
@@ -460,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
-    _add_common(p, "seed", "tol", "out")
+    p.add_argument("--tol", type=float, default=None, help="tolerance of every suite (default: each suite's own)")
+    _add_common(p, "seed", "out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="batch region records from a grid file")

@@ -238,6 +238,11 @@ def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
     return _boundary_values(np.exp(1j * np.asarray(theta)), point.z0, point.lam, params)
 
 
+def _theta_grid(n: int) -> np.ndarray:
+    """theta_k = -pi + 2 pi k/n, k = 1..n: the angles of every n-point boundary curve."""
+    return np.pi * (2.0 * np.arange(1, n + 1) / n - 1.0)
+
+
 def _unit_circle_grid(n: int) -> np.ndarray:
     """Unit-circle nodes e^{i(-pi + 2 pi k/n)}, k = 1..n.
 
@@ -260,10 +265,8 @@ def boundary_curve(point: EvalPoint, params: JanowskiParams, n: int = 256) -> Bo
     if n < 3:
         raise ValueError(f"require n >= 3 samples, got {n}")
     _require_disk(point)
-    k = np.arange(1, n + 1)
-    thetas = np.pi * (2.0 * k / n - 1.0)
     values = _boundary_values(_unit_circle_grid(n), point.z0, point.lam, params)
-    return BoundaryCurve(thetas=thetas, values=values)
+    return BoundaryCurve(thetas=_theta_grid(n), values=values)
 
 
 def _require_disk(point: EvalPoint) -> None:

@@ -15,7 +15,7 @@ of their seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -101,7 +101,8 @@ class VerificationReport:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields as a shallow dict (the witnesses and extra are not copied)."""
+        return dict(vars(self))
 
 
 class _Tally:
@@ -470,25 +471,25 @@ def check_halfplane_univalence(
     return tally.report("halfplane", len(Bs), min_re_fprime=min_re)
 
 
-_SUITES: dict[str, Callable[[int, float], VerificationReport]] = {
-    "prop1": lambda seed, tol: check_prop1(tol=tol, seed=seed),
-    "corollary0": lambda seed, tol: check_corollary0(tol=tol, seed=seed),
-    "unit-lambda": lambda seed, tol: check_unit_lambda(tol=tol),
-    "rotation": lambda seed, tol: check_rotation(tol=tol, seed=seed),
-    "coverage": lambda seed, tol: check_coverage(),
-    "convexity": lambda seed, tol: check_convexity(),
-    "inclusion": lambda seed, tol: check_strict_inclusion(tol=tol),
-    "halfplane": lambda seed, tol: check_halfplane_univalence(tol=tol, seed=seed),
+_SUITES: dict[str, Callable[..., VerificationReport]] = {
+    "prop1": lambda seed, **tol: check_prop1(seed=seed, **tol),
+    "corollary0": lambda seed, **tol: check_corollary0(seed=seed, **tol),
+    "unit-lambda": lambda seed, **tol: check_unit_lambda(**tol),
+    "rotation": lambda seed, **tol: check_rotation(seed=seed, **tol),
+    "coverage": lambda seed, **tol: check_coverage(**tol),
+    "convexity": lambda seed, **tol: check_convexity(**tol),
+    "inclusion": lambda seed, **tol: check_strict_inclusion(**tol),
+    "halfplane": lambda seed, **tol: check_halfplane_univalence(seed=seed, **tol),
 }
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = 0, tol: float = 1e-9) -> VerificationReport:
-    """Run one named suite on the default grids."""
+def run_suite(name: str, seed: int = 0, tol: float | None = None) -> VerificationReport:
+    """Run one named suite on the default grids; tol None keeps the suite's own default."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](seed, tol)
+    return _SUITES[name](seed=seed, **({} if tol is None else {"tol": tol}))
 
 
-def run_suites(names: Sequence[str], seed: int = 0, tol: float = 1e-9) -> list[VerificationReport]:
+def run_suites(names: Sequence[str], seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
     return [run_suite(n, seed=seed, tol=tol) for n in names]

@@ -4,10 +4,13 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import varregion.cli
 import varregion.extremal
-from varregion import EvalPoint, JanowskiParams, Verdict, contains, singleton_value
+from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, contains, singleton_value
 from varregion.cli import (
+    _block_hash,
     _f17,
     _json_text,
     _parser,
@@ -17,7 +20,8 @@ from varregion.cli import (
     parse_complex,
     region_record,
 )
-from varregion.verify import run_suites
+from varregion.region import VERDICTS
+from varregion.verify import SUITE_NAMES, run_suites
 
 P05 = JanowskiParams(0.0, 0.5)
 
@@ -136,12 +140,18 @@ def _json_records():
     records += [
         region_record(P05, EvalPoint(0.0, 0.5), 256),  # singleton, z0 = 0
         region_record(P05, EvalPoint(0.5, 1.0), 256),  # singleton, |lambda| = 1
-        _sweep_record({"A": 0.9, "B": 0.5, "z0_re": 0.5}, 256),
+        _sweep_record({"A": 0.9, "B": 0.5, "z0_re": 0.5}, 256, [])[0],
         sample,
         {"meta": {"samples": None}, "samples": rows, "z": [[1]]},  # nested key of the same name stays
         [r.to_dict() for r in run_suites(["inclusion"], seed=0, tol=1e-9)],
         [[1.5, -0.0], [2, 3]],
         {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]},
+        # cells the row path must not take: nested lists, a string holding ", ", a dict
+        {"a": [[[1, 2]], [[3]]]},
+        {"a": [["x, y", 1]]},
+        {"a": [[{"k": 1}]]},
+        {"a": [[1, 2], [3]], "b": [[True, None, 10**40, -0.0]]},  # ragged rows; other scalar cells
+        {1: [[1.5]], 2: "x"},  # keys that are not strings
     ]
     return records
 
@@ -151,6 +161,25 @@ def test_json_text_matches_stdlib_indented_encoding(obj):
     # compared as lines: pytest's diff of two long strings takes minutes
     expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert _json_text(obj).splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+# cells the row path takes, and other scalars: strings that hold its separators, any text
+_ROW_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**200), 2**200), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300] + [v.value for v in VERDICTS]),
+)
+_SCALARS = _ROW_CELLS | st.sampled_from(["x, y", "], [", 'a", "b', "Inside", ""]) | st.text(max_size=4)
+_CELLS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# row lists, ragged or not
+_ROWS = (st.lists(st.lists(_ROW_CELLS, min_size=1, max_size=4), min_size=1, max_size=5)
+         | st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=5))
+
+
+@given(st.dictionaries(st.text(max_size=4), _ROWS | _CELLS, max_size=5))
+def test_json_text_matches_stdlib_for_generated_dicts(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_region_complex_lambda_reduction(tmp_path, capsys):
@@ -403,6 +432,16 @@ def test_verify_single_suite(tmp_path):
     assert reports[0]["max_violation"] <= reports[0]["tolerance"]
 
 
+def test_verify_tol_reaches_every_suite(capsys):
+    assert run(["verify", "--suite", "all", "--tol", "0.5"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [(r["suite_name"], r["tolerance"]) for r in reports] == [(name, 0.5) for name in SUITE_NAMES]
+    # without --tol each suite keeps its own
+    assert run(["verify", "--suite", "all"]) == 0
+    own = {"coverage": 1e-8, "convexity": 1e-10}
+    assert [r["tolerance"] for r in json.loads(capsys.readouterr().out)] == [own.get(n, 1e-9) for n in SUITE_NAMES]
+
+
 def test_verify_bad_suite_name():
     assert run(["verify", "--suite", "bogus"]) == 2
 
@@ -440,6 +479,65 @@ def test_sweep_dedup_and_rejection(tmp_path):
         text = f.read_text()
         expected = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
         assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+SWEEP_BLOCKS = [
+    {"A": 0.0, "B": 0.5, "lambda_re": 0.5, "z0_re": 0.5},
+    {"A": -0.5, "B": 0.5, "lambda_re": -0.2, "lambda_im": -0.6, "z0_re": 0.3, "z0_im": 0.4},
+    {"A": -1.0, "B": 1.0, "z0_re": -0.7},
+    {"A": 0.0, "B": 0.5, "lambda_re": 0.5, "z0_re": 0.0},  # singleton, z0 = 0
+    {"A": 0.0, "B": 0.5, "lambda_im": 1.0, "z0_re": 0.5},  # singleton, |lambda| = 1
+    {"A": 0.9, "B": 0.5, "z0_re": 0.5},  # rejected: A >= B
+    {"B": 0.5, "z0_re": 0.5},  # rejected: missing key
+    {"A": 0.0, "B": 0.5, "z0_re": 1.5},  # rejected: |z0| >= 1
+]
+
+
+def _sweep_grid(tmp_path, blocks):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("\n".join("".join(f"{k}={v!r}\n" for k, v in b.items()) for b in blocks))
+    return grid
+
+
+def _reference_sweep_record(block, n):
+    for key in ("A", "B", "z0_re"):
+        if key not in block:
+            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}
+    z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
+    lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
+    try:
+        return region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), n)
+    except ValueError as exc:
+        return {"rejected": True, "reason": str(exc), "block": block}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 4096])
+def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
+    out = tmp_path / "out"
+    assert run(["sweep", f"--grid={_sweep_grid(tmp_path, SWEEP_BLOCKS)}", f"--out={out}",
+                f"--theta-samples={n}"]) == 0
+    index = json.loads((out / "index.json").read_text())["records"]
+    assert [e["file"] for e in index] == [f"region-{_block_hash(b)}.json" for b in SWEEP_BLOCKS]
+    for block, entry in zip(SWEEP_BLOCKS, index):
+        expected = json.dumps(_reference_sweep_record(block, n), sort_keys=True, indent=2) + "\n"
+        assert (out / entry["file"]).read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
+    # below 3 samples every disk block is rejected; the singletons are still written
+    disk = ["ok"] * 3 if n >= 3 else ["rejected"] * 3
+    assert [e["status"] for e in index] == disk + ["ok"] * 2 + ["rejected"] * 3
+
+
+def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
+    n = 16
+    thetas = boundary_curve(EvalPoint(0.5, 0.5), P05, n).thetas.tolist()
+    encoded = []
+    tokens = varregion.cli._tokens
+    monkeypatch.setattr(varregion.cli, "_tokens", lambda col: encoded.append(col) or tokens(col))
+    grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
+    for call in range(2):  # a second call encodes it again: nothing is cached across calls
+        assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / str(call)}", f"--theta-samples={n}"]) == 0
+        assert sum(col == thetas for col in encoded) == 1
+        assert len(encoded) == 1 + 2 * 3  # and the Re and Im columns of each disk record
+        encoded.clear()
 
 
 def test_sweep_parse_error_reports_line(tmp_path, capsys):

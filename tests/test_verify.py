@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -870,6 +872,15 @@ def test_verify_runs_without_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert '"passed": true' in out.read_text()
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_to_dict_is_asdict_without_the_copies(name):
+    r = run_suite(name, seed=0, tol=-1.0)  # no violation is below -1: every sample fails
+    assert not r.passed and r.witnesses
+    d = r.to_dict()
+    assert d["witnesses"] is r.witnesses and d["extra"] is r.extra
+    assert json.dumps(d, sort_keys=True) == json.dumps(dataclasses.asdict(r), sort_keys=True)
 
 
 def test_run_suite_unknown_name():
