@@ -28,6 +28,7 @@ import numpy as np
 from .extremal import ConvergenceError, ExtremalSpec, QuadratureConfig, extremal_fprime, extremal_value
 from .region import (
     VERDICTS,
+    BoundaryCurve,
     EvalPoint,
     JanowskiParams,
     Verdict,
@@ -56,12 +57,6 @@ GRID_KEYS = ("A", "B", "lambda_re", "lambda_im", "z0_re", "z0_im")
 GRID_REQUIRED = ("A", "B", "z0_re")
 
 
-class GridParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"parse error at line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def parse_complex(text: str) -> complex:
     """Parse 're' or 're,im' into a complex number."""
     parts = text.split(",")
@@ -73,11 +68,6 @@ def parse_complex(text: str) -> complex:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
-
-
-def _f17(x: float) -> str:
-    # x + 0.0 normalizes negative zero so exact-zero fields print as "0"
-    return f"{x + 0.0:.17g}"
 
 
 def _f15(x: float) -> str:
@@ -132,25 +122,15 @@ def _rows_json(rows) -> str:
     return "[\n    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]\n  ]"
 
 
-_ROW_TYPES = (int, float, bool, type(None))
-_VERDICT_NAMES = frozenset(v.value for v in VERDICTS)
-
-
 def _json_text(obj, **rows) -> str:
-    """``json.dumps({**obj, **rows}, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte.
 
-    ``rows`` maps top-level keys to rows of JSON tokens.  With ``indent`` the
-    stdlib encodes in pure Python; here the C encoder writes the cells of each
-    top-level row list whose cells are numbers, booleans, None or verdict names
-    (the same tokens), ``_rows_json`` lays the rows out, and the other values
-    are encoded one by one.  Any other object goes through ``json.dumps``.
+    ``rows`` maps top-level keys of a dict with string keys to non-empty rows
+    of JSON tokens from ``_tokens``.  With ``indent`` the stdlib encodes in pure
+    Python; here the C encoder has already written every row cell,
+    ``_rows_json`` lays the rows out, and the other values are encoded one by
+    one.  Without rows this is the stdlib call.
     """
-    if isinstance(obj, dict) and all(type(k) is str for k in obj):
-        for key, v in obj.items():
-            if (isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)
-                    and all(type(c) in _ROW_TYPES or type(c) is str and c in _VERDICT_NAMES for r in v for c in r)):
-                cells = iter(_tokens([c for r in v for c in r]))
-                rows[key] = [[next(cells) for _ in r] for r in v]
     if not rows:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     items = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ") for k, v in obj.items() if k not in rows}
@@ -162,8 +142,8 @@ def _json_text(obj, **rows) -> str:
 # region records
 
 
-def _region_head(params: JanowskiParams, point: EvalPoint, theta_samples: int):
-    """A region record without boundary rows, and the curve they come from (None for a singleton)."""
+def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> tuple[dict, BoundaryCurve | None]:
+    """A region record without boundary rows, and their curve; a singleton has a note, no rows and no curve."""
     rec: dict = {
         "params": {"A": params.A, "B": params.B},
         "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
@@ -177,12 +157,12 @@ def _region_head(params: JanowskiParams, point: EvalPoint, theta_samples: int):
     return rec, boundary_curve(point, params, theta_samples)
 
 
-def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> dict:
-    """JSON-ready region record; singleton cases carry an explanatory note."""
-    rec, curve = _region_head(params, point, theta_samples)
-    if curve is not None:
-        rec["boundary"] = (np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist()
-    return rec
+def _boundary_rows(curve: BoundaryCurve | None, theta_tokens: list[str]) -> dict:
+    """``_json_text`` rows of a record: a disk's (theta, Re, Im) token rows; none for a singleton."""
+    if curve is None:
+        return {}
+    w = curve.values
+    return {"boundary": zip(theta_tokens, _tokens((w.real + 0.0).tolist()), _tokens((w.imag + 0.0).tolist()))}
 
 
 def load_region_record(path: Path | str) -> dict:
@@ -202,29 +182,32 @@ def load_region_record(path: Path | str) -> dict:
     return rec
 
 
-def _region_csv(rec: dict) -> str:
+def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
     """Boundary rows of a record; a singleton's one row is its value at theta 0."""
-    rows = rec["boundary"] or [[0.0, *rec["center"]]]
-    return "theta,re,im\n" + "".join(f"{_f17(t)},{_f17(re)},{_f17(im)}\n" for t, re, im in rows)
+    if curve is None:
+        cols = [0.0], [rec["center"][0]], [rec["center"][1]]
+    else:
+        cols = curve.thetas.tolist(), (curve.values.real + 0.0).tolist(), (curve.values.imag + 0.0).tolist()
+    return "theta,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *cols))
 
 
-def _region_svg(rec: dict, cloud: list[complex]) -> str:
+def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> str:
     """A record's boundary polygon and cloud as dots; a singleton with no cloud shows its value."""
-    boundary = [complex(re, im) for _, re, im in rec["boundary"]]
+    boundary = [] if curve is None else (curve.values + 0.0).tolist()
     if not (boundary or cloud):
         cloud = [complex(*rec["center"])]
     pts = boundary + cloud
-    xs = np.array([p.real for p in pts])
-    ys = np.array([p.imag for p in pts])
-    span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-30)
+    xs, ys = [p.real for p in pts], [p.imag for p in pts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    span = max(x1 - x0, y1 - y0, 1e-30)
     usable = _SVG_SIZE - 2 * _SVG_MARGIN
     scale = usable / span
+    # the offsets that centre the drawing on each axis
+    dx, dy = (usable - (x1 - x0) * scale) / 2, (usable - (y1 - y0) * scale) / 2
 
     def to_px(p: complex) -> tuple[float, float]:
         # real axis rightward, imaginary axis upward
-        x = _SVG_MARGIN + (p.real - xs.min()) * scale + (usable - (xs.max() - xs.min()) * scale) / 2
-        y = _SVG_SIZE - (_SVG_MARGIN + (p.imag - ys.min()) * scale + (usable - (ys.max() - ys.min()) * scale) / 2)
-        return x, y
+        return _SVG_MARGIN + (p.real - x0) * scale + dx, _SVG_SIZE - (_SVG_MARGIN + (p.imag - y0) * scale + dy)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
@@ -257,15 +240,15 @@ def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
 
 def cmd_region(args: argparse.Namespace) -> int:
     params, point = _point_args(args)
-    rec = region_record(params, point, args.theta_samples)
-    if "note" in rec:
+    rec, curve = region_record(params, point, args.theta_samples)
+    if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
     if args.format == "json":
-        text = _json_text(rec)
+        text = _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(args.theta_samples).tolist())))
     elif args.format == "csv":
-        text = _region_csv(rec)
+        text = _region_csv(rec, curve)
     else:
-        text = _region_svg(rec, [])
+        text = _region_svg(rec, curve, [])
     _write_text(_resolve_out(args.out), text)
     return EXIT_OK
 
@@ -308,14 +291,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
     names = np.array([v.value for v in VERDICTS])
-    parts: list = []  # CSV text per block, JSON sample rows or SVG cloud points
+    parts: list = []  # CSV text per block, JSON token rows or SVG cloud points
     breaches: list[dict] = []
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
         cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
         if args.format == "csv":
             parts.append("".join(map("{},{:.17g},{:.17g},{}\n".format, *cols)))
         elif args.format == "json":
-            parts += map(list, zip(*cols))
+            parts += zip(*map(_tokens, cols))
         else:
             parts += w.tolist()
         for k in np.flatnonzero(status == VERDICTS.index(Verdict.OUTSIDE)).tolist():
@@ -324,8 +307,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = "seed_index,re,im,verdict\n" + "".join(parts)
     else:
-        rec = region_record(params, point, args.theta_samples)
-        text = _json_text({**rec, "samples": parts}) if args.format == "json" else _region_svg(rec, parts)
+        rec, curve = region_record(params, point, args.theta_samples)
+        if args.format == "json":
+            text = _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(args.theta_samples).tolist())),
+                              samples=parts)
+        else:
+            text = _region_svg(rec, curve, parts)
     _write_text(_resolve_out(args.out), text)
     if breaches:
         print(f"containment breach: {len(breaches)} sample(s) outside the region", file=sys.stderr)
@@ -336,6 +323,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.tol is not None and not args.tol > 0.0:
+        raise ValueError("require tol > 0")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, seed=args.seed, tol=args.tol)
     text = _json_text([r.to_dict() for r in reports])
@@ -361,15 +350,15 @@ def _parse_grid_file(path: Path) -> list[dict[str, float]]:
             key, sep, value = line.partition("=")
             key = key.strip()
             if not sep:
-                raise GridParseError(line_no, f"expected key=value, got {line!r}")
+                raise ValueError(f"parse error at line {line_no}: expected key=value, got {line!r}")
             if key not in GRID_KEYS:
-                raise GridParseError(line_no, f"unknown key {key!r}")
+                raise ValueError(f"parse error at line {line_no}: unknown key {key!r}")
             if key in current:
-                raise GridParseError(line_no, f"duplicate key {key!r} in block")
+                raise ValueError(f"parse error at line {line_no}: duplicate key {key!r} in block")
             try:
                 current[key] = float(value.strip())
             except ValueError:
-                raise GridParseError(line_no, f"invalid number {value.strip()!r}") from None
+                raise ValueError(f"parse error at line {line_no}: invalid number {value.strip()!r}") from None
     if current:
         blocks.append(current)
     return blocks
@@ -380,21 +369,17 @@ def _block_hash(block: dict[str, float]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _sweep_record(block: dict[str, float], theta_samples: int, theta_tokens: list[str]) -> tuple[dict, dict]:
-    """(rec, rows) of a block, written as ``_json_text(rec, **rows)``; rows are {} unless rec is a disk."""
+def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, BoundaryCurve | None]:
+    """``region_record`` of a block; a rejected block's record says why and has no curve."""
     for key in GRID_REQUIRED:
         if key not in block:
-            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}, {}
+            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}, None
     lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
     z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
     try:
-        rec, curve = _region_head(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), theta_samples)
+        return region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), theta_samples)
     except ValueError as exc:
-        return {"rejected": True, "reason": str(exc), "block": block}, {}
-    if curve is None:
-        return rec, {}
-    w = curve.values
-    return rec, {"boundary": zip(theta_tokens, _tokens((w.real + 0.0).tolist()), _tokens((w.imag + 0.0).tolist()))}
+        return {"rejected": True, "reason": str(exc), "block": block}, None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -409,9 +394,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if h in by_hash:
             by_hash[h]["count"] += 1
             continue
-        rec, rows = _sweep_record(block, args.theta_samples, theta_tokens)
+        rec, curve = _sweep_record(block, args.theta_samples)
         fname = f"region-{h}.json"
-        _write_text(out_dir / fname, _json_text(rec, **rows))
+        _write_text(out_dir / fname, _json_text(rec, **_boundary_rows(curve, theta_tokens)))
         by_hash[h] = {"hash": h, "file": fname, "status": "rejected" if rec.get("rejected") else "ok", "count": 1}
     _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
     return EXIT_OK

@@ -46,12 +46,13 @@ class ExtremalSpec:
 
 
 MAX_PANELS = 65536
+NODES_PER_PANEL = 16  # Gauss-Legendre nodes in each panel
 _EPS4 = 4.0 * np.finfo(float).eps  # times |estimate|: the rounding floor of an estimate
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings.
+    """Composite Gauss-Legendre settings; every panel has NODES_PER_PANEL nodes.
 
     Panels double (1, 2, 4, ...) until two successive composite estimates
     differ by at most abs_tol, and never beyond max_panels; max_panels = 1 can
@@ -61,13 +62,10 @@ class QuadratureConfig:
     about 80 MiB of panel arrays (~1.2 KiB per panel).
     """
 
-    nodes_per_panel: int = 16
     max_panels: int = 1024
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.nodes_per_panel < 2:
-            raise ValueError("require nodes_per_panel >= 2")
         if not 1 <= self.max_panels <= MAX_PANELS:
             raise ValueError(f"require 1 <= max_panels <= {MAX_PANELS}, got {self.max_panels}")
         if not self.abs_tol > 0.0:
@@ -123,7 +121,7 @@ def fprime_segment_integral(
         raise ValueError("segment endpoints must lie in the open unit disk")
     if z_from == z_to:
         return 0j
-    nodes, weights = _gauss_legendre(cfg.nodes_per_panel)
+    nodes, weights = _gauss_legendre(NODES_PER_PANEL)
     panels = 1
     prev = None
     while True:

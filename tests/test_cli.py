@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -8,19 +9,20 @@ from hypothesis import given, strategies as st
 
 import varregion.cli
 import varregion.extremal
-from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, contains, singleton_value
+from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, contains, singleton_value, variability_disk
 from varregion.cli import (
     _block_hash,
-    _f17,
+    _boundary_rows,
     _json_text,
     _parser,
     _sweep_record,
+    _tokens,
     load_region_record,
     main,
     parse_complex,
     region_record,
 )
-from varregion.region import VERDICTS
+from varregion.region import VERDICTS, _singleton_note, _theta_grid
 from varregion.verify import SUITE_NAMES, run_suites
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -131,39 +133,77 @@ def test_flags_a_command_does_not_read_are_usage_errors(command, flag, tmp_path,
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+def _reference_region_record(params, point, n):
+    """A region record with its boundary rows as lists of floats, built as a whole."""
+    def pair(w):
+        return [w.real + 0.0, w.imag + 0.0]
+
+    rec = {"params": {"A": params.A, "B": params.B}, "point": {"z0": pair(point.z0), "lambda": pair(point.lam)}}
+    single = singleton_value(point, params)
+    if single is not None:
+        rec.update(center=pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
+        return rec
+    disk, curve = variability_disk(point, params), boundary_curve(point, params, n)
+    rec.update(center=pair(disk.center), radius=disk.radius + 0.0,
+               boundary=(np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist())
+    return rec
+
+
+def _reference_sweep_record(block, n):
+    for key in ("A", "B", "z0_re"):
+        if key not in block:
+            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}
+    z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
+    lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
+    try:
+        return _reference_region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), n)
+    except ValueError as exc:
+        return {"rejected": True, "reason": str(exc), "block": block}
+
+
+def _record_text(rec, curve, n, **rows):
+    return _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(n).tolist())), **rows)
+
+
+SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300], ["Interior", "Boundary", "Outside"])
+SAMPLE_ROWS = [list(row) for row in zip(*SAMPLE_COLUMNS)]
+
+
 def _json_records():
-    rows = [[0, float("nan"), -0.0, "Interior"], [1, float("inf"), float("-inf"), "Boundary"], [2, 0.5, 1e-300, "Outside"]]
-    sample = region_record(P05, EvalPoint(0.5, 0.5), 8)
-    sample["samples"] = rows
-    records = [region_record(P05, EvalPoint(z0, lam), n)
-               for n in (3, 256, 4096) for z0, lam in ((0.5, 0.5), (0.3 + 0.4j, -0.2 - 0.6j))]
-    records += [
-        region_record(P05, EvalPoint(0.0, 0.5), 256),  # singleton, z0 = 0
-        region_record(P05, EvalPoint(0.5, 1.0), 256),  # singleton, |lambda| = 1
-        _sweep_record({"A": 0.9, "B": 0.5, "z0_re": 0.5}, 256, [])[0],
-        sample,
-        {"meta": {"samples": None}, "samples": rows, "z": [[1]]},  # nested key of the same name stays
-        [r.to_dict() for r in run_suites(["inclusion"], seed=0, tol=1e-9)],
-        [[1.5, -0.0], [2, 3]],
-        {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]},
-        # cells the row path must not take: nested lists, a string holding ", ", a dict
-        {"a": [[[1, 2]], [[3]]]},
-        {"a": [["x, y", 1]]},
-        {"a": [[{"k": 1}]]},
-        {"a": [[1, 2], [3]], "b": [[True, None, 10**40, -0.0]]},  # ragged rows; other scalar cells
-        {1: [[1.5]], 2: "x"},  # keys that are not strings
+    """(object, text) pairs: a record or report and the text the CLI writes for it."""
+    region_cases = [(P05, EvalPoint(z0, lam), n)
+                    for n in (3, 4, 256, 4096) for z0, lam in ((0.5, 0.5), (0.3 + 0.4j, -0.2 - 0.6j))]
+    region_cases += [
+        (P05, EvalPoint(0.0, 0.5), 256),  # singleton, z0 = 0
+        (P05, EvalPoint(0.5, 1.0), 256),  # singleton, |lambda| = 1
+        (JanowskiParams(-1.0, 1.0), EvalPoint(0.3 + 0.4j, 1j), 8),  # singleton, lambda = i
     ]
-    return records
+    cases = [(_reference_region_record(*case), _record_text(*region_record(*case), case[2])) for case in region_cases]
+    samples = list(map(_tokens, SAMPLE_COLUMNS))
+    for point in (EvalPoint(0.5, 0.5), EvalPoint(0.0, 0.5)):  # a disk and a singleton with samples
+        cases.append(({**_reference_region_record(P05, point, 8), "samples": SAMPLE_ROWS},
+                      _record_text(*region_record(P05, point, 8), 8, samples=zip(*samples))))
+    for block in ({"A": 0.9, "B": 0.5, "z0_re": 0.5}, {"A": -0.5, "B": 0.5, "lambda_im": 0.3, "z0_re": 0.3}):
+        cases.append((_reference_sweep_record(block, 16), _record_text(*_sweep_record(block, 16), 16)))
+    reports = [r.to_dict() for r in run_suites(["inclusion"], seed=0, tol=1e-9)]
+    index = {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]}
+    int_keys = {1: [[1.5]], 2: "x"}
+    cases += [(obj, _json_text(obj)) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
+    # a nested key of the same name stays; the other values may hold the row separators
+    other = {"meta": {"samples": None}, "a": "x, y", "b": [[{"k": 1}]], "c": [["], [", 1]]}
+    cases.append(({**other, "samples": SAMPLE_ROWS}, _json_text(other, samples=zip(*samples))))
+    return cases
 
 
 @pytest.mark.parametrize("obj", _json_records())
 def test_json_text_matches_stdlib_indented_encoding(obj):
+    obj, text = obj
     # compared as lines: pytest's diff of two long strings takes minutes
     expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    assert _json_text(obj).splitlines(keepends=True) == expected.splitlines(keepends=True)
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
-# cells the row path takes, and other scalars: strings that hold its separators, any text
+# the cells of a token column, and other scalars: strings that hold the row separators, any text
 _ROW_CELLS = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**200), 2**200), st.floats(),
     st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300] + [v.value for v in VERDICTS]),
@@ -172,14 +212,35 @@ _SCALARS = _ROW_CELLS | st.sampled_from(["x, y", "], [", 'a", "b', "Inside", ""]
 _CELLS = st.recursive(
     _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
-# row lists, ragged or not
-_ROWS = (st.lists(st.lists(_ROW_CELLS, min_size=1, max_size=4), min_size=1, max_size=5)
-         | st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=5))
+# the columns of one row list: one to four, all of one length
+_COLUMNS = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_ROW_CELLS, min_size=n, max_size=n), min_size=1, max_size=4))
 
 
-@given(st.dictionaries(st.text(max_size=4), _ROWS | _CELLS, max_size=5))
-def test_json_text_matches_stdlib_for_generated_dicts(obj):
-    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+@given(st.dictionaries(st.text(max_size=4), _CELLS, max_size=4),
+       st.dictionaries(st.text(max_size=4), _COLUMNS, max_size=3))
+def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
+    rows = {key: zip(*map(_tokens, cols)) for key, cols in columns.items()}
+    merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
+    assert _json_text(obj, **rows) == json.dumps(merged, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["region", "sample"])
+@pytest.mark.parametrize("z0, lam", [(0.3 + 0.4j, -0.2 - 0.6j), (0.5, 0.999), (0.0, 0.5), (0.5, 1j)],
+                         ids=["disk", "disk-near-unit-lambda", "singleton-z0", "singleton-lambda"])
+def test_region_and_sample_json_are_the_reference_record(capsys, command, z0, lam):
+    n, members = 16, 30
+    argv = [command, "--A=-0.5", "--B=0.5", f"--lambda={lam.real!r},{complex(lam).imag!r}",
+            f"--z0={complex(z0).real!r},{complex(z0).imag!r}", "--format=json", f"--theta-samples={n}"]
+    assert run(argv + ([f"--mc-samples={members}"] if command == "sample" else [])) == 0
+    expected = _reference_region_record(JanowskiParams(-0.5, 0.5), EvalPoint(z0, lam), n)
+    out = capsys.readouterr().out
+    if command == "sample":
+        csv_argv = [a for a in argv if a != "--format=json"] + [f"--mc-samples={members}"]
+        assert run(csv_argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        expected["samples"] = [[int(i), float(re), float(im), verdict] for i, re, im, verdict in rows]
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_region_complex_lambda_reduction(tmp_path, capsys):
@@ -219,7 +280,7 @@ def test_singleton_output_in_every_format(capsys, command, fmt, lam, z0):
     value = singleton_value(EvalPoint(parse_complex(z0), parse_complex(lam)), SEAM_PARAMS)
     note = "z0 = 0: the region is the singleton {0}" if z0 == "0" else "|lambda| = 1: the region is a singleton"
     assert err == (f"note: {note}\n" if command == "region" else "")
-    pair = f"{_f17(value.real)},{_f17(value.imag)}"
+    pair = f"{value.real + 0.0:.17g},{value.imag + 0.0:.17g}"
     if fmt == "csv":
         expected = [f"0,{pair}"] if command == "region" else [f"{i},{pair},Boundary" for i in range(5)]
         assert out.splitlines()[1:] == expected
@@ -260,6 +321,20 @@ def test_region_svg_deterministic(tmp_path):
     assert text.startswith("<svg")
     assert "<polygon" in text and 'fill="none"' in text
     assert "varregion" in text  # fixed generator banner
+
+
+@pytest.mark.parametrize("command", ["region", "sample"])
+def test_svg_drawing_is_centred_in_the_margins(capsys, command):
+    argv = [command, "--A=-1", "--B=1", "--z0=0.95", "--format=svg", "--theta-samples=64"]  # 1.3 times wider than tall
+    assert run(argv + (["--mc-samples=200"] if command == "sample" else [])) == 0
+    text = capsys.readouterr().out
+    pts = [tuple(map(float, p.split(","))) for p in text.split('points="')[1].split('"')[0].split()]
+    pts += [(float(x), float(y)) for x, y in re.findall(r'cx="([^"]+)" cy="([^"]+)"', text)]
+    xs, ys = zip(*pts)
+    for c in (xs, ys):  # each axis centred in the 800 px viewport
+        assert (min(c) + max(c)) / 2 == pytest.approx(400, abs=1e-3)
+    # the wider axis spans the viewport less its 40 px margins
+    assert max(max(xs) - min(xs), max(ys) - min(ys)) == pytest.approx(720, abs=2e-3)
 
 
 def test_extremal_prints_value_and_derivative(capsys):
@@ -442,6 +517,12 @@ def test_verify_tol_reaches_every_suite(capsys):
     assert [r["tolerance"] for r in json.loads(capsys.readouterr().out)] == [own.get(n, 1e-9) for n in SUITE_NAMES]
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    assert run(["verify", "--suite", "inclusion", f"--tol={tol}"]) == 2
+    assert capsys.readouterr() == ("", "error: require tol > 0\n")
+
+
 def test_verify_bad_suite_name():
     assert run(["verify", "--suite", "bogus"]) == 2
 
@@ -497,18 +578,6 @@ def _sweep_grid(tmp_path, blocks):
     grid = tmp_path / "grid.txt"
     grid.write_text("\n".join("".join(f"{k}={v!r}\n" for k, v in b.items()) for b in blocks))
     return grid
-
-
-def _reference_sweep_record(block, n):
-    for key in ("A", "B", "z0_re"):
-        if key not in block:
-            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}
-    z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
-    lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
-    try:
-        return region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), n)
-    except ValueError as exc:
-        return {"rejected": True, "reason": str(exc), "block": block}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 4096])

@@ -50,8 +50,6 @@ def test_spec_validation():
 
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(nodes_per_panel=1)
-    with pytest.raises(ValueError):
         QuadratureConfig(max_panels=0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
@@ -156,7 +154,7 @@ def test_segment_endpoint_validation():
 
 def test_convergence_error():
     spec = ExtremalSpec(0.9, 0.7, JanowskiParams(-1.0, 1.0))
-    cfg = QuadratureConfig(nodes_per_panel=4, max_panels=2, abs_tol=1e-30)
+    cfg = QuadratureConfig(max_panels=2, abs_tol=1e-30)
     with pytest.raises(ConvergenceError) as exc:
         extremal_value(spec, 0.8, cfg)
     assert np.isfinite(exc.value.achieved)
