@@ -238,6 +238,12 @@ def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
     return params, point
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed before any work, whether or not the command's work would draw from it."""
+    if seed < 0:
+        raise ValueError(f"require seed >= 0, got {seed}")
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     params, point = _point_args(args)
     rec, curve = region_record(params, point, args.theta_samples)
@@ -290,6 +296,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     params, point = _point_args(args)
     if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
+    _check_seed(args.seed)
     names = np.array([v.value for v in VERDICTS])
     parts: list = []  # CSV text per block, JSON token rows or SVG cloud points
     breaches: list[dict] = []
@@ -325,6 +332,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.tol is not None and not args.tol > 0.0:
         raise ValueError("require tol > 0")
+    _check_seed(args.seed)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, seed=args.seed, tol=args.tol)
     text = _json_text([r.to_dict() for r in reports])
@@ -433,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regions of variability of log f' for disk-subordination classes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main's direct dispatch
 
     p = sub.add_parser("region", help="boundary curve and disk data of the region")
     _add_point_flags(p)
@@ -483,9 +492,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsing a command's flags with that command's parser alone.
+
+    The full parser hands everything after the command name to that command's
+    parser, so parsing ``argv[1:]`` there gives the same namespace without the
+    full parser's scan of every flag.  Any other argv (help, no command, an
+    unknown command), and one with arguments the command's parser does not
+    take, goes to the full parser, which writes every usage, help and error
+    message.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

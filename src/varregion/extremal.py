@@ -59,7 +59,8 @@ class QuadratureConfig:
     therefore never confirm the tolerance.  An abs_tol below the rounding
     floor 4 eps |estimate| is never confirmed either: two estimates that round
     to the same double do not meet it.  max_panels is capped at MAX_PANELS,
-    about 80 MiB of panel arrays (~1.2 KiB per panel).
+    about 80 MiB of panel arrays (~1.2 KiB per panel) while an estimate runs;
+    _panel_nodes keeps 128 B per panel of every level reached.
     """
 
     max_panels: int = 1024
@@ -99,14 +100,28 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _composite_estimate(spec, z_from, z_to, nodes, weights, panels):
+@functools.cache
+def _panel_nodes(panels: int) -> np.ndarray:
+    """The read-only ``(panels, NODES_PER_PANEL)`` nodes in [0, 1] of the composite rule, built once per count.
+
+    The cache keeps 128 B per panel at every level a process reaches: about
+    256 KiB for the levels up to the default 1,024-panel cap, and about
+    16 MiB up to MAX_PANELS.
+    """
+    nodes = _gauss_legendre(NODES_PER_PANEL)[0]
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = (0.5 / panels)
+    half = 0.5 / panels
     t = mid + half * nodes[None, :]
-    zeta = z_from + t * (z_to - z_from)
+    t.flags.writeable = False
+    return t
+
+
+def _composite_estimate(spec, z_from, z_to, panels):
+    weights = _gauss_legendre(NODES_PER_PANEL)[1]
+    zeta = z_from + _panel_nodes(panels) * (z_to - z_from)
     g = extremal_fprime(spec, zeta)
-    return (z_to - z_from) * half * np.sum(weights[None, :] * g)
+    return (z_to - z_from) * (0.5 / panels) * np.sum(weights[None, :] * g)
 
 
 def fprime_segment_integral(
@@ -121,11 +136,10 @@ def fprime_segment_integral(
         raise ValueError("segment endpoints must lie in the open unit disk")
     if z_from == z_to:
         return 0j
-    nodes, weights = _gauss_legendre(NODES_PER_PANEL)
     panels = 1
     prev = None
     while True:
-        est = _composite_estimate(spec, z_from, z_to, nodes, weights, panels)
+        est = _composite_estimate(spec, z_from, z_to, panels)
         if prev is not None:
             achieved = abs(est - prev)
             if achieved <= cfg.abs_tol:

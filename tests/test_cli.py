@@ -2,6 +2,8 @@ import json
 import math
 import re
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +456,19 @@ def test_sample_negative_seed_is_a_usage_error(capsys):
     assert "require seed >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["verify", f"--suite={suite}"] for suite in (*SUITE_NAMES, "all")),
+    # singleton points, where no member is drawn
+    ["sample", "--A", "0", "--B", "0.5", "--z0", "0"],
+    ["sample", "--A", "0", "--B", "0.5", "--z0", "0.5", "--lambda", "1"],
+], ids=" ".join)
+def test_negative_seed_is_rejected_before_any_work(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: require seed >= 0, got -1\n")
+    assert not out.exists()
+
+
 def test_sample_singleton_z0_zero(tmp_path):
     out = tmp_path / "s.csv"
     code = run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5",
@@ -699,3 +714,70 @@ def test_main_is_reentrant(tmp_path, capsys):
     assert [r[0] for r in fresh] == [0] * 8 + [2] * 5
     for argv, r, f, b in zip(argvs, fresh, forward, backward):
         assert (f, b) == (r, r), argv
+
+
+_EXTREMAL = ["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"]
+_SAMPLE = ["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5", "--z0", "0.5", "--mc-samples", "5"]
+_VALID = {
+    "region": ["region", "--A", "0", "--B", "0.5", "--z0", "0.5", "--theta-samples", "4"],
+    "extremal": _EXTREMAL,
+    "sample": _SAMPLE,
+    "verify": ["verify", "--suite", "inclusion"],
+    "sweep": ["sweep", "--grid", "grid.txt", "--out", "out", "--theta-samples", "4"],
+}
+_DISPATCH_ARGVS = [
+    [], ["--help"], ["-h"], ["--he"], ["bogus"], ["bogus", "--help"], ["--", "extremal"],
+    ["--A", "0", "extremal"], ["-h", "extremal"],
+    *([command, "--help"] for command in _VALID),
+    *([*argv, "--bogus"] for argv in _VALID.values()),
+    *([*argv, "stray"] for argv in _VALID.values()),
+    *_VALID.values(),
+    ["region", "--A", "0", "--B", "0.5"],  # missing --z0
+    ["verify"], ["sweep", "--grid", "grid.txt"], ["extremal", "--A=0"],
+    [*_EXTREMAL, "--z=abc"], [*_VALID["region"], "--theta-samples", "x"], [*_SAMPLE, "--seed", "1.5"],
+    ["verify", "--suite", "bogus"], [*_VALID["region"], "--format", "pdf"],
+    ["verify", "--suite", "inclusion", "--format", "csv"],  # a flag verify does not read
+    [*_EXTREMAL, "--"], [*_EXTREMAL, "--", "x"], ["extremal", "--", *_EXTREMAL[1:]],
+    ["--", *_EXTREMAL], [*_SAMPLE[:-2], "--", "--mc-samples", "5"],
+    [*_SAMPLE[:-2], "--mc", "7"], [*_EXTREMAL, "--quad", "1e-10"], [*_EXTREMAL, "--quad-t=1e-9"],
+    [*_VALID["region"], "--t", "1e-9"],  # ambiguous: --theta-samples or --tol
+    [*_EXTREMAL, "--z=0.25"], [*_SAMPLE, "--mc-samples", "3", "--seed", "2", "--seed", "4"],
+    [*_EXTREMAL[:3], "-h", *_EXTREMAL[3:]], ["sweep", "--grid=grid.txt", "--out=out", "extra", "-x"],
+    ["extremal", "extremal", *_EXTREMAL[1:]], ["verify", "--suite=all", "--seed", "x"],
+]
+
+
+def _reference_main(argv):
+    """``main`` as a fresh full parser runs it: ``parse_args`` on all of argv, then the command."""
+    try:
+        args = varregion.cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
+def test_dispatch_gives_what_the_full_parser_gives(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("grid.txt").write_text("A=0\nB=0.5\nz0_re=0.5\n\nA=0.9\nB=0.5\nz0_re=0.5\n")
+
+    def call(main_of):
+        code = main_of(list(argv))
+        files = sorted((f.name, f.read_bytes()) for f in Path("out").glob("*"))
+        shutil.rmtree("out", ignore_errors=True)
+        return code, *capsys.readouterr(), files
+
+    assert call(main) == call(_reference_main)
+    try:
+        reference = vars(varregion.cli.build_parser().parse_args(argv))
+    except SystemExit:
+        capsys.readouterr()
+    else:
+        assert vars(varregion.cli._parse_args(argv)) == reference
+
+
+@pytest.mark.parametrize("argv", [_EXTREMAL, [*_EXTREMAL, "--seed", "1"], ["extremal", "--help"], []], ids=" ".join)
+def test_main_without_argv_reads_sys_argv(argv, monkeypatch, capsys):
+    expected = main(argv), *capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["varregion", *argv])
+    assert (main(), *capsys.readouterr()) == expected

@@ -210,6 +210,59 @@ def test_gauss_legendre_rule_is_cached_and_read_only(n):
     assert extremal._gauss_legendre(n) is extremal._gauss_legendre(n)
 
 
+def _inline_panel_nodes(panels):
+    """The composite rule's nodes as _composite_estimate built them inline, before they were cached."""
+    nodes = np.polynomial.legendre.leggauss(extremal.NODES_PER_PANEL)[0]
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = (0.5 / panels)
+    return mid + half * nodes[None, :], half
+
+
+def _inline_composite_estimate(spec, z_from, z_to, panels):
+    t, half = _inline_panel_nodes(panels)
+    weights = np.polynomial.legendre.leggauss(extremal.NODES_PER_PANEL)[1]
+    zeta = z_from + t * (z_to - z_from)
+    g = extremal_fprime(spec, zeta)
+    return (z_to - z_from) * half * np.sum(weights[None, :] * g)
+
+
+def _bits(w):
+    w = complex(w)
+    return w.real.hex(), w.imag.hex()
+
+
+_STEEP_Z = 0.99 * np.exp(0.7j)
+_NODE_CACHE_CASES = [
+    (ExtremalSpec(0.3 + 0.4j, 0.2 - 0.1j, JanowskiParams(-0.3, 0.4)), 0j, 0.35 + 0.25j),
+    (ExtremalSpec(1.0, 0.5, P05), 0.1 - 0.2j, 0.5),
+    (ExtremalSpec(-1j, 0.9j, JanowskiParams(-1.0, -0.6)), -0.4j, 0.7 + 0.1j),
+    # steep: 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
+    (ExtremalSpec(-(np.conj(_STEEP_Z) / abs(_STEEP_Z)) ** 2, 0.05, JanowskiParams(-1.0, 1.0)), 0j, _STEEP_Z),
+]
+
+
+@pytest.mark.parametrize("spec, z_from, z_to", _NODE_CACHE_CASES)
+def test_cached_panel_nodes_change_no_bits(spec, z_from, z_to):
+    for panels in 2 ** np.arange(11):
+        panels = int(panels)
+        t = extremal._panel_nodes(panels)
+        assert t.tobytes() == _inline_panel_nodes(panels)[0].tobytes()
+        assert _bits(extremal._composite_estimate(spec, z_from, z_to, panels)) == \
+            _bits(_inline_composite_estimate(spec, z_from, z_to, panels))
+
+
+@pytest.mark.parametrize("panels", [1, 2, 64, 1024])
+def test_panel_nodes_are_cached_and_read_only(panels):
+    t = extremal._panel_nodes(panels)
+    assert t.shape == (panels, extremal.NODES_PER_PANEL)
+    assert extremal._panel_nodes(panels) is t
+    with pytest.raises(ValueError):
+        t[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        t += 0.0
+
+
 def test_fprime_subordination_pullback():
     # the implied Schwarz value z delta(az, lam) stays strictly inside the disk
     for spec in _random_specs(20, seed=9):
