@@ -14,17 +14,14 @@ from .region import (
     Disk,
     EvalPoint,
     JanowskiParams,
-    MembershipVerdict,
     Verdict,
     boundary_curve,
     boundary_point,
-    contains,
     equivalent_disk_param,
     janowski_disk,
     majorant_q,
     mobius_delta,
     mobius_delta_inv,
-    phi_target,
     pullback_modulus,
     region_point,
     singleton_value,
@@ -45,7 +42,6 @@ from .verify import (
     SUITE_NAMES,
     VerificationReport,
     check_convexity,
-    check_convexity_and_jordan,
     check_corollary0,
     check_coverage,
     check_halfplane_univalence,
@@ -54,7 +50,6 @@ from .verify import (
     check_strict_inclusion,
     check_unit_lambda,
     run_suite,
-    run_suites,
 )
 
 __version__ = "0.1.0"

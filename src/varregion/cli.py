@@ -40,7 +40,7 @@ from .region import (
     variability_disk,
 )
 from .sampler import BLOCK_ROWS, ConstrainedSchwarz, member_log_fprime, sample_members
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -163,23 +163,6 @@ def _boundary_rows(curve: BoundaryCurve | None, theta_tokens: list[str]) -> dict
         return {}
     w = curve.values
     return {"boundary": zip(theta_tokens, _tokens((w.real + 0.0).tolist()), _tokens((w.imag + 0.0).tolist()))}
-
-
-def load_region_record(path: Path | str) -> dict:
-    """Re-read a region record written by this tool, re-validating its contents."""
-    with open(path, "r") as fh:
-        rec = json.load(fh)
-    if rec.get("rejected"):
-        return rec
-    # the constructors raise ValueError on parameters outside the class
-    JanowskiParams(rec["params"]["A"], rec["params"]["B"])
-    EvalPoint(complex(*rec["point"]["z0"]), complex(*rec["point"]["lambda"]))
-    if rec["radius"] < 0:
-        raise ValueError("invalid record: negative radius")
-    for row in rec["boundary"]:
-        if len(row) != 3:
-            raise ValueError("invalid record: boundary rows must be [theta, re, im]")
-    return rec
 
 
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
@@ -332,9 +315,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.tol is not None and not args.tol > 0.0:
         raise ValueError("require tol > 0")
-    _check_seed(args.seed)
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, seed=args.seed, tol=args.tol)
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
+    reports = [run_suite(n, seed=args.seed, tol=args.tol) for n in names]
     text = _json_text([r.to_dict() for r in reports])
     _write_text(_resolve_out(args.out), text)
     if all(r.passed for r in reports):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import JanowskiParams, mobius_delta
+from .region import JanowskiParams, _require_lambda, mobius_delta
 
 __all__ = [
     "ExtremalSpec",
@@ -41,8 +41,7 @@ class ExtremalSpec:
         object.__setattr__(self, "lam", complex(self.lam))
         if not abs(self.a) <= 1.0 + 1e-12:
             raise ValueError(f"require |a| <= 1, got |a| = {abs(self.a)}")
-        if not abs(self.lam) < 1.0:
-            raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(self.lam)}")
+        _require_lambda(self.lam)
 
 
 MAX_PANELS = 65536
@@ -185,8 +184,7 @@ def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda = 0 makes F(z) = z; no closed form needed")
-    if not abs(lam) < 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
+    _require_lambda(lam)
     blam = params.B * lam
     if params.A == 0.0:
         return complex(np.log(1.0 + blam * z) / blam)

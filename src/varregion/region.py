@@ -29,16 +29,13 @@ __all__ = [
     "Disk",
     "BoundaryCurve",
     "Verdict",
-    "MembershipVerdict",
     "mobius_delta",
     "mobius_delta_inv",
-    "phi_target",
     "majorant_q",
     "variability_disk",
     "region_point",
     "boundary_point",
     "boundary_curve",
-    "contains",
     "classify",
     "VERDICTS",
     "pullback_modulus",
@@ -100,13 +97,6 @@ class Disk:
         if not self.radius >= 0.0:
             raise ValueError(f"require radius >= 0, got {self.radius}")
 
-    def signed_distance(self, w: complex) -> float:
-        """Negative inside, zero on the circle, positive outside."""
-        return abs(w - self.center) - self.radius
-
-    def contains_point(self, w: complex, tol: float = 0.0) -> bool:
-        return self.signed_distance(w) <= tol
-
 
 @dataclass(frozen=True)
 class BoundaryCurve:
@@ -130,10 +120,6 @@ class BoundaryCurve:
     def __len__(self) -> int:
         return int(self.thetas.size)
 
-    def as_points(self) -> np.ndarray:
-        """Curve values as an (n, 2) real array of (Re, Im) pairs."""
-        return np.column_stack([self.values.real, self.values.imag])
-
 
 class Verdict(enum.Enum):
     INTERIOR = "Interior"
@@ -144,22 +130,24 @@ class Verdict(enum.Enum):
 VERDICTS: tuple[Verdict, ...] = tuple(Verdict)  # the order of classify's status codes
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Outcome of the membership test; slack = |pullback| - |z0|."""
+def _require_lambda(lam) -> None:
+    """Reject lam unless |lam| < 1, for every entry of an ndarray; NaN fails.
 
-    status: Verdict
-    slack: float
+    Scalars take Python abs: this runs on every quadrature estimate, and a
+    numpy reduction would cost far more than the arithmetic it guards.
+    """
+    m = np.max(np.abs(lam), initial=0.0) if isinstance(lam, np.ndarray) else abs(lam)
+    if not m < 1.0:
+        raise ValueError(f"require |lambda| < 1, got |lambda| = {m}")
 
 
 def mobius_delta(z, lam):
     """Disk automorphism (z + lam) / (1 + conj(lam) z) for |lam| < 1.
 
     Maps the closed unit disk into itself and the unit circle onto itself.
-    Accepts scalar or ndarray z (|z| <= 1); lam must be a scalar.
+    Accepts scalar or ndarray z (|z| <= 1); lam may be an ndarray that broadcasts against z.
     """
-    if not abs(lam) < 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(lam)}")
+    _require_lambda(lam)
     return (z + lam) / (1.0 + np.conjugate(lam) * z)
 
 
@@ -168,17 +156,11 @@ def mobius_delta_inv(s, lam):
 
     lam may be an ndarray that broadcasts against s.
     """
-    if not np.all(np.abs(lam) < 1.0):
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {np.max(np.abs(lam))}")
+    _require_lambda(lam)
     den = 1.0 - np.conjugate(lam) * s
     if np.any(np.abs(den) == 0.0):
         raise ValueError("mobius_delta_inv: denominator 1 - conj(lambda) s vanished")
     return (s - lam) / den
-
-
-def phi_target(z, params: JanowskiParams):
-    """The subordination target (A - B) z / (1 + B z) for the log-derivative."""
-    return (params.A - params.B) * z / (1.0 + params.B * z)
 
 
 def majorant_q(z, A: float, B: float):
@@ -214,8 +196,7 @@ def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
     Valid for any complex |lambda| < 1.  At lambda = 0 this reduces exactly to
     Disk(1, |B| |z0|^2).
     """
-    if not abs(point.lam) < 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
+    _require_lambda(point.lam)
     center, radius = _disk(point.z0, point.lam, params.B)
     return Disk(center=center, radius=radius)
 
@@ -273,8 +254,7 @@ def _require_disk(point: EvalPoint) -> None:
     """Reject the points where the region is not the log-image of a disk: z0 = 0, |lambda| >= 1."""
     if point.z0 == 0:
         raise ValueError("z0 = 0: the region degenerates to the singleton {0}")
-    if not abs(point.lam) < 1.0:
-        raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(point.lam)}")
+    _require_lambda(point.lam)
 
 
 def _pullback(w, z0, lam, params: JanowskiParams):
@@ -314,13 +294,6 @@ def classify(w, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9):
         raise ValueError("require tol > 0")
     _require_disk(point)
     return _classify(w, point.z0, point.lam, params, tol)
-
-
-def contains(w: complex, point: EvalPoint, params: JanowskiParams, tol: float = 1e-9
-             ) -> MembershipVerdict:
-    """Exact membership test for one value w against the region at (z0, lambda)."""
-    slack, status = classify(complex(w), point, params, tol)
-    return MembershipVerdict(status=VERDICTS[int(status)], slack=float(slack))
 
 
 def janowski_disk(params: JanowskiParams) -> Disk:

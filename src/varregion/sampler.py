@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import JanowskiParams, mobius_delta
+from .region import JanowskiParams, _require_lambda, mobius_delta
 
 __all__ = [
     "InnerBatch",
@@ -114,8 +114,7 @@ class ConstrainedSchwarz:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", complex(self.lam))
-        if not abs(self.lam) < 1.0:
-            raise ValueError(f"require |lambda| < 1, got |lambda| = {abs(self.lam)}")
+        _require_lambda(self.lam)
 
 
 def omega_eval(s: ConstrainedSchwarz, z):

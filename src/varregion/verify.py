@@ -22,7 +22,6 @@ import numpy as np
 
 from .region import (
     VERDICTS,
-    BoundaryCurve,
     EvalPoint,
     JanowskiParams,
     _boundary_values,
@@ -58,13 +57,11 @@ __all__ = [
     "check_unit_lambda",
     "check_rotation",
     "check_coverage",
-    "check_convexity_and_jordan",
     "check_convexity",
     "check_strict_inclusion",
     "check_halfplane_univalence",
     "SUITE_NAMES",
     "run_suite",
-    "run_suites",
 ]
 
 DEFAULT_PARAM_SETS: tuple[JanowskiParams, ...] = (
@@ -349,8 +346,11 @@ def _turning(values: np.ndarray):
     its largest turn against that sense (cross product of consecutive edges), and
     its total turning in full turns.
 
-    Repeated points turn nothing: each row's non-zero edges move to its front, in
-    order, and turns are taken between consecutive ones.
+    By Hopf's Umlaufsatz for polygons, a closed polygon whose turns all have one
+    sign is convex and simple exactly when its exterior angles sum to +-2 pi, so
+    a row passes when its worst turn is within tolerance and its total turning
+    equals its sign.  Repeated points turn nothing: each row's non-zero edges
+    move to its front, in order, and turns are taken between consecutive ones.
     """
     n = values.shape[-1]
     if n < 16:
@@ -368,20 +368,6 @@ def _turning(values: np.ndarray):
     return sign, worst, np.rint(np.sum(turns, axis=-1) / (2.0 * np.pi))
 
 
-def check_convexity_and_jordan(curve: BoundaryCurve, tol: float = 1e-10) -> VerificationReport:
-    """Single-signed turning plus a total turning of one full turn in that sense.
-
-    By Hopf's Umlaufsatz for polygons, a closed polygon whose turns all have one
-    sign is convex and simple exactly when its exterior angles sum to +-2 pi.
-    This is the one-row case of the kernel check_convexity batches.
-    """
-    sign, worst, winding = (float(v[0]) for v in _turning(curve.values[None, :]))
-    tally = _Tally(tol)
-    tally.add(worst, {"check": "convexity"}, {"opposite_sign_excess": worst})
-    tally.add(abs(winding - sign), {"check": "jordan"}, {"turning_number": winding})
-    return tally.report("convexity", 1, n_samples_on_curve=len(curve))
-
-
 def check_convexity(
     param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
     lambdas: Sequence[float] = DEFAULT_LAMBDAS,
@@ -389,7 +375,7 @@ def check_convexity(
     n: int = 256,
     tol: float = 1e-10,
 ) -> VerificationReport:
-    """check_convexity_and_jordan over every computed default boundary curve."""
+    """Every default boundary curve turns one way, by one full turn (see _turning)."""
     tally = _Tally(tol)
     zs = [z0 for z0 in z0s if z0 != 0]
     cells = [(lam, EvalPoint(z0, lam)) for lam in lambdas for z0 in zs]
@@ -399,7 +385,7 @@ def check_convexity(
         # the curves of one parameter set are the rows of one (lambda x z0, n) array
         values = np.reshape([_boundary_values(k, z0_col, complex(lam), params) for lam in lambdas], (-1, n))
         sign, worst, winding = _turning(values)
-        # a curve's violation is the larger of its two checks, as in its own report
+        # a curve's violation is the larger of its two checks
         violation = np.maximum(worst, np.abs(winding - sign))
         tally.add_many(violation, lambda c: (
             {"A": params.A, "B": params.B, "lambda": cells[c][0], "z0": _cstr(cells[c][1].z0)},
@@ -485,11 +471,12 @@ SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> VerificationReport:
-    """Run one named suite on the default grids; tol None keeps the suite's own default."""
+    """Run one named suite on the default grids; tol None keeps the suite's own default.
+
+    The seed is checked here, also for the suites that draw nothing from it.
+    """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if seed < 0:
+        raise ValueError(f"require seed >= 0, got {seed}")
     return _SUITES[name](seed=seed, **({} if tol is None else {"tol": tol}))
-
-
-def run_suites(names: Sequence[str], seed: int = 0, tol: float | None = None) -> list[VerificationReport]:
-    return [run_suite(n, seed=seed, tol=tol) for n in names]

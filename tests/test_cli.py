@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import varregion.cli
 import varregion.extremal
-from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, contains, singleton_value, variability_disk
+from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
 from varregion.cli import (
     _block_hash,
     _boundary_rows,
@@ -19,13 +19,12 @@ from varregion.cli import (
     _parser,
     _sweep_record,
     _tokens,
-    load_region_record,
     main,
     parse_complex,
     region_record,
 )
-from varregion.region import VERDICTS, _singleton_note, _theta_grid
-from varregion.verify import SUITE_NAMES, run_suites
+from varregion.region import VERDICTS, _singleton_note, _theta_grid, classify
+from varregion.verify import SUITE_NAMES, run_suite
 
 P05 = JanowskiParams(0.0, 0.5)
 
@@ -62,7 +61,7 @@ def test_region_json_roundtrip(tmp_path):
                 "--z0", "0.3,0.4", "--theta-samples", "16", "--format", "json",
                 "--out", str(out)])
     assert code == 0
-    rec = load_region_record(out)
+    rec = json.loads(out.read_text())
     assert rec["params"] == {"A": -0.5, "B": 0.5}
     assert rec["point"]["z0"] == [0.3, 0.4]
     assert len(rec["boundary"]) == 16
@@ -70,7 +69,7 @@ def test_region_json_roundtrip(tmp_path):
     point = EvalPoint(0.3 + 0.4j, 0.3)
     params = JanowskiParams(-0.5, 0.5)
     for _, re, im in rec["boundary"]:
-        assert contains(complex(re, im), point, params).status is Verdict.BOUNDARY
+        assert VERDICTS[int(classify(complex(re, im), point, params)[1])] is Verdict.BOUNDARY
 
 
 def test_region_singleton_z0_zero(tmp_path, capsys):
@@ -147,7 +146,7 @@ def _reference_region_record(params, point, n):
         return rec
     disk, curve = variability_disk(point, params), boundary_curve(point, params, n)
     rec.update(center=pair(disk.center), radius=disk.radius + 0.0,
-               boundary=(np.column_stack([curve.thetas, curve.as_points()]) + 0.0).tolist())
+               boundary=(np.column_stack([curve.thetas, curve.values.real, curve.values.imag]) + 0.0).tolist())
     return rec
 
 
@@ -187,7 +186,7 @@ def _json_records():
                       _record_text(*region_record(P05, point, 8), 8, samples=zip(*samples))))
     for block in ({"A": 0.9, "B": 0.5, "z0_re": 0.5}, {"A": -0.5, "B": 0.5, "lambda_im": 0.3, "z0_re": 0.3}):
         cases.append((_reference_sweep_record(block, 16), _record_text(*_sweep_record(block, 16), 16)))
-    reports = [r.to_dict() for r in run_suites(["inclusion"], seed=0, tol=1e-9)]
+    reports = [run_suite("inclusion", seed=0, tol=1e-9).to_dict()]
     index = {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]}
     int_keys = {1: [[1.5]], 2: "x"}
     cases += [(obj, _json_text(obj)) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
@@ -256,7 +255,7 @@ def test_region_complex_lambda_reduction(tmp_path, capsys):
     assert "note" not in rec
     point = EvalPoint(0.5, 0.3 + 0.4j)
     for _, re, im in rec["boundary"]:
-        assert contains(complex(re, im), point, P05).status is Verdict.BOUNDARY
+        assert VERDICTS[int(classify(complex(re, im), point, P05)[1])] is Verdict.BOUNDARY
 
 
 SEAM_PARAMS = JanowskiParams(-0.5, 0.5)
@@ -562,7 +561,7 @@ def test_sweep_dedup_and_rejection(tmp_path):
     rejected = [e for e in index if e["status"] == "rejected"]
     assert len(rejected) == 2
     for entry in index:
-        rec = load_region_record(out / entry["file"])
+        rec = json.loads((out / entry["file"]).read_text())
         if entry["status"] == "rejected":
             assert rec["reason"]
         else:

@@ -13,18 +13,18 @@ from varregion import (
     Verdict,
     boundary_curve,
     boundary_point,
-    contains,
     equivalent_disk_param,
     janowski_disk,
     majorant_q,
     mobius_delta,
     mobius_delta_inv,
-    phi_target,
     pullback_modulus,
     region_point,
     singleton_value,
     variability_disk,
 )
+from varregion.extremal import ExtremalSpec, closed_form_a0
+from varregion.region import VERDICTS, classify
 from varregion.sampler import sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -36,6 +36,7 @@ LOG_1_25 = 0.22314355131420976
 
 P05 = JanowskiParams(0.0, 0.5)
 PT = EvalPoint(0.5, 0.5)
+INTERIOR, BOUNDARY, OUTSIDE = (VERDICTS.index(v) for v in (Verdict.INTERIOR, Verdict.BOUNDARY, Verdict.OUTSIDE))
 
 POINT_GRID = [
     (0.5, 0.5),
@@ -85,9 +86,9 @@ def test_disk_type():
     with pytest.raises(ValueError):
         Disk(0.0, -1.0)
     d = Disk(1.0, 0.5)
-    assert d.signed_distance(1.5) == pytest.approx(0.0, abs=1e-15)
-    assert d.contains_point(1.2)
-    assert not d.contains_point(2.0)
+    assert abs(1.5 - d.center) - d.radius == pytest.approx(0.0, abs=1e-15)
+    assert abs(1.2 - d.center) - d.radius <= 0.0
+    assert not abs(2.0 - d.center) - d.radius <= 0.0
 
 
 def test_boundary_curve_invariants():
@@ -130,8 +131,12 @@ NAN = float("nan")
     (lambda lam: mobius_delta_inv(np.array([0.5, 0.2]), lam), np.array([0.3, NAN])),
     (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), NAN),
     (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), complex(NAN, 0.0)),
+    (lambda lam: ExtremalSpec(0.5, lam, P05), NAN),
+    (lambda lam: ExtremalSpec(0.5, lam, P05), complex(NAN, 0.0)),
+    (lambda lam: closed_form_a0(lam, P05, 0.5), NAN),
+    (lambda lam: closed_form_a0(lam, P05, 0.5), complex(NAN, 0.0)),
 ], ids=["delta-nan", "delta-complex-nan", "inv-nan", "inv-complex-nan", "inv-array-nan",
-        "schwarz-nan", "schwarz-complex-nan"])
+        "schwarz-nan", "schwarz-complex-nan", "spec-nan", "spec-complex-nan", "a0-nan", "a0-complex-nan"])
 def test_nan_lambda_is_rejected(make, lam):
     # NaN fails every comparison, so |lambda| >= 1 let it through
     with pytest.raises(ValueError, match=r"require \|lambda\| < 1, got \|lambda\| = nan"):
@@ -186,20 +191,15 @@ def test_schwarz_pick_contraction():
 # subordination target and majorant
 
 
-def test_phi_examples():
-    assert phi_target(0.0, P05) == 0.0
-    assert phi_target(0.5, P05) == pytest.approx(-0.2, abs=1e-16)
-
-
 @pytest.mark.parametrize("params", DEFAULT_PARAM_SETS)
 def test_majorant_differential_identity(params):
-    # z q'/q must reproduce the subordination target; q' by central differences
+    # z q'/q must reproduce the subordination target (A - B) z/(1 + B z); q' by central differences
     h = 1e-6
     rng = np.random.default_rng(3)
     z = 0.9 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     q = majorant_q(z, params.A, params.B)
     dq = (majorant_q(z + h, params.A, params.B) - majorant_q(z - h, params.A, params.B)) / (2 * h)
-    err = np.abs(z * dq / q - phi_target(z, params))
+    err = np.abs(z * dq / q - (params.A - params.B) * z / (1.0 + params.B * z))
     assert float(err.max()) < 1e-6
 
 
@@ -310,8 +310,7 @@ def test_boundary_curve_examples():
     np.testing.assert_allclose(curve.thetas, [-np.pi / 2, 0.0, np.pi / 2, np.pi])
     assert curve.values[-1] == 0.0  # theta = pi lands exactly on log 1 = 0
     assert curve.values[1] == pytest.approx(-LOG_1_2, abs=1e-14)
-    for v in curve.values.tolist():
-        assert contains(v, PT, P05).status is Verdict.BOUNDARY
+    assert np.all(classify(curve.values, PT, P05)[1] == BOUNDARY)
 
 
 def test_boundary_curve_lambda0_is_log_circle():
@@ -325,22 +324,19 @@ def test_boundary_curve_lambda0_is_log_circle():
 # membership
 
 
-def test_contains_examples():
-    v = contains(-LOG_1_2, PT, P05)
-    assert v.status is Verdict.BOUNDARY and abs(v.slack) < 1e-12
-    v = contains(0.0, PT, P05)
-    assert v.status is Verdict.BOUNDARY
-    v = contains(-LOG_1_125, PT, P05)
-    assert v.status is Verdict.INTERIOR and v.slack == pytest.approx(-0.5, abs=1e-12)
+def test_classify_examples():
+    slack, status = classify(np.array([-LOG_1_2, 0.0, -LOG_1_125]), PT, P05)
+    assert status.tolist() == [BOUNDARY, BOUNDARY, INTERIOR]
+    assert abs(slack[0]) < 1e-12 and slack[2] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_contains_domain_errors():
+def test_classify_domain_errors():
     with pytest.raises(ValueError, match="singleton"):
-        contains(0.0, EvalPoint(0.0, 0.5), P05)
+        classify(0.0, EvalPoint(0.0, 0.5), P05)
     with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
-        contains(0.0, EvalPoint(0.5, 1.0), P05)
+        classify(0.0, EvalPoint(0.5, 1.0), P05)
     with pytest.raises(ValueError, match="tol"):
-        contains(0.0, PT, P05, tol=0.0)
+        classify(0.0, PT, P05, tol=0.0)
 
 
 @pytest.mark.parametrize("params", DEFAULT_PARAM_SETS)
@@ -349,15 +345,15 @@ def test_membership_consistency(params, z0, lam):
     point = EvalPoint(z0, lam)
     for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
         w = boundary_point(th, point, params)
-        assert contains(w, point, params).status is Verdict.BOUNDARY
+        assert classify(w, point, params)[1] == BOUNDARY
     for rho in (0.0, 0.5, 1.0 - 1e-6):
         for phi in (0.0, 2.0, -1.3):
             w = region_point(rho * np.exp(1j * phi), point, params)
-            assert contains(w, point, params).status is Verdict.INTERIOR
+            assert classify(w, point, params)[1] == INTERIOR
     d = variability_disk(point, params)
     if d.radius > 0:
         w = params.exponent * np.log(d.center + 1.5 * d.radius)
-        assert contains(w, point, params).status is Verdict.OUTSIDE
+        assert classify(w, point, params)[1] == OUTSIDE
 
 
 def test_rotation_equivariance_of_verdicts():
@@ -373,11 +369,9 @@ def test_rotation_equivariance_of_verdicts():
             region_point(0.25, frame1, params),
             params.exponent * np.log(d.center + 1.4 * d.radius),
         ]
-        expected = [Verdict.BOUNDARY, Verdict.INTERIOR, Verdict.OUTSIDE]
+        expected = [BOUNDARY, INTERIOR, OUTSIDE]
         for w, want in zip(probes, expected):
-            v1 = contains(w, frame1, params)
-            v2 = contains(w, frame2, params)
-            assert v1.status is v2.status is want
+            assert classify(w, frame1, params)[1] == classify(w, frame2, params)[1] == want
 
 
 def test_pullback_modulus_vectorized():

@@ -21,7 +21,6 @@ from varregion import (
     JanowskiParams,
     boundary_curve,
     check_convexity,
-    check_convexity_and_jordan,
     check_corollary0,
     check_coverage,
     check_halfplane_univalence,
@@ -32,7 +31,6 @@ from varregion import (
     janowski_disk,
     member_log_fprime,
     run_suite,
-    run_suites,
     singleton_value,
     variability_disk,
 )
@@ -229,20 +227,24 @@ def test_coverage_matches_to_roundoff():
     assert r.max_violation < 1e-12
 
 
+def _convex_and_simple(curve: BoundaryCurve, tol: float = 1e-10) -> bool:
+    """check_convexity's verdict on one curve: turns of one sign within tol, one full turn that way."""
+    sign, worst, winding = _turning(curve.values[None, :])
+    return bool(worst[0] <= tol and winding[0] == sign[0])
+
+
 def test_convexity_on_computed_curves():
     curve = boundary_curve(EvalPoint(0.5, 0.5), P05, 128)
-    r = check_convexity_and_jordan(curve)
-    assert r.passed and r.witnesses == []
+    assert _convex_and_simple(curve)
 
 
 def test_convexity_rejects_small_and_degenerate_curves():
     curve = boundary_curve(EvalPoint(0.5, 0.5), P05, 8)
     with pytest.raises(ValueError, match="at least 16"):
-        check_convexity_and_jordan(curve)
-    thetas = np.linspace(-np.pi, np.pi, 32)
-    flat = BoundaryCurve(thetas, np.full(32, 0.25 + 0.25j))
+        _turning(curve.values[None, :])
+    flat = np.full((1, 32), 0.25 + 0.25j)
     with pytest.raises(ValueError, match="degenerate"):
-        check_convexity_and_jordan(flat)
+        _turning(flat)
 
 
 def test_convexity_flags_nonconvex_curve():
@@ -255,20 +257,15 @@ def test_convexity_flags_nonconvex_curve():
     values[5] *= 0.8
     dent = BoundaryCurve(thetas, np.insert(values, 5, values[5]))
     for curve in (star, dent):
-        r = check_convexity_and_jordan(curve)
-        assert not r.passed
-        assert r.max_violation > r.tolerance
-        assert r.witnesses
+        assert not _convex_and_simple(curve)
 
 
 def test_jordan_flags_self_intersection():
     thetas = np.linspace(-np.pi, np.pi, 24, endpoint=False)
     values = np.exp(2j * thetas)  # winds twice: plenty of proper crossings
     curve = BoundaryCurve(thetas, values + 0.001j * thetas)
-    r = check_convexity_and_jordan(curve)
-    assert not r.passed
-    jordan = [w for w in r.witnesses if w["inputs"]["check"] == "jordan"]
-    assert [w["observed"]["turning_number"] for w in jordan] == [2]
+    assert not _convex_and_simple(curve)
+    assert _turning(curve.values[None, :])[2].tolist() == [2]
 
 
 def _segments_properly_intersect(p, q, r, s) -> np.ndarray:
@@ -303,7 +300,7 @@ def _reference_crossings(pts: np.ndarray) -> int:
 
 def _reference_verdict(curve: BoundaryCurve, tol: float = 1e-10) -> tuple[bool, bool]:
     """(single-signed turning within tol, no proper crossings) by the O(n^2) check."""
-    pts = curve.as_points()
+    pts = np.column_stack([curve.values.real, curve.values.imag])
     edges = np.roll(pts, -1, axis=0) - pts
     nxt = np.roll(edges, -1, axis=0)
     cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
@@ -358,17 +355,17 @@ def test_turning_number_agrees_with_crossing_reference():
     seen = set()
     for curve in default + fine + repeated + random:
         convex, simple = _reference_verdict(curve)
-        assert check_convexity_and_jordan(curve).passed == (convex and simple)
+        assert _convex_and_simple(curve) == (convex and simple)
         seen.add((convex, simple))
-    assert len(default) == 80 and all(check_convexity_and_jordan(c).passed for c in default)
-    assert all(check_convexity_and_jordan(c).passed for c in repeated)
+    assert len(default) == 80 and all(map(_convex_and_simple, default))
+    assert all(map(_convex_and_simple, repeated))
     # the random set passes, fails on convexity, and crosses itself with turns of one sign
     assert seen == {(True, True), (False, True), (False, False), (True, False)}
 
 
 def _reference_turning(curve: BoundaryCurve) -> tuple[float, float, float]:
     """(sign, worst, winding) by the one-curve check the turning kernel replaced."""
-    pts = curve.as_points()
+    pts = np.column_stack([curve.values.real, curve.values.imag])
     e = np.roll(pts, -1, axis=0) - pts
     e = e[np.any(e != 0.0, axis=1)]
     f = np.roll(e, -1, axis=0)
@@ -384,8 +381,6 @@ def _assert_batches_equal_one_row_calls(curves: list[BoundaryCurve]) -> None:
         one = _turning(curve.values[None, :])
         assert (sign[c], worst[c], winding[c]) == (one[0][0], one[1][0], one[2][0])
         assert (sign[c], worst[c], winding[c]) == _reference_turning(curve)
-        verdict = worst[c] <= 1e-10 and winding[c] == sign[c]
-        assert check_convexity_and_jordan(curve).passed == verdict
 
 
 def test_turning_kernel_batches_equal_one_row_calls():
@@ -813,7 +808,7 @@ def test_reports_deterministic():
 
 
 def test_all_suites_pass_and_have_consistent_fields():
-    reports = run_suites(SUITE_NAMES, seed=0)
+    reports = [run_suite(n, seed=0) for n in SUITE_NAMES]
     for r in reports:
         assert r.passed == (r.max_violation <= r.tolerance)
         if r.passed:
@@ -829,7 +824,7 @@ def test_report_counts_match_the_benchmark_checker(seed):
     spec = importlib.util.spec_from_file_location("perfbench_check", path)
     check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check)
-    reports = run_suites(SUITE_NAMES, seed=seed)
+    reports = [run_suite(n, seed=seed) for n in SUITE_NAMES]
     counts = {r.suite_name: (r.samples, r.parameter_sets) for r in reports}
     assert counts == check.VERIFY_COUNTS == SUITE_COUNTS
 
@@ -886,3 +881,10 @@ def test_to_dict_is_asdict_without_the_copies(name):
 def test_run_suite_unknown_name():
     with pytest.raises(KeyError, match="unknown suite"):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suite_rejects_a_negative_seed(name):
+    # also the suites that draw nothing from the seed
+    with pytest.raises(ValueError, match=r"^require seed >= 0, got -1$"):
+        run_suite(name, seed=-1)
