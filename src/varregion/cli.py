@@ -138,6 +138,18 @@ def _json_text(obj, **rows) -> str:
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {items[k]}" for k in sorted(items)) + "\n}\n"
 
 
+def _csv_rows(row: str, *cols: list) -> str:
+    """One ``row % cells`` line per index of the equal-length ``cols``, in a single ``%`` pass.
+
+    ``%d``, ``%.17g`` and ``%s`` write what ``{}``, ``{:.17g}`` and ``{}``
+    write for ints, floats and strs.
+    """
+    flat = [None] * (len(cols) * len(cols[0]))
+    for j, col in enumerate(cols):
+        flat[j::len(cols)] = col
+    return (row * len(cols[0])) % tuple(flat)
+
+
 # ---------------------------------------------------------------------------
 # region records
 
@@ -171,7 +183,7 @@ def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
         cols = [0.0], [rec["center"][0]], [rec["center"][1]]
     else:
         cols = curve.thetas.tolist(), (curve.values.real + 0.0).tolist(), (curve.values.imag + 0.0).tolist()
-    return "theta,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *cols))
+    return "theta,re,im\n" + _csv_rows("%.17g,%.17g,%.17g\n", *cols)
 
 
 def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> str:
@@ -282,18 +294,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     names = np.array([v.value for v in VERDICTS])
     parts: list = []  # CSV text per block, JSON token rows or SVG cloud points
-    breaches: list[dict] = []
+    n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
         cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
         if args.format == "csv":
-            parts.append("".join(map("{},{:.17g},{:.17g},{}\n".format, *cols)))
+            parts.append(_csv_rows("%d,%.17g,%.17g,%s\n", *cols))
         elif args.format == "json":
             parts += zip(*map(_tokens, cols))
         else:
             parts += w.tolist()
-        for k in np.flatnonzero(status == VERDICTS.index(Verdict.OUTSIDE)).tolist():
-            breaches.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
-                             "slack": float(slack[k])})
+        outside = status == VERDICTS.index(Verdict.OUTSIDE)
+        n_breaches += int(np.count_nonzero(outside))
+        for k in np.flatnonzero(outside)[:20 - len(witnesses)].tolist():
+            witnesses.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
+                              "slack": float(slack[k])})
     if args.format == "csv":
         text = "seed_index,re,im,verdict\n" + "".join(parts)
     else:
@@ -304,9 +318,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         else:
             text = _region_svg(rec, curve, parts)
     _write_text(_resolve_out(args.out), text)
-    if breaches:
-        print(f"containment breach: {len(breaches)} sample(s) outside the region", file=sys.stderr)
-        for b in breaches[:20]:
+    if n_breaches:
+        print(f"containment breach: {n_breaches} sample(s) outside the region", file=sys.stderr)
+        for b in witnesses:
             print(f"  witness: {b}", file=sys.stderr)
         return EXIT_CONTAINMENT
     return EXIT_OK

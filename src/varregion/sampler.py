@@ -31,6 +31,11 @@ __all__ = [
 
 BLOCK_ROWS = 1024  # member rows drawn from one Generator by sample_members
 
+# zero slot j of block row i is used when j < i % 4; read-only, as every block shares them
+_BLOCK_MASK = np.arange(3)[:, None] < np.arange(BLOCK_ROWS) % 4
+_BLOCK_HAS_ZEROS = _BLOCK_MASK.any(axis=0)
+_BLOCK_MASK.flags.writeable = _BLOCK_HAS_ZEROS.flags.writeable = False
+
 
 def _clipped_to_disk(c, what: str):
     """c with |c| <= 1; moduli within 1e-12 above 1 are scaled back onto the circle."""
@@ -81,22 +86,26 @@ def sample_members(seed: int, n: int, start: int = 0) -> InnerBatch:
     uniform rotation; with no zeros it is the constant scale * rotation.
     Zeros are padded to 3 per row.  Rows are drawn in whole blocks of
     BLOCK_ROWS, block b from default_rng((seed, b)), so row i depends only on
-    (seed, i).
+    (seed, i).  Every block draws all 3 * BLOCK_ROWS zero moduli and
+    arguments, used or not, so the stream does not depend on which are used;
+    zeros are formed only where they are used.
     """
     if seed < 0:
         raise ValueError(f"require seed >= 0, got {seed}")
     if n < 0 or start < 0:
         raise ValueError(f"require n >= 0 and start >= 0, got n={n}, start={start}")
-    mask = np.arange(3)[:, None] < np.arange(BLOCK_ROWS) % 4
     first = start // BLOCK_ROWS
     parts = []
     for b in range(first, max(first + 1, -(-(start + n) // BLOCK_ROWS))):
         rng = np.random.default_rng((int(seed), b))
         scale = rng.uniform(0.0, 1.0, BLOCK_ROWS)
         turn = np.exp(1j * rng.uniform(-np.pi, np.pi, BLOCK_ROWS))
-        zeros = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS)))
-        lead = np.where(mask.any(axis=0), scale * (turn / np.abs(turn)), scale * turn)
-        parts.append((lead, np.where(mask, zeros, 0.0), mask))
+        moduli = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS))
+        args = rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS))
+        zeros = np.zeros((3, BLOCK_ROWS), complex)
+        zeros[_BLOCK_MASK] = moduli[_BLOCK_MASK] * np.exp(1j * args[_BLOCK_MASK])
+        turn[_BLOCK_HAS_ZEROS] /= np.abs(turn[_BLOCK_HAS_ZEROS])
+        parts.append((scale * turn, zeros, _BLOCK_MASK))
     offset = start - first * BLOCK_ROWS
     return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
 

@@ -17,6 +17,7 @@ from varregion.cli import (
     _boundary_rows,
     _json_text,
     _parser,
+    _sample_blocks,
     _sweep_record,
     _tokens,
     main,
@@ -53,6 +54,35 @@ def test_region_csv_contains_exact_theta_pi_row(tmp_path):
     assert lines[0] == "theta,re,im"
     assert len(lines) == 5
     assert lines[-1] == "3.1415926535897931,0,0"
+
+
+# doubles where %-style and format-style formatting could part: signed zero,
+# non-finite values, the smallest subnormal and the fixed/exponent switch points
+CSV_SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 9.999999999999999e16, 1e17, 1e-5]
+
+
+def test_percent_g_writes_what_format_g_writes():
+    bits = np.random.default_rng(0).integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    for x in CSV_SPECIALS + bits.view(np.float64).tolist():
+        assert "%.17g" % x == "{:.17g}".format(x)
+    assert "%d,%s" % (-3, "Boundary") == "{},{}".format(-3, "Boundary")
+
+
+@pytest.mark.parametrize("lam,z0,n", [
+    ("0.3,0.4", "0.3,0.4", 3), ("0.3,0.4", "0.3,0.4", 256), ("0.3,0.4", "0.3,0.4", 4096),
+    ("0.5", "0", 256), ("1", "0.5", 256),  # both singleton kinds
+])
+def test_region_csv_is_the_format_rows_of_its_record(capsys, lam, z0, n):
+    params, point = JanowskiParams(-0.5, 0.5), EvalPoint(parse_complex(z0), parse_complex(lam))
+    assert run(["region", "--A=-0.5", "--B=0.5", f"--lambda={lam}", f"--z0={z0}", f"--theta-samples={n}"]) == 0
+    rec, curve = region_record(params, point, n)
+    if curve is None:
+        cols = [0.0], [rec["center"][0]], [rec["center"][1]]
+    else:
+        cols = curve.thetas.tolist(), (curve.values.real + 0.0).tolist(), (curve.values.imag + 0.0).tolist()
+    out = capsys.readouterr().out
+    assert out == "theta,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *cols))
+    assert len(out.splitlines()) == 1 + (1 if curve is None else n)
 
 
 def test_region_json_roundtrip(tmp_path):
@@ -482,22 +512,53 @@ def test_sample_requires_positive_count(capsys):
                 "--mc-samples", "0"]) == 2
 
 
-def test_sample_containment_breach_exit_code(tmp_path, monkeypatch, capsys):
-    # a correct kernel cannot produce Outside, so force it to exercise exit 5
-    from varregion import cli as cli_mod
-    from varregion.region import VERDICTS
-
+def _force_outside(monkeypatch):
+    # a correct kernel cannot produce Outside, so force it
     monkeypatch.setattr(
-        cli_mod, "classify",
+        varregion.cli, "classify",
         lambda w, point, params, tol: (
             np.ones(w.shape), np.full(w.shape, VERDICTS.index(Verdict.OUTSIDE))),
     )
+
+
+def test_sample_containment_breach_exit_code(tmp_path, monkeypatch, capsys):
+    _force_outside(monkeypatch)
     out = tmp_path / "cloud.csv"
     code = run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5",
                 "--z0", "0.5,0", "--mc-samples", "3", "--out", str(out)])
     assert code == 5
     assert out.exists()  # artifact still written, witnesses listed on stderr
     assert "witness" in capsys.readouterr().err
+
+
+def test_sample_breach_lists_the_first_20_witnesses(monkeypatch, capsys):
+    _force_outside(monkeypatch)
+    point, n = EvalPoint(0.5, 0.5), 3000
+    assert run(["sample", "--A", "0", "--B", "0.5", "--lambda", "0.5", "--z0", "0.5,0", "--mc-samples", str(n)]) == 5
+    err = capsys.readouterr().err
+    # every breach as a witness, then the first 20 listed
+    breaches = [{"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)], "slack": float(slack[k])}
+                for rows, w, _, slack in _sample_blocks(point, P05, n, 0, 1e-9) for k in range(rows.size)]
+    assert len(breaches) == n
+    assert err == (f"containment breach: {len(breaches)} sample(s) outside the region\n"
+                   + "".join(f"  witness: {b}\n" for b in breaches[:20]))
+    assert "3000 sample(s)" in err and err.count("  witness: ") == 20
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1025, 2500])
+@pytest.mark.parametrize("lam,z0", [("0.5", "0.5,0"), ("0.3,0.4", "0.3,0.4"), ("0.5", "0")])
+def test_sample_csv_is_the_format_rows_of_its_blocks(capsys, lam, z0, n):
+    params, point = JanowskiParams(-0.5, 0.5), EvalPoint(parse_complex(z0), parse_complex(lam))
+    assert run(["sample", "--A=-0.5", "--B=0.5", f"--lambda={lam}", f"--z0={z0}", f"--mc-samples={n}",
+                "--seed=7"]) == 0
+    names = np.array([v.value for v in VERDICTS])
+    expected = "".join(
+        "".join(map("{},{:.17g},{:.17g},{}\n".format,
+                    rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist()))
+        for rows, w, status, _ in _sample_blocks(point, params, n, 7, 1e-9))
+    out = capsys.readouterr().out
+    assert out == "seed_index,re,im,verdict\n" + expected
+    assert len(out.splitlines()) == 1 + n
 
 
 def test_sample_svg(tmp_path):

@@ -15,7 +15,7 @@ from varregion import (
     special_curvature,
 )
 from varregion.region import VERDICTS, classify
-from varregion.sampler import BLOCK_ROWS, InnerBatch, constant_inners, sample_members
+from varregion.sampler import _BLOCK_HAS_ZEROS, _BLOCK_MASK, BLOCK_ROWS, InnerBatch, constant_inners, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -45,6 +45,38 @@ def test_member_rows_depend_only_on_seed_and_row():
         sample_members(-1, 8)
     with pytest.raises(ValueError, match="n >= 0"):
         sample_members(5, -1)
+
+
+def _reference_sample_members(seed, n, start=0):
+    """sample_members as first written: every zero and unit rotation formed, then the unused ones dropped."""
+    mask = np.arange(3)[:, None] < np.arange(BLOCK_ROWS) % 4
+    first = start // BLOCK_ROWS
+    parts = []
+    for b in range(first, max(first + 1, -(-(start + n) // BLOCK_ROWS))):
+        rng = np.random.default_rng((int(seed), b))
+        scale = rng.uniform(0.0, 1.0, BLOCK_ROWS)
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, BLOCK_ROWS))
+        zeros = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS)))
+        lead = np.where(mask.any(axis=0), scale * (turn / np.abs(turn)), scale * turn)
+        parts.append((lead, np.where(mask, zeros, 0.0), mask))
+    offset = start - first * BLOCK_ROWS
+    return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
+
+
+@pytest.mark.parametrize("start,n", [(0, 1), (0, BLOCK_ROWS), (1020, 10), (5, 3000)])
+def test_members_are_the_reference_draws_bit_for_bit(start, n):
+    for seed in range(50):
+        got, ref = sample_members(seed, n, start), _reference_sample_members(seed, n, start)
+        for field in ("lead", "zeros", "mask"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (seed, field)
+
+
+def test_block_mask_is_read_only():
+    assert not _BLOCK_MASK.flags.writeable and not _BLOCK_HAS_ZEROS.flags.writeable
+    batch = sample_members(0, 8)
+    batch.mask[0, 0] = True  # a returned batch is the caller's own
+    assert not _BLOCK_MASK[0, 0]
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j])
