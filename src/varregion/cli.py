@@ -271,19 +271,20 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, tol: float):
     """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to n.
 
-    Each block is drawn and evaluated whole, so row i is the same for every
-    n and the arrays in use stay one block long.
+    sample_members draws each block whole, so row i is the same for every n;
+    only the rows kept are evaluated and classified, and the arrays in use
+    stay one block long.
     """
     single = singleton_value(point, params)
     if single is not None:
         w = np.full(BLOCK_ROWS, single)
         slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
     for start in range(0, n, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
         if single is None:
-            s = ConstrainedSchwarz(sample_members(seed, BLOCK_ROWS, start), point.lam)
+            s = ConstrainedSchwarz(sample_members(seed, rows.size, start), point.lam)
             w = member_log_fprime(s, params, point.z0)
             slack, status = classify(w, point, params, tol)
-        rows = np.arange(start, min(start + BLOCK_ROWS, n))
         yield rows, w[:rows.size], status[:rows.size], slack[:rows.size]
 
 

@@ -55,9 +55,11 @@ class QuadratureConfig:
 
     Panels double (1, 2, 4, ...) until two successive composite estimates
     differ by at most abs_tol, and never beyond max_panels; max_panels = 1 can
-    therefore never confirm the tolerance.  An abs_tol below the rounding
-    floor 4 eps |estimate| is never confirmed either: two estimates that round
-    to the same double do not meet it.  max_panels is capped at MAX_PANELS,
+    therefore never confirm the tolerance.  The estimates for 1 and 2 panels
+    come from one integrand pass over their 48 nodes; every later level takes
+    its own pass.  An abs_tol below the rounding floor 4 eps |estimate| is
+    never confirmed either: two estimates that round to the same double do
+    not meet it.  max_panels is capped at MAX_PANELS,
     about 80 MiB of panel arrays (~1.2 KiB per panel) while an estimate runs;
     _panel_nodes keeps 128 B per panel of every level reached.
     """
@@ -105,7 +107,8 @@ def _panel_nodes(panels: int) -> np.ndarray:
 
     The cache keeps 128 B per panel at every level a process reaches: about
     256 KiB for the levels up to the default 1,024-panel cap, and about
-    16 MiB up to MAX_PANELS.
+    16 MiB up to MAX_PANELS.  _level_nodes((1, 2)) keeps one more 384 B copy
+    of the first two levels, which share one integrand pass.
     """
     nodes = _gauss_legendre(NODES_PER_PANEL)[0]
     edges = np.linspace(0.0, 1.0, panels + 1)
@@ -116,11 +119,25 @@ def _panel_nodes(panels: int) -> np.ndarray:
     return t
 
 
-def _composite_estimate(spec, z_from, z_to, panels):
+@functools.cache
+def _level_nodes(levels: tuple[int, ...]) -> np.ndarray:
+    """The read-only ``_panel_nodes(p)`` of each panel count p in levels, stacked in that order."""
+    if len(levels) == 1:
+        return _panel_nodes(levels[0])
+    t = np.concatenate([_panel_nodes(p) for p in levels])
+    t.flags.writeable = False
+    return t
+
+
+def _composite_estimates(spec, z_from, z_to, levels):
+    """One composite estimate per panel count in levels, from one integrand pass over all their nodes."""
     weights = _gauss_legendre(NODES_PER_PANEL)[1]
-    zeta = z_from + _panel_nodes(panels) * (z_to - z_from)
-    g = extremal_fprime(spec, zeta)
-    return (z_to - z_from) * (0.5 / panels) * np.sum(weights[None, :] * g)
+    wg = weights * extremal_fprime(spec, z_from + _level_nodes(levels) * (z_to - z_from))
+    estimates, row = [], 0
+    for panels in levels:
+        estimates.append((z_to - z_from) * (0.5 / panels) * wg[row:row + panels].sum())
+        row += panels
+    return estimates
 
 
 def fprime_segment_integral(
@@ -135,10 +152,12 @@ def fprime_segment_integral(
         raise ValueError("segment endpoints must lie in the open unit disk")
     if z_from == z_to:
         return 0j
+    # one panel alone never confirms abs_tol, so the first pass also takes two when the cap allows
+    pending = _composite_estimates(spec, z_from, z_to, (1, 2) if cfg.max_panels >= 2 else (1,))
     panels = 1
     prev = None
     while True:
-        est = _composite_estimate(spec, z_from, z_to, panels)
+        est = pending.pop(0) if pending else _composite_estimates(spec, z_from, z_to, (panels,))[0]
         if prev is not None:
             achieved = abs(est - prev)
             if achieved <= cfg.abs_tol:

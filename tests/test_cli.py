@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import varregion.cli
 import varregion.extremal
 from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
+from varregion.sampler import BLOCK_ROWS
 from varregion.cli import (
     _block_hash,
     _boundary_rows,
@@ -439,17 +440,84 @@ def test_extremal_max_panels_cap(monkeypatch, capsys):
     calls = []
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.extend(args[-1])
         return composite(*args)
 
-    composite = varregion.extremal._composite_estimate
-    monkeypatch.setattr(varregion.extremal, "_composite_estimate", counted)
+    composite = varregion.extremal._composite_estimates
+    monkeypatch.setattr(varregion.extremal, "_composite_estimates", counted)
     argv = ["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"]
     assert run(argv + ["--max-panels=16777216"]) == 2
     assert capsys.readouterr().err == "error: require 1 <= max_panels <= 65536, got 16777216\n"
     assert calls == []
     assert run(argv + ["--max-panels=65536"]) == 0
     assert calls
+
+
+def _reference_segment_integral(spec, z_from, z_to, cfg=None):
+    """fprime_segment_integral as it was with one integrand pass per panel count."""
+    cfg = cfg or varregion.extremal.QuadratureConfig()
+    if not (abs(z_from) < 1.0 and abs(z_to) < 1.0):
+        raise ValueError("segment endpoints must lie in the open unit disk")
+    if z_from == z_to:
+        return 0j
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    panels, prev = 1, None
+    while True:
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        t = 0.5 * (edges[:-1] + edges[1:])[:, None] + (0.5 / panels) * nodes[None, :]
+        g = varregion.extremal.extremal_fprime(spec, z_from + t * (z_to - z_from))
+        est = (z_to - z_from) * (0.5 / panels) * np.sum(weights[None, :] * g)
+        if prev is not None:
+            achieved = abs(est - prev)
+            if achieved <= cfg.abs_tol:
+                floor = 4.0 * np.finfo(float).eps * abs(est)
+                if cfg.abs_tol < floor:
+                    raise varregion.extremal.ConvergenceError(
+                        f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                        f"= {floor:.3e}, so no estimate can confirm it", complex(est), float(achieved))
+                return complex(est)
+        if 2 * panels > cfg.max_panels:
+            achieved = float("inf") if prev is None else abs(est - prev)
+            raise varregion.extremal.ConvergenceError(
+                f"quadrature did not reach abs_tol={cfg.abs_tol} within "
+                f"{cfg.max_panels} panels (achieved {achieved:.3e})", complex(est), float(achieved))
+        prev = est
+        panels *= 2
+
+
+def _seeded_extremal_argv(n, seed):
+    """n extremal argv cycling a = 0, steep, |a| = 1 and |a| < 1, both --quad-tol values and four caps."""
+    rng = np.random.default_rng(seed)
+
+    def polar(lo, hi):
+        return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+
+    argvs = []
+    for j in range(n):
+        B = float(rng.choice([-0.6, -0.4, 0.3, 0.7, 1.0]))
+        A, lam, z = float(rng.uniform(-1.0, B - 0.05)), polar(0.0, 0.99), polar(0.0, 0.99)
+        kind = j % 4
+        if kind == 0:
+            a = 0j
+        elif kind == 1:
+            # 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
+            A, B, lam, z = -1.0, float(rng.uniform(0.8, 1.0)), polar(0.0, 0.1), polar(0.95, 0.99)
+            a = -(z.conjugate() / abs(z)) ** 2
+        else:
+            a = polar(1.0, 1.0) if kind == 2 else polar(0.0, 1.0)
+        argvs.append(["extremal", f"--A={A!r}", f"--B={B!r}"] + [
+            f"--{k}={v.real!r},{v.imag!r}" for k, v in (("lambda", lam), ("a", a), ("z", z))] + [
+            f"--quad-tol={(1e-12, 1e-13)[j // 4 % 2]}", f"--max-panels={(1024, 1024, 1, 2, 3)[j // 8 % 5]}"])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _seeded_extremal_argv(64, seed=19), ids=range(64))
+def test_extremal_prints_what_one_pass_per_level_gives(argv, monkeypatch, capsys):
+    code = run(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(varregion.extremal, "fprime_segment_integral", _reference_segment_integral)
+    assert run(argv) == code
+    assert capsys.readouterr() == got
 
 
 def test_sample_csv_deterministic(tmp_path):
@@ -543,6 +611,25 @@ def test_sample_breach_lists_the_first_20_witnesses(monkeypatch, capsys):
     assert err == (f"containment breach: {len(breaches)} sample(s) outside the region\n"
                    + "".join(f"  witness: {b}\n" for b in breaches[:20]))
     assert "3000 sample(s)" in err and err.count("  witness: ") == 20
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("lam", [0.5, 0.3 + 0.4j])
+def test_a_short_block_evaluates_to_the_whole_block_rows(seed, lam):
+    point, params = EvalPoint(0.3 + 0.2j, lam), JanowskiParams(-0.5, 0.5)
+    (_, w_all, status_all, slack_all), = _sample_blocks(point, params, BLOCK_ROWS, seed, 1e-9)
+    for k in range(1, BLOCK_ROWS + 1):
+        (rows, w, status, slack), = _sample_blocks(point, params, k, seed, 1e-9)
+        assert rows.tolist() == list(range(k))
+        assert w.tobytes() == w_all[:k].tobytes()
+        assert status.tobytes() == status_all[:k].tobytes()
+        assert slack.tobytes() == slack_all[:k].tobytes()
+    # the last block of a longer stream, cut short
+    whole = list(_sample_blocks(point, params, 3 * BLOCK_ROWS, seed, 1e-9))
+    for n in (BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 700):
+        for cut, full in zip(_sample_blocks(point, params, n, seed, 1e-9), whole):
+            k = cut[0].size
+            assert [c.tobytes() for c in cut] == [f[:k].tobytes() for f in full]
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1025, 2500])

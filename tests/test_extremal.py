@@ -162,17 +162,19 @@ def test_convergence_error():
 
 
 @pytest.mark.parametrize("max_panels, schedule", [
+    (1, [1]),  # a cap of 1 never evaluates 2 panels
+    (2, [1, 2]),
     (3, [1, 2]),
     (1000, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
 ])
 def test_max_panels_caps_the_panels_evaluated(max_panels, schedule, monkeypatch):
-    panels, composite = [], extremal._composite_estimate
+    panels, composite = [], extremal._composite_estimates
 
     def counted(*args):
-        panels.append(args[-1])
+        panels.extend(args[-1])
         return composite(*args)
 
-    monkeypatch.setattr(extremal, "_composite_estimate", counted)
+    monkeypatch.setattr(extremal, "_composite_estimates", counted)
     # steep: 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
     z = 0.99 * np.exp(0.7j)
     spec = ExtremalSpec(-(np.conj(z) / abs(z)) ** 2, 0.05, JanowskiParams(-1.0, 1.0))
@@ -211,7 +213,7 @@ def test_gauss_legendre_rule_is_cached_and_read_only(n):
 
 
 def _inline_panel_nodes(panels):
-    """The composite rule's nodes as _composite_estimate built them inline, before they were cached."""
+    """The composite rule's nodes as one level's estimate built them inline, before they were cached."""
     nodes = np.polynomial.legendre.leggauss(extremal.NODES_PER_PANEL)[0]
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -248,8 +250,56 @@ def test_cached_panel_nodes_change_no_bits(spec, z_from, z_to):
         panels = int(panels)
         t = extremal._panel_nodes(panels)
         assert t.tobytes() == _inline_panel_nodes(panels)[0].tobytes()
-        assert _bits(extremal._composite_estimate(spec, z_from, z_to, panels)) == \
+        assert _bits(extremal._composite_estimates(spec, z_from, z_to, (panels,))[0]) == \
             _bits(_inline_composite_estimate(spec, z_from, z_to, panels))
+
+
+def _disk_point(r, theta):
+    return complex(r * np.cos(theta), r * np.sin(theta))
+
+
+_r = st.floats(0.0, 0.99)
+_theta = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def _joint_pass_cases(draw):
+    B = draw(st.sampled_from([-0.6, -0.4, 0.3, 0.7, 1.0]))
+    A = draw(st.floats(-1.0, B - 0.05))
+    lam = draw(st.one_of(st.floats(-0.99, 0.99), st.builds(_disk_point, _r, _theta)))
+    kind = draw(st.sampled_from(["inner", "unit", "zero", "steep"]))
+    z_from = draw(st.one_of(st.just(0j), st.builds(_disk_point, _r, _theta)))
+    z_to = draw(st.builds(_disk_point, _r, _theta))
+    if kind == "inner":
+        a = draw(st.builds(_disk_point, st.floats(0.0, 1.0), _theta))
+    elif kind == "unit":
+        a = np.exp(1j * draw(_theta))
+    elif kind == "zero":
+        a = 0j
+    else:
+        # 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero near z_to
+        A, B, lam = -1.0, draw(st.floats(0.8, 1.0)), draw(st.floats(0.0, 0.1))
+        z_to = _disk_point(draw(st.floats(0.95, 0.99)), draw(_theta))
+        a = -(np.conj(z_to) / abs(z_to)) ** 2
+    return ExtremalSpec(a, lam, JanowskiParams(A, B)), z_from, z_to
+
+
+@given(case=_joint_pass_cases())
+def test_joint_pass_changes_no_bits(case):
+    spec, z_from, z_to = case
+    want = [_bits(_inline_composite_estimate(spec, z_from, z_to, p)) for p in (1, 2, 4)]
+    assert [_bits(e) for e in extremal._composite_estimates(spec, z_from, z_to, (1, 2))] == want[:2]
+    for p, bits in zip((1, 2, 4), want):
+        assert _bits(extremal._composite_estimates(spec, z_from, z_to, (p,))[0]) == bits
+
+
+def test_level_nodes_are_cached_and_read_only():
+    t = extremal._level_nodes((1, 2))
+    assert t.tobytes() == np.concatenate([_inline_panel_nodes(1)[0], _inline_panel_nodes(2)[0]]).tobytes()
+    assert t.nbytes == 384 and extremal._level_nodes((1, 2)) is t
+    assert extremal._level_nodes((8,)) is extremal._panel_nodes(8)
+    with pytest.raises(ValueError):
+        t[0, 0] = 0.5
 
 
 @pytest.mark.parametrize("panels", [1, 2, 64, 1024])
