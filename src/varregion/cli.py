@@ -490,15 +490,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _flag_table(command: argparse.ArgumentParser) -> tuple[dict, dict, list, list]:
+def _flag_table(command: argparse.ArgumentParser) -> tuple[dict, dict, list]:
     """What a command parser's actions say about its flags, read once per parser.
 
     Returns (option string -> (store action, type function), the namespace
-    defaults argparse starts from, the required actions, (action, type
-    function) of each string default).  Only single-value store actions with a
-    callable type enter the option map; any other flag is left to argparse.
+    defaults argparse starts from, the required actions).  Only single-value
+    store actions with a callable type enter the option map; any other flag is
+    left to argparse.
     """
-    options, defaults, required, str_defaults = {}, {}, [], []
+    options, defaults, required = {}, {}, []
     for action in command._actions:
         convert = command._registry_get("type", action.type, action.type)
         if type(action) is argparse._StoreAction and action.nargs is None and callable(convert):
@@ -507,39 +507,26 @@ def _flag_table(command: argparse.ArgumentParser) -> tuple[dict, dict, list, lis
             defaults.setdefault(action.dest, action.default)
         if action.required:
             required.append(action)
-        if isinstance(action.default, str):
-            str_defaults.append((action, convert))
     for dest, value in command._defaults.items():
         defaults.setdefault(dest, value)
-    return options, defaults, required, str_defaults
+    return options, defaults, required
 
 
 def _table_parse(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives ``argv``, or None where it takes argparse to tell.
 
     Every token after the command name must be ``--name=value`` with ``--name``
-    one of the command's option strings, or that option string followed by a
-    value that does not start with ``-``.  Each value is converted and checked
+    one of the command's option strings.  Each value is converted and checked
     against the choices as it comes, and the last one of a flag wins.
     """
-    options, defaults, required, str_defaults = _flag_table(command)
+    options, defaults, required = _flag_table(command)
     parsed: dict = {}  # action -> its converted value
-    i = 1
-    while i < len(argv):
-        token = argv[i]
-        entry = options.get(token)
-        if entry is not None:
-            if i + 1 == len(argv) or argv[i + 1][:1] == "-":
-                return None
-            value = argv[i + 1]
-            i += 2
-        else:
-            name, sep, value = token.partition("=")
-            entry = options.get(name) if sep else None
-            # argparse's handling of a lone "--" value differs between Python versions
-            if entry is None or value == "--":
-                return None
-            i += 1
+    for token in argv[1:]:
+        name, sep, value = token.partition("=")
+        entry = options.get(name) if sep else None
+        # argparse's handling of a lone "--" value differs between Python versions
+        if entry is None or value == "--":
+            return None
         action, convert = entry
         try:
             value = convert(value)
@@ -553,27 +540,21 @@ def _table_parse(command: argparse.ArgumentParser, argv: list[str]) -> argparse.
     ns = dict(defaults)
     for action, value in parsed.items():
         ns[action.dest] = value
-    # argparse converts a string default of a flag not given, as it would the same text given
-    for action, convert in str_defaults:
-        if action not in parsed and ns.get(action.dest) is action.default:
-            try:
-                ns[action.dest] = convert(action.default)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
     return argparse.Namespace(**{"command": argv[0], **ns})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``_parser().parse_args(argv)`` by one of two paths.
 
-    When ``argv[0]`` names a command and every later token is a well-formed
-    long flag of that command (``_table_parse``), the namespace is built from
-    the command parser's own actions: each value converted by its type and
-    checked against its choices, the required flags present, and the defaults
-    and ``set_defaults`` filled in as argparse fills them.  Anything else
-    (help, no command or an unknown one, abbreviations, ``--``, positionals, a
-    separate value starting with ``-``, a bad value, a missing flag) goes to
-    the full parser, which writes every usage, help and error message.
+    When ``argv[0]`` names a command and every later token is ``--name=value``
+    with ``--name`` one of that command's option strings (``_table_parse``),
+    the namespace is built from the command parser's own actions: each value
+    converted by its type and checked against its choices, the required flags
+    present, and the defaults and ``set_defaults`` filled in as argparse fills
+    them.  Anything else (help, no command or an unknown one, a value given as
+    a separate token, abbreviations, ``--``, positionals, a bad value, a
+    missing flag) goes to the full parser, which writes every usage, help and
+    error message.
     """
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None

@@ -894,10 +894,8 @@ def _equals_form(argv):
     return out
 
 
-def _space_form(argv):
-    """``argv`` with every ``--flag=value`` written as ``--flag value``."""
-    return [argv[0], *(part for token in argv[1:] for part in token.split("=", 1))]
-
+# argv the table path takes whole, so that an edge case added to them reaches it
+_REGION_EQ, _SAMPLE_EQ = _equals_form(_VALID["region"]), _equals_form(_SAMPLE)
 
 _DISPATCH_ARGVS = [
     [], ["--help"], ["-h"], ["--he"], ["bogus"], ["bogus", "--help"], ["--", "extremal"],
@@ -920,9 +918,9 @@ _DISPATCH_ARGVS = [
     ["extremal", "extremal", *_EXTREMAL[1:]], ["verify", "--suite=all", "--seed", "x"],
     ["sweep", "--grid=grid.txt", "--out="], [*_EXTREMAL, "--out=a=b"],
     [*_EXTREMAL, "--A", "-0.5"], [*_EXTREMAL, "--lambda", "-0.5,0.3"],
-    [*_VALID["region"], "--format=xml"], [*_VALID["region"], "--format="],
-    [*_SAMPLE, "--mc-samples=1e3"], [*_SAMPLE, "--seed=-1"], [*_EXTREMAL, "--A=nan"], [*_EXTREMAL, "--A="],
-    [*_EXTREMAL, "--help=x"], [*_SAMPLE, "--seed=3", "--seed", "4"],
+    [*_REGION_EQ, "--format=xml"], [*_REGION_EQ, "--format="],
+    [*_SAMPLE_EQ, "--mc-samples=1e3"], [*_SAMPLE_EQ, "--seed=-1"], [*_EXTREMAL, "--A=nan"], [*_EXTREMAL, "--A="],
+    [*_EXTREMAL, "--help=x"], [*_SAMPLE_EQ, "--seed=3", "--seed", "4"], [*_SAMPLE_EQ, "--seed=3", "--seed=4"],
     *map(_equals_form, _VALID.values()),
 ]
 
@@ -960,8 +958,9 @@ def test_dispatch_gives_what_the_full_parser_gives(argv, tmp_path, monkeypatch, 
 _FALLBACKS = {
     "no command": [], "unknown command": ["bogus", *_EXTREMAL[1:]], "help": [*_EXTREMAL, "--help"],
     "abbreviation": [*_EXTREMAL, "--quad", "1e-10"], "separator": [*_EXTREMAL, "--", "--z=0.25"],
-    "positional": [*_EXTREMAL, "stray"], "separate value starting with -": [*_EXTREMAL, "--A", "-0.5"],
-    "failed conversion": [*_EXTREMAL, "--z=abc"], "failed choice": [*_VALID["region"], "--format=xml"],
+    "positional": [*_EXTREMAL, "stray"], "separate value": [*_EXTREMAL, "--A", "0.5"],
+    "separate value starting with -": [*_EXTREMAL, "--A", "-0.5"],
+    "failed conversion": [*_EXTREMAL, "--z=abc"], "failed choice": [*_REGION_EQ, "--format=xml"],
     "missing required flag": _EXTREMAL[:-1],
 }
 
@@ -980,10 +979,9 @@ def argparse_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("form", [_equals_form, _space_form])
 @pytest.mark.parametrize("command", _VALID)
-def test_well_formed_long_flags_never_reach_argparse(command, form, argparse_calls):
-    argv = form(_VALID[command])
+def test_well_formed_long_flags_never_reach_argparse(command, argparse_calls):
+    argv = _equals_form(_VALID[command])
     assert varregion.cli._parse_args(argv).command == command
     assert argparse_calls == []
 
@@ -1000,25 +998,9 @@ def test_every_other_argv_goes_to_the_full_parser(kind, argparse_calls, capsys):
 
 # argparse's reading of a lone "--" value depends on the Python version; on 3.11 it is []
 @pytest.mark.parametrize("argv", [[*_EXTREMAL, "--out=--"], ["sweep", "--grid=--", "--out=out"],
-                                  [*_VALID["region"], "--format=--"]], ids=" ".join)
+                                  [*_REGION_EQ, "--format=--"]], ids=" ".join)
 def test_a_lone_double_dash_value_parses_as_the_full_parser_parses_it(argv):
     assert vars(varregion.cli._parse_args(argv)) == vars(_full_parse(argv))
-
-
-@pytest.mark.parametrize("argv", [["toy", "--x", "a"], ["toy", "--m=3", "--x=a"], ["toy", "--x", "a", "--n", "2"]])
-def test_table_parse_converts_a_string_default_as_argparse_does(argv):
-    toy = argparse.ArgumentParser()
-    toy.add_argument("--n", type=int, default="7")
-    toy.add_argument("--m", type=int, default="8")
-    toy.add_argument("--x", required=True)
-    expected = vars(toy.parse_args(argv[1:]))
-    assert vars(varregion.cli._table_parse(toy, argv)) == {"command": "toy", **expected}
-
-
-def test_table_parse_leaves_a_string_default_it_cannot_convert_to_argparse():
-    toy = argparse.ArgumentParser()
-    toy.add_argument("--n", type=int, default="q")
-    assert varregion.cli._table_parse(toy, ["toy"]) is None
 
 
 @pytest.mark.parametrize("argv", [_EXTREMAL, [*_EXTREMAL, "--seed", "1"], ["extremal", "--help"], []], ids=" ".join)
