@@ -78,19 +78,16 @@ def _pair(w: complex) -> list[float]:
     return [w.real + 0.0, w.imag + 0.0]
 
 
-def _resolve_out(path_str: str | None) -> Path | None:
+def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
+    """The --out file or directory, None for stdout; OVERRIDE_OUT_DIR takes the place of its directory."""
     if path_str is None:
         return None
-    p = Path(path_str)
+    if not path_str:
+        raise ValueError("require a non-empty --out path")
     override = os.environ.get("OVERRIDE_OUT_DIR")
-    if override:
-        p = Path(override) / p.name
-    return p
-
-
-def _resolve_out_dir(dir_str: str) -> Path:
-    override = os.environ.get("OVERRIDE_OUT_DIR")
-    return Path(override) if override else Path(dir_str)
+    if not override:
+        return Path(path_str)
+    return Path(override) if is_dir else Path(override) / Path(path_str).name
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -388,8 +385,8 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
-    out_dir = _resolve_out_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # every curve of the call has the same theta column: encode it once, here
     theta_tokens = _tokens(_theta_grid(args.theta_samples).tolist())

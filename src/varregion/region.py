@@ -176,6 +176,27 @@ def majorant_q(z, A: float, B: float):
     return np.exp((A / B - 1.0) * np.log(1.0 + B * z))
 
 
+def _log1p(x):
+    """Principal Log(1 + x) for a complex ndarray x with |x| < 1, from real parts.
+
+    numpy's complex log rounds 1 + x first, which loses the low bits of a small
+    x.  With x = a + ib, Im = atan2(b, 1 + a) and Re = log|1 + x| takes one of
+    two forms, each evaluated only where it applies (a NaN entry gives NaN):
+    (1/2) log1p(a (2 + a) + b^2) for a >= -1/2, and (1/2) log((1 + a)^2 + b^2)
+    below, where 1 + a is exact and log1p's argument would cancel near -1.
+    """
+    x = np.asarray(x)
+    a, b = x.real, x.imag
+    one_a, b2 = 1.0 + a, b * b
+    near = a >= -0.5
+    out = np.empty(x.shape, complex)
+    np.log1p(a * (2.0 + a) + b2, out=out.real, where=near)
+    np.log(one_a * one_a + b2, out=out.real, where=~near)
+    out.real *= 0.5
+    np.arctan2(b, one_a, out=out.imag)
+    return out
+
+
 def _disk(z0, lam, B: float):
     """(center, radius) of the pre-log disk; z0 and lam may be broadcasting ndarrays.
 
@@ -206,12 +227,12 @@ def region_point(a, point: EvalPoint, params: JanowskiParams):
     if not np.all(np.abs(a) <= 1.0 + 1e-12):
         raise ValueError("require |a| <= 1")
     disk = variability_disk(point, params)
-    return params.exponent * np.log(disk.center + a * disk.radius)
+    return params.exponent * _log1p((disk.center - 1.0) + a * disk.radius)
 
 
 def _boundary_values(k, z0, lam, params: JanowskiParams):
     """((A - B)/B) Log(1 + B z0 delta(k z0, lambda)) for unimodular k."""
-    return params.exponent * np.log(1.0 + params.B * z0 * mobius_delta(k * z0, lam))
+    return params.exponent * _log1p(params.B * z0 * mobius_delta(k * z0, lam))
 
 
 def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
@@ -259,8 +280,7 @@ def _require_disk(point: EvalPoint) -> None:
 
 def _pullback(w, z0, lam, params: JanowskiParams):
     """pullback_modulus with z0 and lam as ndarrays that broadcast against w; no domain checks."""
-    u = np.exp(np.asarray(w) / params.exponent)
-    zeta = (u - 1.0) / (params.B * z0)
+    zeta = np.expm1(np.asarray(w) / params.exponent) / (params.B * z0)
     return np.abs(mobius_delta_inv(zeta, lam))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import JanowskiParams, _require_lambda, mobius_delta
+from .region import JanowskiParams, _log1p, _require_lambda, mobius_delta
 
 __all__ = [
     "InnerBatch",
@@ -133,7 +133,7 @@ def omega_eval(s: ConstrainedSchwarz, z):
 
 def log_fprime(omega, params: JanowskiParams):
     """((A-B)/B) Log(1 + B omega): log f' where the member's Schwarz function is omega."""
-    return params.exponent * np.log(1.0 + params.B * omega)
+    return params.exponent * _log1p(params.B * omega)
 
 
 def member_log_fprime(s: ConstrainedSchwarz, params: JanowskiParams, z):

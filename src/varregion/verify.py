@@ -27,6 +27,7 @@ from .region import (
     _boundary_values,
     _classify,
     _disk,
+    _log1p,
     _require_disk,
     _unit_circle_grid,
     equivalent_disk_param,
@@ -292,7 +293,7 @@ def check_rotation(
                 ws = np.empty((n_rotations, per_frame), complex)
                 ws[:, 0::3] = member_log_fprime(ConstrainedSchwarz(members[0::3], lam), params, z0_rot)
                 ws[:, 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
-                ws[:, 2::3] = params.exponent * np.log(w_pre)
+                ws[:, 2::3] = params.exponent * _log1p(w_pre - 1.0)
                 _, v1 = _classify(ws, z0_rot, lam, params, tol)
                 _, v2 = _classify(ws, z0, lam * rots, params, tol)
                 inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0), "lambda": lam}

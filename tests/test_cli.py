@@ -579,12 +579,14 @@ def test_sample_requires_positive_count(capsys):
                 "--mc-samples", "0"]) == 2
 
 
-@pytest.mark.xfail(strict=True, reason="membership cancels at small |z0| (ROADMAP item 1a)")
 def test_sample_at_small_z0_reports_no_breach(capsys):
+    # 1 + B z0 omega rounds away the member's value here unless Log(1 + x) is taken from x
     for point in (["--A=-1", "--B=1", "--lambda=0", "--z0=1e-8"],
                   ["--A=0", "--B=0.5", "--lambda=-0.7", "--z0=1e-8"],
-                  ["--A=0", "--B=0.5", "--lambda=0.5", "--z0=1e-10"]):
-        assert run(["sample", *point, "--mc-samples", "150", "--seed", "2"]) == 0, point
+                  ["--A=0", "--B=0.5", "--lambda=0.5", "--z0=1e-10"],
+                  ["--A=0", "--B=0.5", "--lambda=0.5", "--z0=1e-17"],
+                  ["--A=-0.5", "--B=1e-16", "--lambda=0.5", "--z0=0.5"]):
+        assert run(["sample", *point, "--mc-samples=2000", "--seed=2"]) == 0, point
 
 
 def _force_outside(monkeypatch):
@@ -813,6 +815,26 @@ def test_override_out_dir_sweep(tmp_path, monkeypatch):
                 "--theta-samples", "8"]) == 0
     assert not (tmp_path / "normal").exists()
     assert (override / "index.json").exists()
+
+
+@pytest.mark.parametrize("argv, override", [
+    (["region", "--A=0", "--B=0.5", "--z0=0.5", "--theta-samples=4"], False),
+    (["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"], False),
+    (["sample", "--A=0", "--B=0.5", "--z0=0.5", "--mc-samples=4"], False),
+    (["verify", "--suite=inclusion"], False),
+    (["sweep", "--grid=grid.txt", "--theta-samples=4"], False),
+    (["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"], True),
+], ids=["region", "extremal", "sample", "verify", "sweep", "extremal-override"])
+def test_empty_out_is_a_usage_error(argv, override, tmp_path, monkeypatch, capsys):
+    # an empty path names neither stdout nor a file: nothing is written anywhere
+    (tmp_path / "grid.txt").write_text("A=0\nB=0.5\nz0_re=0.5\n")
+    monkeypatch.chdir(tmp_path)
+    if override:
+        monkeypatch.setenv("OVERRIDE_OUT_DIR", str(tmp_path / "redirected"))
+    assert run([*argv, "--out="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "require a non-empty --out path" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

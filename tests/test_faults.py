@@ -20,7 +20,7 @@ from varregion.verify import SUITE_NAMES, run_suite
 MODULES = (varregion, varregion.cli, varregion.extremal, varregion.region, varregion.sampler,
            varregion.verify)
 REAL = {name: getattr(varregion.region, name, None) or getattr(varregion.sampler, name)
-        for name in ("_disk", "mobius_delta", "inner_eval", "omega_eval", "log_fprime")}
+        for name in ("_disk", "mobius_delta", "inner_eval", "omega_eval", "log_fprime", "_log1p")}
 
 
 def radius_too_large(z0, lam, B):
@@ -51,12 +51,17 @@ def log_fprime_of_conj(omega, params):
     return REAL["log_fprime"](np.conjugate(omega), params)
 
 
+def log1p_conj(x):
+    return np.conjugate(REAL["_log1p"](x))
+
+
 FAULTS = [
     ("_disk", radius_too_large, {"prop1", "coverage"}),
     ("inner_eval", blaschke_without_conj, {"halfplane"}),
     ("mobius_delta", mobius_delta_without_conj, {"coverage", "halfplane"}),
     ("inner_eval", inner_scaled, {"prop1", "corollary0", "coverage", "halfplane"}),
     ("log_fprime", log_fprime_of_conj, {"prop1", "coverage"}),
+    ("_log1p", log1p_conj, {"prop1", "unit-lambda"}),
     ("omega_eval", omega_scaled, {"prop1", "corollary0", "coverage", "halfplane"}),
 ]
 

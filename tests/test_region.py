@@ -1,8 +1,9 @@
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from varregion import (
     BoundaryCurve,
@@ -24,7 +25,7 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, classify
+from varregion.region import VERDICTS, _log1p, classify
 from varregion.sampler import sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -212,6 +213,34 @@ def test_majorant_examples():
         majorant_q(0.3, 0.5, 0.5)
     with pytest.raises(ValueError):
         majorant_q(0.3, 0.5, 0.0)  # B = 0 still needs A < B
+
+
+# ---------------------------------------------------------------------------
+# the Log(1 + x) kernel
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    # |x| log-uniform from 1e-300 up, or 1 - 2^-k up to 1 - 2^-20, where 1 + x can nearly vanish
+    st.one_of(st.floats(-300.0, 0.0).map(lambda u: 10.0**u),
+              st.floats(1.0, 20.0).map(lambda k: 1.0 - 2.0**-k)),
+    # arguments clustered near pi reach the a < -1/2 regime; the sign picks the half plane
+    st.one_of(st.floats(-17.0, 0.5).map(lambda v: np.pi - 10.0**v), st.floats(0.0, np.pi)),
+    st.booleans(),
+)
+def test_log1p_matches_mpmath(r, phi, lower):
+    r = min(r, 1.0 - 2.0**-20)
+    x = complex(r * np.cos(phi), -r * np.sin(phi) if lower else r * np.sin(phi))
+    got = complex(_log1p(np.array([x]))[0])
+    with mpmath.workdps(40):
+        want = mpmath.log1p(mpmath.mpc(x.real, x.imag))
+        assert abs(mpmath.mpc(got.real, got.imag) - want) <= 4 * 2.0**-52 * abs(want), x
+
+
+def test_log1p_passes_nan_without_a_warning():
+    x = np.array([complex(NAN, 0.0), complex(0.0, NAN), complex(-0.75, NAN), 0.0])
+    got = _log1p(x)
+    assert np.all(np.isnan(got[:3])) and got[3] == 0.0
 
 
 # ---------------------------------------------------------------------------

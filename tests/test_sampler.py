@@ -191,15 +191,17 @@ def test_members_never_outside():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.floats(-2.0, 0.0), st.booleans(), st.floats(0.0, 1.0),
+    st.floats(-16.0, 0.0), st.booleans(), st.floats(0.0, 1.0),
     st.floats(0.0, 0.9), st.floats(-np.pi, np.pi),
-    st.floats(0.05, 0.95), st.floats(-np.pi, np.pi),
+    st.floats(-15.0, np.log10(0.95)), st.floats(-np.pi, np.pi),
     st.integers(0, 10**6),
 )
-def test_member_slack_matches_exact_oracle(u, negative, t, lam_mod, lam_arg, z_mod, z_arg, seed):
+def test_member_slack_matches_exact_oracle(u, negative, t, lam_mod, lam_arg, z_exp, z_arg, seed):
     # omega(z0)/z0 = delta(z0 psi(z0), lambda), so the pullback of a member's value
-    # is |z0| |psi(z0)| and its exact slack is |z0| (|psi(z0)| - 1)
+    # is |z0| |psi(z0)| and its exact slack is |z0| (|psi(z0)| - 1); |B| reaches 1e-16
+    # and |z0| 1e-15, where 1 + B omega rounds away the member's value
     B = -(10.0**u) if negative else 10.0**u
+    z_mod = 10.0**z_exp
     assume(B > -1.0)
     A = -1.0 + t * (B + 1.0)
     assume(A < B)
