@@ -564,6 +564,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse strips a lone "--" value (--name=--), and on some Python versions
+    # leaves [] as the flag's value; no flag takes a list
+    if [] in vars(args).values():
+        empty = [a.option_strings[0] for a in _parser().commands[args.command]._actions
+                 if getattr(args, a.dest, None) == []]
+        print(f"error: no value for {', '.join(empty)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

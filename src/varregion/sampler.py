@@ -115,14 +115,17 @@ class ConstrainedSchwarz:
     """omega(z) = z delta(z psi(z), lambda): the Schwarz function of each row of inner.
 
     omega(0) = 0, omega'(0) = lambda and |omega| < 1 on the open disk, all by
-    construction.
+    construction.  lam is a complex scalar, or an ndarray that broadcasts
+    against the rows of inner and the z of omega_eval: one Schwarz function per
+    entry, so one call evaluates inner once for every lambda.
     """
 
     inner: InnerBatch
-    lam: complex
+    lam: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", complex(self.lam))
+        lam = np.asarray(self.lam, complex) if isinstance(self.lam, np.ndarray) else complex(self.lam)
+        object.__setattr__(self, "lam", lam)
         _require_lambda(self.lam)
 
 

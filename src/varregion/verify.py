@@ -170,27 +170,26 @@ def check_prop1(
 ) -> VerificationReport:
     """Members' pullback (f')^(B/(A-B)) stays in the closed disk D(c, r)."""
     tally = _Tally(tol)
-    members = _members_with_probes(seed, n_samples)
     zs = [z0 for z0 in z0s if z0 != 0]
-    z0_col = np.array(zs, dtype=complex)[:, None]
+    # one (lambda, z0, member) grid of Schwarz values serves every parameter set
+    s = ConstrainedSchwarz(_members_with_probes(seed, n_samples), np.array(lambdas, complex)[:, None, None])
+    omega = omega_eval(s, np.array(zs, dtype=complex)[:, None])
     for params in param_sets:
-        for lam in lambdas:
-            disks = [variability_disk(EvalPoint(z0, lam), params) for z0 in zs]
-            center = np.array([d.center for d in disks], dtype=complex)[:, None]
-            radius = np.array([d.radius for d in disks], dtype=float)[:, None]
-            s = ConstrainedSchwarz(members, lam)
-            pullback = np.exp(member_log_fprime(s, params, z0_col) / params.exponent)
-            distance = np.abs(pullback - center) - radius
-            # the on-circle probes must sit on the circle: a radius too large fails them too
-            violation = distance.copy()
-            violation[:, 7::8] = np.abs(distance[:, 7::8])
+        disks = [variability_disk(EvalPoint(z0, lam), params) for lam in lambdas for z0 in zs]
+        center = np.array([d.center for d in disks], dtype=complex).reshape(omega.shape[:2] + (1,))
+        radius = np.array([d.radius for d in disks], dtype=float).reshape(omega.shape[:2] + (1,))
+        pullback = np.exp(log_fprime(omega, params) / params.exponent)
+        distance = np.abs(pullback - center) - radius
+        # the on-circle probes must sit on the circle: a radius too large fails them too
+        violation = distance.copy()
+        violation[..., 7::8] = np.abs(distance[..., 7::8])
 
-            def witness(k):
-                t, j = divmod(k, violation.shape[1])
-                return ({"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(zs[t])},
-                        {"pullback": _cstr(pullback[t, j]), "distance_minus_r": float(distance[t, j])})
+        def witness(k):
+            i, t, j = np.unravel_index(k, violation.shape)
+            return ({"A": params.A, "B": params.B, "lambda": lambdas[i], "z0": _cstr(zs[t])},
+                    {"pullback": _cstr(pullback[i, t, j]), "distance_minus_r": float(distance[i, t, j])})
 
-            tally.add_many(violation, witness)
+        tally.add_many(violation, witness)
     return tally.report("prop1", len(param_sets))
 
 
@@ -203,15 +202,14 @@ def check_corollary0(
 ) -> VerificationReport:
     """lambda = 0 estimate |(f')^(B/(A-B)) - 1| <= |B||z|^2, sharp for unimodular psi."""
     tally = _Tally(tol)
-    members = ConstrainedSchwarz(_members_with_probes(seed, n_samples), lam=0.0)
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
-    sharp = ConstrainedSchwarz(constant_inners(np.exp(1j * phis)), lam=0.0)
     z0_col = np.array(z0s, dtype=complex)[:, None]
+    # row t: the members at z0s[t], then the sharpness probes (equality up to roundoff)
+    omega = np.concatenate([omega_eval(ConstrainedSchwarz(inners, lam=0.0), z0_col) for inners in (
+        _members_with_probes(seed, n_samples), constant_inners(np.exp(1j * phis)))], axis=1)
     for params in param_sets:
         bound = np.array([abs(params.B) * abs(z0) ** 2 for z0 in z0s], dtype=float)[:, None]
-        # row t: the members at z0s[t], then the sharpness probes (equality up to roundoff)
-        lhs = np.concatenate([np.abs(np.exp(member_log_fprime(s, params, z0_col) / params.exponent) - 1.0)
-                              for s in (members, sharp)], axis=1)
+        lhs = np.abs(np.exp(log_fprime(omega, params) / params.exponent) - 1.0)
         violation = lhs - bound
         violation[:, n_samples:] = np.abs(violation[:, n_samples:])
 
@@ -273,38 +271,43 @@ def check_rotation(
     Each frame is tested on a mix of values attainable, on the boundary and
     outside in the rotated-point frame: sample j is a member value, a boundary
     value at thetas[j] and an exterior value at thetas[j] in turn, by j % 3.
-    All turns of one (params, z0, lambda) are evaluated at once, one row per turn.
+    The frames of one parameter set are evaluated at once on a (z0, lambda,
+    turn, sample) grid, and both frames of it in one _classify call, the
+    rotated point first on a leading axis.
     """
     tally = _Tally(tol)
+    for z0 in z0s:
+        for lam in lambdas:
+            _require_disk(EvalPoint(z0, lam))
     turns = 2.0 * np.pi * np.arange(n_rotations) / n_rotations
     rots = np.exp(1j * turns)[:, None]
     per_frame = max(1, n_samples // (len(z0s) * len(lambdas)))
     thetas = np.random.default_rng((seed, 777)).uniform(-np.pi, np.pi, size=per_frame)
-    members = sample_members(seed, per_frame)
     circle = np.exp(1j * thetas)
+    z0 = np.array(z0s, complex)[:, None, None, None]
+    lam = np.array(lambdas, complex)[:, None, None]
+    z0_rot = rots * z0
+    frame_z0 = np.stack(np.broadcast_arrays(z0_rot, z0))
+    frame_lam = np.stack(np.broadcast_arrays(lam, lam * rots))[:, None]
+    omega = omega_eval(ConstrainedSchwarz(sample_members(seed, per_frame)[0::3], lam), z0_rot)
     for params in param_sets:
-        for z0 in z0s:
-            z0_rot = rots * z0
-            for lam in lambdas:
-                _require_disk(EvalPoint(z0, lam))
-                center, radius = _disk(z0_rot, lam, params.B)
-                w_pre = center + 1.2 * radius * circle[2::3]
-                w_pre = np.where(w_pre.real <= 1e-6, center + 1.05 * radius * circle[2::3], w_pre)
-                ws = np.empty((n_rotations, per_frame), complex)
-                ws[:, 0::3] = member_log_fprime(ConstrainedSchwarz(members[0::3], lam), params, z0_rot)
-                ws[:, 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
-                ws[:, 2::3] = params.exponent * _log1p(w_pre - 1.0)
-                _, v1 = _classify(ws, z0_rot, lam, params, tol)
-                _, v2 = _classify(ws, z0, lam * rots, params, tol)
-                inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0), "lambda": lam}
+        center, radius = _disk(z0_rot, lam, params.B)
+        w_pre = center + 1.2 * radius * circle[2::3]
+        w_pre = np.where(w_pre.real <= 1e-6, center + 1.05 * radius * circle[2::3], w_pre)
+        ws = np.empty(omega.shape[:3] + (per_frame,), complex)
+        ws[..., 0::3] = log_fprime(omega, params)
+        ws[..., 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
+        ws[..., 2::3] = params.exponent * _log1p(w_pre - 1.0)
+        _, (v1, v2) = _classify(ws, frame_z0, frame_lam, params, tol)
 
-                def witness(k):
-                    t, j = divmod(k, per_frame)
-                    return (dict(inputs, theta=float(turns[t]), w=_cstr(ws[t, j])),
-                            {"rotated_point": VERDICTS[v1[t, j]].value,
-                             "rotated_lambda": VERDICTS[v2[t, j]].value})
+        def witness(k):
+            i, l, t, j = np.unravel_index(k, ws.shape)
+            return ({"A": params.A, "B": params.B, "z0": _cstr(z0s[i]), "lambda": lambdas[l],
+                     "theta": float(turns[t]), "w": _cstr(ws[i, l, t, j])},
+                    {"rotated_point": VERDICTS[v1[i, l, t, j]].value,
+                     "rotated_lambda": VERDICTS[v2[i, l, t, j]].value})
 
-                tally.add_many(v1 != v2, witness)
+        tally.add_many(v1 != v2, witness)
     return tally.report("rotation", len(param_sets))
 
 
@@ -381,10 +384,11 @@ def check_convexity(
     zs = [z0 for z0 in z0s if z0 != 0]
     cells = [(lam, EvalPoint(z0, lam)) for lam in lambdas for z0 in zs]
     z0_col = np.array(zs, dtype=complex)[:, None]
+    lam = np.array(lambdas, complex)[:, None, None]
     k = _unit_circle_grid(n)
     for params in param_sets:
         # the curves of one parameter set are the rows of one (lambda x z0, n) array
-        values = np.reshape([_boundary_values(k, z0_col, complex(lam), params) for lam in lambdas], (-1, n))
+        values = _boundary_values(k, z0_col, lam, params).reshape(-1, n)
         sign, worst, winding = _turning(values)
         # a curve's violation is the larger of its two checks
         violation = np.maximum(worst, np.abs(winding - sign))
@@ -434,9 +438,11 @@ def check_halfplane_univalence(
     """
     tally = _Tally(tol)
     zgrid = 0.95 * _polar_grid(12)[:, None]  # grid points x members
-    members = _members_with_probes(seed, n_samples)
     lambdas = (0.0, 0.3, 0.5 + 0.2j)
-    omegas = [omega_eval(ConstrainedSchwarz(members, lam), zgrid) for lam in lambdas]
+    # the Schwarz values of every lambda in one (lambda, grid point, member) array; f' is
+    # taken one lambda at a time, so its temporaries stay the size of one lambda's values
+    omegas = omega_eval(ConstrainedSchwarz(_members_with_probes(seed, n_samples),
+                                           np.array(lambdas)[:, None, None]), zgrid)
     r = np.abs(zgrid)
     rhos = [r * (r + abs(lam)) / (1.0 + abs(lam) * r) for lam in lambdas]
     min_re = {}

@@ -1,9 +1,12 @@
 import argparse
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from varregion.cli import (
     _sample_blocks,
     _sweep_record,
     _tokens,
+    build_parser,
     main,
     parse_complex,
     region_record,
@@ -694,6 +698,19 @@ def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
     assert capsys.readouterr() == ("", "error: require tol > 0\n")
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_all_is_the_single_suite_reports(seed, capsys):
+    # the single suites run in reverse order: no suite may lean on state another one left
+    assert run(["verify", "--suite=all", f"--seed={seed}"]) == 0
+    together = json.loads(capsys.readouterr().out)
+    alone = []
+    for name in reversed(SUITE_NAMES):
+        assert run(["verify", f"--suite={name}", f"--seed={seed}"]) == 0
+        alone[:0] = json.loads(capsys.readouterr().out)
+    assert together == alone and [r["suite_name"] for r in together] == list(SUITE_NAMES)
+    assert all(r["passed"] for r in together)
+
+
 def test_verify_bad_suite_name():
     assert run(["verify", "--suite", "bogus"]) == 2
 
@@ -1023,6 +1040,53 @@ def test_every_other_argv_goes_to_the_full_parser(kind, argparse_calls, capsys):
                                   [*_REGION_EQ, "--format=--"]], ids=" ".join)
 def test_a_lone_double_dash_value_parses_as_the_full_parser_parses_it(argv):
     assert vars(varregion.cli._parse_args(argv)) == vars(_full_parse(argv))
+
+
+# a valid argv of each command in the --flag=value form, each of its flags given a value
+_LONE_DASH_BASE = {
+    "region": ["--A=0", "--B=0.5", "--z0=0.5", "--theta-samples=4"],
+    "extremal": ["--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"],
+    "sample": ["--A=0", "--B=0.5", "--z0=0.5", "--mc-samples=5", "--theta-samples=4"],
+    "verify": ["--suite=inclusion"],
+    "sweep": ["--grid=grid.txt", "--out=out", "--theta-samples=4"],
+}
+
+
+def _lone_dash_argvs():
+    """Per command and per long flag it reads: its valid argv with that flag's value a lone "--"."""
+    for command, parser in build_parser().commands.items():
+        for flag in (a.option_strings[0] for a in parser._actions if a.option_strings[0].startswith("--")):
+            if flag != "--help":
+                base = [t for t in _LONE_DASH_BASE[command] if t.partition("=")[0] != flag]
+                yield [command, *base, f"{flag}=--"]
+
+
+def test_a_lone_double_dash_value_ends_in_a_usage_error_not_a_traceback(tmp_path):
+    argvs = list(_lone_dash_argvs())
+    assert len(argvs) == 33  # every flag of region 8, extremal 8, sample 10, verify 4 and sweep 3
+    src = str(Path(varregion.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def call(i):
+        cwd = tmp_path / str(i)  # one working directory per call, to see what each one writes
+        cwd.mkdir()
+        (cwd / "grid.txt").write_text("A=0\nB=0.5\nz0_re=0.5\n")
+        return subprocess.run([sys.executable, "-m", "varregion.cli", *argvs[i]], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        procs = list(pool.map(call, range(len(argvs))))
+    for i, (argv, proc) in enumerate(zip(argvs, procs)):
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.returncode in (0, 2, 3, 4, 5), (argv, proc.returncode, proc.stderr)
+        try:
+            parsed = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = {}
+        if [] in parsed.values():  # Python 3.11, for one: argparse leaves the flag []
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            assert proc.stderr == f"error: no value for {argv[-1][:-3]}\n", argv
+            assert [p.name for p in (tmp_path / str(i)).iterdir()] == ["grid.txt"], argv
 
 
 @pytest.mark.parametrize("argv", [_EXTREMAL, [*_EXTREMAL, "--seed", "1"], ["extremal", "--help"], []], ids=" ".join)

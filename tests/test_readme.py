@@ -14,7 +14,7 @@ def test_library_quick_start_runs_as_commented():
     disk, slack, status = ns["disk"], ns["slack"], ns["status"]
     assert abs(disk.center - 1.1) <= 1e-12 and abs(disk.radius - 0.1) <= 1e-12
     assert VERDICTS[int(status)] is Verdict.BOUNDARY and abs(slack) <= 1e-12
-    assert ns["statuses"].shape == (1000,)
+    assert ns["statuses"].shape == (1000,) and ns["ws"].shape == (3, 1000)
 
 
 def test_star_import_of_every_module():

@@ -143,6 +143,34 @@ def test_constrained_schwarz_validation():
         ConstrainedSchwarz(constant_inners(0.5), 1.0)
 
 
+@pytest.mark.parametrize("lambdas", [
+    (0.0,),
+    (0.0, 0.3, -0.9, 0.5),  # real
+    (0.0, 0.3 + 0.4j, -0.5j, 0.2 - 0.7j, -0.99 + 0.01j),  # complex
+])
+def test_array_lambda_omega_equals_stacked_scalar_calls(lambdas):
+    inner = sample_members(3, 64)
+    rng = np.random.default_rng(8)
+    z = 0.97 * np.sqrt(rng.uniform(0, 1, 33)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 33))
+    for lam, points in (
+        (np.array(lambdas)[:, None, None], z[:, None]),  # (lambda, point, member)
+        (np.array(lambdas)[:, None], 0.3 - 0.45j),  # (lambda, member) at one scalar point
+    ):
+        s = ConstrainedSchwarz(inner, lam)
+        assert s.lam.dtype == complex and s.lam.shape == lam.shape
+        stacked = np.stack([omega_eval(ConstrainedSchwarz(inner, one), points) for one in lambdas])
+        batched = omega_eval(s, points)
+        assert batched.shape == stacked.shape and batched.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.0, -1.0, 0.6 + 0.8j, 1j, 1.5, np.nan, complex(0.2, np.nan), np.inf])
+def test_array_lambda_rejects_any_entry_off_the_open_disk(bad):
+    lam = np.array([0.0, 0.3, bad, 0.5j])
+    for shaped in (lam, lam[:, None, None]):
+        with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
+            ConstrainedSchwarz(constant_inners(0.5), shaped)
+
+
 def test_omega_basic():
     s = ConstrainedSchwarz(sample_members(3, 8), 0.4 + 0.1j)
     assert np.all(omega_eval(s, 0.0) == 0.0)

@@ -145,65 +145,96 @@ def _rotation_turns(n: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
 
 
-def test_batched_rotation_verdicts_equal_per_frame_classify(monkeypatch):
+def _assert_rotation_verdicts_equal_per_frame_classify(monkeypatch, z0s, lambdas):
     calls = []
 
     def spy(w, z0, lam, params, tol):
         slack, status = varregion.region._classify(w, z0, lam, params, tol)
-        calls.append((w, z0, lam, params, status))
+        calls.append((w, params, status, *np.broadcast_arrays(z0, lam)))
         return slack, status
 
     monkeypatch.setattr(varregion.verify, "_classify", spy)
-    z0s, lambdas, n_rot = (0.5, 0.3 + 0.4j), (0.3, 0.5), 8
+    n_rot, per_frame = 8, 30
     r = check_rotation(param_sets=SMALL_SETS, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
-                       n_samples=120, seed=4)
-    assert r.passed and r.samples == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * 30
-    frames = [(p, z0, lam) for p in SMALL_SETS for z0 in z0s for lam in lambdas]
-    assert len(calls) == 2 * len(frames)
+                       n_samples=per_frame * len(z0s) * len(lambdas), seed=4)
+    assert r.passed and r.samples == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * per_frame
+    # one call per parameter set: both frames of every (z0, lambda, turn), the rotated point first
+    assert [call[1] for call in calls] == list(SMALL_SETS)
     rots = _rotation_turns(n_rot)
-    for (params, z0, lam), rotated_point, rotated_lambda in zip(frames, calls[0::2], calls[1::2]):
-        ws, status_point, status_lambda = rotated_point[0], rotated_point[4], rotated_lambda[4]
-        assert ws.shape == (n_rot, 30) and rotated_lambda[0] is ws
-        assert rotated_point[3] is params and rotated_lambda[3] is params
-        for t, rot in enumerate(rots):
-            _, ref_point = classify(ws[t], EvalPoint(rot * z0, lam), params)
-            _, ref_lambda = classify(ws[t], EvalPoint(z0, lam * rot), params)
-            assert np.array_equal(status_point[t], ref_point)
-            assert np.array_equal(status_lambda[t], ref_lambda)
+    for ws, params, status, frame_z0, frame_lam in calls:
+        assert ws.shape == (len(z0s), len(lambdas), n_rot, per_frame) and status.shape == (2, *ws.shape)
+        for i, z0 in enumerate(z0s):
+            for l, lam in enumerate(lambdas):
+                for t, rot in enumerate(rots):
+                    # the rotated point first, then the rotated lambda (products as arrays)
+                    assert frame_z0[:, i, l, t, 0].tolist() == [(rots * z0)[t], z0]
+                    assert frame_lam[:, i, l, t, 0].tolist() == [lam, (lam * rots)[t]]
+                    _, ref_point = classify(ws[i, l, t], EvalPoint(rot * z0, lam), params)
+                    _, ref_lambda = classify(ws[i, l, t], EvalPoint(z0, lam * rot), params)
+                    assert np.array_equal(status[0, i, l, t], ref_point)
+                    assert np.array_equal(status[1, i, l, t], ref_lambda)
         # member, boundary and exterior values in turn, seen from the rotated point
-        assert np.all(status_point[:, 0::3] != 2)
-        assert np.all(status_point[:, 1::3] == 1)
-        assert np.all(status_point[:, 2::3] == 2)
+        assert np.all(status[0, ..., 0::3] != 2)
+        assert np.all(status[0, ..., 1::3] == 1)
+        assert np.all(status[0, ..., 2::3] == 2)
 
 
-def test_batched_rotation_reports_disagreements_in_turn_then_sample_order(monkeypatch):
-    per_frame, n_rot = 30, 4
+def test_batched_rotation_verdicts_equal_per_frame_classify(monkeypatch):
+    _assert_rotation_verdicts_equal_per_frame_classify(monkeypatch, (0.5, 0.3 + 0.4j), (0.3, 0.5))
+
+
+def test_batched_rotation_verdicts_equal_per_frame_classify_at_complex_z0_and_lambda(monkeypatch):
+    # the batched frames take |z0| and |lambda| by numpy's modulus, the per-frame
+    # classify by Python's; the two can differ in the last bit here
+    _assert_rotation_verdicts_equal_per_frame_classify(
+        monkeypatch, (0.62 - 0.21j, -0.35j, 0.3 + 0.4j), (0.4 + 0.3j, -0.55, 0.1 - 0.8j))
+
+
+def _assert_rotation_disagreements_reported_in_order(monkeypatch, param_sets, z0s, lambdas, n_rot, per_frame,
+                                                    chosen, seed):
+    """Force the rotated-lambda frame Outside at the chosen (turn, sample) of every frame.
+
+    The first 20 disagreements are the witnesses, in parameter set, z0,
+    lambda, turn and sample order.
+    """
     bump = np.zeros((n_rot, per_frame))
-    chosen = [(1, 4), (1, 0), (3, 1)] + [(2, j) for j in range(per_frame) if j % 3 != 2]
     for t, j in chosen:
         bump[t, j] = 1.0  # slack >= 1 - |z0|: Outside where the rotated point reads otherwise
     seen = []
 
     def disagreeing_pullback(w, z0, lam, params):
-        out = real_pullback(w, z0, lam, params)
-        if np.ndim(lam) == 0:
-            return out
         seen.append(w)
-        return out + bump
+        out = real_pullback(w, z0, lam, params)
+        out[1] += bump  # the rotated-lambda frame only
+        return out
 
     real_pullback = varregion.region._pullback
     monkeypatch.setattr(varregion.region, "_pullback", disagreeing_pullback)
-    r = check_rotation(param_sets=(P05,), z0s=(0.5,), lambdas=(0.3,), n_rotations=n_rot,
-                       n_samples=per_frame, seed=5)
-    assert not r.passed and r.max_violation == 1.0
-    assert r.samples == n_rot * per_frame and len(seen) == 1
-    expected = sorted(chosen)[:20]
+    r = check_rotation(param_sets=param_sets, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
+                       n_samples=per_frame * len(z0s) * len(lambdas), seed=seed)
+    frames = [(p, i, l) for p in range(len(param_sets)) for i in range(len(z0s)) for l in range(len(lambdas))]
+    assert not r.passed and r.max_violation == 1.0 and r.samples == len(frames) * n_rot * per_frame
+    assert [w.shape for w in seen] == [(len(z0s), len(lambdas), n_rot, per_frame)] * len(param_sets)
+    expected = sorted((*frame, t, j) for frame in frames for t, j in chosen)[:20]
     assert len(r.witnesses) == 20
-    for (t, j), wit in zip(expected, r.witnesses):
-        assert wit["inputs"] == {"A": 0.0, "B": 0.5, "z0": _cstr(0.5), "lambda": 0.3,
-                                 "theta": float(2.0 * np.pi * t / n_rot), "w": _cstr(seen[0][t, j])}
+    for (p, i, l, t, j), wit in zip(expected, r.witnesses):
+        params = param_sets[p]
+        assert wit["inputs"] == {"A": params.A, "B": params.B, "z0": _cstr(z0s[i]), "lambda": lambdas[l],
+                                 "theta": float(2.0 * np.pi * t / n_rot), "w": _cstr(seen[p][i, l, t, j])}
         assert wit["observed"]["rotated_point"] == ("Interior" if j % 3 == 0 else "Boundary")
         assert wit["observed"]["rotated_lambda"] == "Outside"
+
+
+def test_batched_rotation_reports_disagreements_in_turn_then_sample_order(monkeypatch):
+    per_frame = 30
+    chosen = [(1, 4), (1, 0), (3, 1)] + [(2, j) for j in range(per_frame) if j % 3 != 2]
+    _assert_rotation_disagreements_reported_in_order(monkeypatch, (P05,), (0.5,), (0.3,), 4, per_frame, chosen, 5)
+
+
+def test_batched_rotation_witnesses_in_params_z0_lambda_turn_sample_order(monkeypatch):
+    # in every frame: 24 disagreements, the first 20 reported
+    _assert_rotation_disagreements_reported_in_order(monkeypatch, SMALL_SETS, (0.5, 0.3 + 0.4j), (0.3, 0.5), 4, 9,
+                                                    [(1, 4), (3, 1), (1, 0)], 1)
 
 
 @pytest.mark.parametrize("z0s, lambdas, message", [
@@ -428,7 +459,7 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
                 if z0 == 0:
                     continue
                 disk = variability_disk(EvalPoint(z0, lam), params)
-                pullback = np.exp(V.member_log_fprime(s, params, z0) / params.exponent)
+                pullback = np.exp(V.log_fprime(V.omega_eval(s, z0), params) / params.exponent)
                 distance = np.abs(pullback - disk.center) - disk.radius
                 probe = np.arange(distance.size) % 8 == 7  # on-circle probes: gated on both sides
                 inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
@@ -448,10 +479,10 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
         for z0 in z0s:
             bound = abs(params.B) * abs(z0) ** 2
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
-            lhs = np.abs(np.exp(V.member_log_fprime(members, params, z0) / params.exponent) - 1.0)
+            lhs = np.abs(np.exp(V.log_fprime(V.omega_eval(members, z0), params) / params.exponent) - 1.0)
             tally.add_many(lhs - bound, lambda k: (
                 inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
-            lhs_sharp = np.abs(np.exp(V.member_log_fprime(sharp, params, z0) / params.exponent) - 1.0)
+            lhs_sharp = np.abs(np.exp(V.log_fprime(V.omega_eval(sharp, z0), params) / params.exponent) - 1.0)
             tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
                 dict(inputs, sharp_phi=float(phis[k])),
                 {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
@@ -603,23 +634,23 @@ def _cell(params, lam, z0) -> tuple[int, int, int]:
 
 
 def _bump_members(monkeypatch, forced: set) -> None:
-    """member_log_fprime moved off at the forced (cell, rows, sample) entries.
+    """omega_eval moved off at the forced (lambda, z0, rows, sample) entries, for every parameter set.
 
     Rows of 40 members move far out of the region; rows of 8 (the corollary0
-    sharpness probes) move to w = 0, far inside the bound they must meet.
+    sharpness probes) move to omega = 0, far inside the bound they must meet.
     """
-    real = varregion.verify.member_log_fprime
+    real = varregion.verify.omega_eval
 
-    def bumped(s, params, z):
-        w = np.array(real(s, params, z))
-        rows = w.reshape(np.size(z), -1)
-        for t, z0 in enumerate(np.ravel(z).tolist()):
-            for j in range(rows.shape[1]):
-                if (*_cell(params, s.lam, z0), rows.shape[1], j) in forced:
-                    rows[t, j] = 0.0 if rows.shape[1] == 8 else rows[t, j] + 10.0 * params.exponent
-        return w
+    def bumped(s, z):
+        omega = real(s, z)
+        lams, z0s = (np.broadcast_to(a, omega.shape) for a in (s.lam, z))
+        rows = omega.shape[-1]
+        for e in np.ndindex(omega.shape):
+            if (DEFAULT_LAMBDAS.index(lams[e]), DEFAULT_Z0S.index(z0s[e]), rows, e[-1]) in forced:
+                omega[e] = 0.0 if rows == 8 else omega[e] + 10.0
+        return omega
 
-    monkeypatch.setattr(varregion.verify, "member_log_fprime", bumped)
+    monkeypatch.setattr(varregion.verify, "omega_eval", bumped)
 
 
 def _draw_forced(count: int, cells: list[tuple], samples: int) -> set:
@@ -629,28 +660,31 @@ def _draw_forced(count: int, cells: list[tuple], samples: int) -> set:
 
 
 def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
-    cells = [(p, l, t, 40) for p in range(5) for l in range(4) for t in range(4)]
-    forced = _draw_forced(60, cells, 40)
+    cells = [(l, t, 40) for l in range(4) for t in range(4)]
+    forced = _draw_forced(6, cells, 40)  # 6 per parameter set: the first 20 span four of them
     _bump_members(monkeypatch, forced)
     r = check_prop1(seed=6)
     assert r.to_dict() == _reference_prop1(6).to_dict()
     assert not r.passed and len(r.witnesses) == 20
-    for (p, l, t, _, j), wit in zip(sorted(forced), r.witnesses):
+    V = varregion.verify
+    expected = sorted((p, *cell) for p in range(5) for cell in forced)
+    for (p, l, t, _, j), wit in zip(expected, r.witnesses):
         params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
-        w = varregion.verify.member_log_fprime(ConstrainedSchwarz(_members_with_probes(6, 40), lam),
-                                               params, z0)[j]
+        w = V.log_fprime(V.omega_eval(ConstrainedSchwarz(_members_with_probes(6, 40), lam), z0), params)[j]
         assert wit["observed"]["pullback"] == _cstr(np.exp(w / params.exponent))
+    assert expected[19][0] == 3
 
 
 def test_batched_corollary0_witnesses_follow_the_reference_loop(monkeypatch):
-    # members (40 rows) and sharpness probes (8 rows) forced in every z0 row
-    cells = [(p, 0, t, rows) for p in range(5) for t in range(4) for rows in (40, 8)]
-    forced = _draw_forced(50, cells, 8)
+    # members (40 rows) and sharpness probes (8 rows) forced in the z0 rows
+    cells = [(0, t, rows) for t in range(4) for rows in (40, 8)]
+    forced = _draw_forced(5, cells, 8)  # 5 per parameter set: the first 20 span four of them
     _bump_members(monkeypatch, forced)
     r = check_corollary0(seed=2)
     assert not r.passed and len(r.witnesses) == 20
     assert any("sharp_phi" in w["inputs"] for w in r.witnesses)
+    assert [w["inputs"]["B"] for w in r.witnesses] == [p.B for p in DEFAULT_PARAM_SETS[:4] for _ in range(5)]
     assert r.to_dict() == _reference_corollary0(2).to_dict()
 
 
@@ -677,11 +711,12 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
 
     def dented(k, z0, lam, params):
         values = real(k, z0, lam, params)
-        rows = values.reshape(np.size(z0), -1)
-        for t, z in enumerate(np.ravel(z0).tolist()):
-            if _cell(params, lam, z) in forced:
-                center = rows[t].mean()
-                rows[t, 5] = center + 0.5 * (rows[t, 5] - center)
+        # one curve per (lambda, z0) entry: a (lambda, z0) grid from the suite, one cell from the reference
+        cells = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(lam, z0)))
+        for row, (lam_c, z0_c) in zip(values.reshape(-1, values.shape[-1]), cells):
+            if _cell(params, lam_c, z0_c) in forced:
+                center = row.mean()
+                row[5] = center + 0.5 * (row[5] - center)
         return values
 
     real = varregion.region._boundary_values
@@ -786,7 +821,7 @@ def test_halfplane_fails_a_nan_member_value(monkeypatch):
 
     def one_nan(s, z):
         omega = real(s, z)
-        omega[5, 3] = np.nan
+        omega[:, 5, 3] = np.nan  # at one grid point and member, for every lambda
         return omega
 
     monkeypatch.setattr(varregion.verify, "omega_eval", one_nan)
