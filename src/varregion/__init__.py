@@ -28,9 +28,7 @@ from .region import (
     variability_disk,
 )
 from .sampler import (
-    ConstrainedSchwarz,
     inner_eval,
-    member_log_fprime,
     omega_eval,
     special_curvature,
 )

@@ -39,7 +39,7 @@ from .region import (
     singleton_value,
     variability_disk,
 )
-from .sampler import BLOCK_ROWS, ConstrainedSchwarz, member_log_fprime, sample_members
+from .sampler import BLOCK_ROWS, log_fprime, omega_eval, sample_members
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -223,11 +223,16 @@ def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) ->
 def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
     """Validated (params, point) of a region/sample command, rejecting bad run flags too."""
     params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
-    if args.theta_samples < 3:
-        raise ValueError("require theta_samples >= 3")
+    _check_theta_samples(args.theta_samples)
     if not args.tol > 0.0:
         raise ValueError("require tol > 0")
     return params, point
+
+
+def _check_theta_samples(n: int) -> None:
+    """Reject a boundary curve of fewer than 3 samples before any work."""
+    if n < 3:
+        raise ValueError("require theta_samples >= 3")
 
 
 def _check_seed(seed: int) -> None:
@@ -279,8 +284,7 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
     for start in range(0, n, BLOCK_ROWS):
         rows = np.arange(start, min(start + BLOCK_ROWS, n))
         if single is None:
-            s = ConstrainedSchwarz(sample_members(seed, rows.size, start), point.lam)
-            w = member_log_fprime(s, params, point.z0)
+            w = log_fprime(omega_eval(sample_members(seed, rows.size, start), point.lam, point.z0), params)
             slack, status = classify(w, point, params, tol)
         yield rows, w[:rows.size], status[:rows.size], slack[:rows.size]
 
@@ -385,6 +389,7 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_theta_samples(args.theta_samples)
     out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -61,7 +61,7 @@ class QuadratureConfig:
     never confirmed either: two estimates that round to the same double do
     not meet it.  max_panels is capped at MAX_PANELS,
     about 80 MiB of panel arrays (~1.2 KiB per panel) while an estimate runs;
-    _panel_nodes keeps 128 B per panel of every level reached.
+    _level_nodes keeps 128 B per panel of every level reached.
     """
 
     max_panels: int = 1024
@@ -93,45 +93,37 @@ def extremal_fprime(spec: ExtremalSpec, z):
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(n)`` nodes and weights, computed once per n and read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(NODES_PER_PANEL)`` nodes and weights, computed on first use and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
 @functools.cache
-def _panel_nodes(panels: int) -> np.ndarray:
-    """The read-only ``(panels, NODES_PER_PANEL)`` nodes in [0, 1] of the composite rule, built once per count.
-
-    The cache keeps 128 B per panel at every level a process reaches: about
-    256 KiB for the levels up to the default 1,024-panel cap, and about
-    16 MiB up to MAX_PANELS.  _level_nodes((1, 2)) keeps one more 384 B copy
-    of the first two levels, which share one integrand pass.
-    """
-    nodes = _gauss_legendre(NODES_PER_PANEL)[0]
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 / panels
-    t = mid + half * nodes[None, :]
-    t.flags.writeable = False
-    return t
-
-
-@functools.cache
 def _level_nodes(levels: tuple[int, ...]) -> np.ndarray:
-    """The read-only ``_panel_nodes(p)`` of each panel count p in levels, stacked in that order."""
-    if len(levels) == 1:
-        return _panel_nodes(levels[0])
-    t = np.concatenate([_panel_nodes(p) for p in levels])
+    """The read-only nodes in [0, 1] of the composite rule for each panel count in levels.
+
+    Panel count p contributes a ``(p, NODES_PER_PANEL)`` block, stacked in the
+    order of levels.  The cache keeps 128 B per panel of every levels tuple a
+    process reaches: about 256 KiB up to the default 1,024-panel cap, and
+    about 16 MiB up to MAX_PANELS.
+    """
+    nodes = _gauss_legendre()[0]
+    blocks = []
+    for panels in levels:
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        blocks.append(mid + (0.5 / panels) * nodes[None, :])
+    t = np.concatenate(blocks)
     t.flags.writeable = False
     return t
 
 
 def _composite_estimates(spec, z_from, z_to, levels):
     """One composite estimate per panel count in levels, from one integrand pass over all their nodes."""
-    weights = _gauss_legendre(NODES_PER_PANEL)[1]
+    weights = _gauss_legendre()[1]
     wg = weights * extremal_fprime(spec, z_from + _level_nodes(levels) * (z_to - z_from))
     estimates, row = [], 0
     for panels in levels:

@@ -14,18 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import JanowskiParams, _log1p, _require_lambda, mobius_delta
+from .region import JanowskiParams, _log1p, mobius_delta
 
 __all__ = [
     "InnerBatch",
     "BLOCK_ROWS",
-    "ConstrainedSchwarz",
     "sample_members",
     "constant_inners",
     "inner_eval",
     "omega_eval",
     "log_fprime",
-    "member_log_fprime",
     "special_curvature",
 ]
 
@@ -35,14 +33,6 @@ BLOCK_ROWS = 1024  # member rows drawn from one Generator by sample_members
 _BLOCK_MASK = np.arange(3)[:, None] < np.arange(BLOCK_ROWS) % 4
 _BLOCK_HAS_ZEROS = _BLOCK_MASK.any(axis=0)
 _BLOCK_MASK.flags.writeable = _BLOCK_HAS_ZEROS.flags.writeable = False
-
-
-def _clipped_to_disk(c, what: str):
-    """c with |c| <= 1; moduli within 1e-12 above 1 are scaled back onto the circle."""
-    m = np.abs(c)
-    if not np.all(m <= 1.0 + 1e-12):
-        raise ValueError(f"require |{what}| <= 1, got {np.max(m)}")
-    return np.where(m > 1.0, c / np.maximum(m, 1.0), c)
 
 
 @dataclass(frozen=True)
@@ -62,8 +52,12 @@ class InnerBatch:
 
 
 def constant_inners(c) -> InnerBatch:
-    """The constant inner functions c (|c| <= 1), one row per entry."""
-    lead = _clipped_to_disk(np.asarray(c, dtype=complex), "c0")
+    """The constant inner functions c (|c| <= 1), one row per entry; roundoff above 1 is clipped."""
+    c = np.asarray(c, dtype=complex)
+    m = np.abs(c)
+    if not np.all(m <= 1.0 + 1e-12):
+        raise ValueError(f"require |c0| <= 1, got {np.max(m)}")
+    lead = np.where(m > 1.0, c / np.maximum(m, 1.0), c)
     return InnerBatch(lead, np.zeros((0,) + lead.shape, complex), np.zeros((0,) + lead.shape, bool))
 
 
@@ -110,38 +104,21 @@ def sample_members(seed: int, n: int, start: int = 0) -> InnerBatch:
     return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
 
 
-@dataclass(frozen=True)
-class ConstrainedSchwarz:
-    """omega(z) = z delta(z psi(z), lambda): the Schwarz function of each row of inner.
+def omega_eval(inner: InnerBatch, lam, z):
+    """omega(z) = z delta(z psi(z), lambda): the Schwarz function of each row psi of inner.
 
     omega(0) = 0, omega'(0) = lambda and |omega| < 1 on the open disk, all by
-    construction.  lam is a complex scalar, or an ndarray that broadcasts
-    against the rows of inner and the z of omega_eval: one Schwarz function per
-    entry, so one call evaluates inner once for every lambda.
+    construction.  z is a scalar or ndarray with |z| < 1.  lam is a scalar, or
+    an ndarray that broadcasts against the rows of inner and z: one Schwarz
+    function per entry, so one call evaluates inner once for every lambda.
+    mobius_delta rejects any lambda off the open unit disk.
     """
-
-    inner: InnerBatch
-    lam: complex | np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, complex) if isinstance(self.lam, np.ndarray) else complex(self.lam)
-        object.__setattr__(self, "lam", lam)
-        _require_lambda(self.lam)
-
-
-def omega_eval(s: ConstrainedSchwarz, z):
-    """omega(z) for scalar or ndarray z with |z| < 1; a batch of inners broadcasts against z."""
-    return z * mobius_delta(z * inner_eval(s.inner, z), s.lam)
+    return z * mobius_delta(z * inner_eval(inner, z), lam)
 
 
 def log_fprime(omega, params: JanowskiParams):
     """((A-B)/B) Log(1 + B omega): log f' where the member's Schwarz function is omega."""
     return params.exponent * _log1p(params.B * omega)
-
-
-def member_log_fprime(s: ConstrainedSchwarz, params: JanowskiParams, z):
-    """log f'(z) = ((A-B)/B) Log(1 + B omega(z)) for the member induced by s."""
-    return log_fprime(omega_eval(s, z), params)
 
 
 def special_curvature(params: JanowskiParams, z):

@@ -37,11 +37,9 @@ from .region import (
     variability_disk,
 )
 from .sampler import (
-    ConstrainedSchwarz,
     InnerBatch,
     constant_inners,
     log_fprime,
-    member_log_fprime,
     omega_eval,
     sample_members,
     special_curvature,
@@ -172,8 +170,8 @@ def check_prop1(
     tally = _Tally(tol)
     zs = [z0 for z0 in z0s if z0 != 0]
     # one (lambda, z0, member) grid of Schwarz values serves every parameter set
-    s = ConstrainedSchwarz(_members_with_probes(seed, n_samples), np.array(lambdas, complex)[:, None, None])
-    omega = omega_eval(s, np.array(zs, dtype=complex)[:, None])
+    omega = omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas, complex)[:, None, None],
+                       np.array(zs, dtype=complex)[:, None])
     for params in param_sets:
         disks = [variability_disk(EvalPoint(z0, lam), params) for lam in lambdas for z0 in zs]
         center = np.array([d.center for d in disks], dtype=complex).reshape(omega.shape[:2] + (1,))
@@ -205,7 +203,7 @@ def check_corollary0(
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
     z0_col = np.array(z0s, dtype=complex)[:, None]
     # row t: the members at z0s[t], then the sharpness probes (equality up to roundoff)
-    omega = np.concatenate([omega_eval(ConstrainedSchwarz(inners, lam=0.0), z0_col) for inners in (
+    omega = np.concatenate([omega_eval(inners, 0.0, z0_col) for inners in (
         _members_with_probes(seed, n_samples), constant_inners(np.exp(1j * phis)))], axis=1)
     for params in param_sets:
         bound = np.array([abs(params.B) * abs(z0) ** 2 for z0 in z0s], dtype=float)[:, None]
@@ -289,7 +287,7 @@ def check_rotation(
     z0_rot = rots * z0
     frame_z0 = np.stack(np.broadcast_arrays(z0_rot, z0))
     frame_lam = np.stack(np.broadcast_arrays(lam, lam * rots))[:, None]
-    omega = omega_eval(ConstrainedSchwarz(sample_members(seed, per_frame)[0::3], lam), z0_rot)
+    omega = omega_eval(sample_members(seed, per_frame)[0::3], lam, z0_rot)
     for params in param_sets:
         center, radius = _disk(z0_rot, lam, params.B)
         w_pre = center + 1.2 * radius * circle[2::3]
@@ -335,7 +333,7 @@ def check_coverage(
     inners = constant_inners(ks)
     per_combo = []
     for params, point in cases:
-        member_vals = member_log_fprime(ConstrainedSchwarz(inners, point.lam), params, point.z0)
+        member_vals = log_fprime(omega_eval(inners, point.lam, point.z0), params)
         region_vals = region_point(equivalent_disk_param(ks, point, params), point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         gaps = {"hausdorff_member_to_region": h, "hausdorff_region_to_member": h}
@@ -441,8 +439,7 @@ def check_halfplane_univalence(
     lambdas = (0.0, 0.3, 0.5 + 0.2j)
     # the Schwarz values of every lambda in one (lambda, grid point, member) array; f' is
     # taken one lambda at a time, so its temporaries stay the size of one lambda's values
-    omegas = omega_eval(ConstrainedSchwarz(_members_with_probes(seed, n_samples),
-                                           np.array(lambdas)[:, None, None]), zgrid)
+    omegas = omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas)[:, None, None], zgrid)
     r = np.abs(zgrid)
     rhos = [r * (r + abs(lam)) / (1.0 + abs(lam) * r) for lam in lambdas]
     min_re = {}

@@ -8,7 +8,6 @@ import time
 import numpy as np
 
 from varregion import (
-    ConstrainedSchwarz,
     EvalPoint,
     ExtremalSpec,
     JanowskiParams,
@@ -23,14 +22,14 @@ from varregion import (
     closed_form_a0,
     extremal_fprime,
     extremal_value,
-    member_log_fprime,
+    omega_eval,
     pullback_modulus,
     special_curvature,
     variability_disk,
 )
 from varregion.cli import main as cli_main
 from varregion.region import VERDICTS, classify
-from varregion.sampler import constant_inners, sample_members
+from varregion.sampler import constant_inners, log_fprime, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS, DEFAULT_Z0S
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -110,9 +109,9 @@ def test_criterion_05_containment_of_random_members():
     t0 = time.time()
     outside = 0
     point = EvalPoint(0.5, 0.5)
-    s = ConstrainedSchwarz(sample_members(0, 10_000), 0.5)
+    omega = omega_eval(sample_members(0, 10_000), 0.5, 0.5)
     for params in DEFAULT_PARAM_SETS:
-        _, status = classify(member_log_fprime(s, params, 0.5), point, params, 1e-9)
+        _, status = classify(log_fprime(omega, params), point, params, 1e-9)
         outside += int(np.count_nonzero(status == VERDICTS.index(Verdict.OUTSIDE)))
     elapsed = time.time() - t0
     _criterion(5, "10^4 members x 5 sets never Outside at tol 1e-9 in < 60 s",
@@ -123,9 +122,9 @@ def test_criterion_05_containment_of_random_members():
 def test_criterion_06_sharpness_of_extremal_members():
     worst = 0.0
     theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
-    s = ConstrainedSchwarz(constant_inners(np.exp(1j * theta)), 0.5)
+    omega = omega_eval(constant_inners(np.exp(1j * theta)), 0.5, 0.5)
     for params in DEFAULT_PARAM_SETS:
-        w = member_log_fprime(s, params, 0.5)
+        w = log_fprime(omega, params)
         worst = max(worst, float(np.max(np.abs(pullback_modulus(w, PT, params) - 0.5))))
     _criterion(6, "extremal members hit |pullback| = |z0| within 1e-10 (64 theta)",
                worst < 1e-10, f"max|diff|={worst:.2e}")

@@ -768,7 +768,7 @@ def _sweep_grid(tmp_path, blocks):
     return grid
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 4096])
+@pytest.mark.parametrize("n", [3, 4, 4096])
 def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
     out = tmp_path / "out"
     assert run(["sweep", f"--grid={_sweep_grid(tmp_path, SWEEP_BLOCKS)}", f"--out={out}",
@@ -778,9 +778,7 @@ def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
     for block, entry in zip(SWEEP_BLOCKS, index):
         expected = json.dumps(_reference_sweep_record(block, n), sort_keys=True, indent=2) + "\n"
         assert (out / entry["file"]).read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
-    # below 3 samples every disk block is rejected; the singletons are still written
-    disk = ["ok"] * 3 if n >= 3 else ["rejected"] * 3
-    assert [e["status"] for e in index] == disk + ["ok"] * 2 + ["rejected"] * 3
+    assert [e["status"] for e in index] == ["ok"] * 5 + ["rejected"] * 3
 
 
 def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
@@ -811,6 +809,22 @@ def test_sweep_parse_error_reports_line(tmp_path, capsys):
     grid.write_text("C=0\n")
     assert run(["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["2", "0", "-5"])
+@pytest.mark.parametrize("form", ["equals", "space", "missing-grid"])
+def test_sweep_rejects_too_few_theta_samples_before_any_work(tmp_path, capsys, n, form):
+    grid = _sweep_grid(tmp_path, SWEEP_BLOCKS)
+    out = tmp_path / "o"
+    argv = {
+        "equals": ["sweep", f"--grid={grid}", f"--out={out}", f"--theta-samples={n}"],
+        "space": ["sweep", "--grid", str(grid), "--out", str(out), "--theta-samples", n],
+        # the grid is not read: a missing one is no I/O error
+        "missing-grid": ["sweep", f"--grid={tmp_path / 'missing.txt'}", f"--out={out}", f"--theta-samples={n}"],
+    }[form]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: require theta_samples >= 3\n"
+    assert not out.exists()
 
 
 def test_override_out_dir(tmp_path, monkeypatch):

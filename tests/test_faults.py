@@ -43,8 +43,8 @@ def inner_scaled(b, z):
     return 1.001 * REAL["inner_eval"](b, z)
 
 
-def omega_scaled(s, z):
-    return 1.001 * REAL["omega_eval"](s, z)
+def omega_scaled(inner, lam, z):
+    return 1.001 * REAL["omega_eval"](inner, lam, z)
 
 
 def log_fprime_of_conj(omega, params):

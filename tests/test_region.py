@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from varregion import (
     BoundaryCurve,
-    ConstrainedSchwarz,
     Disk,
     EvalPoint,
     JanowskiParams,
@@ -26,7 +25,7 @@ from varregion import (
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
 from varregion.region import VERDICTS, _log1p, classify
-from varregion.sampler import sample_members
+from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 # frozen oracle values (high-precision logs, correctly rounded to binary64)
@@ -130,8 +129,8 @@ NAN = float("nan")
     (lambda lam: mobius_delta_inv(0.5, lam), NAN),
     (lambda lam: mobius_delta_inv(0.5, lam), complex(NAN, 0.0)),
     (lambda lam: mobius_delta_inv(np.array([0.5, 0.2]), lam), np.array([0.3, NAN])),
-    (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), NAN),
-    (lambda lam: ConstrainedSchwarz(sample_members(0, 4), lam), complex(NAN, 0.0)),
+    (lambda lam: omega_eval(sample_members(0, 4), lam, 0.5), NAN),
+    (lambda lam: omega_eval(sample_members(0, 4), lam, 0.5), complex(NAN, 0.0)),
     (lambda lam: ExtremalSpec(0.5, lam, P05), NAN),
     (lambda lam: ExtremalSpec(0.5, lam, P05), complex(NAN, 0.0)),
     (lambda lam: closed_form_a0(lam, P05, 0.5), NAN),

@@ -15,7 +15,6 @@ import varregion.sampler
 import varregion.verify
 from varregion import (
     BoundaryCurve,
-    ConstrainedSchwarz,
     Disk,
     EvalPoint,
     JanowskiParams,
@@ -29,13 +28,13 @@ from varregion import (
     check_strict_inclusion,
     check_unit_lambda,
     janowski_disk,
-    member_log_fprime,
+    omega_eval,
     run_suite,
     singleton_value,
     variability_disk,
 )
 from varregion.region import classify
-from varregion.sampler import constant_inners
+from varregion.sampler import constant_inners, log_fprime
 from varregion.verify import (
     DEFAULT_LAMBDAS,
     DEFAULT_PARAM_SETS,
@@ -77,8 +76,7 @@ def test_prop1_extremal_equality_case():
     point = EvalPoint(0.5, 0.5)
     disk = variability_disk(point, P05)
     for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
-        s = ConstrainedSchwarz(constant_inners(np.exp(1j * th)), 0.5)
-        w = member_log_fprime(s, P05, 0.5)
+        w = log_fprime(omega_eval(constant_inners(np.exp(1j * th)), 0.5, 0.5), P05)
         pullback = np.exp(w / P05.exponent)
         assert abs(abs(pullback - disk.center) - disk.radius) < 1e-12
 
@@ -101,9 +99,8 @@ def test_corollary0_passes_and_is_sharp():
     r = check_corollary0(param_sets=SMALL_SETS, n_samples=24, seed=1)
     assert r.passed and r.witnesses == []
     # direct sharpness: psi == 1 at real z gives |1 + Bz^2 - 1| = |B| z^2
-    s = ConstrainedSchwarz(constant_inners(1.0), 0.0)
     for z in (0.3, 0.7):
-        w = member_log_fprime(s, P05, z)
+        w = log_fprime(omega_eval(constant_inners(1.0), 0.0, z), P05)
         assert abs(np.exp(w / P05.exponent) - 1.0) == pytest.approx(
             abs(P05.B) * z * z, abs=1e-15
         )
@@ -454,12 +451,11 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
     members = _members_with_probes(seed, 40)
     for params in param_sets:
         for lam in lambdas:
-            s = ConstrainedSchwarz(members, lam)
             for z0 in z0s:
                 if z0 == 0:
                     continue
                 disk = variability_disk(EvalPoint(z0, lam), params)
-                pullback = np.exp(V.log_fprime(V.omega_eval(s, z0), params) / params.exponent)
+                pullback = np.exp(V.log_fprime(V.omega_eval(members, lam, z0), params) / params.exponent)
                 distance = np.abs(pullback - disk.center) - disk.radius
                 probe = np.arange(distance.size) % 8 == 7  # on-circle probes: gated on both sides
                 inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
@@ -472,17 +468,17 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
                           z0s=DEFAULT_Z0S) -> VerificationReport:
     V = varregion.verify
     tally = _Tally(tol)
-    members = ConstrainedSchwarz(_members_with_probes(seed, 40), lam=0.0)
+    members = _members_with_probes(seed, 40)
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
-    sharp = ConstrainedSchwarz(constant_inners(np.exp(1j * phis)), lam=0.0)
+    sharp = constant_inners(np.exp(1j * phis))
     for params in param_sets:
         for z0 in z0s:
             bound = abs(params.B) * abs(z0) ** 2
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
-            lhs = np.abs(np.exp(V.log_fprime(V.omega_eval(members, z0), params) / params.exponent) - 1.0)
+            lhs = np.abs(np.exp(V.log_fprime(V.omega_eval(members, 0.0, z0), params) / params.exponent) - 1.0)
             tally.add_many(lhs - bound, lambda k: (
                 inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
-            lhs_sharp = np.abs(np.exp(V.log_fprime(V.omega_eval(sharp, z0), params) / params.exponent) - 1.0)
+            lhs_sharp = np.abs(np.exp(V.log_fprime(V.omega_eval(sharp, 0.0, z0), params) / params.exponent) - 1.0)
             tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
                 dict(inputs, sharp_phi=float(phis[k])),
                 {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
@@ -548,8 +544,7 @@ def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> VerificationRepo
     d_pairs = []
     for params, point in combos:
         ks = _polar_grid(grid_n)
-        s = ConstrainedSchwarz(constant_inners(ks), point.lam)
-        member_vals = V.member_log_fprime(s, params, point.z0)
+        member_vals = V.log_fprime(V.omega_eval(constant_inners(ks), point.lam, point.z0), params)
         region_vals = V.region_point(V.equivalent_disk_param(ks, point, params), point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         sub = _Tally(tol)
@@ -641,9 +636,9 @@ def _bump_members(monkeypatch, forced: set) -> None:
     """
     real = varregion.verify.omega_eval
 
-    def bumped(s, z):
-        omega = real(s, z)
-        lams, z0s = (np.broadcast_to(a, omega.shape) for a in (s.lam, z))
+    def bumped(inner, lam, z):
+        omega = real(inner, lam, z)
+        lams, z0s = (np.broadcast_to(a, omega.shape) for a in (lam, z))
         rows = omega.shape[-1]
         for e in np.ndindex(omega.shape):
             if (DEFAULT_LAMBDAS.index(lams[e]), DEFAULT_Z0S.index(z0s[e]), rows, e[-1]) in forced:
@@ -671,7 +666,7 @@ def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
     for (p, l, t, _, j), wit in zip(expected, r.witnesses):
         params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
-        w = V.log_fprime(V.omega_eval(ConstrainedSchwarz(_members_with_probes(6, 40), lam), z0), params)[j]
+        w = V.log_fprime(V.omega_eval(_members_with_probes(6, 40), lam, z0), params)[j]
         assert wit["observed"]["pullback"] == _cstr(np.exp(w / params.exponent))
     assert expected[19][0] == 3
 
@@ -733,15 +728,22 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
 
 
 def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch):
-    real_member, real_curvature = varregion.verify.member_log_fprime, varregion.verify.special_curvature
+    real_omega, real_log_fprime = varregion.verify.omega_eval, varregion.verify.log_fprime
+    real_curvature = varregion.verify.special_curvature
+    lams = []  # the lambda of each omega_eval call, so log_fprime knows whose values it takes
 
-    def moved_member(s, params, z):  # off the region image where lambda = 0.5 and B < 0.6
-        return real_member(s, params, z) + (1e-6 if s.lam == 0.5 and params.B < 0.6 else 0.0)
+    def seen_omega(inner, lam, z):
+        lams.append(lam)
+        return real_omega(inner, lam, z)
+
+    def moved_member(omega, params):  # off the region image where lambda = 0.5 and B < 0.6
+        return real_log_fprime(omega, params) + (1e-6 if lams[-1] == 0.5 and params.B < 0.6 else 0.0)
 
     def inside_curvature(params, z):  # the disk center for B > 0: no witness outside the disk
         return np.full_like(z, janowski_disk(params).center) if params.B > 0 else real_curvature(params, z)
 
-    monkeypatch.setattr(varregion.verify, "member_log_fprime", moved_member)
+    monkeypatch.setattr(varregion.verify, "omega_eval", seen_omega)
+    monkeypatch.setattr(varregion.verify, "log_fprime", moved_member)
     monkeypatch.setattr(varregion.verify, "special_curvature", inside_curvature)
     coverage, inclusion = run_suite("coverage"), run_suite("inclusion")
     assert coverage.to_dict() == _reference_coverage().to_dict()
@@ -789,8 +791,7 @@ def test_halfplane_values_equal_per_lambda_members(monkeypatch):
     lambdas = (0.0, 0.3, 0.5 + 0.2j)
     assert len(calls) == 3 * len(lambdas)
     for i, B in enumerate((0.25, 0.5, 1.0)):
-        ref = [member_log_fprime(ConstrainedSchwarz(members, lam), JanowskiParams(0.0, B), zgrid)
-               for lam in lambdas]
+        ref = [log_fprime(omega_eval(members, lam, zgrid), JanowskiParams(0.0, B)) for lam in lambdas]
         for (params, out), want in zip(calls[3 * i:3 * i + 3], ref):
             assert params == JanowskiParams(0.0, B) and np.array_equal(out, want)
         lo = min(float(np.min(np.exp(w).real)) for w in ref)
@@ -807,7 +808,7 @@ def test_halfplane_members_meet_their_pointwise_bound(seed):
 def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
     # omega scaled by 1.001 leaves Re f' far above 1/2, so only the pointwise bound can tell
     real = varregion.verify.omega_eval
-    monkeypatch.setattr(varregion.verify, "omega_eval", lambda s, z: 1.001 * real(s, z))
+    monkeypatch.setattr(varregion.verify, "omega_eval", lambda inner, lam, z: 1.001 * real(inner, lam, z))
     r = run_suite("halfplane", seed=0)
     assert not r.passed and (r.samples, r.parameter_sets) == (3, 3)
     assert min(r.extra["min_re_fprime"].values()) > 0.5
@@ -819,8 +820,8 @@ def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
 def test_halfplane_fails_a_nan_member_value(monkeypatch):
     real = varregion.verify.omega_eval
 
-    def one_nan(s, z):
-        omega = real(s, z)
+    def one_nan(inner, lam, z):
+        omega = real(inner, lam, z)
         omega[:, 5, 3] = np.nan  # at one grid point and member, for every lambda
         return omega
 
