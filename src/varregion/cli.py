@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -111,6 +109,8 @@ def _write_text(path: Path | None, text: str) -> None:
 
 def _tokens(col: list) -> list[str]:
     """JSON tokens of a non-empty list of numbers or verdict names (none holds ", "), by the C encoder."""
+    import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
+
     return json.dumps(col)[1:-1].split(", ")
 
 
@@ -128,6 +128,8 @@ def _json_text(obj, **rows) -> str:
     ``_rows_json`` lays the rows out, and the other values are encoded one by
     one.  Without rows this is the stdlib call.
     """
+    import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
+
     if not rows:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     items = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ") for k, v in obj.items() if k not in rows}
@@ -371,6 +373,8 @@ def _parse_grid_file(path: Path) -> list[dict[str, float]]:
 
 
 def _block_hash(block: dict[str, float]) -> str:
+    import hashlib  # here, not at the top: only sweep needs it, and loading OpenSSL is slow
+
     canonical = "\n".join(f"{k}={block[k]!r}" for k in sorted(block))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -11,11 +11,10 @@ elementary antiderivative used as an independent oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .region import JanowskiParams, _require_lambda, mobius_delta
+from .region import JanowskiParams, _FrozenRecord, _require_lambda, mobius_delta
 
 __all__ = [
     "ExtremalSpec",
@@ -28,20 +27,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(_FrozenRecord):
     """Boundary-family member: disk parameter a, coefficient parameter lambda."""
 
-    a: complex
-    lam: complex
-    params: JanowskiParams
+    _fields = ("a", "lam", "params")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "lam", complex(self.lam))
-        if not abs(self.a) <= 1.0 + 1e-12:
-            raise ValueError(f"require |a| <= 1, got |a| = {abs(self.a)}")
-        _require_lambda(self.lam)
+    def __init__(self, a: complex, lam: complex, params: JanowskiParams) -> None:
+        a, lam = complex(a), complex(lam)
+        if not abs(a) <= 1.0 + 1e-12:
+            raise ValueError(f"require |a| <= 1, got |a| = {abs(a)}")
+        _require_lambda(lam)
+        d = self.__dict__
+        d["a"], d["lam"], d["params"] = a, lam, params
 
 
 MAX_PANELS = 65536
@@ -49,8 +46,7 @@ NODES_PER_PANEL = 16  # Gauss-Legendre nodes in each panel
 _EPS4 = 4.0 * np.finfo(float).eps  # times |estimate|: the rounding floor of an estimate
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(_FrozenRecord):
     """Composite Gauss-Legendre settings; every panel has NODES_PER_PANEL nodes.
 
     Panels double (1, 2, 4, ...) until two successive composite estimates
@@ -64,14 +60,15 @@ class QuadratureConfig:
     _level_nodes keeps 128 B per panel of every level reached.
     """
 
-    max_panels: int = 1024
-    abs_tol: float = 1e-12
+    _fields = ("max_panels", "abs_tol")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_panels <= MAX_PANELS:
-            raise ValueError(f"require 1 <= max_panels <= {MAX_PANELS}, got {self.max_panels}")
-        if not self.abs_tol > 0.0:
+    def __init__(self, max_panels: int = 1024, abs_tol: float = 1e-12) -> None:
+        if not 1 <= max_panels <= MAX_PANELS:
+            raise ValueError(f"require 1 <= max_panels <= {MAX_PANELS}, got {max_panels}")
+        if not abs_tol > 0.0:
             raise ValueError("require abs_tol > 0")
+        d = self.__dict__
+        d["max_panels"], d["abs_tol"] = max_panels, abs_tol
 
 
 class ConvergenceError(RuntimeError):

@@ -19,7 +19,6 @@ throughout: every quantity passed to Log has the form 1 + B*z0*delta with
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +46,56 @@ __all__ = [
 UNIT_TOL = 1e-12  # |lambda| within UNIT_TOL of 1 counts as unimodular
 
 
-@dataclass(frozen=True)
-class JanowskiParams:
+class _Record:
+    """Base of the record classes: == and repr from the fields named in _fields.
+
+    == compares the field tuples of two records of one class, as a dataclass
+    does, and a record is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record that hashes by its fields and refuses every assignment and deletion.
+
+    Its __init__ stores the fields straight into self.__dict__, in field order.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class JanowskiParams(_FrozenRecord):
     """Real parameter pair with -1 <= A < B <= 1 and B != 0."""
 
-    A: float
-    B: float
+    _fields = ("A", "B")
 
-    def __post_init__(self) -> None:
-        if not (-1.0 <= self.A < self.B <= 1.0):
-            raise ValueError(
-                f"require -1 <= A < B <= 1, got A={self.A!r}, B={self.B!r}"
-            )
-        if self.B == 0.0:
+    def __init__(self, A: float, B: float) -> None:
+        if not (-1.0 <= A < B <= 1.0):
+            raise ValueError(f"require -1 <= A < B <= 1, got A={A!r}, B={B!r}")
+        if B == 0.0:
             raise ValueError("require B != 0")
+        d = self.__dict__
+        d["A"], d["B"] = A, B
 
     @property
     def exponent(self) -> float:
@@ -68,54 +103,50 @@ class JanowskiParams:
         return (self.A - self.B) / self.B
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(_FrozenRecord):
     """Evaluation data: disk point z0 plus the second-coefficient parameter."""
 
-    z0: complex
-    lam: complex
+    _fields = ("z0", "lam")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z0", complex(self.z0))
-        object.__setattr__(self, "lam", complex(self.lam))
-        if not abs(self.z0) < 1.0:
-            raise ValueError(f"require |z0| < 1, got |z0| = {abs(self.z0)}")
-        if not abs(self.lam) - 1.0 <= UNIT_TOL:
-            raise ValueError(f"require |lambda| <= 1, got |lambda| = {abs(self.lam)}")
+    def __init__(self, z0: complex, lam: complex) -> None:
+        z0, lam = complex(z0), complex(lam)
+        if not abs(z0) < 1.0:
+            raise ValueError(f"require |z0| < 1, got |z0| = {abs(z0)}")
+        if not abs(lam) - 1.0 <= UNIT_TOL:
+            raise ValueError(f"require |lambda| <= 1, got |lambda| = {abs(lam)}")
+        d = self.__dict__
+        d["z0"], d["lam"] = z0, lam
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(_FrozenRecord):
     """Closed disk {w : |w - center| <= radius}; radius 0 encodes a singleton."""
 
-    center: complex
-    radius: float
+    _fields = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius >= 0.0:
-            raise ValueError(f"require radius >= 0, got {self.radius}")
+    def __init__(self, center: complex, radius: float) -> None:
+        center, radius = complex(center), float(radius)
+        if not radius >= 0.0:
+            raise ValueError(f"require radius >= 0, got {radius}")
+        d = self.__dict__
+        d["center"], d["radius"] = center, radius
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(_FrozenRecord):
     """Ordered samples (theta_k, log F'(z0)) of the region's Jordan boundary."""
 
-    thetas: np.ndarray
-    values: np.ndarray
+    _fields = ("thetas", "values")
 
-    def __post_init__(self) -> None:
-        thetas = np.asarray(self.thetas, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+    def __init__(self, thetas: np.ndarray, values: np.ndarray) -> None:
+        thetas = np.asarray(thetas, dtype=float)
+        values = np.asarray(values, dtype=complex)
         if thetas.ndim != 1 or thetas.shape != values.shape:
             raise ValueError("thetas and values must be 1-d arrays of equal length")
         if thetas.size >= 2 and not np.all(np.diff(thetas) > 0.0):
             raise ValueError("thetas must be strictly increasing")
         if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
             raise ValueError("curve samples must be finite")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
+        d = self.__dict__
+        d["thetas"], d["values"] = thetas, values
 
     def __len__(self) -> int:
         return int(self.thetas.size)

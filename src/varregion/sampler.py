@@ -10,11 +10,9 @@ sloppy sup-norm estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .region import JanowskiParams, _log1p, mobius_delta
+from .region import JanowskiParams, _FrozenRecord, _log1p, mobius_delta
 
 __all__ = [
     "InnerBatch",
@@ -35,17 +33,18 @@ _BLOCK_HAS_ZEROS = _BLOCK_MASK.any(axis=0)
 _BLOCK_MASK.flags.writeable = _BLOCK_HAS_ZEROS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class InnerBatch:
+class InnerBatch(_FrozenRecord):
     """Inner functions as arrays: psi(z) = lead * prod_j (z - zeros[j])/(1 - conj(zeros[j]) z).
 
     The product runs over the j with mask[j]; zeros and mask carry the padded
     factors on a leading axis before the row shape of lead.  batch[i] is row i.
     """
 
-    lead: np.ndarray
-    zeros: np.ndarray
-    mask: np.ndarray
+    _fields = ("lead", "zeros", "mask")
+
+    def __init__(self, lead: np.ndarray, zeros: np.ndarray, mask: np.ndarray) -> None:
+        d = self.__dict__
+        d["lead"], d["zeros"], d["mask"] = lead, zeros, mask
 
     def __getitem__(self, rows) -> "InnerBatch":
         return InnerBatch(self.lead[rows], self.zeros[:, rows], self.mask[:, rows])

@@ -15,7 +15,6 @@ of their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .region import (
     VERDICTS,
     EvalPoint,
     JanowskiParams,
+    _Record,
     _boundary_values,
     _classify,
     _disk,
@@ -83,18 +83,26 @@ _MAX_WITNESSES = 20
 _K_MAX = 40  # unit-lambda approaches |lambda| = 1 through 1 - 2^-k, k = 1.._K_MAX
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one suite; passed iff max_violation <= tolerance."""
+class VerificationReport(_Record):
+    """Outcome of one suite; passed iff max_violation <= tolerance.
 
-    suite_name: str
-    parameter_sets: int
-    samples: int
-    max_violation: float
-    tolerance: float
-    passed: bool
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
+    witnesses and extra default to a new empty list and dict.
+    """
+
+    _fields = ("suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
+               "witnesses", "extra")
+
+    def __init__(self, suite_name: str, parameter_sets: int, samples: int, max_violation: float,
+                 tolerance: float, passed: bool, witnesses: list[dict[str, Any]] | None = None,
+                 extra: dict[str, Any] | None = None) -> None:
+        self.suite_name = suite_name
+        self.parameter_sets = parameter_sets
+        self.samples = samples
+        self.max_violation = max_violation
+        self.tolerance = tolerance
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.extra = {} if extra is None else extra
 
     def to_dict(self) -> dict[str, Any]:
         """The fields as a shallow dict (the witnesses and extra are not copied)."""

@@ -1108,3 +1108,34 @@ def test_main_without_argv_reads_sys_argv(argv, monkeypatch, capsys):
     expected = main(argv), *capsys.readouterr()
     monkeypatch.setattr(sys, "argv", ["varregion", *argv])
     assert (main(), *capsys.readouterr()) == expected
+
+
+_STARTUP_CODE = """\
+import sys
+import numpy
+before = set(sys.modules)
+import varregion.cli
+varregion.cli.build_parser()
+point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4"]
+assert varregion.cli.main(["extremal", *point, "--a=0.6,0.2", "--z=0.5,0.1"]) == 0
+for fmt in ("csv", "svg"):
+    assert varregion.cli.main(["region", *point, "--z0=0.5", f"--format={fmt}", "--out", sys.argv[2] + fmt]) == 0
+print("added:", *sorted({"dataclasses", "hashlib", "json"} & (set(sys.modules) - before)))
+import numpy.random
+before = set(sys.modules)
+assert varregion.cli.main(["sample", *point, "--z0=0.5", "--mc-samples=200", "--out", sys.argv[1]]) == 0
+print("added:", *sorted({"dataclasses", "hashlib", "json"} & (set(sys.modules) - before)))
+"""
+
+
+def test_startup_and_csv_svg_extremal_output_load_no_dataclasses_hashlib_or_json(tmp_path):
+    # compared against the modules loaded after numpy, so that a site hook or
+    # a numpy that imports one of them itself does not fail this test; sample
+    # draws from numpy.random, which loads hashlib (through secrets) itself
+    src = str(Path(varregion.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_CODE, str(tmp_path / "s.csv"), str(tmp_path / "region.")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["added:", "added:"]
+    assert (tmp_path / "s.csv").read_text().startswith("seed_index,re,im,verdict\n")
+    assert (tmp_path / "region.svg").exists() and (tmp_path / "region.csv").exists()

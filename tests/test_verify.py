@@ -1,6 +1,4 @@
-import dataclasses
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -598,6 +596,17 @@ REFERENCE_SUITES = {
 def test_batched_suites_equal_per_cell_reference_loops(seed):
     for name, reference in REFERENCE_SUITES.items():
         assert run_suite(name, seed=seed).to_dict() == reference(seed).to_dict(), name
+    # the reports above hold only what the fixed probes set; at tol=-1 every
+    # sample is a witness, so the sampled members reach the report too
+    for name in ("prop1", "corollary0"):
+        batched = run_suite(name, seed=seed, tol=-1.0)
+        assert batched.witnesses and batched.to_dict() == REFERENCE_SUITES[name](seed, tol=-1.0).to_dict(), name
+
+
+def test_member_witnesses_depend_on_the_seed():
+    # so the tol=-1 comparisons above see each seed's own members
+    a, b = (run_suite("prop1", seed=s, tol=-1.0).witnesses for s in (0, 1))
+    assert len(a) == len(b) == 20 and a != b
 
 
 def test_batched_suites_equal_reference_loops_off_the_default_grid():
@@ -911,7 +920,11 @@ def test_to_dict_is_asdict_without_the_copies(name):
     assert not r.passed and r.witnesses
     d = r.to_dict()
     assert d["witnesses"] is r.witnesses and d["extra"] is r.extra
-    assert json.dumps(d, sort_keys=True) == json.dumps(dataclasses.asdict(r), sort_keys=True)
+    assert list(d) == ["suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
+                       "witnesses", "extra"]
+    assert d == {"suite_name": r.suite_name, "parameter_sets": r.parameter_sets, "samples": r.samples,
+                 "max_violation": r.max_violation, "tolerance": r.tolerance, "passed": r.passed,
+                 "witnesses": r.witnesses, "extra": r.extra}
 
 
 def test_run_suite_unknown_name():
