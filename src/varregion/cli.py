@@ -4,8 +4,10 @@ Subcommands: ``region`` (boundary curve / disk data), ``extremal`` (evaluate
 one extremal map), ``sample`` (seeded member cloud with membership verdicts),
 ``verify`` (run verification suites), ``sweep`` (batch region records from a
 grid file).  Output formats are CSV, SVG and JSON; every command is a
-deterministic function of its flags and seed, and files are written
-atomically.
+deterministic function of its flags and seed.  A file is written atomically:
+its bytes go to a temp file in the target's directory, which a rename then
+moves into place, so the target holds either its old or its new bytes.  Like
+``open(path, "w")``, the file gets mode 0o666 less the umask.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/domain error, 3 I/O
 failure, 4 quadrature non-convergence, 5 containment breach (a sampled member
@@ -18,7 +20,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +89,26 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
     return Path(override) if is_dir else Path(override) / Path(path_str).name
 
 
-def _write_text(path: Path | None, text: str) -> None:
-    """Write to stdout, or atomically (temp file + rename) to a file."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+# as tempfile opens its files, with O_BINARY so Windows writes "\n" as is
+_TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+              | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path atomically, through a temp file in path's directory that a rename moves into place.
+
+    The temp file's name is unique to the call (pid and random bytes), and
+    ``O_EXCL`` refuses one that exists.  It is removed if any step fails.
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, _TMP_FLAGS, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:  # os.write may write only part of its buffer
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -105,6 +116,16 @@ def _write_text(path: Path | None, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_out(out: str | None, text: str) -> None:
+    """Write a command's one output: to stdout, or to its --out file, making the file's directory first."""
+    path = _resolve_out(out)
+    if path is None:
+        sys.stdout.write(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(path, text)
 
 
 def _tokens(col: list) -> list[str]:
@@ -124,17 +145,21 @@ def _json_text(obj, **rows) -> str:
 
     ``rows`` maps top-level keys of a dict with string keys to non-empty rows
     of JSON tokens from ``_tokens``.  With ``indent`` the stdlib encodes in pure
-    Python; here the C encoder has already written every row cell,
-    ``_rows_json`` lays the rows out, and the other values are encoded one by
-    one.  Without rows this is the stdlib call.
+    Python; here the C encoder has already written every row cell.  The dict
+    is encoded once with ``null`` for each rows key, and ``_rows_json`` text
+    takes the place of each top-level ``\\n  "<key>": null``.  That text is
+    unique: deeper keys are indented further, and a JSON string holds no raw
+    newline.  Without rows this is the stdlib call.
     """
     import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
-    if not rows:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    items = {k: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ") for k, v in obj.items() if k not in rows}
-    items.update((k, _rows_json(r)) for k, r in rows.items())
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {items[k]}" for k in sorted(items)) + "\n}\n"
+    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2)
+    pieces = []
+    for key in sorted(rows):  # the order sort_keys gives the keys in text
+        field = f"\n  {json.dumps(key)}: "
+        head, _, text = text.partition(field + "null")
+        pieces += (head, field, _rows_json(rows[key]))
+    return "".join(pieces) + text + "\n"
 
 
 def _csv_rows(row: str, *cols: list) -> str:
@@ -254,7 +279,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         text = _region_csv(rec, curve)
     else:
         text = _region_svg(rec, curve, [])
-    _write_text(_resolve_out(args.out), text)
+    _write_out(args.out, text)
     return EXIT_OK
 
 
@@ -268,7 +293,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal_value(spec, z, cfg)
     deriv = complex(extremal_fprime(spec, z))
     text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
-    _write_text(_resolve_out(args.out), text)
+    _write_out(args.out, text)
     return EXIT_OK
 
 
@@ -321,7 +346,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                               samples=parts)
         else:
             text = _region_svg(rec, curve, parts)
-    _write_text(_resolve_out(args.out), text)
+    _write_out(args.out, text)
     if n_breaches:
         print(f"containment breach: {n_breaches} sample(s) outside the region", file=sys.stderr)
         for b in witnesses:
@@ -336,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = [run_suite(n, seed=args.seed, tol=args.tol) for n in names]
     text = _json_text([r.to_dict() for r in reports])
-    _write_text(_resolve_out(args.out), text)
+    _write_out(args.out, text)
     if all(r.passed for r in reports):
         return EXIT_OK
     failed = ", ".join(r.suite_name for r in reports if not r.passed)

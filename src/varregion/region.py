@@ -19,6 +19,7 @@ throughout: every quantity passed to Log has the form 1 + B*z0*delta with
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -276,11 +277,13 @@ def _theta_grid(n: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(1, n + 1) / n - 1.0)
 
 
+@functools.lru_cache(maxsize=1)
 def _unit_circle_grid(n: int) -> np.ndarray:
-    """Unit-circle nodes e^{i(-pi + 2 pi k/n)}, k = 1..n.
+    """Read-only unit-circle nodes e^{i(-pi + 2 pi k/n)}, k = 1..n.
 
     Argument reduction happens on the rational turn count, so the four
     cardinal directions come out exact (e.g. theta = pi gives exactly -1).
+    The last grid is kept: every curve of a sweep call has the same n.
     """
     k = np.arange(1, n + 1)
     t = k / n - 0.5
@@ -290,7 +293,9 @@ def _unit_circle_grid(n: int) -> np.ndarray:
     qm = q.astype(int) % 4
     re = np.choose(qm, [c, -s, -c, s])
     im = np.choose(qm, [s, c, -s, -c])
-    return re + 1j * im
+    grid = re + 1j * im
+    grid.flags.writeable = False
+    return grid
 
 
 def boundary_curve(point: EvalPoint, params: JanowskiParams, n: int = 256) -> BoundaryCurve:

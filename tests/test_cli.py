@@ -779,6 +779,8 @@ def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
         expected = json.dumps(_reference_sweep_record(block, n), sort_keys=True, indent=2) + "\n"
         assert (out / entry["file"]).read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
     assert [e["status"] for e in index] == ["ok"] * 5 + ["rejected"] * 3
+    # and nothing else: no temp file is left behind
+    assert sorted(p.name for p in out.iterdir()) == sorted(["index.json", *(e["file"] for e in index)])
 
 
 def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
@@ -793,6 +795,16 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
         assert sum(col == thetas for col in encoded) == 1
         assert len(encoded) == 1 + 2 * 3  # and the Re and Im columns of each disk record
         encoded.clear()
+
+
+def test_sweep_builds_the_unit_circle_grid_once_per_theta_count(tmp_path):
+    grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
+    varregion.region._unit_circle_grid.cache_clear()
+    # the kept grid also serves a second call with the same count
+    for call, (n, misses, hits) in enumerate([(16, 1, 2), (16, 1, 5), (24, 2, 7)]):
+        assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / str(call)}", f"--theta-samples={n}"]) == 0
+        info = varregion.region._unit_circle_grid.cache_info()
+        assert (info.misses, info.hits) == (misses, hits)  # a miss is a call of the uncached function
 
 
 def test_sweep_parse_error_reports_line(tmp_path, capsys):
@@ -875,6 +887,75 @@ def test_io_failure_exit_code(tmp_path, capsys):
     assert run(["region", "--A", "0", "--B", "0.5", "--lambda", "0.5",
                 "--z0", "0.5,0", "--out", str(out)]) == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+_WRITE_COMMANDS = {
+    "region": ["region", "--A=0", "--B=0.5", "--lambda=0.5", "--z0=0.5", "--theta-samples=8", "--format=json"],
+    "sample": ["sample", "--A=0", "--B=0.5", "--lambda=0.5", "--z0=0.5", "--mc-samples=40"],
+    "verify": ["verify", "--suite=inclusion"],
+    "sweep": ["sweep", "--grid=grid.txt", "--theta-samples=8"],
+}
+
+
+def _write_command(tmp_path, monkeypatch, command):
+    """argv of a command writing to tmp_path/out, and the files it writes there."""
+    monkeypatch.chdir(tmp_path)
+    blocks = SWEEP_BLOCKS[:2] + SWEEP_BLOCKS[5:6]  # two disks and a rejected block
+    _sweep_grid(tmp_path, blocks)
+    if command == "sweep":
+        return [*_WRITE_COMMANDS[command], "--out=out"], ["index.json", *(f"region-{_block_hash(b)}.json" for b in blocks)]
+    return [*_WRITE_COMMANDS[command], "--out=out/result"], ["result"]
+
+
+@pytest.mark.parametrize("command", _WRITE_COMMANDS)
+def test_output_files_take_their_mode_from_the_umask(command, tmp_path, monkeypatch):
+    argv, names = _write_command(tmp_path, monkeypatch, command)
+    files = [tmp_path / "out" / name for name in names]
+    old = os.umask(0o022)
+    try:
+        assert run(argv) == 0
+        fresh = [f.read_bytes() for f in files]
+        assert [f.stat().st_mode & 0o777 for f in files] == [0o644] * len(files)
+        # replacing a 0600 file gives a 0644 one too, with the same bytes
+        for f in files:
+            f.chmod(0o600)
+        assert run(argv) == 0
+        assert [f.stat().st_mode & 0o777 for f in files] == [0o644] * len(files)
+        assert [f.read_bytes() for f in files] == fresh
+    finally:
+        os.umask(old)
+
+
+def _fail(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["region", "sweep"])
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_a_failed_write_leaves_no_trace(command, step, tmp_path, monkeypatch, capsys):
+    argv, names = _write_command(tmp_path, monkeypatch, command)
+    (tmp_path / "out").mkdir()
+    for name in names:
+        (tmp_path / "out" / name).write_text("old bytes\n")
+    monkeypatch.setattr(os, step, _fail)
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 28] No space left on device")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names)
+    assert all((tmp_path / "out" / name).read_text() == "old bytes\n" for name in names)
+
+
+@pytest.mark.parametrize("command", _WRITE_COMMANDS)
+def test_short_writes_still_write_every_byte(command, tmp_path, monkeypatch):
+    argv, names = _write_command(tmp_path, monkeypatch, command)
+    files = [tmp_path / "out" / name for name in names]
+    assert run(argv) == 0
+    whole = [f.read_bytes() for f in files]
+    shutil.rmtree(tmp_path / "out")
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:777]))
+    assert run(argv) == 0
+    assert [f.read_bytes() for f in files] == whole
 
 
 def test_stdout_output(capsys):

@@ -24,7 +24,7 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, _log1p, classify
+from varregion.region import VERDICTS, _log1p, _unit_circle_grid, classify
 from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -346,6 +346,38 @@ def test_boundary_curve_lambda0_is_log_circle():
     curve = boundary_curve(EvalPoint(0.5, 0.0), P05, 128)
     u = np.exp(curve.values / P05.exponent)
     assert float(np.max(np.abs(np.abs(u - 1.0) - 0.125))) < 1e-15
+
+
+def _reference_unit_circle_grid(n):
+    """The grid formula, computed afresh on every call."""
+    t = np.arange(1, n + 1) / n - 0.5
+    q = np.round(4.0 * t)
+    u = 2.0 * np.pi * (t - q / 4.0)
+    c, s = np.cos(u), np.sin(u)
+    qm = q.astype(int) % 4
+    return np.choose(qm, [c, -s, -c, s]) + 1j * np.choose(qm, [s, c, -s, -c])
+
+
+def test_unit_circle_grid_is_cached_read_only_and_bit_exact():
+    # n switches back and forth, so the one kept grid is replaced each time
+    for n in (3, 4, 256, 1385, 4096, 3, 4096, 256, 256):
+        grid = _unit_circle_grid(n)
+        assert grid.tobytes() == _reference_unit_circle_grid(n).tobytes()
+        assert _unit_circle_grid(n) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        with pytest.raises(ValueError):
+            grid += 0.0
+
+
+def test_boundary_curve_values_are_fresh_and_writable():
+    first, second = boundary_curve(PT, P05, 256), boundary_curve(PT, P05, 256)
+    assert first.values.flags.writeable and first.thetas.flags.writeable
+    assert not np.shares_memory(first.values, second.values)
+    assert not np.shares_memory(first.values, _unit_circle_grid(256))
+    expected = second.values.copy()
+    first.values[:] = 0.0
+    assert boundary_curve(PT, P05, 256).values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
