@@ -97,12 +97,13 @@ _TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
 def _write_text(path: Path, text: str) -> None:
     """Write text to path atomically, through a temp file in path's directory that a rename moves into place.
 
-    The temp file's name is unique to the call (pid and random bytes), and
-    ``O_EXCL`` refuses one that exists.  It is removed if any step fails.
+    The temp file's name is unique to the call (pid and random bytes), and ``O_EXCL``
+    refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
     """
     tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    fd = None
     try:
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
         try:
             data = memoryview(text.encode())
             while data:  # os.write may write only part of its buffer
@@ -110,11 +111,14 @@ def _write_text(path: Path, text: str) -> None:
         finally:
             os.close(fd)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if fd is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -248,11 +252,9 @@ def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) ->
 
 
 def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
-    """Validated (params, point) of a region/sample command, rejecting bad run flags too."""
+    """Validated (params, point) of a region/sample command, rejecting a bad --theta-samples too."""
     params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
     _check_theta_samples(args.theta_samples)
-    if not args.tol > 0.0:
-        raise ValueError("require tol > 0")
     return params, point
 
 
@@ -318,6 +320,8 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params, point = _point_args(args)
+    if not args.tol > 0.0:
+        raise ValueError("require tol > 0")
     if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
     _check_seed(args.seed)
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     p.add_argument("--z0", type=parse_complex, required=True, help="evaluation point, 're,im'")
     p.add_argument("--theta-samples", type=int, default=256)
-    _add_common(p, "tol", "out", "format")
+    _add_common(p, "out", "format")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("extremal", help="evaluate one extremal map F and F'")

@@ -140,8 +140,6 @@ def test_region_invalid_parameters(capsys):
 def test_run_flag_rejections(capsys):
     cases = [
         (["region", "--z0", "0,0", "--theta-samples", "2"], "require theta_samples >= 3"),
-        (["region", "--z0", "0.5,0", "--tol", "0"], "require tol > 0"),
-        (["region", "--z0", "0.5,0", "--tol", "nan"], "require tol > 0"),
         (["sample", "--z0", "0,0", "--tol", "0"], "require tol > 0"),
     ]
     for argv, message in cases:
@@ -149,9 +147,28 @@ def test_run_flag_rejections(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# sample's checks in the order it makes them, each a bad flag and its message
+_SAMPLE_CHECKS = [
+    ("--z0=2", "require |z0| < 1, got |z0| = 2.0"),
+    ("--theta-samples=2", "require theta_samples >= 3"),
+    ("--tol=0", "require tol > 0"),
+    ("--mc-samples=0", "require mc_samples >= 1"),
+    ("--seed=-1", "require seed >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(_SAMPLE_CHECKS)))
+def test_sample_reports_the_first_check_that_fails(first, capsys):
+    # this check's flag and every later one's are bad: only this check's message is printed
+    bad = [flag for flag, _ in _SAMPLE_CHECKS[first:]]
+    z0 = [] if first == 0 else ["--z0=0.5"]
+    assert run(["sample", "--A=0", "--B=0.5", *z0, *bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {_SAMPLE_CHECKS[first][1]}\n")
+
+
 @pytest.mark.parametrize("command, flag", [
     ("verify", "--format"), ("extremal", "--seed"), ("extremal", "--tol"), ("extremal", "--format"),
-    ("region", "--seed"), ("sweep", "--seed"), ("sweep", "--tol"),
+    ("region", "--seed"), ("region", "--tol"), ("sweep", "--seed"), ("sweep", "--tol"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
     grid = tmp_path / "grid.txt"
@@ -698,6 +715,15 @@ def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
     assert capsys.readouterr() == ("", "error: require tol > 0\n")
 
 
+def test_verify_failure_exits_1_and_names_the_failed_suites(capsys):
+    # five suites miss a tolerance below their rounding error
+    failed = ["prop1", "corollary0", "unit-lambda", "rotation", "coverage"]
+    assert run(["verify", "--suite=all", "--tol=1e-17"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"verification failed: {', '.join(failed)}\n"
+    assert [r["suite_name"] for r in json.loads(out) if not r["passed"]] == failed
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_verify_all_is_the_single_suite_reports(seed, capsys):
     # the single suites run in reverse order: no suite may lean on state another one left
@@ -927,11 +953,13 @@ def test_output_files_take_their_mode_from_the_umask(command, tmp_path, monkeypa
 
 
 def _fail(*args):
-    raise OSError(28, "No space left on device")
+    # as os.open, os.write and os.replace fail: naming the paths they were given, if any
+    paths = [a for a in args if isinstance(a, (str, Path))]
+    raise OSError(28, "No space left on device", *paths[:1], None, *paths[1:])
 
 
 @pytest.mark.parametrize("command", ["region", "sweep"])
-@pytest.mark.parametrize("step", ["write", "replace"])
+@pytest.mark.parametrize("step", ["open", "write", "replace"])
 def test_a_failed_write_leaves_no_trace(command, step, tmp_path, monkeypatch, capsys):
     argv, names = _write_command(tmp_path, monkeypatch, command)
     (tmp_path / "out").mkdir()
@@ -939,10 +967,23 @@ def test_a_failed_write_leaves_no_trace(command, step, tmp_path, monkeypatch, ca
         (tmp_path / "out" / name).write_text("old bytes\n")
     monkeypatch.setattr(os, step, _fail)
     assert run(argv) == 3
-    assert capsys.readouterr().err.startswith("I/O error: [Errno 28] No space left on device")
+    # the message names the file being written, never its temp file
+    first = names[0] if command == "region" else names[1]  # sweep writes its records before the index
+    assert capsys.readouterr().err == f"I/O error: [Errno 28] No space left on device: 'out/{first}'\n"
     monkeypatch.undo()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names)
     assert all((tmp_path / "out" / name).read_text() == "old bytes\n" for name in names)
+
+
+def test_a_directory_in_the_way_is_named_alike_on_every_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").mkdir()
+    errs = []
+    for _ in range(2):
+        assert run(["region", "--A=0", "--B=0.5", "--z0=0.5", "--out=taken"]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs == ["I/O error: [Errno 21] Is a directory: 'taken'\n"] * 2
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("command", _WRITE_COMMANDS)
@@ -1046,7 +1087,7 @@ _DISPATCH_ARGVS = [
     [*_EXTREMAL, "--"], [*_EXTREMAL, "--", "x"], ["extremal", "--", *_EXTREMAL[1:]],
     ["--", *_EXTREMAL], [*_SAMPLE[:-2], "--", "--mc-samples", "5"],
     [*_SAMPLE[:-2], "--mc", "7"], [*_EXTREMAL, "--quad", "1e-10"], [*_EXTREMAL, "--quad-t=1e-9"],
-    [*_VALID["region"], "--t", "1e-9"],  # ambiguous: --theta-samples or --tol
+    [*_VALID["region"], "--t", "1e-9"],  # --theta-samples, the one flag of region that --t abbreviates
     [*_EXTREMAL, "--z=0.25"], [*_SAMPLE, "--mc-samples", "3", "--seed", "2", "--seed", "4"],
     [*_EXTREMAL[:3], "-h", *_EXTREMAL[3:]], ["sweep", "--grid=grid.txt", "--out=out", "extra", "-x"],
     ["extremal", "extremal", *_EXTREMAL[1:]], ["verify", "--suite=all", "--seed", "x"],
@@ -1158,7 +1199,7 @@ def _lone_dash_argvs():
 
 def test_a_lone_double_dash_value_ends_in_a_usage_error_not_a_traceback(tmp_path):
     argvs = list(_lone_dash_argvs())
-    assert len(argvs) == 33  # every flag of region 8, extremal 8, sample 10, verify 4 and sweep 3
+    assert len(argvs) == 32  # every flag of region 7, extremal 8, sample 10, verify 4 and sweep 3
     src = str(Path(varregion.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 

@@ -142,6 +142,7 @@ def test_path_independence():
     whole = fprime_segment_integral(spec, 0.0, z)
     split = fprime_segment_integral(spec, 0.0, z / 2) + fprime_segment_integral(spec, z / 2, z)
     assert abs(whole - split) < 1e-12
+    assert fprime_segment_integral(spec, z, z) == 0j  # an empty segment needs no quadrature
 
 
 def test_segment_endpoint_validation():

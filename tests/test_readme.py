@@ -1,6 +1,8 @@
+import importlib
 import re
 from pathlib import Path
 
+import varregion
 from varregion import Verdict
 from varregion.region import VERDICTS
 
@@ -21,3 +23,14 @@ def test_star_import_of_every_module():
     # a stale __all__ entry fails only here: a plain import never reads __all__
     for module in ("region", "sampler", "extremal", "verify"):
         exec(f"from varregion.{module} import *", {})
+
+
+def test_the_package_republishes_every_module_api_and_nothing_else():
+    modules = ("extremal", "region", "sampler", "verify")
+    names = set()
+    for module in map(importlib.import_module, (f"varregion.{m}" for m in modules)):
+        names.update(module.__all__)
+        for name in module.__all__:
+            assert getattr(varregion, name) is getattr(module, name), name
+    public = {n for n in vars(varregion) if not n.startswith("_")}
+    assert public - names <= {*modules, "cli"}
