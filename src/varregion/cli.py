@@ -446,25 +446,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
-_COMMON_FLAGS = {
-    "seed": dict(type=int, default=0, help="random seed (default 0)"),
-    "tol": dict(type=float, default=1e-9, help="membership tolerance (default 1e-9)"),
-    "out": dict(default=None, help="output path (default: stdout)"),
-    "format": dict(choices=("csv", "svg", "json"), default="csv"),
+_POINT_FLAGS = {
+    "--A": dict(type=float, required=True, help="parameter A (-1 <= A < B)"),
+    "--B": dict(type=float, required=True, help="parameter B (A < B <= 1, B != 0)"),
+    "--lambda": dict(dest="lam", type=parse_complex, default=0j,
+                     help="coefficient parameter; 're' or 're,im' (default 0)"),
 }
+_THETA = {"--theta-samples": dict(type=int, default=256)}
+_SEED = {"--seed": dict(type=int, default=0, help="random seed (default 0)")}
+_OUT = {"--out": dict(default=None, help="output path (default: stdout)")}
+_FORMAT = {"--format": dict(choices=("csv", "svg", "json"), default="csv")}
 
-
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    """Add the shared flags a command reads, so any other one is a usage error."""
-    for name in names:
-        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
-
-
-def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--A", type=float, required=True, help="parameter A (-1 <= A < B)")
-    p.add_argument("--B", type=float, required=True, help="parameter B (A < B <= 1, B != 0)")
-    p.add_argument("--lambda", dest="lam", type=parse_complex, default=0j,
-                   help="coefficient parameter; 're' or 're,im' (default 0)")
+# command -> (its function, its help, {flag: add_argument keywords} in --help
+# order); a command takes only the shared flags it reads, so any other one is a
+# usage error
+_COMMANDS = {
+    "region": (cmd_region, "boundary curve and disk data of the region", {
+        **_POINT_FLAGS, "--z0": dict(type=parse_complex, required=True, help="evaluation point, 're,im'"),
+        **_THETA, **_OUT, **_FORMAT}),
+    "extremal": (cmd_extremal, "evaluate one extremal map F and F'", {
+        **_POINT_FLAGS,
+        "--a": dict(type=parse_complex, required=True, help="disk parameter, |a| <= 1"),
+        "--z": dict(type=parse_complex, required=True, help="evaluation point, |z| < 1"),
+        "--quad-tol": dict(type=float, default=1e-12), "--max-panels": dict(type=int, default=1024), **_OUT}),
+    "sample": (cmd_sample, "seeded cloud of member values with verdicts", {
+        **_POINT_FLAGS, "--z0": dict(type=parse_complex, required=True),
+        "--mc-samples": dict(type=int, default=1000), **_THETA, **_SEED,
+        "--tol": dict(type=float, default=1e-9, help="membership tolerance (default 1e-9)"),
+        **_OUT, **_FORMAT}),
+    "verify": (cmd_verify, "run verification suites", {
+        "--suite": dict(choices=SUITE_NAMES + ("all",), required=True),
+        "--tol": dict(type=float, default=None, help="tolerance of every suite (default: each suite's own)"),
+        **_SEED, **_OUT}),
+    "sweep": (cmd_sweep, "batch region records from a grid file", {
+        "--grid": dict(required=True, help="grid file of key=value blocks"),
+        "--out": dict(required=True, help="output directory"),
+        **_THETA}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,50 +491,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regions of variability of log f' for disk-subordination classes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # command name -> its parser, for main's direct dispatch
-
-    p = sub.add_parser("region", help="boundary curve and disk data of the region")
-    _add_point_flags(p)
-    p.add_argument("--z0", type=parse_complex, required=True, help="evaluation point, 're,im'")
-    p.add_argument("--theta-samples", type=int, default=256)
-    _add_common(p, "out", "format")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("extremal", help="evaluate one extremal map F and F'")
-    _add_point_flags(p)
-    p.add_argument("--a", type=parse_complex, required=True, help="disk parameter, |a| <= 1")
-    p.add_argument("--z", type=parse_complex, required=True, help="evaluation point, |z| < 1")
-    p.add_argument("--quad-tol", type=float, default=1e-12)
-    p.add_argument("--max-panels", type=int, default=1024)
-    _add_common(p, "out")
-    p.set_defaults(func=cmd_extremal)
-
-    p = sub.add_parser("sample", help="seeded cloud of member values with verdicts")
-    _add_point_flags(p)
-    p.add_argument("--z0", type=parse_complex, required=True)
-    p.add_argument("--mc-samples", type=int, default=1000)
-    p.add_argument("--theta-samples", type=int, default=256)
-    _add_common(p, "seed", "tol", "out", "format")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
-    p.add_argument("--tol", type=float, default=None, help="tolerance of every suite (default: each suite's own)")
-    _add_common(p, "seed", "out")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="batch region records from a grid file")
-    p.add_argument("--grid", required=True, help="grid file of key=value blocks")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--theta-samples", type=int, default=256)
-    p.set_defaults(func=cmd_sweep)
-
+    parser.commands = sub.choices  # command name -> its parser
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on its first call, reused by every later one.
+    """The parser ``main`` falls back to: built on its first call, reused by every later one.
 
     Parsing writes only the namespace it returns, never the parser, so one
     parser serves every call; ``build_parser`` still returns a fresh one.
@@ -525,76 +511,61 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _flag_table(command: argparse.ArgumentParser) -> tuple[dict, dict, list]:
-    """What a command parser's actions say about its flags, read once per parser.
+def _command_table(command: str) -> tuple[dict, dict, set]:
+    """A command's ``_COMMANDS`` entry as (flag -> (dest, convert, choices), defaults, required dests).
 
-    Returns (option string -> (store action, type function), the namespace
-    defaults argparse starts from, the required actions).  Only single-value
-    store actions with a callable type enter the option map; any other flag is
-    left to argparse.
+    Dests and defaults are argparse's: ``--theta-samples`` stores to
+    ``theta_samples`` unless a ``dest`` is given, and an absent default is None.
     """
-    options, defaults, required = {}, {}, []
-    for action in command._actions:
-        convert = command._registry_get("type", action.type, action.type)
-        if type(action) is argparse._StoreAction and action.nargs is None and callable(convert):
-            options.update(dict.fromkeys(action.option_strings, (action, convert)))
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if action.required:
-            required.append(action)
-    for dest, value in command._defaults.items():
-        defaults.setdefault(dest, value)
+    func, _, flags = _COMMANDS[command]
+    options, defaults, required = {}, {"command": command, "func": func}, set()
+    for flag, kw in flags.items():
+        dest = kw.get("dest", flag[2:].replace("-", "_"))
+        options[flag] = dest, kw.get("type", str), kw.get("choices")
+        defaults[dest] = kw.get("default")
+        if kw.get("required"):
+            required.add(dest)
     return options, defaults, required
 
 
-def _table_parse(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives ``argv``, or None where it takes argparse to tell.
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv``, which names a command, or None where it takes argparse to tell.
 
     Every token after the command name must be ``--name=value`` with ``--name``
-    one of the command's option strings.  Each value is converted and checked
-    against the choices as it comes, and the last one of a flag wins.
+    one of the command's flags.  Each value is converted and checked against
+    the choices as it comes, and the last one of a flag wins.
     """
-    options, defaults, required = _flag_table(command)
-    parsed: dict = {}  # action -> its converted value
+    options, defaults, required = _command_table(argv[0])
+    parsed: dict = {}  # dest -> its converted value
     for token in argv[1:]:
         name, sep, value = token.partition("=")
         entry = options.get(name) if sep else None
         # argparse's handling of a lone "--" value differs between Python versions
         if entry is None or value == "--":
             return None
-        action, convert = entry
+        dest, convert, choices = entry
         try:
             value = convert(value)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        parsed[action] = value
-    if any(a not in parsed for a in required):
+        parsed[dest] = value
+    if not required <= parsed.keys():
         return None
-    ns = dict(defaults)
-    for action, value in parsed.items():
-        ns[action.dest] = value
-    return argparse.Namespace(**{"command": argv[0], **ns})
+    return argparse.Namespace(**{**defaults, **parsed})
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)`` by one of two paths.
+    """``build_parser().parse_args(argv)``, by ``_table_parse`` where it can tell, with no parser built.
 
-    When ``argv[0]`` names a command and every later token is ``--name=value``
-    with ``--name`` one of that command's option strings (``_table_parse``),
-    the namespace is built from the command parser's own actions: each value
-    converted by its type and checked against its choices, the required flags
-    present, and the defaults and ``set_defaults`` filled in as argparse fills
-    them.  Anything else (help, no command or an unknown one, a value given as
-    a separate token, abbreviations, ``--``, positionals, a bad value, a
-    missing flag) goes to the full parser, which writes every usage, help and
-    error message.
+    Anything else (help, no command or an unknown one, a value given as a
+    separate token, abbreviations, ``--``, positionals, a bad value, a missing
+    flag) goes to the full parser, which writes every usage, help and error
+    message.
     """
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    args = None if command is None else _table_parse(command, argv)
-    return parser.parse_args(argv) if args is None else args
+    args = _table_parse(argv) if argv and argv[0] in _COMMANDS else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -605,8 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     # argparse strips a lone "--" value (--name=--), and on some Python versions
     # leaves [] as the flag's value; no flag takes a list
     if [] in vars(args).values():
-        empty = [a.option_strings[0] for a in _parser().commands[args.command]._actions
-                 if getattr(args, a.dest, None) == []]
+        empty = [flag for flag, (dest, *_) in _command_table(args.command)[0].items() if getattr(args, dest) == []]
         print(f"error: no value for {', '.join(empty)}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -1171,6 +1171,37 @@ def test_every_other_argv_goes_to_the_full_parser(kind, argparse_calls, capsys):
     assert argparse_calls[:1] == [_FALLBACKS[kind]]
 
 
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """One entry per ``build_parser`` call, with no parser cached to begin with."""
+    calls = []
+    build = varregion.cli.build_parser
+
+    def spy():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(varregion.cli, "build_parser", spy)
+    _parser.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("command", _VALID)
+def test_well_formed_long_flags_build_no_parser(command, parser_builds):
+    assert varregion.cli._parse_args(_equals_form(_VALID[command])).command == command
+    assert parser_builds == []
+
+
+@pytest.mark.parametrize("kind", _FALLBACKS)
+def test_every_other_argv_builds_the_full_parser(kind, parser_builds, capsys):
+    try:
+        varregion.cli._parse_args(_FALLBACKS[kind])
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert parser_builds == [1]
+
+
 # argparse's reading of a lone "--" value depends on the Python version; on 3.11 it is []
 @pytest.mark.parametrize("argv", [[*_EXTREMAL, "--out=--"], ["sweep", "--grid=--", "--out=out"],
                                   [*_REGION_EQ, "--format=--"]], ids=" ".join)

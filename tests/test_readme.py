@@ -1,9 +1,11 @@
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import varregion
 from varregion import Verdict
+from varregion.cli import _COMMANDS, main
 from varregion.region import VERDICTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +36,26 @@ def test_the_package_republishes_every_module_api_and_nothing_else():
             assert getattr(varregion, name) is getattr(module, name), name
     public = {n for n in vars(varregion) if not n.startswith("_")}
     assert public - names <= {*modules, "cli"}
+
+
+def _cli_section() -> str:
+    return README.read_text().partition("\n## CLI\n")[2].partition("\n## ")[0]
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    section = _cli_section()
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.txt").write_text(re.search(r"```\n(A=.*?)```", section, re.S).group(1))
+    examples = [line for line in lines if line.startswith("varregion ")]
+    assert len(examples) == 8
+    for line in examples:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+
+
+def test_cli_section_lists_the_shared_flags_each_command_takes():
+    listed = {command: set(re.findall(r"`(--[\w-]+)`", flags))
+              for command, flags in re.findall(r"^- `(\w+)`: (.*)$", _cli_section(), re.M)}
+    shared = {"--seed", "--tol", "--out", "--format"}
+    assert listed == {command: shared & flags.keys() for command, (_, _, flags) in _COMMANDS.items()}

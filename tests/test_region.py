@@ -25,7 +25,7 @@ from varregion import (
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
 from varregion.region import VERDICTS, _log1p, _unit_circle_grid, classify
-from varregion.sampler import omega_eval, sample_members
+from varregion.sampler import log_fprime, omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 # frozen oracle values (high-precision logs, correctly rounded to binary64)
@@ -469,3 +469,32 @@ def test_singleton_value():
     assert singleton_value(EvalPoint(0.5, 1.0), P05) == pytest.approx(-LOG_1_25, abs=1e-15)
     assert singleton_value(EvalPoint(0.0, 0.3), P05) == 0.0
     assert singleton_value(EvalPoint(0.5, 0.5), P05) is None
+
+
+# A unimodular lambda at tiny z0, where 1 + B lambda z0 rounds away most of B lambda z0
+_UNIT_LAM, _TINY_Z0 = complex(np.cos(0.7), np.sin(0.7)), (1e-8, 1e-10, 1e-13)
+
+
+def _singleton_rel_err(got: complex, z0: float, params: JanowskiParams) -> float:
+    """Relative error of got against ((A - B)/B) Log(1 + B lambda z0) in 50 digits, lambda = _UNIT_LAM."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(params.B) * mpmath.mpc(_UNIT_LAM.real, _UNIT_LAM.imag) * z0
+        want = (mpmath.mpf(params.A) - params.B) / params.B * mpmath.log1p(x)
+        return float(abs(mpmath.mpc(got.real, got.imag) - want) / abs(want))
+
+
+def test_log_fprime_at_a_unimodular_lambda_matches_mpmath_at_tiny_z0():
+    params = JanowskiParams(-0.5, 0.5)
+    for z0 in _TINY_Z0:
+        got = complex(log_fprime(np.array([_UNIT_LAM * z0]), params)[0])
+        assert _singleton_rel_err(got, z0, params) <= 4 * 2.0**-52, z0
+
+
+@pytest.mark.xfail(strict=True, reason="singleton_value takes np.log(1 + B lambda z0), which rounds 1 + x "
+                   "first (2.3e-9 relative at z0 = 1e-8, 1.0e-3 at 1e-13); the scalar sites of ROADMAP "
+                   "item 2 are to take the exact form")
+def test_singleton_value_matches_mpmath_at_tiny_z0():
+    params = JanowskiParams(-0.5, 0.5)
+    for z0 in _TINY_Z0:
+        got = singleton_value(EvalPoint(z0, _UNIT_LAM), params)
+        assert _singleton_rel_err(got, z0, params) <= 4 * 2.0**-52, z0
