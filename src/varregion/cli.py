@@ -166,16 +166,100 @@ def _json_text(obj, **rows) -> str:
     return "".join(pieces) + text + "\n"
 
 
-def _csv_rows(row: str, *cols: list) -> str:
-    """One ``row % cells`` line per index of the equal-length ``cols``, in a single ``%`` pass.
+@functools.cache
+def _csv_tables() -> tuple:
+    """``_csv_text``'s tables, built on its first call.
 
-    ``%d``, ``%.17g`` and ``%s`` write what ``{}``, ``{:.17g}`` and ``{}``
-    write for ints, floats and strs.
+    A field is 40 cells: a separator, a sign, the ``0.000`` of a value below 1,
+    then 17 digits, each but the first behind a slot for the point.  ``digits``
+    maps a 4-digit group to its (slot, digit) cells and ``10000 + d`` to the
+    first 8 cells; ``last[j - 1][g]`` is the index of the last nonzero digit of
+    group j if it is g, else 0.  Row ``(sign * 20 + e + 4) * 17 + last`` of
+    ``layout`` ANDs a field of exponent e, and row 680 leaves ``,\\x01``.
     """
-    flat = [None] * (len(cols) * len(cols[0]))
-    for j, col in enumerate(cols):
-        flat[j::len(cols)] = col
-    return (row * len(cols[0])) % tuple(flat)
+    g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak memory small
+    dig = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1).astype(np.uint8) + 48
+    nz = dig > 48
+    digits = np.full((10_010, 8), 255, np.uint8)
+    digits[:10_000, 1::2] = dig
+    digits[10_000:, 7] = dig[:10, 3]
+    last = np.where(nz.any(1), np.array([[4], [8], [12], [16]], np.int8) - np.argmax(nz[:, ::-1], 1).astype(np.int8), 0)
+    neg, e, lst = np.indices((2, 20, 17)).reshape(3, -1, 1)
+    e = e - 4
+    layout = np.zeros((681, 40), np.uint8)
+    layout[:, 0] = ord(",")
+    layout[:680, 1] = ord("-") * neg[:, 0]
+    layout[:680, 2:7] = np.where((e < 0) & (np.arange(5) < 1 - e), np.frombuffer(b"0.000", np.uint8), 0)
+    layout[:680, 7::2] = 255 * (np.arange(17) <= np.maximum(lst, e))
+    layout[:680, 8::2] = ord(".") * ((np.arange(16) == e) & (lst > e))
+    layout[680, 1] = 1
+    p10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+    c = p10 * 134217729.0
+    return digits.view(np.uint64)[:, 0], last, layout.view(np.uint64), p10, c - (c - p10)
+
+
+def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, e, ok) of doubles x: where ok, x rounds half to even to ``n * 10**(e - 16)`` with n of 17 digits.
+
+    ok holds for every nonzero ``|x|`` in ``[1e-4, 1e16)`` except a few next to
+    a power of 10, where log10 may round e up.  There ``x * 10**(16 - e) ==
+    hi + lo`` exactly (Dekker's product, as ``10**k`` is an exact double for
+    k <= 22).  Elsewhere n is 0.
+    """
+    p10, p10_hi = _csv_tables()[3:]
+    ax = np.abs(x)
+    ok = (ax >= 1e-4) & (ax < 1e16)
+    y = np.where(ok, ax, 1.0)
+    c = y * 134217729.0  # Veltkamp: y_hi and y_lo hold 26 bits each
+    y_hi = c - (c - y)
+    y_lo = y - y_hi
+    e = np.floor(np.log10(y)).astype(np.int64)
+    s, s_hi = p10[16 - e], p10_hi[16 - e]
+    s_lo = s - s_hi
+    hi = y * s
+    lo = ((y_hi * s_hi - hi) + y_hi * s_lo + y_lo * s_hi) + y_lo * s_lo
+    hi_i = hi.astype(np.int64)
+    n = hi_i + np.rint(lo).astype(np.int64)  # hi is an even integer, so this rounds hi + lo half to even
+    ok &= (hi_i + np.floor(lo).astype(np.int64) >= 10**16) & (n < 10**17)  # e is right, and n has 17 digits
+    n[~ok] = 0
+    return n, e, ok
+
+
+def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
+    """``"".join(",".join("%.17g" % x for x in row) + end for row, end in zip(cells, ends))``, byte for byte.
+
+    ``cells`` is an (n, c) float array of at most a few BLOCK_ROWS rows;
+    ``ends`` holds one row end or one per row, as bytes 8k wide.  The digits
+    of ``_round17`` and of zero are laid out here; ``%`` prints any other
+    value, which is spliced in at its ``\\x01``.
+    """
+    digits, last, layout = _csv_tables()[:3]
+    x = cells.ravel()
+    n, e, fast = _round17(x)
+    fast |= x == 0
+    # n = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; // by a scalar is far cheaper than %
+    q = n // 10**8
+    r = n - q * 10**8
+    t = q // 10**4
+    d0, g3 = t // 10**4, r // 10**4
+    g1, g2, g4 = t - d0 * 10**4, q - t * 10**4, r - g3 * 10**4
+    lst = np.maximum(np.maximum(last[0].take(g1), last[1].take(g2)), np.maximum(last[2].take(g3), last[3].take(g4)))
+    idx = (np.signbit(x) * 20 + e + 4) * 17 + lst
+    idx[~fast] = 680
+    rows, width = len(cells), 5 * cells.shape[1]
+    words = np.empty((rows, width + ends.itemsize // 8), np.uint64)
+    np.bitwise_and(digits.take(np.stack([d0 + 10_000, g1, g2, g3, g4], 1)).reshape(rows, width),
+                   layout.take(idx, 0).reshape(rows, width), out=words[:, :width])
+    words[:, width:] = ends.view(np.uint64).reshape(len(ends), -1)
+    chars = words.view(np.uint8)
+    chars[:, 0] = 0  # no separator before a row's first field
+    text = chars.tobytes().translate(None, b"\0").decode("ascii")
+    if fast.all():
+        return text
+    pieces = text.split("\x01")
+    spliced = [None] * (2 * len(pieces) - 1)
+    spliced[::2], spliced[1::2] = pieces, ["%.17g" % v for v in x[~fast].tolist()]
+    return "".join(spliced)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +292,11 @@ def _boundary_rows(curve: BoundaryCurve | None, theta_tokens: list[str]) -> dict
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
     """Boundary rows of a record; a singleton's one row is its value at theta 0."""
     if curve is None:
-        cols = [0.0], [rec["center"][0]], [rec["center"][1]]
+        cells = np.array([[0.0, *rec["center"]]])
     else:
-        cols = curve.thetas.tolist(), (curve.values.real + 0.0).tolist(), (curve.values.imag + 0.0).tolist()
-    return "theta,re,im\n" + _csv_rows("%.17g,%.17g,%.17g\n", *cols)
+        cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
+    end = np.array([b"\n"], "S8")
+    return "theta,re,im\n" + "".join(_csv_text(cells[i:i + BLOCK_ROWS], end) for i in range(0, len(cells), BLOCK_ROWS))
 
 
 def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> str:
@@ -326,13 +411,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("require mc_samples >= 1")
     _check_seed(args.seed)
     names = np.array([v.value for v in VERDICTS])
+    ends = np.array([f",{name}\n" for name in names], "S16")
     parts: list = []  # CSV text per block, JSON token rows or SVG cloud points
     n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
-        cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
         if args.format == "csv":
-            parts.append(_csv_rows("%d,%.17g,%.17g,%s\n", *cols))
+            # a seed index below 2**53 is an exact float, and its %.17g is its %d
+            parts.append(_csv_text(np.column_stack([rows, w.real + 0.0, w.imag + 0.0]), ends[status]))
         elif args.format == "json":
+            cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
             parts += zip(*map(_tokens, cols))
         else:
             parts += w.tolist()

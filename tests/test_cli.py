@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from varregion.sampler import BLOCK_ROWS
 from varregion.cli import (
     _block_hash,
     _boundary_rows,
+    _csv_text,
     _json_text,
     _parser,
     _sample_blocks,
@@ -87,6 +89,92 @@ def test_region_csv_is_the_format_rows_of_its_record(capsys, lam, z0, n):
     out = capsys.readouterr().out
     assert out == "theta,re,im\n" + "".join(map("{:.17g},{:.17g},{:.17g}\n".format, *cols))
     assert len(out.splitlines()) == 1 + (1 if curve is None else n)
+
+
+_NEWLINE = np.array([b"\n"], "S8")
+
+
+def _ties() -> list[float]:
+    """Doubles halfway between two 17-digit decimals: x = q / 2**(17 - e) for an odd q, per exponent e of 1e-4..1e16.
+
+    Then ``x * 10**(16 - e) == q * 5**(16 - e) / 2``, an odd number of halves.
+    """
+    ties = []
+    for e in range(-4, 16):
+        q = int(1.5 * 10.0**e * 2 ** (17 - e)) | 1
+        for x in (q / 2 ** (17 - e), (q + 2) / 2 ** (17 - e)):
+            assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2, x
+            ties += (x, -x)
+    return ties
+
+
+def _edges() -> list[float]:
+    """The doubles where a 17-digit rounding or the fixed/exponent choice of %.17g can go wrong."""
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308, sys.float_info.max]
+    for k in range(-6, 19):
+        edges += (10.0**k, np.nextafter(10.0**k, 0.0), np.nextafter(10.0**k, math.inf))
+    for switch in (1e-4, 1e16, 1e17):  # the last doubles below and the first above the notation switches
+        below = above = switch
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            edges += (below, above)
+    return [float(x) for x in edges + _ties()]
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_csv_field_is_percent_17g_for_every_bit_pattern(bits):
+    x = float(np.array(bits, np.uint64).view(np.float64))
+    assert _csv_text(np.array([[x, -x]]), _NEWLINE) == "%.17g,%.17g\n" % (x, -x)
+
+
+def test_csv_fields_are_percent_17g_at_the_edges_and_over_many_blocks():
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    normals = rng.standard_normal(30_000) * 10.0 ** rng.integers(-6, 18, 30_000)
+    for values in (_edges() + CSV_SPECIALS, bits, normals, np.arange(-3000.0, 3000.0)):
+        values = np.asarray(values, dtype=np.float64)
+        cells = np.resize(values, (-(-values.size // 3), 3))  # whole rows, the last one refilled from the start
+        expected = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in cells.tolist())
+        assert "".join(_csv_text(cells[i:i + BLOCK_ROWS], _NEWLINE) for i in range(0, len(cells), BLOCK_ROWS)) == expected
+
+
+_PERCENT_SAMPLE_ARGVS = [
+    *(["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", f"--mc-samples={n}"] for n in (1, 1023, 1024, 1025, 2500)),
+    ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1500"],  # the two singleton kinds
+    ["--A=-0.5", "--B=0.5", "--lambda=0.5", "--z0=0", "--mc-samples=1500"],
+    ["--A=-0.5", "--B=1e-6", "--lambda=0.5", "--z0=0.5", "--mc-samples=2500"],  # B -> 0: a few |x| < 1e-4
+    pytest.param(["--A=-0.5", "--B=5e-324", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # nan rows, exit 5
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"), id="B=5e-324"),
+]
+
+
+@pytest.mark.parametrize("argv", _PERCENT_SAMPLE_ARGVS, ids=" ".join)
+def test_sample_csv_is_the_percent_rows_of_its_blocks(argv, capsys):
+    code = run(["sample", *argv, "--seed=5"])
+    args = build_parser().parse_args(["sample", *argv, "--seed=5"])
+    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
+    rows = [(i, w.real + 0.0, w.imag + 0.0, VERDICTS[s].value)
+            for block in _sample_blocks(point, params, args.mc_samples, 5, args.tol)
+            for i, w, s in zip(*(col.tolist() for col in block[:3]))]
+    assert capsys.readouterr().out == "seed_index,re,im,verdict\n" + "".join("%d,%.17g,%.17g,%s\n" % r for r in rows)
+    values = np.array([r[1:3] for r in rows])
+    if args.B == 5e-324:
+        assert code == varregion.cli.EXIT_CONTAINMENT and np.isnan(values).all()
+    else:
+        assert code == 0
+    if args.B == 1e-6:
+        assert ((values != 0) & (np.abs(values) < 1e-4)).any()
+
+
+@pytest.mark.parametrize("n", [3, 4, 4096])
+@pytest.mark.parametrize("lam,z0", [("0.5", "0.5"), ("0.3,0.4", "0.3,0.4")])
+def test_region_csv_is_the_percent_rows_of_its_record(lam, z0, n, capsys):
+    assert run(["region", "--A=-0.5", "--B=0.5", f"--lambda={lam}", f"--z0={z0}", f"--theta-samples={n}"]) == 0
+    _, curve = region_record(JanowskiParams(-0.5, 0.5), EvalPoint(parse_complex(z0), parse_complex(lam)), n)
+    rows = [(t, w.real + 0.0, w.imag + 0.0) for t, w in zip(curve.thetas.tolist(), curve.values.tolist())]
+    thetas = curve.thetas.tolist()
+    assert math.pi in thetas and (n % 2 or 0.0 in thetas)
+    assert capsys.readouterr().out == "theta,re,im\n" + "".join("%.17g,%.17g,%.17g\n" % r for r in rows)
 
 
 def test_region_json_roundtrip(tmp_path):
@@ -1292,3 +1380,29 @@ def test_startup_and_csv_svg_extremal_output_load_no_dataclasses_hashlib_or_json
     assert proc.stdout.splitlines()[-2:] == ["added:", "added:"]
     assert (tmp_path / "s.csv").read_text().startswith("seed_index,re,im,verdict\n")
     assert (tmp_path / "region.svg").exists() and (tmp_path / "region.csv").exists()
+
+
+_CSV_STARTUP_CODE = """\
+import sys
+import numpy.random
+import varregion.cli
+varregion.cli.build_parser()
+print("tables:", varregion.cli._csv_tables.cache_info().currsize)
+before = set(sys.modules)
+point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.5"]
+assert varregion.cli.main(["region", *point, "--out", sys.argv[1] + "region.csv"]) == 0
+assert varregion.cli.main(["sample", *point, "--mc-samples=200", "--out", sys.argv[1] + "sample.csv"]) == 0
+print("added:", *sorted({"hashlib", "json"} & (set(sys.modules) - before)))
+print("tables:", varregion.cli._csv_tables.cache_info().currsize)
+"""
+
+
+def test_start_up_builds_no_csv_table_and_csv_output_loads_no_hashlib_or_json(tmp_path):
+    # numpy.random, which sample draws from, loads hashlib itself: it is loaded first
+    src = str(Path(varregion.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _CSV_STARTUP_CODE, str(tmp_path / "out.")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["tables: 0", "added:", "tables: 1"]
+    assert (tmp_path / "out.sample.csv").read_text().startswith("seed_index,re,im,verdict\n")
+    assert (tmp_path / "out.region.csv").read_text().startswith("theta,re,im\n")
