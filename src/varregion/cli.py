@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -132,28 +133,30 @@ def _write_out(out: str | None, text: str) -> None:
     _write_text(path, text)
 
 
-def _tokens(col: list) -> list[str]:
-    """JSON tokens of a non-empty list of numbers or verdict names (none holds ", "), by the C encoder."""
-    import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
+# json.dumps(..., indent=2) around a top-level row list: before it, between two
+# rows, between two cells of a row and after it
+_JSON_OPEN, _JSON_BREAK, _JSON_CLOSE = "[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+_JSON_SEP = b",\n      "
+_JSON_END = np.array([_JSON_BREAK], "S24")
 
-    return json.dumps(col)[1:-1].split(", ")
 
+def _json_rows(blocks: list[str]) -> list[str]:
+    """The text pieces of a top-level row list in the ``indent=2`` layout, from ``_rows_text`` blocks of its rows.
 
-def _rows_json(rows) -> str:
-    """A top-level row list in the ``indent=2`` layout, from non-empty rows of JSON tokens."""
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows)) + "\n    ]\n  ]"
+    Each row of a block ends in ``_JSON_BREAK``; the last one's is cut here.
+    """
+    return [_JSON_OPEN, *blocks[:-1], blocks[-1][:-len(_JSON_BREAK)], _JSON_CLOSE]
 
 
 def _json_text(obj, **rows) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte.
 
-    ``rows`` maps top-level keys of a dict with string keys to non-empty rows
-    of JSON tokens from ``_tokens``.  With ``indent`` the stdlib encodes in pure
-    Python; here the C encoder has already written every row cell.  The dict
-    is encoded once with ``null`` for each rows key, and ``_rows_json`` text
-    takes the place of each top-level ``\\n  "<key>": null``.  That text is
-    unique: deeper keys are indented further, and a JSON string holds no raw
-    newline.  Without rows this is the stdlib call.
+    ``rows`` maps top-level keys of a dict with string keys to the text pieces
+    of a non-empty row list from ``_json_rows``.  The dict is encoded once with
+    ``null`` for each rows key, and the row list takes the place of each
+    top-level ``\\n  "<key>": null``.  That text is unique: deeper keys are
+    indented further, and a JSON string holds no raw newline.  Without rows
+    this is the stdlib call.
     """
     import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
@@ -162,20 +165,21 @@ def _json_text(obj, **rows) -> str:
     for key in sorted(rows):  # the order sort_keys gives the keys in text
         field = f"\n  {json.dumps(key)}: "
         head, _, text = text.partition(field + "null")
-        pieces += (head, field, _rows_json(rows[key]))
+        pieces += (head, field, *rows[key])
     return "".join(pieces) + text + "\n"
 
 
 @functools.cache
-def _csv_tables() -> tuple:
-    """``_csv_text``'s tables, built on its first call.
+def _text_tables() -> tuple:
+    """``_fields``' tables, built on its first call.
 
-    A field is 40 cells: a separator, a sign, the ``0.000`` of a value below 1,
-    then 17 digits, each but the first behind a slot for the point.  ``digits``
-    maps a 4-digit group to its (slot, digit) cells and ``10000 + d`` to the
-    first 8 cells; ``last[j - 1][g]`` is the index of the last nonzero digit of
-    group j if it is g, else 0.  Row ``(sign * 20 + e + 4) * 17 + last`` of
-    ``layout`` ANDs a field of exponent e, and row 680 leaves ``,\\x01``.
+    A field is 40 cells: a free first byte, a sign, the ``0.000`` of a value
+    below 1, then 17 digits, each but the first behind a slot for the point.
+    ``digits`` maps a 4-digit group to its (slot, digit) cells and ``10000 +
+    d`` to the first 8 cells; ``last[j - 1][g]`` is the index of the last
+    nonzero digit of group j if it is g, else 0.  Row ``(sign * 20 + e + 4) *
+    17 + last`` of ``layout`` ANDs a field of exponent e as ``%.17g`` does, and
+    680 rows on as ``repr`` does, which keeps one digit past the point.
     """
     g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak memory small
     dig = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1).astype(np.uint8) + 48
@@ -186,57 +190,89 @@ def _csv_tables() -> tuple:
     last = np.where(nz.any(1), np.array([[4], [8], [12], [16]], np.int8) - np.argmax(nz[:, ::-1], 1).astype(np.int8), 0)
     neg, e, lst = np.indices((2, 20, 17)).reshape(3, -1, 1)
     e = e - 4
-    layout = np.zeros((681, 40), np.uint8)
-    layout[:, 0] = ord(",")
-    layout[:680, 1] = ord("-") * neg[:, 0]
-    layout[:680, 2:7] = np.where((e < 0) & (np.arange(5) < 1 - e), np.frombuffer(b"0.000", np.uint8), 0)
-    layout[:680, 7::2] = 255 * (np.arange(17) <= np.maximum(lst, e))
-    layout[:680, 8::2] = ord(".") * ((np.arange(16) == e) & (lst > e))
-    layout[680, 1] = 1
+    layout = np.zeros((2, 680, 40), np.uint8)
+    layout[:, :, 1] = ord("-") * neg[:, 0]
+    layout[:, :, 2:7] = np.where((e < 0) & (np.arange(5) < 1 - e), np.frombuffer(b"0.000", np.uint8), 0)
+    layout[0, :, 7::2] = 255 * (np.arange(17) <= np.maximum(lst, e))
+    layout[0, :, 8::2] = ord(".") * ((np.arange(16) == e) & (lst > e))
+    layout[1, :, 7::2] = 255 * (np.arange(17) <= np.maximum(lst, e + 1))
+    layout[1, :, 8::2] = ord(".") * (np.arange(16) == e)
     p10 = np.array([float(10**k) for k in range(23)])  # exact doubles
     c = p10 * 134217729.0
-    return digits.view(np.uint64)[:, 0], last, layout.view(np.uint64), p10, c - (c - p10)
+    return digits.view(np.uint64)[:, 0], last, layout.reshape(1360, 40).view(np.uint64), p10, c - (c - p10)
 
 
-def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, e, ok) of doubles x: where ok, x rounds half to even to ``n * 10**(e - 16)`` with n of 17 digits.
+def _digits(y: np.ndarray, ok: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, e, ok) of doubles y >= 0, ok where y is in ``[1e-4, 1e16)``: where ok stays, y's text has the digits of n.
 
-    ok holds for every nonzero ``|x|`` in ``[1e-4, 1e16)`` except a few next to
-    a power of 10, where log10 may round e up.  There ``x * 10**(16 - e) ==
-    hi + lo`` exactly (Dekker's product, as ``10**k`` is an exact double for
-    k <= 22).  Elsewhere n is 0.
+    n has 17 digits and stands for ``n * 10**(e - 16)``: y rounded half to
+    even (``%.17g``) or, if shortest, ``repr``'s digits padded with zeros
+    (``_shortest``).  ok turns False where log10 rounded e up, where n would
+    have 18 digits and where ``_shortest`` is unsure; n and e are 0 wherever
+    ok is False.
     """
-    p10, p10_hi = _csv_tables()[3:]
-    ax = np.abs(x)
-    ok = (ax >= 1e-4) & (ax < 1e16)
-    y = np.where(ok, ax, 1.0)
+    p10, p10_hi = _text_tables()[3:]
+    y = np.where(ok, y, 1.0)
     c = y * 134217729.0  # Veltkamp: y_hi and y_lo hold 26 bits each
     y_hi = c - (c - y)
     y_lo = y - y_hi
     e = np.floor(np.log10(y)).astype(np.int64)
     s, s_hi = p10[16 - e], p10_hi[16 - e]
     s_lo = s - s_hi
-    hi = y * s
+    hi = y * s  # y * 10**(16 - e) == hi + lo exactly (Dekker's product, as 10**k is exact for k <= 22)
     lo = ((y_hi * s_hi - hi) + y_hi * s_lo + y_lo * s_hi) + y_lo * s_lo
     hi_i = hi.astype(np.int64)
-    n = hi_i + np.rint(lo).astype(np.int64)  # hi is an even integer, so this rounds hi + lo half to even
-    ok &= (hi_i + np.floor(lo).astype(np.int64) >= 10**16) & (n < 10**17)  # e is right, and n has 17 digits
-    n[~ok] = 0
+    ok &= hi_i + np.floor(lo).astype(np.int64) >= 10**16  # log10 did not round e up
+    if shortest:
+        n, sure = _shortest(hi_i, lo, y, s)
+        ok &= sure
+    else:
+        n = hi_i + np.rint(lo).astype(np.int64)  # hi is an even integer, so this rounds hi + lo half to even
+    ok &= n < 10**17  # and n has 17 digits
+    bad = ~ok
+    n[bad] = 0
+    e[bad] = 0
     return n, e, ok
 
 
-def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
-    """``"".join(",".join("%.17g" % x for x in row) + end for row, end in zip(cells, ends))``, byte for byte.
+def _shortest(hi: np.ndarray, lo: np.ndarray, y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, sure): the digits ``repr`` writes for y, as the 17-digit integer n that they make with trailing zeros.
 
-    ``cells`` is an (n, c) float array of at most a few BLOCK_ROWS rows;
-    ``ends`` holds one row end or one per row, as bytes 8k wide.  The digits
-    of ``_round17`` and of zero are laid out here; ``%`` prints any other
-    value, which is spliced in at its ``\\x01``.
+    ``hi + lo`` is exactly ``y * s``, with ``s = 10**(16 - e)`` and ``hi`` an
+    int64.  Times s, the reals that round to y lie within ``2**(exp - 54)``
+    of it above, at ``frexp`` exponent exp, and within that or, at a power
+    of 2, half of it below: exact, from 0.55 to 12.  So that interval holds
+    the integer nearest ``y * s``, at most three multiples of 10 and one of
+    100, and ``repr`` writes the one with the fewest digits, then the nearer
+    one: the multiple of 100, else the nearer multiple of 10, else the
+    nearest integer.  Each size is taken relative to ``100 * (hi // 100)``,
+    below 130, so it is off by less than 1e-14.  sure is False where an end
+    of the interval lies within 1e-9 of an integer, or n within 1e-9 of 0.5
+    or 5 from ``y * s``, where another candidate may tie: there ``repr``
+    decides.
     """
-    digits, last, layout = _csv_tables()[:3]
-    x = cells.ravel()
-    n, e, fast = _round17(x)
-    fast |= x == 0
+    q = hi // 100 * 100
+    v = (hi - q) + lo
+    m, exp = np.frexp(y)
+    up = np.ldexp(s, exp - 54)
+    a, b = v - np.where(m == 0.5, 0.5 * up, up), v + up  # the interval's ends
+    ka, kb = np.ceil(a), np.floor(b)  # its first and last integer
+    below = np.floor(v / 10.0) * 10.0  # the multiple of 10 below v, and the one above
+    in_below, in_above = below >= ka, below + 10.0 <= kb
+    n = np.where(in_above & (~in_below | (v - below > 5.0)), below + 10.0, below)
+    n = np.where(in_below | in_above, n, np.rint(v))
+    c100 = np.where(kb >= 100.0, 100.0, 0.0)
+    n = np.where((ka <= c100) & (c100 <= kb), c100, n)
+    tie = np.abs(np.abs(np.abs(v - n) - 2.75) - 2.25) < 1e-9
+    unsure = (np.abs(a - np.rint(a)) < 1e-9) | (np.abs(b - np.rint(b)) < 1e-9) | tie
+    return q + n.astype(np.int64), ~unsure
+
+
+def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: np.ndarray) -> np.ndarray:
+    """Write the fields of the doubles v, with ``y = |v|``, that ``_digits`` or zero serves to out, and return where."""
+    digits, last, layout = _text_tables()[:3]
+    n, e, fast = _digits(y, ok, shortest)
+    fast |= v == 0
     # n = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; // by a scalar is far cheaper than %
     q = n // 10**8
     r = n - q * 10**8
@@ -244,22 +280,64 @@ def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
     d0, g3 = t // 10**4, r // 10**4
     g1, g2, g4 = t - d0 * 10**4, q - t * 10**4, r - g3 * 10**4
     lst = np.maximum(np.maximum(last[0].take(g1), last[1].take(g2)), np.maximum(last[2].take(g3), last[3].take(g4)))
-    idx = (np.signbit(x) * 20 + e + 4) * 17 + lst
-    idx[~fast] = 680
-    rows, width = len(cells), 5 * cells.shape[1]
-    words = np.empty((rows, width + ends.itemsize // 8), np.uint64)
-    np.bitwise_and(digits.take(np.stack([d0 + 10_000, g1, g2, g3, g4], 1)).reshape(rows, width),
-                   layout.take(idx, 0).reshape(rows, width), out=words[:, :width])
-    words[:, width:] = ends.view(np.uint64).reshape(len(ends), -1)
-    chars = words.view(np.uint8)
-    chars[:, 0] = 0  # no separator before a row's first field
-    text = chars.tobytes().translate(None, b"\0").decode("ascii")
-    if fast.all():
-        return text
-    pieces = text.split("\x01")
-    spliced = [None] * (2 * len(pieces) - 1)
-    spliced[::2], spliced[1::2] = pieces, ["%.17g" % v for v in x[~fast].tolist()]
-    return "".join(spliced)
+    idx = (np.signbit(v) * 20 + e + (4 + 40 * shortest)) * 17 + lst
+    np.bitwise_and(digits.take(np.stack([d0 + 10_000, g1, g2, g3, g4], -1)), layout.take(idx, 0), out=out)
+    return fast
+
+
+def _fields(x: np.ndarray, shortest: bool = False) -> np.ndarray:
+    """The (n, c, 5) uint64 words of the text of each double of the (n, c) array x, NUL padded, from byte 1 on.
+
+    The text is ``"%.17g" % v``, or, if shortest, ``json.dumps(v)``: the
+    shortest repr, with NaN and the infinities as json spells them.  Rows go
+    BLOCK_ROWS at a time.  ``_lay_out`` writes the values of ``_digits`` and
+    zero, and skips a column of a block with no value in ``[1e-4, 1e16)``;
+    Python formats the others.
+    """
+    words = np.empty(x.shape + (5,), np.uint64)
+    for i in range(0, len(x), BLOCK_ROWS):
+        v, out = x[i:i + BLOCK_ROWS], words[i:i + BLOCK_ROWS]
+        y = np.abs(v)
+        fast = (y >= 1e-4) & (y < 1e16)
+        if fast.all() or (cols := fast.any(0)).all():
+            fast = _lay_out(v, y, fast, shortest, out)
+        elif cols.any():
+            part = np.empty((len(v), np.count_nonzero(cols), 5), np.uint64)
+            fast[:, cols] = _lay_out(v[:, cols], y[:, cols], fast[:, cols], shortest, part)
+            out[:, cols] = part
+        slow = ~fast
+        if slow.any():
+            values = v[slow].tolist()
+            text = ("\0%r\1" if shortest else "\0%.17g\1") * len(values) % tuple(values)  # one % pass
+            if shortest:  # as json spells them
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            out[slow] = np.array(text.split("\1")[:-1], "S40").view(np.uint64).reshape(-1, 5)
+    return words
+
+
+def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> str:
+    """The rows of the ``_fields`` in groups, side by side: cells joined by sep, each row followed by its end.
+
+    Each group is an (n, c, 5) array of at most a few BLOCK_ROWS rows;
+    ``ends`` holds one row end or one per row, as bytes 8k wide.  A one-byte
+    sep (CSV) takes each field's free first byte, a longer one of at most 8
+    bytes a word of its own.  One ``bytes.translate`` drops the padding.
+    """
+    rows, cols = len(groups[0]), sum(g.shape[1] for g in groups)
+    w = 5 if len(sep) == 1 else 6
+    words = np.empty((rows, cols * w + ends.itemsize // 8), np.uint64)
+    cells = words[:, :cols * w].reshape(rows, cols, w)
+    j = 0
+    for g in groups:
+        cells[:, j:j + g.shape[1], w - 5:] = g
+        j += g.shape[1]
+    if w == 6:
+        cells[:, :, 0] = np.frombuffer(sep.ljust(8, b"\0"), np.uint64)
+        cells[:, 0, 0] = 0  # no separator before a row's first cell
+    else:
+        words.view(np.uint8)[:, 40:cols * 40:40] = ord(sep)
+    words[:, cols * w:] = ends.view(np.uint64).reshape(len(ends), -1)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +359,18 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     return rec, boundary_curve(point, params, theta_samples)
 
 
-def _boundary_rows(curve: BoundaryCurve | None, theta_tokens: list[str]) -> dict:
-    """``_json_text`` rows of a record: a disk's (theta, Re, Im) token rows; none for a singleton."""
+def _theta_fields(theta_samples: int) -> np.ndarray:
+    """The ``_fields`` of the theta column of every curve of theta_samples points, as JSON writes it."""
+    return _fields(_theta_grid(theta_samples)[:, None], shortest=True)
+
+
+def _boundary_rows(curve: BoundaryCurve | None, theta_fields: np.ndarray) -> dict:
+    """``_json_text`` rows of a record: a disk's (theta, Re, Im) rows; none for a singleton."""
     if curve is None:
         return {}
-    w = curve.values
-    return {"boundary": zip(theta_tokens, _tokens((w.real + 0.0).tolist()), _tokens((w.imag + 0.0).tolist()))}
+    values = _fields(np.column_stack([curve.values.real, curve.values.imag]) + 0.0, shortest=True)
+    return {"boundary": _json_rows([_rows_text([theta_fields[i:i + BLOCK_ROWS], values[i:i + BLOCK_ROWS]],
+                                               _JSON_END, _JSON_SEP) for i in range(0, len(values), BLOCK_ROWS)])}
 
 
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
@@ -296,7 +380,8 @@ def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
     else:
         cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
     end = np.array([b"\n"], "S8")
-    return "theta,re,im\n" + "".join(_csv_text(cells[i:i + BLOCK_ROWS], end) for i in range(0, len(cells), BLOCK_ROWS))
+    return "theta,re,im\n" + "".join(_rows_text([_fields(cells[i:i + BLOCK_ROWS])], end)
+                                     for i in range(0, len(cells), BLOCK_ROWS))
 
 
 def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> str:
@@ -361,7 +446,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
     if args.format == "json":
-        text = _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(args.theta_samples).tolist())))
+        text = _json_text(rec, **_boundary_rows(curve, _theta_fields(args.theta_samples)))
     elif args.format == "csv":
         text = _region_csv(rec, curve)
     else:
@@ -410,17 +495,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
     _check_seed(args.seed)
-    names = np.array([v.value for v in VERDICTS])
-    ends = np.array([f",{name}\n" for name in names], "S16")
-    parts: list = []  # CSV text per block, JSON token rows or SVG cloud points
+    # a row's end holds its verdict
+    if args.format == "json":
+        ends = np.array([f'{_JSON_SEP.decode()}"{v.value}"{_JSON_BREAK}' for v in VERDICTS], "S40")
+    else:
+        ends = np.array([f",{v.value}\n" for v in VERDICTS], "S16")
+    parts: list = []  # CSV or JSON text per block, or SVG cloud points
     n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
         if args.format == "csv":
             # a seed index below 2**53 is an exact float, and its %.17g is its %d
-            parts.append(_csv_text(np.column_stack([rows, w.real + 0.0, w.imag + 0.0]), ends[status]))
+            parts.append(_rows_text([_fields(np.column_stack([rows, w.real + 0.0, w.imag + 0.0]))], ends[status]))
         elif args.format == "json":
-            cols = (rows.tolist(), (w.real + 0.0).tolist(), (w.imag + 0.0).tolist(), names[status].tolist())
-            parts += zip(*map(_tokens, cols))
+            values = _fields(np.column_stack([w.real, w.imag]) + 0.0, shortest=True)
+            parts.append(_rows_text([_fields(rows[:, None] + 0.0), values], ends[status], _JSON_SEP))
         else:
             parts += w.tolist()
         outside = status == VERDICTS.index(Verdict.OUTSIDE)
@@ -433,8 +521,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":
-            text = _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(args.theta_samples).tolist())),
-                              samples=parts)
+            text = _json_text(rec, **_boundary_rows(curve, _theta_fields(args.theta_samples)),
+                              samples=_json_rows(parts))
         else:
             text = _region_svg(rec, curve, parts)
     _write_out(args.out, text)
@@ -497,15 +585,21 @@ def _block_hash(block: dict[str, float]) -> str:
 
 def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, BoundaryCurve | None]:
     """``region_record`` of a block; a rejected block's record says why and has no curve."""
+
+    def rejected(reason: str) -> tuple[dict, None]:
+        # NaN and the infinities as their repr strings, so that the record is strict JSON
+        strict = {key: v if math.isfinite(v) else repr(v) for key, v in block.items()}
+        return {"rejected": True, "reason": reason, "block": strict}, None
+
     for key in GRID_REQUIRED:
         if key not in block:
-            return {"rejected": True, "reason": f"missing key {key!r}", "block": block}, None
+            return rejected(f"missing key {key!r}")
     lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
     z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
     try:
         return region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), theta_samples)
     except ValueError as exc:
-        return {"rejected": True, "reason": str(exc), "block": block}, None
+        return rejected(str(exc))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -513,8 +607,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every curve of the call has the same theta column: encode it once, here
-    theta_tokens = _tokens(_theta_grid(args.theta_samples).tolist())
+    # every curve of the call has the same theta column: format it once, here
+    theta_fields = _theta_fields(args.theta_samples)
     by_hash: dict[str, dict] = {}  # index entries in first-seen order
     for block in blocks:
         h = _block_hash(block)
@@ -523,7 +617,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         rec, curve = _sweep_record(block, args.theta_samples)
         fname = f"region-{h}.json"
-        _write_text(out_dir / fname, _json_text(rec, **_boundary_rows(curve, theta_tokens)))
+        _write_text(out_dir / fname, _json_text(rec, **_boundary_rows(curve, theta_fields)))
         by_hash[h] = {"hash": h, "file": fname, "status": "rejected" if rec.get("rejected") else "ok", "count": 1}
     _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
     return EXIT_OK

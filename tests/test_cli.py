@@ -19,20 +19,25 @@ import varregion.extremal
 from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
 from varregion.sampler import BLOCK_ROWS
 from varregion.cli import (
+    _JSON_BREAK,
+    _JSON_END,
+    _JSON_SEP,
     _block_hash,
     _boundary_rows,
-    _csv_text,
+    _fields,
+    _json_rows,
     _json_text,
     _parser,
+    _rows_text,
     _sample_blocks,
     _sweep_record,
-    _tokens,
+    _theta_fields,
     build_parser,
     main,
     parse_complex,
     region_record,
 )
-from varregion.region import VERDICTS, _singleton_note, _theta_grid, classify
+from varregion.region import VERDICTS, _singleton_note, classify
 from varregion.verify import SUITE_NAMES, run_suite
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -94,6 +99,26 @@ def test_region_csv_is_the_format_rows_of_its_record(capsys, lam, z0, n):
 _NEWLINE = np.array([b"\n"], "S8")
 
 
+def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
+    """CSV rows of a block of doubles, as ``sample`` and ``region`` write them."""
+    return _rows_text([_fields(cells)], ends)
+
+
+def _json_row_list(groups, ends=_JSON_END) -> str:
+    """The JSON row list that the ``_fields`` groups make, as the CLI writes it into a record."""
+    n = len(groups[0])
+    blocks = [_rows_text([g[i:i + BLOCK_ROWS] for g in groups], ends if len(ends) == 1 else ends[i:i + BLOCK_ROWS],
+                         _JSON_SEP) for i in range(0, n, BLOCK_ROWS)]
+    return "".join(_json_rows(blocks))
+
+
+def _json_cells(values) -> list[str]:
+    """The formatter's JSON text of each double of values: one row each, and ``json.dumps`` of each is expected."""
+    values = np.asarray(values, dtype=np.float64)
+    text = _json_row_list([_fields(values[:, None], shortest=True)])
+    return text[len("[\n    [\n      "):-len("\n    ]\n  ]")].split(_JSON_BREAK)
+
+
 def _ties() -> list[float]:
     """Doubles halfway between two 17-digit decimals: x = q / 2**(17 - e) for an odd q, per exponent e of 1e-4..1e16.
 
@@ -136,6 +161,69 @@ def test_csv_fields_are_percent_17g_at_the_edges_and_over_many_blocks():
         cells = np.resize(values, (-(-values.size // 3), 3))  # whole rows, the last one refilled from the start
         expected = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in cells.tolist())
         assert "".join(_csv_text(cells[i:i + BLOCK_ROWS], _NEWLINE) for i in range(0, len(cells), BLOCK_ROWS)) == expected
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_json_field_is_json_dumps_for_every_bit_pattern(bits):
+    x = float(np.array(bits, np.uint64).view(np.float64))
+    assert _json_cells([x, -x]) == [json.dumps(x), json.dumps(-x)]
+
+
+def _near_ties() -> list[float]:
+    """Doubles next to the midpoint of two candidates of one length: two 17-digit neighbours, or two 16-digit ones.
+
+    In units of the 17th digit, the midpoint is ``k + 0.5`` or ``10 k + 5``.
+    """
+    rng = np.random.default_rng(29)
+    near = []
+    for e in range(-4, 16):
+        for k in rng.integers(10**15, 10**16, 4).tolist():
+            for mid in (Fraction(2 * (10 * k + 3) + 1, 2), Fraction(10 * k + 5)):
+                x = float(mid * Fraction(10) ** (e - 16))
+                near += (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf))
+    return [float(x) for x in near]
+
+
+def _by_length() -> list[float]:
+    """Doubles whose shortest repr has each length from 1 to 17 digits, at exponents from -4 to 15."""
+    rng = np.random.default_rng(17)
+    values = []
+    for length in range(1, 18):
+        for e in range(-4, 16):
+            digits = int(rng.integers(10 ** (length - 1), 10**length)) // 10 * 10 + int(rng.integers(1, 10))
+            values.append(float(f"{str(digits)[:length]}e{e - length + 1}"))
+    return values
+
+
+def test_json_fields_are_json_dumps_at_the_edges_and_over_many_blocks():
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2**64, 30_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    normals = rng.standard_normal(30_000) * 10.0 ** rng.integers(-6, 18, 30_000)
+    # a power of 2 has a gap below it half the one above; and its neighbours
+    twos = [float(s * np.nextafter(2.0**k, t))
+            for k in range(-20, 60) for t in (0.0, 2.0**k, math.inf) for s in (1, -1)]
+    lengths = _by_length()
+    assert sorted({len(repr(x).replace(".", "").replace("-", "").strip("0")) for x in lengths}) == list(range(1, 18))
+    for values in (_edges() + CSV_SPECIALS, twos, _near_ties(), lengths, bits, normals, np.arange(1.0, 30_001.0)):
+        values = np.asarray(values, dtype=np.float64).tolist()
+        cells = _json_cells(values)
+        # the mismatches alone: pytest's diff of two long lists takes minutes
+        assert len(cells) == len(values) and [(x, c) for x, c in zip(values, cells) if c != json.dumps(x)] == []
+
+
+def test_a_block_column_with_no_value_in_range_skips_the_numpy_pass(monkeypatch):
+    laid_out = []
+    lay_out = varregion.cli._lay_out
+    monkeypatch.setattr(varregion.cli, "_lay_out", lambda v, *a: laid_out.append(v.shape) or lay_out(v, *a))
+    small = np.array([[7.0, 1e-5, -0.0], [8.0, 2e-300, math.nan], [9.0, -3e-7, math.inf]])
+    for shortest, fmt in ((False, "%.17g".__mod__), (True, json.dumps)):
+        expected = [",".join(map(fmt, row)) + "\n" for row in small.tolist()]
+        assert _rows_text([_fields(small, shortest=shortest)], _NEWLINE) == "".join(expected)
+        assert laid_out == [(3, 1)]  # the first column alone
+        tail = "".join(e.split(",", 1)[1] for e in expected)
+        assert _rows_text([_fields(small[:, 1:], shortest=shortest)], _NEWLINE) == tail
+        assert laid_out == [(3, 1)]  # no column at all
+        laid_out.clear()
 
 
 _PERCENT_SAMPLE_ARGVS = [
@@ -302,11 +390,22 @@ def _reference_sweep_record(block, n):
 
 
 def _record_text(rec, curve, n, **rows):
-    return _json_text(rec, **_boundary_rows(curve, _tokens(_theta_grid(n).tolist())), **rows)
+    return _json_text(rec, **_boundary_rows(curve, _theta_fields(n)), **rows)
 
 
 SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300], ["Interior", "Boundary", "Outside"])
 SAMPLE_ROWS = [list(row) for row in zip(*SAMPLE_COLUMNS)]
+
+
+def _sample_pieces() -> list[str]:
+    """``_json_rows`` pieces of the SAMPLE_COLUMNS rows as ``sample`` writes them.
+
+    The seed index is written as %.17g writes it, and the verdict rides in the row end.
+    """
+    index, re, im, names = SAMPLE_COLUMNS
+    ends = np.array([f'{_JSON_SEP.decode()}"{name}"{_JSON_BREAK}' for name in names], "S40")
+    groups = [_fields(np.array(index, np.float64)[:, None]), _fields(np.column_stack([re, im]), shortest=True)]
+    return [_json_row_list(groups, ends)]
 
 
 def _json_records():
@@ -319,10 +418,9 @@ def _json_records():
         (JanowskiParams(-1.0, 1.0), EvalPoint(0.3 + 0.4j, 1j), 8),  # singleton, lambda = i
     ]
     cases = [(_reference_region_record(*case), _record_text(*region_record(*case), case[2])) for case in region_cases]
-    samples = list(map(_tokens, SAMPLE_COLUMNS))
     for point in (EvalPoint(0.5, 0.5), EvalPoint(0.0, 0.5)):  # a disk and a singleton with samples
         cases.append(({**_reference_region_record(P05, point, 8), "samples": SAMPLE_ROWS},
-                      _record_text(*region_record(P05, point, 8), 8, samples=zip(*samples))))
+                      _record_text(*region_record(P05, point, 8), 8, samples=_sample_pieces())))
     for block in ({"A": 0.9, "B": 0.5, "z0_re": 0.5}, {"A": -0.5, "B": 0.5, "lambda_im": 0.3, "z0_re": 0.3}):
         cases.append((_reference_sweep_record(block, 16), _record_text(*_sweep_record(block, 16), 16)))
     reports = [run_suite("inclusion", seed=0, tol=1e-9).to_dict()]
@@ -331,7 +429,7 @@ def _json_records():
     cases += [(obj, _json_text(obj)) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
     # a nested key of the same name stays; the other values may hold the row separators
     other = {"meta": {"samples": None}, "a": "x, y", "b": [[{"k": 1}]], "c": [["], [", 1]]}
-    cases.append(({**other, "samples": SAMPLE_ROWS}, _json_text(other, samples=zip(*samples))))
+    cases.append(({**other, "samples": SAMPLE_ROWS}, _json_text(other, samples=_sample_pieces())))
     return cases
 
 
@@ -343,12 +441,11 @@ def test_json_text_matches_stdlib_indented_encoding(obj):
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
-# the cells of a token column, and other scalars: strings that hold the row separators, any text
-_ROW_CELLS = st.one_of(
-    st.none(), st.booleans(), st.integers(-(2**200), 2**200), st.floats(),
-    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300] + [v.value for v in VERDICTS]),
-)
-_SCALARS = _ROW_CELLS | st.sampled_from(["x, y", "], [", 'a", "b', "Inside", ""]) | st.text(max_size=4)
+# the cells of a row column, and other scalars: strings that hold the row separators, any text
+_ROW_CELLS = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e16, 1e-4]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**200), 2**200), _ROW_CELLS,
+    st.sampled_from(["x, y", "], [", 'a", "b', "Inside", ""] + [v.value for v in VERDICTS]), st.text(max_size=4))
 _CELLS = st.recursive(
     _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
@@ -360,7 +457,7 @@ _COLUMNS = st.integers(1, 5).flatmap(
 @given(st.dictionaries(st.text(max_size=4), _CELLS, max_size=4),
        st.dictionaries(st.text(max_size=4), _COLUMNS, max_size=3))
 def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
-    rows = {key: zip(*map(_tokens, cols)) for key, cols in columns.items()}
+    rows = {key: [_json_row_list([_fields(np.array(cols).T, shortest=True)])] for key, cols in columns.items()}
     merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
     assert _json_text(obj, **rows) == json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
@@ -381,6 +478,32 @@ def test_region_and_sample_json_are_the_reference_record(capsys, command, z0, la
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         expected["samples"] = [[int(i), float(re), float(im), verdict] for i, re, im, verdict in rows]
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_SAMPLE_ARGVS = [
+    *(["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", f"--mc-samples={n}"]
+      for n in (1, 1023, 1024, 1025, 2500)),
+    ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1025"],  # a singleton
+    ["--A=-0.5", "--B=1e-3", "--lambda=0.5", "--z0=2e-4", "--mc-samples=1500"],  # every value below 1e-4
+    ["--A=-0.5", "--B=1e-16", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # B -> 0
+    ["--A=-1", "--B=1", "--lambda=0.9999999", "--z0=0.3,0.4", "--mc-samples=1025"],  # |lambda| -> 1
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_SAMPLE_ARGVS, ids=" ".join)
+def test_sample_json_is_the_stdlib_encoding_over_several_blocks(argv, capsys):
+    n = 1025
+    code = run(["sample", *argv, "--seed=5", "--format=json", f"--theta-samples={n}"])
+    args = build_parser().parse_args(["sample", *argv])
+    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
+    expected = {**_reference_region_record(params, point, n), "samples": [
+        [i, w.real + 0.0, w.imag + 0.0, VERDICTS[s].value]
+        for block in _sample_blocks(point, params, args.mc_samples, 5, args.tol)
+        for i, w, s in zip(*(col.tolist() for col in block[:3]))]}
+    out = capsys.readouterr().out
+    expected_text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert out.splitlines(keepends=True) == expected_text.splitlines(keepends=True)
+    assert code == 0
 
 
 def test_region_complex_lambda_reduction(tmp_path, capsys):
@@ -900,15 +1023,43 @@ def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
 def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     n = 16
     thetas = boundary_curve(EvalPoint(0.5, 0.5), P05, n).thetas.tolist()
-    encoded = []
-    tokens = varregion.cli._tokens
-    monkeypatch.setattr(varregion.cli, "_tokens", lambda col: encoded.append(col) or tokens(col))
+    formatted = []
+    fields = varregion.cli._fields
+    monkeypatch.setattr(varregion.cli, "_fields", lambda x, **kw: formatted.append(x.T.tolist()) or fields(x, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
-    for call in range(2):  # a second call encodes it again: nothing is cached across calls
+    for call in range(2):  # a second call formats it again: nothing is cached across calls
         assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / str(call)}", f"--theta-samples={n}"]) == 0
-        assert sum(col == thetas for col in encoded) == 1
-        assert len(encoded) == 1 + 2 * 3  # and the Re and Im columns of each disk record
-        encoded.clear()
+        assert sum(cols == [thetas] for cols in formatted) == 1
+        assert len(formatted) == 1 + 3  # and the Re and Im columns of each disk record, in one call
+        assert sorted(len(cols) for cols in formatted) == [1, 2, 2, 2]
+        formatted.clear()
+
+
+def test_sweep_files_are_strict_json_when_a_rejected_block_is_not_finite(tmp_path):
+    blocks = [
+        {"A": 0.0, "B": math.nan, "z0_re": 0.5},
+        {"A": 0.0, "B": 0.5, "z0_re": math.inf},
+        {"A": -math.inf, "B": 0.5, "lambda_im": -math.inf, "z0_re": 0.5},
+        {"B": math.nan, "z0_re": 0.5},  # missing key
+        *SWEEP_BLOCKS,
+    ]
+    out = tmp_path / "out"
+    assert run(["sweep", f"--grid={_sweep_grid(tmp_path, blocks)}", f"--out={out}", "--theta-samples=8"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    records = {f.name: json.loads(f.read_text(), parse_constant=refuse) for f in out.iterdir()}
+    index = records.pop("index.json")["records"]
+    # the hash, the reason and the index are those of the block as read
+    assert [e["file"] for e in index] == [f"region-{_block_hash(b)}.json" for b in blocks]
+    for block, entry in zip(blocks[:4], index):
+        rec = records[entry["file"]]
+        assert entry["status"] == "rejected"
+        assert rec["block"] == {k: v if math.isfinite(v) else repr(v) for k, v in block.items()}
+        assert rec["reason"] == _reference_sweep_record(block, 8)["reason"]
+    assert records[index[0]["file"]]["block"]["B"] == "nan"
+    assert records[index[2]["file"]]["block"]["A"] == "-inf"
 
 
 def test_sweep_builds_the_unit_circle_grid_once_per_theta_count(tmp_path):
@@ -1387,13 +1538,13 @@ import sys
 import numpy.random
 import varregion.cli
 varregion.cli.build_parser()
-print("tables:", varregion.cli._csv_tables.cache_info().currsize)
+print("tables:", varregion.cli._text_tables.cache_info().currsize)
 before = set(sys.modules)
 point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.5"]
 assert varregion.cli.main(["region", *point, "--out", sys.argv[1] + "region.csv"]) == 0
 assert varregion.cli.main(["sample", *point, "--mc-samples=200", "--out", sys.argv[1] + "sample.csv"]) == 0
 print("added:", *sorted({"hashlib", "json"} & (set(sys.modules) - before)))
-print("tables:", varregion.cli._csv_tables.cache_info().currsize)
+print("tables:", varregion.cli._text_tables.cache_info().currsize)
 """
 
 
