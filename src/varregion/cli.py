@@ -90,30 +90,20 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
     return Path(override) if is_dir else Path(override) / Path(path_str).name
 
 
-# as tempfile opens its files, with O_BINARY so Windows writes "\n" as is
-_TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
-              | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
-
-
 def _write_text(path: Path, text: str) -> None:
     """Write text to path atomically, through a temp file in path's directory that a rename moves into place.
 
-    The temp file's name is unique to the call (pid and random bytes), and ``O_EXCL``
+    The temp file's name is unique to the call (pid and random bytes), and mode ``"x"``
     refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
     """
     tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
-    fd = None
+    fh = None
     try:
-        fd = os.open(tmp, _TMP_FLAGS, 0o666)
-        try:
-            data = memoryview(text.encode())
-            while data:  # os.write may write only part of its buffer
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        with open(tmp, "xb") as fh:
+            fh.write(text.encode())
         os.replace(tmp, path)
     except BaseException as exc:
-        if fd is not None:
+        if fh is not None:
             try:
                 os.unlink(tmp)
             except OSError:
@@ -291,21 +281,13 @@ def _fields(x: np.ndarray, shortest: bool = False) -> np.ndarray:
     The text is ``"%.17g" % v``, or, if shortest, ``json.dumps(v)``: the
     shortest repr, with NaN and the infinities as json spells them.  Rows go
     BLOCK_ROWS at a time.  ``_lay_out`` writes the values of ``_digits`` and
-    zero, and skips a column of a block with no value in ``[1e-4, 1e16)``;
-    Python formats the others.
+    zero; Python formats the others.
     """
     words = np.empty(x.shape + (5,), np.uint64)
     for i in range(0, len(x), BLOCK_ROWS):
         v, out = x[i:i + BLOCK_ROWS], words[i:i + BLOCK_ROWS]
         y = np.abs(v)
-        fast = (y >= 1e-4) & (y < 1e16)
-        if fast.all() or (cols := fast.any(0)).all():
-            fast = _lay_out(v, y, fast, shortest, out)
-        elif cols.any():
-            part = np.empty((len(v), np.count_nonzero(cols), 5), np.uint64)
-            fast[:, cols] = _lay_out(v[:, cols], y[:, cols], fast[:, cols], shortest, part)
-            out[:, cols] = part
-        slow = ~fast
+        slow = ~_lay_out(v, y, (y >= 1e-4) & (y < 1e16), shortest, out)
         if slow.any():
             values = v[slow].tolist()
             text = ("\0%r\1" if shortest else "\0%.17g\1") * len(values) % tuple(values)  # one % pass
@@ -682,16 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` falls back to: built on its first call, reused by every later one.
-
-    Parsing writes only the namespace it returns, never the parser, so one
-    parser serves every call; ``build_parser`` still returns a fresh one.
-    """
-    return build_parser()
-
-
-@functools.cache
 def _command_table(command: str) -> tuple[dict, dict, set]:
     """A command's ``_COMMANDS`` entry as (flag -> (dest, convert, choices), defaults, required dests).
 
@@ -746,7 +718,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     message.
     """
     args = _table_parse(argv) if argv and argv[0] in _COMMANDS else None
-    return _parser().parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

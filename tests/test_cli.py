@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -27,7 +28,6 @@ from varregion.cli import (
     _fields,
     _json_rows,
     _json_text,
-    _parser,
     _rows_text,
     _sample_blocks,
     _sweep_record,
@@ -211,19 +211,13 @@ def test_json_fields_are_json_dumps_at_the_edges_and_over_many_blocks():
         assert len(cells) == len(values) and [(x, c) for x, c in zip(values, cells) if c != json.dumps(x)] == []
 
 
-def test_a_block_column_with_no_value_in_range_skips_the_numpy_pass(monkeypatch):
-    laid_out = []
-    lay_out = varregion.cli._lay_out
-    monkeypatch.setattr(varregion.cli, "_lay_out", lambda v, *a: laid_out.append(v.shape) or lay_out(v, *a))
+def test_a_block_column_with_no_value_in_range_formats_as_python_does():
     small = np.array([[7.0, 1e-5, -0.0], [8.0, 2e-300, math.nan], [9.0, -3e-7, math.inf]])
     for shortest, fmt in ((False, "%.17g".__mod__), (True, json.dumps)):
         expected = [",".join(map(fmt, row)) + "\n" for row in small.tolist()]
         assert _rows_text([_fields(small, shortest=shortest)], _NEWLINE) == "".join(expected)
-        assert laid_out == [(3, 1)]  # the first column alone
         tail = "".join(e.split(",", 1)[1] for e in expected)
         assert _rows_text([_fields(small[:, 1:], shortest=shortest)], _NEWLINE) == tail
-        assert laid_out == [(3, 1)]  # no column at all
-        laid_out.clear()
 
 
 _PERCENT_SAMPLE_ARGVS = [
@@ -1192,9 +1186,32 @@ def test_output_files_take_their_mode_from_the_umask(command, tmp_path, monkeypa
 
 
 def _fail(*args):
-    # as os.open, os.write and os.replace fail: naming the paths they were given, if any
+    # as open, a raw write and os.replace fail: naming the paths they were given, if any
     paths = [a for a in args if isinstance(a, (str, Path))]
     raise OSError(28, "No space left on device", *paths[:1], None, *paths[1:])
+
+
+class _FailingWrites(io.FileIO):
+    """A raw file whose every write fails, as on a full disk."""
+
+    def write(self, data):
+        _fail()
+
+
+class _ShortWrites(io.FileIO):
+    """A raw file that writes at most 777 bytes a call, as a raw write may."""
+
+    def write(self, data):
+        return super().write(bytes(data)[:777])
+
+
+def _temp_files_through(monkeypatch, raw):
+    """Have the CLI open each temp file (mode "xb") as a BufferedWriter over raw(name, mode); other opens stay."""
+
+    def shim(file, mode="r", *args, **kwargs):
+        return io.BufferedWriter(raw(file, mode)) if mode == "xb" else open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(varregion.cli, "open", shim, raising=False)
 
 
 @pytest.mark.parametrize("command", ["region", "sweep"])
@@ -1204,7 +1221,10 @@ def test_a_failed_write_leaves_no_trace(command, step, tmp_path, monkeypatch, ca
     (tmp_path / "out").mkdir()
     for name in names:
         (tmp_path / "out" / name).write_text("old bytes\n")
-    monkeypatch.setattr(os, step, _fail)
+    if step == "replace":
+        monkeypatch.setattr(os, "replace", _fail)
+    else:
+        _temp_files_through(monkeypatch, {"open": lambda file, mode: _fail(file), "write": _FailingWrites}[step])
     assert run(argv) == 3
     # the message names the file being written, never its temp file
     first = names[0] if command == "region" else names[1]  # sweep writes its records before the index
@@ -1232,10 +1252,29 @@ def test_short_writes_still_write_every_byte(command, tmp_path, monkeypatch):
     assert run(argv) == 0
     whole = [f.read_bytes() for f in files]
     shutil.rmtree(tmp_path / "out")
-    write = os.write
-    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:777]))
+    _temp_files_through(monkeypatch, _ShortWrites)
     assert run(argv) == 0
     assert [f.read_bytes() for f in files] == whole
+
+
+@pytest.mark.parametrize("command", ["region", "sweep"])
+def test_a_file_at_the_temp_name_is_left_alone(command, tmp_path, monkeypatch, capsys):
+    argv, names = _write_command(tmp_path, monkeypatch, command)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in names:
+        (out / name).write_text("old bytes\n")
+    first = names[0] if command == "region" else names[1]  # sweep writes its records before the index
+    squatter = out / f"{first}.4242.000000000000.tmp"
+    squatter.write_text("not ours\n")
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"I/O error: [Errno 17] File exists: 'out/{first}'\n"
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, squatter.name])
+    assert squatter.read_text() == "not ours\n"
+    assert all((out / name).read_text() == "old bytes\n" for name in names)
 
 
 def test_stdout_output(capsys):
@@ -1246,7 +1285,7 @@ def test_stdout_output(capsys):
 
 
 def test_main_is_reentrant(tmp_path, capsys):
-    """main reuses one parser: calls in order and in reverse give what a fresh parser gives."""
+    """main keeps nothing between calls: calls in order and in reverse give the same results."""
     grid = tmp_path / "grid.txt"
     grid.write_text("A=0\nB=0.5\nz0_re=0.5\n\nA=0.9\nB=0.5\nz0_re=0.5\n")
     out = tmp_path / "sweep"
@@ -1267,20 +1306,17 @@ def test_main_is_reentrant(tmp_path, capsys):
         [],  # no command
     ]
 
-    def call(argv, fresh_parser=False):
-        if fresh_parser:
-            _parser.cache_clear()
+    def call(argv):
         code = main(argv)
         files = sorted((f.name, f.read_bytes()) for f in out.glob("*"))
         shutil.rmtree(out, ignore_errors=True)
         return code, *capsys.readouterr(), files
 
-    fresh = [call(argv, fresh_parser=True) for argv in argvs]
+    first = [call(argv) for argv in argvs]
     forward = [call(argv) for argv in argvs]
     backward = [call(argv) for argv in reversed(argvs)][::-1]
-    assert _parser.cache_info().misses == 1  # both passes shared the last fresh parser
-    assert [r[0] for r in fresh] == [0] * 8 + [2] * 5
-    for argv, r, f, b in zip(argvs, fresh, forward, backward):
+    assert [r[0] for r in first] == [0] * 8 + [2] * 5
+    for argv, r, f, b in zip(argvs, first, forward, backward):
         assert (f, b) == (r, r), argv
 
 
@@ -1412,7 +1448,7 @@ def test_every_other_argv_goes_to_the_full_parser(kind, argparse_calls, capsys):
 
 @pytest.fixture
 def parser_builds(monkeypatch):
-    """One entry per ``build_parser`` call, with no parser cached to begin with."""
+    """One entry per ``build_parser`` call."""
     calls = []
     build = varregion.cli.build_parser
 
@@ -1421,7 +1457,6 @@ def parser_builds(monkeypatch):
         return build()
 
     monkeypatch.setattr(varregion.cli, "build_parser", spy)
-    _parser.cache_clear()
     return calls
 
 
