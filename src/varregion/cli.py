@@ -90,8 +90,8 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
     return Path(override) if is_dir else Path(override) / Path(path_str).name
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write text to path atomically, through a temp file in path's directory that a rename moves into place.
+def _write_text(path: Path, data: bytes) -> None:
+    """Write data to path atomically, through a temp file in path's directory that a rename moves into place.
 
     The temp file's name is unique to the call (pid and random bytes), and mode ``"x"``
     refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
@@ -100,7 +100,7 @@ def _write_text(path: Path, text: str) -> None:
     fh = None
     try:
         with open(tmp, "xb") as fh:
-            fh.write(text.encode())
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         if fh is not None:
@@ -113,24 +113,24 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _write_out(out: str | None, text: str) -> None:
-    """Write a command's one output: to stdout, or to its --out file, making the file's directory first."""
+def _write_out(out: str | None, data: bytes) -> None:
+    """Write a command's one output: to stdout as text, or to its --out file, making the file's directory first."""
     path = _resolve_out(out)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(path, text)
+    _write_text(path, data)
 
 
 # json.dumps(..., indent=2) around a top-level row list: before it, between two
 # rows, between two cells of a row and after it
-_JSON_OPEN, _JSON_BREAK, _JSON_CLOSE = "[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+_JSON_OPEN, _JSON_BREAK, _JSON_CLOSE = b"[\n    [\n      ", b"\n    ],\n    [\n      ", b"\n    ]\n  ]"
 _JSON_SEP = b",\n      "
 _JSON_END = np.array([_JSON_BREAK], "S24")
 
 
-def _json_rows(blocks: list[str]) -> list[str]:
+def _json_rows(blocks: list[bytes]) -> list[bytes]:
     """The text pieces of a top-level row list in the ``indent=2`` layout, from ``_rows_text`` blocks of its rows.
 
     Each row of a block ends in ``_JSON_BREAK``; the last one's is cut here.
@@ -138,30 +138,30 @@ def _json_rows(blocks: list[str]) -> list[str]:
     return [_JSON_OPEN, *blocks[:-1], blocks[-1][:-len(_JSON_BREAK)], _JSON_CLOSE]
 
 
-def _json_text(obj, **rows) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte.
+def _json_text(obj, **rows) -> bytes:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte, as bytes.
 
     ``rows`` maps top-level keys of a dict with string keys to the text pieces
     of a non-empty row list from ``_json_rows``.  The dict is encoded once with
     ``null`` for each rows key, and the row list takes the place of each
     top-level ``\\n  "<key>": null``.  That text is unique: deeper keys are
     indented further, and a JSON string holds no raw newline.  Without rows
-    this is the stdlib call.
+    this is the stdlib call, encoded (as ASCII: json escapes the rest).
     """
     import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
-    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2)
+    text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2).encode()
     pieces = []
     for key in sorted(rows):  # the order sort_keys gives the keys in text
-        field = f"\n  {json.dumps(key)}: "
-        head, _, text = text.partition(field + "null")
+        field = f"\n  {json.dumps(key)}: ".encode()
+        head, _, text = text.partition(field + b"null")
         pieces += (head, field, *rows[key])
-    return "".join(pieces) + text + "\n"
+    return b"".join([*pieces, text, b"\n"])
 
 
 @functools.cache
 def _text_tables() -> tuple:
-    """``_fields``' tables, built on its first call.
+    """``_fields``' and ``_index_fields``' tables, built on the first call.
 
     A field is 40 cells: a free first byte, a sign, the ``0.000`` of a value
     below 1, then 17 digits, each but the first behind a slot for the point.
@@ -297,29 +297,57 @@ def _fields(x: np.ndarray, shortest: bool = False) -> np.ndarray:
     return words
 
 
-def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> str:
-    """The rows of the ``_fields`` in groups, side by side: cells joined by sep, each row followed by its end.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer of d digits is at least d - 1 of these
+# _DIGITS_FROM[z] keeps the digit bytes of a ``_text_tables`` group word from its z-th digit on
+_DIGITS_FROM = np.array([sum(255 << 8 * (2 * d + 1) for d in range(z, 4)) for z in range(5)], np.uint64)
 
-    Each group is an (n, c, 5) array of at most a few BLOCK_ROWS rows;
-    ``ends`` holds one row end or one per row, as bytes 8k wide.  A one-byte
-    sep (CSV) takes each field's free first byte, a longer one of at most 8
-    bytes a word of its own.  One ``bytes.translate`` drops the padding.
+
+def _index_fields(index: np.ndarray) -> np.ndarray:
+    """The (n, 1, k) uint64 words of the ``%d`` text of each integer of index, in [0, 10**18), NUL padded.
+
+    The text comes from ``_text_tables``' 4-digit groups: k groups for the
+    largest entry, with the slots and each entry's leading zero digits masked
+    to NUL, so a field's first byte is free as ``_fields``' is.
     """
-    rows, cols = len(groups[0]), sum(g.shape[1] for g in groups)
-    w = 5 if len(sep) == 1 else 6
-    words = np.empty((rows, cols * w + ends.itemsize // 8), np.uint64)
-    cells = words[:, :cols * w].reshape(rows, cols, w)
+    k = -(-len(str(int(index.max()))) // 4)
+    groups = np.empty((len(index), k), np.int64)
+    rest = index
+    for j in range(k - 1, 0, -1):  # // by a scalar is far cheaper than %
+        high = rest // 10_000
+        groups[:, j] = rest - high * 10_000
+        rest = high
+    groups[:, 0] = rest
+    # row d - 1 of keep masks the 4k digits of a d-digit integer; take's mode="clip" bounds each count to [0, 4]
+    keep = _DIGITS_FROM.take(4 * np.arange(k, 0, -1) - 1 - np.arange(4 * k)[:, None], mode="clip")
+    return (_text_tables()[0].take(groups) & keep.take(np.searchsorted(_POW10, index, "right"), 0))[:, None]
+
+
+def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> bytes:
+    """The rows of the fields in groups, side by side: cells joined by sep, each row followed by its end.
+
+    Each group is an (n, c, k) array of at most a few BLOCK_ROWS rows: c
+    fields of k words each, whose first byte is free (``_fields``,
+    ``_index_fields``).  ``ends`` holds one row end or one per row, as bytes
+    8m wide.  A one-byte sep (CSV) takes each field's free first byte, a
+    longer one of at most 8 bytes a word of its own.  One ``bytes.translate``
+    drops the padding.
+    """
+    rows, packed = len(groups[0]), len(sep) == 1
+    width = sum(g.shape[1] * (g.shape[2] + (not packed)) for g in groups)
+    words = np.empty((rows, width + ends.itemsize // 8), np.uint64)
     j = 0
     for g in groups:
-        cells[:, j:j + g.shape[1], w - 5:] = g
-        j += g.shape[1]
-    if w == 6:
-        cells[:, :, 0] = np.frombuffer(sep.ljust(8, b"\0"), np.uint64)
-        cells[:, 0, 0] = 0  # no separator before a row's first cell
-    else:
-        words.view(np.uint8)[:, 40:cols * 40:40] = ord(sep)
-    words[:, cols * w:] = ends.view(np.uint64).reshape(len(ends), -1)
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+        c, k = g.shape[1], g.shape[2] + (not packed)
+        cells = words[:, j:j + c * k].reshape(rows, c, k)
+        cells[:, :, k - g.shape[2]:] = g
+        if packed:
+            words.view(np.uint8)[:, 8 * j:8 * (j + c * k):8 * k] = ord(sep)
+        else:
+            cells[:, :, 0] = np.frombuffer(sep.ljust(8, b"\0"), np.uint64)
+        j += c * k
+    (words.view(np.uint8) if packed else words)[:, 0] = 0  # no separator before a row's first cell
+    words[:, width:] = ends.view(np.uint64).reshape(len(ends), -1)
+    return words.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +383,18 @@ def _boundary_rows(curve: BoundaryCurve | None, theta_fields: np.ndarray) -> dic
                                                _JSON_END, _JSON_SEP) for i in range(0, len(values), BLOCK_ROWS)])}
 
 
-def _region_csv(rec: dict, curve: BoundaryCurve | None) -> str:
+def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
     """Boundary rows of a record; a singleton's one row is its value at theta 0."""
     if curve is None:
         cells = np.array([[0.0, *rec["center"]]])
     else:
         cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
     end = np.array([b"\n"], "S8")
-    return "theta,re,im\n" + "".join(_rows_text([_fields(cells[i:i + BLOCK_ROWS])], end)
-                                     for i in range(0, len(cells), BLOCK_ROWS))
+    return b"".join([b"theta,re,im\n", *(_rows_text([_fields(cells[i:i + BLOCK_ROWS])], end)
+                                          for i in range(0, len(cells), BLOCK_ROWS))])
 
 
-def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> str:
+def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> bytes:
     """A record's boundary polygon and cloud as dots; a singleton with no cloud shows its value."""
     boundary = [] if curve is None else (curve.values + 0.0).tolist()
     if not (boundary or cloud):
@@ -396,7 +424,7 @@ def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) ->
         x, y = to_px(p)
         parts.append('<circle cx="%.3f" cy="%.3f" r="0.5" fill="black"/>' % (x, y))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return ("\n".join(parts) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +475,33 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal_value(spec, z, cfg)
     deriv = complex(extremal_fprime(spec, z))
     text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
-    _write_out(args.out, text)
+    _write_out(args.out, text.encode())
     return EXIT_OK
+
+
+# members per kernel call in sample: at BLOCK_ROWS, numpy's cost per call is ~40% of omega_eval's
+_CHUNK_ROWS = 4 * BLOCK_ROWS
 
 
 def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, tol: float):
     """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to n.
 
-    sample_members draws each block whole, so row i is the same for every n;
-    only the rows kept are evaluated and classified, and the arrays in use
-    stay one block long.
+    The kernels run on chunks of _CHUNK_ROWS members, which are yielded a
+    block at a time.  sample_members draws each block whole, so row i is the
+    same for every n; only the rows kept are evaluated and classified.
     """
     single = singleton_value(point, params)
     if single is not None:
-        w = np.full(BLOCK_ROWS, single)
-        slack, status = np.zeros(BLOCK_ROWS), np.full(BLOCK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
-    for start in range(0, n, BLOCK_ROWS):
-        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+        w = np.full(_CHUNK_ROWS, single)
+        slack, status = np.zeros(_CHUNK_ROWS), np.full(_CHUNK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
+    for start in range(0, n, _CHUNK_ROWS):
+        size = min(_CHUNK_ROWS, n - start)
         if single is None:
-            w = log_fprime(omega_eval(sample_members(seed, rows.size, start), point.lam, point.z0), params)
+            w = log_fprime(omega_eval(sample_members(seed, size, start), point.lam, point.z0), params)
             slack, status = classify(w, point, params, tol)
-        yield rows, w[:rows.size], status[:rows.size], slack[:rows.size]
+        for i in range(0, size, BLOCK_ROWS):
+            block = slice(i, min(i + BLOCK_ROWS, size))
+            yield np.arange(start + block.start, start + block.stop), w[block], status[block], slack[block]
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -478,28 +512,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("require mc_samples >= 1")
     _check_seed(args.seed)
     # a row's end holds its verdict
-    if args.format == "json":
-        ends = np.array([f'{_JSON_SEP.decode()}"{v.value}"{_JSON_BREAK}' for v in VERDICTS], "S40")
+    shortest = args.format == "json"
+    if shortest:
+        ends = np.array([_JSON_SEP + f'"{v.value}"'.encode() + _JSON_BREAK for v in VERDICTS], "S40")
     else:
-        ends = np.array([f",{v.value}\n" for v in VERDICTS], "S16")
+        ends = np.array([f",{v.value}\n".encode() for v in VERDICTS], "S16")
     parts: list = []  # CSV or JSON text per block, or SVG cloud points
     n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
-        if args.format == "csv":
-            # a seed index below 2**53 is an exact float, and its %.17g is its %d
-            parts.append(_rows_text([_fields(np.column_stack([rows, w.real + 0.0, w.imag + 0.0]))], ends[status]))
-        elif args.format == "json":
-            values = _fields(np.column_stack([w.real, w.imag]) + 0.0, shortest=True)
-            parts.append(_rows_text([_fields(rows[:, None] + 0.0), values], ends[status], _JSON_SEP))
-        else:
+        if args.format == "svg":
             parts += w.tolist()
+        else:
+            values = _fields(np.column_stack([w.real, w.imag]) + 0.0, shortest)
+            parts.append(_rows_text([_index_fields(rows), values], ends[status], _JSON_SEP if shortest else b","))
         outside = status == VERDICTS.index(Verdict.OUTSIDE)
         n_breaches += int(np.count_nonzero(outside))
         for k in np.flatnonzero(outside)[:20 - len(witnesses)].tolist():
             witnesses.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
                               "slack": float(slack[k])})
     if args.format == "csv":
-        text = "seed_index,re,im,verdict\n" + "".join(parts)
+        text = b"".join([b"seed_index,re,im,verdict\n", *parts])
     else:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":

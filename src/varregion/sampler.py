@@ -81,26 +81,31 @@ def sample_members(seed: int, n: int, start: int = 0) -> InnerBatch:
     BLOCK_ROWS, block b from default_rng((seed, b)), so row i depends only on
     (seed, i).  Every block draws all 3 * BLOCK_ROWS zero moduli and
     arguments, used or not, so the stream does not depend on which are used;
-    zeros are formed only where they are used.
+    rotations and zeros are formed only for the kept rows, zeros only where
+    they are used.
     """
     if seed < 0:
         raise ValueError(f"require seed >= 0, got {seed}")
     if n < 0 or start < 0:
         raise ValueError(f"require n >= 0 and start >= 0, got n={n}, start={start}")
-    first = start // BLOCK_ROWS
-    parts = []
-    for b in range(first, max(first + 1, -(-(start + n) // BLOCK_ROWS))):
+    lead, zeros, mask = np.empty(n, complex), np.zeros((3, n), complex), np.empty((3, n), bool)
+    for b in range(start // BLOCK_ROWS, -(-(start + n) // BLOCK_ROWS)):
+        # block rows lo..hi-1 are the kept rows in cols
+        lo, hi = max(start - b * BLOCK_ROWS, 0), min(start + n - b * BLOCK_ROWS, BLOCK_ROWS)
+        cols = slice(b * BLOCK_ROWS + lo - start, b * BLOCK_ROWS + hi - start)
         rng = np.random.default_rng((int(seed), b))
-        scale = rng.uniform(0.0, 1.0, BLOCK_ROWS)
-        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, BLOCK_ROWS))
-        moduli = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS))
-        args = rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS))
-        zeros = np.zeros((3, BLOCK_ROWS), complex)
-        zeros[_BLOCK_MASK] = moduli[_BLOCK_MASK] * np.exp(1j * args[_BLOCK_MASK])
-        turn[_BLOCK_HAS_ZEROS] /= np.abs(turn[_BLOCK_HAS_ZEROS])
-        parts.append((scale * turn, zeros, _BLOCK_MASK))
-    offset = start - first * BLOCK_ROWS
-    return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
+        scale = rng.uniform(0.0, 1.0, BLOCK_ROWS)[lo:hi]
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, BLOCK_ROWS)[lo:hi])
+        moduli = rng.uniform(0.0, 0.9, (3, BLOCK_ROWS))[:, lo:hi]
+        args = rng.uniform(-np.pi, np.pi, (3, BLOCK_ROWS))[:, lo:hi]
+        np.divide(turn, np.abs(turn), out=turn, where=_BLOCK_HAS_ZEROS[lo:hi])
+        np.multiply(scale, turn, out=lead[cols])
+        mask[:, cols] = _BLOCK_MASK[:, lo:hi]
+        block_zeros = zeros[:, cols]
+        for r in (1, 2, 3):  # the rows with r zeros: every 4th, from block row r
+            c = slice((r - lo) % 4, None, 4)
+            np.multiply(moduli[:r, c], np.exp(1j * args[:r, c]), out=block_zeros[:r, c])
+    return InnerBatch(lead, zeros, mask)
 
 
 def omega_eval(inner: InnerBatch, lam, z):

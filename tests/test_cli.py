@@ -26,6 +26,7 @@ from varregion.cli import (
     _block_hash,
     _boundary_rows,
     _fields,
+    _index_fields,
     _json_rows,
     _json_text,
     _rows_text,
@@ -100,23 +101,23 @@ _NEWLINE = np.array([b"\n"], "S8")
 
 
 def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
-    """CSV rows of a block of doubles, as ``sample`` and ``region`` write them."""
-    return _rows_text([_fields(cells)], ends)
+    """CSV rows of a block of doubles, as ``sample`` and ``region`` write them, decoded."""
+    return _rows_text([_fields(cells)], ends).decode()
 
 
-def _json_row_list(groups, ends=_JSON_END) -> str:
+def _json_row_list(groups, ends=_JSON_END) -> bytes:
     """The JSON row list that the ``_fields`` groups make, as the CLI writes it into a record."""
     n = len(groups[0])
     blocks = [_rows_text([g[i:i + BLOCK_ROWS] for g in groups], ends if len(ends) == 1 else ends[i:i + BLOCK_ROWS],
                          _JSON_SEP) for i in range(0, n, BLOCK_ROWS)]
-    return "".join(_json_rows(blocks))
+    return b"".join(_json_rows(blocks))
 
 
 def _json_cells(values) -> list[str]:
     """The formatter's JSON text of each double of values: one row each, and ``json.dumps`` of each is expected."""
     values = np.asarray(values, dtype=np.float64)
-    text = _json_row_list([_fields(values[:, None], shortest=True)])
-    return text[len("[\n    [\n      "):-len("\n    ]\n  ]")].split(_JSON_BREAK)
+    text = _json_row_list([_fields(values[:, None], shortest=True)]).decode()
+    return text[len("[\n    [\n      "):-len("\n    ]\n  ]")].split(_JSON_BREAK.decode())
 
 
 def _ties() -> list[float]:
@@ -144,6 +145,16 @@ def _edges() -> list[float]:
             below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
             edges += (below, above)
     return [float(x) for x in edges + _ties()]
+
+
+def test_seed_index_field_is_percent_d():
+    edges = [i for k in range(1, 16) for i in (10**k - 1, 10**k, 10**k + 1)]
+    for index in (np.arange(20_000), np.array(edges), np.array([0])):
+        expected = "".join("%d\n" % i for i in index.tolist())
+        assert _rows_text([_index_fields(index)], _NEWLINE).decode() == expected
+        # beside a value, as a sample row has it
+        row = "".join("%d,%.17g\n" % (i, 0.5) for i in index.tolist())
+        assert _rows_text([_index_fields(index), _fields(np.full((index.size, 1), 0.5))], _NEWLINE).decode() == row
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -215,9 +226,9 @@ def test_a_block_column_with_no_value_in_range_formats_as_python_does():
     small = np.array([[7.0, 1e-5, -0.0], [8.0, 2e-300, math.nan], [9.0, -3e-7, math.inf]])
     for shortest, fmt in ((False, "%.17g".__mod__), (True, json.dumps)):
         expected = [",".join(map(fmt, row)) + "\n" for row in small.tolist()]
-        assert _rows_text([_fields(small, shortest=shortest)], _NEWLINE) == "".join(expected)
+        assert _rows_text([_fields(small, shortest=shortest)], _NEWLINE).decode() == "".join(expected)
         tail = "".join(e.split(",", 1)[1] for e in expected)
-        assert _rows_text([_fields(small[:, 1:], shortest=shortest)], _NEWLINE) == tail
+        assert _rows_text([_fields(small[:, 1:], shortest=shortest)], _NEWLINE).decode() == tail
 
 
 _PERCENT_SAMPLE_ARGVS = [
@@ -391,13 +402,13 @@ SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300
 SAMPLE_ROWS = [list(row) for row in zip(*SAMPLE_COLUMNS)]
 
 
-def _sample_pieces() -> list[str]:
+def _sample_pieces() -> list[bytes]:
     """``_json_rows`` pieces of the SAMPLE_COLUMNS rows as ``sample`` writes them.
 
     The seed index is written as %.17g writes it, and the verdict rides in the row end.
     """
     index, re, im, names = SAMPLE_COLUMNS
-    ends = np.array([f'{_JSON_SEP.decode()}"{name}"{_JSON_BREAK}' for name in names], "S40")
+    ends = np.array([_JSON_SEP + f'"{name}"'.encode() + _JSON_BREAK for name in names], "S40")
     groups = [_fields(np.array(index, np.float64)[:, None]), _fields(np.column_stack([re, im]), shortest=True)]
     return [_json_row_list(groups, ends)]
 
@@ -432,7 +443,7 @@ def test_json_text_matches_stdlib_indented_encoding(obj):
     obj, text = obj
     # compared as lines: pytest's diff of two long strings takes minutes
     expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+    assert text.decode().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 # the cells of a row column, and other scalars: strings that hold the row separators, any text
@@ -453,7 +464,7 @@ _COLUMNS = st.integers(1, 5).flatmap(
 def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
     rows = {key: [_json_row_list([_fields(np.array(cols).T, shortest=True)])] for key, cols in columns.items()}
     merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
-    assert _json_text(obj, **rows) == json.dumps(merged, sort_keys=True, indent=2) + "\n"
+    assert _json_text(obj, **rows).decode() == json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["region", "sample"])
@@ -881,6 +892,31 @@ def test_sample_csv_is_the_format_rows_of_its_blocks(capsys, lam, z0, n):
     out = capsys.readouterr().out
     assert out == "seed_index,re,im,verdict\n" + expected
     assert len(out.splitlines()) == 1 + n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_rows_do_not_depend_on_the_chunk_they_fall_in(fmt, capsys, monkeypatch):
+    argv = ["sample", "--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", "--seed=11", f"--format={fmt}"]
+
+    def rows(n):
+        assert run(argv + [f"--mc-samples={n}"]) == 0
+        out = capsys.readouterr().out
+        return json.loads(out)["samples"] if fmt == "json" else out
+
+    whole = rows(9000)  # three 4,096-row chunks, the last one cut; indices past four digits
+    if fmt == "csv":
+        assert [int(line.split(",", 1)[0]) for line in whole.splitlines()[1:]] == list(range(9000))
+    else:
+        assert [row[0] for row in whole] == list(range(9000))
+    for n in (4095, 4096, 4097, 8193):
+        part = rows(n)
+        if fmt == "csv":  # the byte prefix
+            assert part.count("\n") == 1 + n and whole.startswith(part)
+        else:
+            assert part == whole[:n]
+    for chunk in (BLOCK_ROWS, 3 * BLOCK_ROWS):  # the same rows, evaluated in other chunks
+        monkeypatch.setattr(varregion.cli, "_CHUNK_ROWS", chunk)
+        assert rows(9000) == whole
 
 
 def test_sample_svg(tmp_path):

@@ -69,7 +69,9 @@ def _reference_sample_members(seed, n, start=0):
     return InnerBatch(*(np.concatenate(p, axis=-1) for p in zip(*parts)))[offset:offset + n]
 
 
-@pytest.mark.parametrize("start,n", [(0, 1), (0, BLOCK_ROWS), (1020, 10), (5, 3000)])
+@pytest.mark.parametrize("start,n", [(0, 1), (0, BLOCK_ROWS), (1020, 10), (5, 3000),
+                                     # cuts at both ends of a block, and across a 4-block chunk
+                                     (1000, 50), (2047, 2), (100, 4103), (0, 3 * BLOCK_ROWS + 1)])
 def test_members_are_the_reference_draws_bit_for_bit(start, n):
     for seed in range(50):
         got, ref = sample_members(seed, n, start), _reference_sample_members(seed, n, start)
