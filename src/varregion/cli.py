@@ -130,23 +130,16 @@ _JSON_SEP = b",\n      "
 _JSON_END = np.array([_JSON_BREAK], "S24")
 
 
-def _json_rows(blocks: list[bytes]) -> list[bytes]:
-    """The text pieces of a top-level row list in the ``indent=2`` layout, from ``_rows_text`` blocks of its rows.
-
-    Each row of a block ends in ``_JSON_BREAK``; the last one's is cut here.
-    """
-    return [_JSON_OPEN, *blocks[:-1], blocks[-1][:-len(_JSON_BREAK)], _JSON_CLOSE]
-
-
 def _json_text(obj, **rows) -> bytes:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte, as bytes.
 
-    ``rows`` maps top-level keys of a dict with string keys to the text pieces
-    of a non-empty row list from ``_json_rows``.  The dict is encoded once with
-    ``null`` for each rows key, and the row list takes the place of each
-    top-level ``\\n  "<key>": null``.  That text is unique: deeper keys are
-    indented further, and a JSON string holds no raw newline.  Without rows
-    this is the stdlib call, encoded (as ASCII: json escapes the rest).
+    ``rows`` maps top-level keys of a dict with string keys to the
+    ``_rows_text`` blocks of a non-empty row list, each row ending in
+    ``_JSON_BREAK``.  The dict is encoded once with ``null`` for each rows
+    key, and the row list takes the place of each top-level
+    ``\\n  "<key>": null``.  That text is unique: deeper keys are indented
+    further, and a JSON string holds no raw newline.  Without rows this is the
+    stdlib call, encoded (as ASCII: json escapes the rest).
     """
     import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
@@ -155,7 +148,8 @@ def _json_text(obj, **rows) -> bytes:
     for key in sorted(rows):  # the order sort_keys gives the keys in text
         field = f"\n  {json.dumps(key)}: ".encode()
         head, _, text = text.partition(field + b"null")
-        pieces += (head, field, *rows[key])
+        *blocks, last = rows[key]
+        pieces += (head, field, _JSON_OPEN, *blocks, last[:-len(_JSON_BREAK)], _JSON_CLOSE)
     return b"".join([*pieces, text, b"\n"])
 
 
@@ -325,12 +319,11 @@ def _index_fields(index: np.ndarray) -> np.ndarray:
 def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> bytes:
     """The rows of the fields in groups, side by side: cells joined by sep, each row followed by its end.
 
-    Each group is an (n, c, k) array of at most a few BLOCK_ROWS rows: c
-    fields of k words each, whose first byte is free (``_fields``,
-    ``_index_fields``).  ``ends`` holds one row end or one per row, as bytes
-    8m wide.  A one-byte sep (CSV) takes each field's free first byte, a
-    longer one of at most 8 bytes a word of its own.  One ``bytes.translate``
-    drops the padding.
+    Each group is an (n, c, k) array: c fields of k words each, whose first
+    byte is free (``_fields``, ``_index_fields``).  ``ends`` holds one row end
+    or one per row, as bytes 8m wide.  A one-byte sep (CSV) takes each
+    field's free first byte, a longer one of at most 8 bytes a word of its
+    own.  One ``bytes.translate`` drops the padding.
     """
     rows, packed = len(groups[0]), len(sep) == 1
     width = sum(g.shape[1] * (g.shape[2] + (not packed)) for g in groups)
@@ -364,9 +357,11 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     if single is not None:
         rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
         return rec, None
-    disk = variability_disk(point, params)
+    with np.errstate(all="ignore"):  # a non-finite curve sample is an error of its own, not a warning
+        disk = variability_disk(point, params)
+        curve = boundary_curve(point, params, theta_samples)
     rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
-    return rec, boundary_curve(point, params, theta_samples)
+    return rec, curve
 
 
 def _theta_fields(theta_samples: int) -> np.ndarray:
@@ -379,8 +374,7 @@ def _boundary_rows(curve: BoundaryCurve | None, theta_fields: np.ndarray) -> dic
     if curve is None:
         return {}
     values = _fields(np.column_stack([curve.values.real, curve.values.imag]) + 0.0, shortest=True)
-    return {"boundary": _json_rows([_rows_text([theta_fields[i:i + BLOCK_ROWS], values[i:i + BLOCK_ROWS]],
-                                               _JSON_END, _JSON_SEP) for i in range(0, len(values), BLOCK_ROWS)])}
+    return {"boundary": [_rows_text([theta_fields, values], _JSON_END, _JSON_SEP)]}
 
 
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
@@ -389,9 +383,7 @@ def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
         cells = np.array([[0.0, *rec["center"]]])
     else:
         cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
-    end = np.array([b"\n"], "S8")
-    return b"".join([b"theta,re,im\n", *(_rows_text([_fields(cells[i:i + BLOCK_ROWS])], end)
-                                          for i in range(0, len(cells), BLOCK_ROWS))])
+    return b"theta,re,im\n" + _rows_text([_fields(cells)], np.array([b"\n"], "S8"))
 
 
 def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> bytes:
@@ -484,11 +476,11 @@ _CHUNK_ROWS = 4 * BLOCK_ROWS
 
 
 def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, tol: float):
-    """(seed indices, w, status, slack) per block of BLOCK_ROWS members, cut to n.
+    """(seed indices, w, status, slack) per chunk of _CHUNK_ROWS members, cut to n.
 
-    The kernels run on chunks of _CHUNK_ROWS members, which are yielded a
-    block at a time.  sample_members draws each block whole, so row i is the
-    same for every n; only the rows kept are evaluated and classified.
+    sample_members draws each of its blocks whole, so row i is the same for
+    every n; only the rows kept are evaluated and classified.  A non-finite
+    value shows in its row and verdict, not as a numpy warning.
     """
     single = singleton_value(point, params)
     if single is not None:
@@ -497,11 +489,10 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
     for start in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - start)
         if single is None:
-            w = log_fprime(omega_eval(sample_members(seed, size, start), point.lam, point.z0), params)
-            slack, status = classify(w, point, params, tol)
-        for i in range(0, size, BLOCK_ROWS):
-            block = slice(i, min(i + BLOCK_ROWS, size))
-            yield np.arange(start + block.start, start + block.stop), w[block], status[block], slack[block]
+            with np.errstate(all="ignore"):
+                w = log_fprime(omega_eval(sample_members(seed, size, start), point.lam, point.z0), params)
+                slack, status = classify(w, point, params, tol)
+        yield np.arange(start, start + size), w[:size], status[:size], slack[:size]
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -517,7 +508,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ends = np.array([_JSON_SEP + f'"{v.value}"'.encode() + _JSON_BREAK for v in VERDICTS], "S40")
     else:
         ends = np.array([f",{v.value}\n".encode() for v in VERDICTS], "S16")
-    parts: list = []  # CSV or JSON text per block, or SVG cloud points
+    parts: list = []  # CSV or JSON text per chunk, or SVG cloud points
     n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
     for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
         if args.format == "svg":
@@ -536,7 +527,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":
             text = _json_text(rec, **_boundary_rows(curve, _theta_fields(args.theta_samples)),
-                              samples=_json_rows(parts))
+                              samples=parts)
         else:
             text = _region_svg(rec, curve, parts)
     _write_out(args.out, text)

@@ -142,33 +142,29 @@ def fprime_segment_integral(
     if z_from == z_to:
         return 0j
     # one panel alone never confirms abs_tol, so the first pass also takes two when the cap allows
-    pending = _composite_estimates(spec, z_from, z_to, (1, 2) if cfg.max_panels >= 2 else (1,))
-    panels = 1
-    prev = None
+    est = _composite_estimates(spec, z_from, z_to, (1, 2) if cfg.max_panels >= 2 else (1,))
+    panels = len(est)
     while True:
-        est = pending.pop(0) if pending else _composite_estimates(spec, z_from, z_to, (panels,))[0]
-        if prev is not None:
-            achieved = abs(est - prev)
-            if achieved <= cfg.abs_tol:
-                floor = _EPS4 * abs(est)
-                if cfg.abs_tol < floor:
-                    raise ConvergenceError(
-                        f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
-                        f"= {floor:.3e}, so no estimate can confirm it",
-                        estimate=complex(est),
-                        achieved=float(achieved),
-                    )
-                return complex(est)
+        achieved = abs(est[-1] - est[-2]) if len(est) > 1 else float("inf")
+        if len(est) > 1 and achieved <= cfg.abs_tol:
+            floor = _EPS4 * abs(est[-1])
+            if cfg.abs_tol < floor:
+                raise ConvergenceError(
+                    f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                    f"= {floor:.3e}, so no estimate can confirm it",
+                    estimate=complex(est[-1]),
+                    achieved=float(achieved),
+                )
+            return complex(est[-1])
         if 2 * panels > cfg.max_panels:
-            achieved = float("inf") if prev is None else abs(est - prev)
             raise ConvergenceError(
                 f"quadrature did not reach abs_tol={cfg.abs_tol} within "
                 f"{cfg.max_panels} panels (achieved {achieved:.3e})",
-                estimate=complex(est),
+                estimate=complex(est[-1]),
                 achieved=float(achieved),
             )
-        prev = est
         panels *= 2
+        est += _composite_estimates(spec, z_from, z_to, (panels,))
 
 
 def extremal_value(
@@ -177,8 +173,6 @@ def extremal_value(
     cfg: QuadratureConfig | None = None,
 ) -> complex:
     """F_{a,lambda}(z), by adaptive composite Gauss-Legendre from 0 to z."""
-    if z == 0:
-        return 0j
     return fprime_segment_integral(spec, 0j, complex(z), cfg)
 
 

@@ -27,7 +27,6 @@ from varregion.cli import (
     _boundary_rows,
     _fields,
     _index_fields,
-    _json_rows,
     _json_text,
     _rows_text,
     _sample_blocks,
@@ -81,7 +80,7 @@ def test_percent_g_writes_what_format_g_writes():
 
 
 @pytest.mark.parametrize("lam,z0,n", [
-    ("0.3,0.4", "0.3,0.4", 3), ("0.3,0.4", "0.3,0.4", 256), ("0.3,0.4", "0.3,0.4", 4096),
+    *(("0.3,0.4", "0.3,0.4", n) for n in (3, 256, 4096, 5000)),
     ("0.5", "0", 256), ("1", "0.5", 256),  # both singleton kinds
 ])
 def test_region_csv_is_the_format_rows_of_its_record(capsys, lam, z0, n):
@@ -105,19 +104,16 @@ def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
     return _rows_text([_fields(cells)], ends).decode()
 
 
-def _json_row_list(groups, ends=_JSON_END) -> bytes:
-    """The JSON row list that the ``_fields`` groups make, as the CLI writes it into a record."""
-    n = len(groups[0])
-    blocks = [_rows_text([g[i:i + BLOCK_ROWS] for g in groups], ends if len(ends) == 1 else ends[i:i + BLOCK_ROWS],
-                         _JSON_SEP) for i in range(0, n, BLOCK_ROWS)]
-    return b"".join(_json_rows(blocks))
+def _json_row_list(groups, ends=_JSON_END) -> list[bytes]:
+    """The ``_json_text`` rows value that the ``_fields`` groups make, as the CLI passes it for a record."""
+    return [_rows_text(groups, ends, _JSON_SEP)]
 
 
 def _json_cells(values) -> list[str]:
     """The formatter's JSON text of each double of values: one row each, and ``json.dumps`` of each is expected."""
     values = np.asarray(values, dtype=np.float64)
-    text = _json_row_list([_fields(values[:, None], shortest=True)]).decode()
-    return text[len("[\n    [\n      "):-len("\n    ]\n  ]")].split(_JSON_BREAK.decode())
+    text = _json_text({}, cells=_json_row_list([_fields(values[:, None], shortest=True)])).decode()
+    return text[len('{\n  "cells": [\n    [\n      '):-len("\n    ]\n  ]\n}\n")].split(_JSON_BREAK.decode())
 
 
 def _ties() -> list[float]:
@@ -232,12 +228,13 @@ def test_a_block_column_with_no_value_in_range_formats_as_python_does():
 
 
 _PERCENT_SAMPLE_ARGVS = [
-    *(["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", f"--mc-samples={n}"] for n in (1, 1023, 1024, 1025, 2500)),
+    *(["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", f"--mc-samples={n}"]
+      for n in (1, 1023, 1024, 1025, 2500, 4097)),
     ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1500"],  # the two singleton kinds
     ["--A=-0.5", "--B=0.5", "--lambda=0.5", "--z0=0", "--mc-samples=1500"],
     ["--A=-0.5", "--B=1e-6", "--lambda=0.5", "--z0=0.5", "--mc-samples=2500"],  # B -> 0: a few |x| < 1e-4
     pytest.param(["--A=-0.5", "--B=5e-324", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # nan rows, exit 5
-                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"), id="B=5e-324"),
+                 id="B=5e-324"),
 ]
 
 
@@ -259,7 +256,31 @@ def test_sample_csv_is_the_percent_rows_of_its_blocks(argv, capsys):
         assert ((values != 0) & (np.abs(values) < 1e-4)).any()
 
 
-@pytest.mark.parametrize("n", [3, 4, 4096])
+# a subnormal B makes the kernels' values non-finite: Outside rows, or no finite boundary curve
+_TINY_B = ["--A=-0.5", "--lambda=0.5", "--z0=0.5"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(argv, code, id=" ".join(argv)) for argv, code in (
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10"], 5),
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 2),
+        (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 5),
+        (["region", *_TINY_B, "--B=1e-310"], 2))])
+def test_non_finite_kernel_values_print_no_numpy_warning(argv, code):
+    src = str(Path(varregion.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "varregion.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code
+    assert "RuntimeWarning" not in proc.stderr and "varregion/" not in proc.stderr
+    if code == 2:
+        assert proc.stderr == "error: curve samples must be finite\n"
+    else:
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "containment breach: 10 sample(s) outside the region"
+        assert len(lines) == 11 and all(line.startswith("  witness: {'seed_index': ") for line in lines[1:])
+
+
+@pytest.mark.parametrize("n", [3, 4, 4096, 5000])
 @pytest.mark.parametrize("lam,z0", [("0.5", "0.5"), ("0.3,0.4", "0.3,0.4")])
 def test_region_csv_is_the_percent_rows_of_its_record(lam, z0, n, capsys):
     assert run(["region", "--A=-0.5", "--B=0.5", f"--lambda={lam}", f"--z0={z0}", f"--theta-samples={n}"]) == 0
@@ -403,14 +424,14 @@ SAMPLE_ROWS = [list(row) for row in zip(*SAMPLE_COLUMNS)]
 
 
 def _sample_pieces() -> list[bytes]:
-    """``_json_rows`` pieces of the SAMPLE_COLUMNS rows as ``sample`` writes them.
+    """The ``_json_text`` rows value of the SAMPLE_COLUMNS rows as ``sample`` writes them.
 
     The seed index is written as %.17g writes it, and the verdict rides in the row end.
     """
     index, re, im, names = SAMPLE_COLUMNS
     ends = np.array([_JSON_SEP + f'"{name}"'.encode() + _JSON_BREAK for name in names], "S40")
     groups = [_fields(np.array(index, np.float64)[:, None]), _fields(np.column_stack([re, im]), shortest=True)]
-    return [_json_row_list(groups, ends)]
+    return _json_row_list(groups, ends)
 
 
 def _json_records():
@@ -421,6 +442,7 @@ def _json_records():
         (P05, EvalPoint(0.0, 0.5), 256),  # singleton, z0 = 0
         (P05, EvalPoint(0.5, 1.0), 256),  # singleton, |lambda| = 1
         (JanowskiParams(-1.0, 1.0), EvalPoint(0.3 + 0.4j, 1j), 8),  # singleton, lambda = i
+        (P05, EvalPoint(0.3 + 0.4j, -0.2 - 0.6j), 5000),  # a last _fields block cut short
     ]
     cases = [(_reference_region_record(*case), _record_text(*region_record(*case), case[2])) for case in region_cases]
     for point in (EvalPoint(0.5, 0.5), EvalPoint(0.0, 0.5)):  # a disk and a singleton with samples
@@ -462,7 +484,7 @@ _COLUMNS = st.integers(1, 5).flatmap(
 @given(st.dictionaries(st.text(max_size=4), _CELLS, max_size=4),
        st.dictionaries(st.text(max_size=4), _COLUMNS, max_size=3))
 def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
-    rows = {key: [_json_row_list([_fields(np.array(cols).T, shortest=True)])] for key, cols in columns.items()}
+    rows = {key: _json_row_list([_fields(np.array(cols).T, shortest=True)]) for key, cols in columns.items()}
     merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
     assert _json_text(obj, **rows).decode() == json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
@@ -487,7 +509,7 @@ def test_region_and_sample_json_are_the_reference_record(capsys, command, z0, la
 
 _JSON_SAMPLE_ARGVS = [
     *(["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.3,0.4", f"--mc-samples={n}"]
-      for n in (1, 1023, 1024, 1025, 2500)),
+      for n in (1, 1023, 1024, 1025, 2500, 4097)),
     ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1025"],  # a singleton
     ["--A=-0.5", "--B=1e-3", "--lambda=0.5", "--z0=2e-4", "--mc-samples=1500"],  # every value below 1e-4
     ["--A=-0.5", "--B=1e-16", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # B -> 0
@@ -870,12 +892,11 @@ def test_a_short_block_evaluates_to_the_whole_block_rows(seed, lam):
         assert w.tobytes() == w_all[:k].tobytes()
         assert status.tobytes() == status_all[:k].tobytes()
         assert slack.tobytes() == slack_all[:k].tobytes()
-    # the last block of a longer stream, cut short
-    whole = list(_sample_blocks(point, params, 3 * BLOCK_ROWS, seed, 1e-9))
-    for n in (BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 700):
-        for cut, full in zip(_sample_blocks(point, params, n, seed, 1e-9), whole):
-            k = cut[0].size
-            assert [c.tobytes() for c in cut] == [f[:k].tobytes() for f in full]
+    # a longer stream cut short, past one and two chunk edges
+    whole = [np.concatenate(col) for col in zip(*_sample_blocks(point, params, 9000, seed, 1e-9))]
+    for n in (4097, 8893):
+        cut = [np.concatenate(col) for col in zip(*_sample_blocks(point, params, n, seed, 1e-9))]
+        assert [c.tobytes() for c in cut] == [f[:n].tobytes() for f in whole]
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1025, 2500])
