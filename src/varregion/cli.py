@@ -17,6 +17,7 @@ landed outside the region, which indicates a kernel bug).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import os
@@ -353,15 +354,16 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
         "params": {"A": params.A, "B": params.B},
         "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
     }
-    single = singleton_value(point, params)
-    if single is not None:
-        rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
-        return rec, None
-    with np.errstate(all="ignore"):  # a non-finite curve sample is an error of its own, not a warning
-        disk = variability_disk(point, params)
-        curve = boundary_curve(point, params, theta_samples)
-    rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
-    return rec, curve
+    with np.errstate(all="ignore"):  # a non-finite value is an error of its own, not a warning
+        single = singleton_value(point, params)
+        if single is None:
+            disk = variability_disk(point, params)
+            rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
+            return rec, boundary_curve(point, params, theta_samples)
+    if not cmath.isfinite(single):
+        raise ValueError("singleton value must be finite")
+    rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
+    return rec, None
 
 
 def _theta_fields(theta_samples: int) -> np.ndarray:
@@ -436,6 +438,14 @@ def _check_theta_samples(n: int) -> None:
         raise ValueError("require theta_samples >= 3")
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a membership tolerance that is not a finite positive number before any work."""
+    if not tol > 0.0:
+        raise ValueError("require tol > 0")
+    if tol == math.inf:
+        raise ValueError("require a finite tol")
+
+
 def _check_seed(seed: int) -> None:
     """Reject a negative seed before any work, whether or not the command's work would draw from it."""
     if seed < 0:
@@ -459,6 +469,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_extremal(args: argparse.Namespace) -> int:
     params = JanowskiParams(args.A, args.B)
+    if not math.isfinite(params.exponent):  # a subnormal B: every F' value would be NaN
+        raise ValueError(f"require a finite (A - B)/B, got B = {args.B!r}")
     spec = ExtremalSpec(a=args.a, lam=args.lam, params=params)
     z = args.z
     if not abs(z) < 1.0:
@@ -480,12 +492,16 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
 
     sample_members draws each of its blocks whole, so row i is the same for
     every n; only the rows kept are evaluated and classified.  A non-finite
-    value shows in its row and verdict, not as a numpy warning.
+    value shows in its row and verdict, not as a numpy warning: a non-finite
+    singleton is Outside, with a NaN slack.
     """
-    single = singleton_value(point, params)
+    with np.errstate(all="ignore"):
+        single = singleton_value(point, params)
     if single is not None:
+        finite = cmath.isfinite(single)
         w = np.full(_CHUNK_ROWS, single)
-        slack, status = np.zeros(_CHUNK_ROWS), np.full(_CHUNK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
+        slack = np.full(_CHUNK_ROWS, 0.0 if finite else np.nan)
+        status = np.full(_CHUNK_ROWS, VERDICTS.index(Verdict.BOUNDARY if finite else Verdict.OUTSIDE))
     for start in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - start)
         if single is None:
@@ -497,8 +513,7 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params, point = _point_args(args)
-    if not args.tol > 0.0:
-        raise ValueError("require tol > 0")
+    _check_tol(args.tol)
     if args.mc_samples < 1:
         raise ValueError("require mc_samples >= 1")
     _check_seed(args.seed)
@@ -540,15 +555,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol is not None and not args.tol > 0.0:
-        raise ValueError("require tol > 0")
+    if args.tol is not None:
+        _check_tol(args.tol)
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = [run_suite(n, seed=args.seed, tol=args.tol) for n in names]
-    text = _json_text([r.to_dict() for r in reports])
-    _write_out(args.out, text)
-    if all(r.passed for r in reports):
+    _write_out(args.out, _json_text(reports))
+    failed = ", ".join(r["suite_name"] for r in reports if not r["passed"])
+    if not failed:
         return EXIT_OK
-    failed = ", ".join(r.suite_name for r in reports if not r.passed)
     print(f"verification failed: {failed}", file=sys.stderr)
     return EXIT_VERIFY_FAIL
 

@@ -47,11 +47,13 @@ __all__ = [
 UNIT_TOL = 1e-12  # |lambda| within UNIT_TOL of 1 counts as unimodular
 
 
-class _Record:
-    """Base of the record classes: == and repr from the fields named in _fields.
+class _FrozenRecord:
+    """Base of the record classes: ==, repr and hash from the fields named in _fields.
 
     == compares the field tuples of two records of one class, as a dataclass
-    does, and a record is unhashable.
+    does, and a record hashes by its field tuple.  A record refuses every
+    assignment and deletion: its __init__ stores the fields straight into
+    self.__dict__, in field order.
     """
 
     _fields: tuple[str, ...] = ()
@@ -64,19 +66,12 @@ class _Record:
             return self._astuple() == other._astuple()
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
         return f"{type(self).__qualname__}({fields})"
-
-
-class _FrozenRecord(_Record):
-    """A record that hashes by its fields and refuses every assignment and deletion.
-
-    Its __init__ stores the fields straight into self.__dict__, in field order.
-    """
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -8,9 +8,10 @@ convexity/simplicity of boundary polygons (turns of one sign and a total
 turning of +-2 pi), the strict-inclusion curvature witness, and the half-plane
 bound Re f' > 1/2 for A = 0.
 
-Violations are hard failures against tolerances, reported as structured
-:class:`VerificationReport` records.  All suites are deterministic functions
-of their seed.
+Violations are hard failures against tolerances.  Each suite returns its
+report as the dict that ``varregion verify`` prints, with the keys suite_name,
+parameter_sets, samples, max_violation, tolerance, passed, witnesses and
+extra, in that order.  All suites are deterministic functions of their seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .region import (
     VERDICTS,
     EvalPoint,
     JanowskiParams,
-    _Record,
     _boundary_values,
     _classify,
     _disk,
@@ -46,7 +46,6 @@ from .sampler import (
 )
 
 __all__ = [
-    "VerificationReport",
     "DEFAULT_PARAM_SETS",
     "DEFAULT_LAMBDAS",
     "DEFAULT_Z0S",
@@ -83,32 +82,6 @@ _MAX_WITNESSES = 20
 _K_MAX = 40  # unit-lambda approaches |lambda| = 1 through 1 - 2^-k, k = 1.._K_MAX
 
 
-class VerificationReport(_Record):
-    """Outcome of one suite; passed iff max_violation <= tolerance.
-
-    witnesses and extra default to a new empty list and dict.
-    """
-
-    _fields = ("suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
-               "witnesses", "extra")
-
-    def __init__(self, suite_name: str, parameter_sets: int, samples: int, max_violation: float,
-                 tolerance: float, passed: bool, witnesses: list[dict[str, Any]] | None = None,
-                 extra: dict[str, Any] | None = None) -> None:
-        self.suite_name = suite_name
-        self.parameter_sets = parameter_sets
-        self.samples = samples
-        self.max_violation = max_violation
-        self.tolerance = tolerance
-        self.passed = passed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.extra = {} if extra is None else extra
-
-    def to_dict(self) -> dict[str, Any]:
-        """The fields as a shallow dict (the witnesses and extra are not copied)."""
-        return dict(vars(self))
-
-
 class _Tally:
     """Accumulates per-sample violations and failure witnesses."""
 
@@ -136,18 +109,12 @@ class _Tally:
             inputs, observed = witness(k)
             self.witnesses.append({"inputs": inputs, "observed": observed})
 
-    def report(self, suite_name: str, parameter_sets: int, **extra: Any) -> VerificationReport:
+    def report(self, suite_name: str, parameter_sets: int, **extra: Any) -> dict[str, Any]:
+        """The suite's report; passed iff max_violation <= tolerance.  The witnesses list is the tally's own."""
         max_v = 0.0 if self.samples == 0 else self.max_violation
-        return VerificationReport(
-            suite_name=suite_name,
-            parameter_sets=parameter_sets,
-            samples=self.samples,
-            max_violation=max_v,
-            tolerance=self.tol,
-            passed=max_v <= self.tol,
-            witnesses=self.witnesses,
-            extra=extra,
-        )
+        return {"suite_name": suite_name, "parameter_sets": parameter_sets, "samples": self.samples,
+                "max_violation": max_v, "tolerance": self.tol, "passed": max_v <= self.tol,
+                "witnesses": self.witnesses, "extra": extra}
 
 
 def _cstr(w: complex) -> str:
@@ -173,7 +140,7 @@ def check_prop1(
     n_samples: int = 40,
     tol: float = 1e-9,
     seed: int = 0,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """Members' pullback (f')^(B/(A-B)) stays in the closed disk D(c, r)."""
     tally = _Tally(tol)
     zs = [z0 for z0 in z0s if z0 != 0]
@@ -205,7 +172,7 @@ def check_corollary0(
     n_samples: int = 40,
     tol: float = 1e-9,
     seed: int = 0,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """lambda = 0 estimate |(f')^(B/(A-B)) - 1| <= |B||z|^2, sharp for unimodular psi."""
     tally = _Tally(tol)
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
@@ -234,7 +201,7 @@ def check_unit_lambda(
     param_sets: Sequence[JanowskiParams] = DEFAULT_PARAM_SETS,
     z0s: Sequence[complex] = DEFAULT_Z0S,
     tol: float = 1e-9,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """|lambda| = 1 collapse: r -> 0 monotonically and the disk converges to the singleton."""
     tally = _Tally(tol)
     a_values = (0.0, 1.0, -1.0, 1j)
@@ -271,7 +238,7 @@ def check_rotation(
     n_samples: int = 200,
     tol: float = 1e-9,
     seed: int = 0,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """Verdicts agree between frames (e^{i theta} z0, lambda) and (z0, lambda e^{i theta}).
 
     Each frame is tested on a mix of values attainable, on the boundary and
@@ -328,7 +295,7 @@ def check_coverage(
     cases: Sequence[tuple[JanowskiParams, EvalPoint]] = DEFAULT_COVERAGE_CASES,
     grid_n: int = 96,
     tol: float = 1e-8,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """Member image of constant inners equals the parametrized disk image, per (params, point).
 
     The two point sets sample the same region along matched grids (the disk
@@ -384,7 +351,7 @@ def check_convexity(
     z0s: Sequence[complex] = DEFAULT_Z0S,
     n: int = 256,
     tol: float = 1e-10,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """Every default boundary curve turns one way, by one full turn (see _turning)."""
     tally = _Tally(tol)
     zs = [z0 for z0 in z0s if z0 != 0]
@@ -407,7 +374,7 @@ def check_convexity(
 def check_strict_inclusion(
     param_sets: Sequence[JanowskiParams] = _INCLUSION_PARAM_SETS,
     tol: float = 1e-9,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """Per pair, find real z in (0,1) whose special curvature exits the convex-class disk."""
     if any(params.B >= 1.0 for params in param_sets):
         raise ValueError("strict-inclusion witness needs B < 1 (disk case)")
@@ -434,7 +401,7 @@ def check_halfplane_univalence(
     n_samples: int = 60,
     tol: float = 1e-9,
     seed: int = 0,
-) -> VerificationReport:
+) -> dict[str, Any]:
     """A = 0 members satisfy Re f' > 1/2 on the disk (univalence via Re f' > 0).
 
     Each member point is also gated on its own bound Re f'(z) >= 1/(1 + |B| rho(z)):
@@ -469,7 +436,7 @@ def check_halfplane_univalence(
     return tally.report("halfplane", len(Bs), min_re_fprime=min_re)
 
 
-_SUITES: dict[str, Callable[..., VerificationReport]] = {
+_SUITES: dict[str, Callable[..., dict[str, Any]]] = {
     "prop1": lambda seed, **tol: check_prop1(seed=seed, **tol),
     "corollary0": lambda seed, **tol: check_corollary0(seed=seed, **tol),
     "unit-lambda": lambda seed, **tol: check_unit_lambda(**tol),
@@ -482,7 +449,7 @@ _SUITES: dict[str, Callable[..., VerificationReport]] = {
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = 0, tol: float | None = None) -> VerificationReport:
+def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict[str, Any]:
     """Run one named suite on the default grids; tol None keeps the suite's own default.
 
     The seed is checked here, also for the suites that draw nothing from it.

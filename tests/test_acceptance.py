@@ -133,26 +133,26 @@ def test_criterion_06_sharpness_of_extremal_members():
 def test_criterion_07_coverage_hausdorff():
     r = check_coverage([(P05, PT)], grid_n=256, tol=1e-8)
     _criterion(7, "bidirectional Hausdorff of member vs region grids < 1e-8 at 256x256",
-               r.passed, f"h={r.max_violation:.2e}")
+               r["passed"], f"h={r['max_violation']:.2e}")
 
 
 def test_criterion_08_rotation_equivariance():
     r = check_rotation(n_rotations=16, n_samples=200, tol=1e-9, seed=0)
     _criterion(8, "zero verdict mismatches over 16 rotations x 200 points per set",
-               r.passed and r.max_violation == 0.0,
-               f"mismatch_violation={r.max_violation}")
+               r["passed"] and r["max_violation"] == 0.0,
+               f"mismatch_violation={r['max_violation']}")
 
 
 def test_criterion_09_convexity_and_jordan():
     r = check_convexity(tol=1e-10)
     _criterion(9, "all computed boundary curves convex and simple at tol 1e-10",
-               r.passed, f"max_violation={r.max_violation:.2e}")
+               r["passed"], f"max_violation={r['max_violation']:.2e}")
 
 
 def test_criterion_10_strict_inclusion():
     r = check_strict_inclusion()
-    found_all = r.passed and all(
-        d["distance_outside"] > 0 for d in r.extra["witnesses_found"]
+    found_all = r["passed"] and all(
+        d["distance_outside"] > 0 for d in r["extra"]["witnesses_found"]
     )
     gap = 2.0 / 3.0 - float(np.real(special_curvature(P05, 0.99)))
     _criterion(10, "curvature witness outside Janowski disk for all B<1 pairs; "
@@ -162,9 +162,9 @@ def test_criterion_10_strict_inclusion():
 
 def test_criterion_11_halfplane_univalence():
     r = check_halfplane_univalence(Bs=(0.25, 0.5, 1.0), n_samples=80, tol=1e-9, seed=0)
-    lo = min(r.extra["min_re_fprime"].values())
+    lo = min(r["extra"]["min_re_fprime"].values())
     _criterion(11, "A=0, B in {0.25,0.5,1}: min sampled Re f' > 1/2 - 1e-9",
-               r.passed and lo > 0.5 - 1e-9, f"min Re f'={lo:.9f}")
+               r["passed"] and lo > 0.5 - 1e-9, f"min Re f'={lo:.9f}")
 
 
 def test_criterion_12_sample_determinism(tmp_path):

@@ -256,24 +256,34 @@ def test_sample_csv_is_the_percent_rows_of_its_blocks(argv, capsys):
         assert ((values != 0) & (np.abs(values) < 1e-4)).any()
 
 
-# a subnormal B makes the kernels' values non-finite: Outside rows, or no finite boundary curve
+# a subnormal B makes the kernels' values non-finite: Outside rows, or no finite curve, singleton or F'
 _TINY_B = ["--A=-0.5", "--lambda=0.5", "--z0=0.5"]
+_TINY_B_SINGLETON = ["--A=-0.5", "--B=-5e-324", "--lambda=1", "--z0=0.5"]
+_NO_CURVE, _NO_SINGLETON = "error: curve samples must be finite\n", "error: singleton value must be finite\n"
 
 
-@pytest.mark.parametrize("argv,code", [
-    pytest.param(argv, code, id=" ".join(argv)) for argv, code in (
-        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10"], 5),
-        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 2),
-        (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 5),
-        (["region", *_TINY_B, "--B=1e-310"], 2))])
-def test_non_finite_kernel_values_print_no_numpy_warning(argv, code):
+@pytest.mark.parametrize("argv,code,err", [
+    pytest.param(argv, code, err, id=" ".join(argv)) for argv, code, err in (
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10"], 5, None),
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 2, _NO_CURVE),
+        (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 5, None),
+        (["region", *_TINY_B, "--B=1e-310"], 2, _NO_CURVE),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10"], 5, None),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=json"], 2, _NO_SINGLETON),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=svg"], 2, _NO_SINGLETON),
+        (["region", *_TINY_B_SINGLETON, "--format=json"], 2, _NO_SINGLETON),
+        (["extremal", "--A=-1", "--B=1e-310", "--a=0.6,0.2", "--z=0"], 2,
+         "error: require a finite (A - B)/B, got B = 1e-310\n"),
+        (["extremal", "--A=-0.5", "--B=5e-324", "--a=0.6,0.2", "--z=0.5,0.1"], 2,
+         "error: require a finite (A - B)/B, got B = 5e-324\n"))])
+def test_non_finite_kernel_values_print_no_numpy_warning(argv, code, err):
     src = str(Path(varregion.cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-X", "dev", "-m", "varregion.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
     assert proc.returncode == code
     assert "RuntimeWarning" not in proc.stderr and "varregion/" not in proc.stderr
-    if code == 2:
-        assert proc.stderr == "error: curve samples must be finite\n"
+    if err is not None:
+        assert (proc.stdout, proc.stderr) == ("", err)
     else:
         lines = proc.stderr.splitlines()
         assert lines[0] == "containment breach: 10 sample(s) outside the region"
@@ -343,6 +353,7 @@ def test_run_flag_rejections(capsys):
     cases = [
         (["region", "--z0", "0,0", "--theta-samples", "2"], "require theta_samples >= 3"),
         (["sample", "--z0", "0,0", "--tol", "0"], "require tol > 0"),
+        (["sample", "--z0", "0,0", "--tol", "inf"], "require a finite tol"),
     ]
     for argv, message in cases:
         assert run(argv[:1] + ["--A", "0", "--B", "0.5"] + argv[1:]) == 2
@@ -450,7 +461,7 @@ def _json_records():
                       _record_text(*region_record(P05, point, 8), 8, samples=_sample_pieces())))
     for block in ({"A": 0.9, "B": 0.5, "z0_re": 0.5}, {"A": -0.5, "B": 0.5, "lambda_im": 0.3, "z0_re": 0.3}):
         cases.append((_reference_sweep_record(block, 16), _record_text(*_sweep_record(block, 16), 16)))
-    reports = [run_suite("inclusion", seed=0, tol=1e-9).to_dict()]
+    reports = [run_suite("inclusion", seed=0, tol=1e-9)]
     index = {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]}
     int_keys = {1: [[1.5]], 2: "x"}
     cases += [(obj, _json_text(obj)) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
@@ -971,10 +982,11 @@ def test_verify_tol_reaches_every_suite(capsys):
     assert [r["tolerance"] for r in json.loads(capsys.readouterr().out)] == [own.get(n, 1e-9) for n in SUITE_NAMES]
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
     assert run(["verify", "--suite", "inclusion", f"--tol={tol}"]) == 2
-    assert capsys.readouterr() == ("", "error: require tol > 0\n")
+    message = "require a finite tol" if tol == "inf" else "require tol > 0"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_failure_exits_1_and_names_the_failed_suites(capsys):
@@ -997,6 +1009,14 @@ def test_verify_all_is_the_single_suite_reports(seed, capsys):
         alone[:0] = json.loads(capsys.readouterr().out)
     assert together == alone and [r["suite_name"] for r in together] == list(SUITE_NAMES)
     assert all(r["passed"] for r in together)
+
+
+@pytest.mark.parametrize("seed,tol", [(0, None), (9, None), (0, 1e-17)])
+def test_verify_prints_the_stdlib_encoding_of_its_reports(seed, tol, capsys):
+    reports = [run_suite(n, seed=seed, tol=tol) for n in SUITE_NAMES]
+    flags = [] if tol is None else [f"--tol={tol!r}"]
+    assert run(["verify", "--suite=all", f"--seed={seed}", *flags]) == (0 if tol is None else 1)
+    assert capsys.readouterr().out == json.dumps(reports, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_bad_suite_name():
@@ -1111,6 +1131,15 @@ def test_sweep_files_are_strict_json_when_a_rejected_block_is_not_finite(tmp_pat
         assert rec["reason"] == _reference_sweep_record(block, 8)["reason"]
     assert records[index[0]["file"]]["block"]["B"] == "nan"
     assert records[index[2]["file"]]["block"]["A"] == "-inf"
+
+
+def test_sweep_rejects_a_block_whose_singleton_is_not_finite(tmp_path):
+    block = {"A": -0.5, "B": -5e-324, "lambda_re": 1.0, "z0_re": 0.5}  # (A - B)/B overflows
+    out = tmp_path / "out"
+    assert run(["sweep", f"--grid={_sweep_grid(tmp_path, [block])}", f"--out={out}", "--theta-samples=8"]) == 0
+    text = (out / f"region-{_block_hash(block)}.json").read_text()
+    assert json.loads(text) == {"rejected": True, "reason": "singleton value must be finite", "block": block}
+    assert json.loads((out / "index.json").read_text())["records"][0]["status"] == "rejected"
 
 
 def test_sweep_builds_the_unit_circle_grid_once_per_theta_count(tmp_path):

@@ -68,7 +68,7 @@ FAULTS = [
 
 def _fails(name: str) -> bool:
     try:
-        return not run_suite(name, seed=0).passed
+        return not run_suite(name, seed=0)["passed"]
     except ValueError:
         return True
 

@@ -9,16 +9,11 @@ import pytest
 
 from varregion import BoundaryCurve, Disk, EvalPoint, ExtremalSpec, JanowskiParams, QuadratureConfig
 from varregion.sampler import InnerBatch
-from varregion.verify import VerificationReport
 
 P = JanowskiParams(-0.5, 0.5)
 LEAD = np.array([0.5, 0.25j])
 ZEROS = np.array([[0.1, 0.2j]])
 MASK = np.array([[True, False]])
-REPORT_ARGS = ("prop1", 5, 3200, 1e-12, 1e-9, True)
-REPORT_ALL = REPORT_ARGS + ([{"k": 1}], {"n": 2})
-REPORT_FIELDS = ("suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
-                 "witnesses", "extra")
 
 # (class, positional args, keyword args, field names): the same record both ways
 CONSTRUCTIONS = [
@@ -30,11 +25,9 @@ CONSTRUCTIONS = [
     (InnerBatch, (LEAD, ZEROS, MASK), dict(lead=LEAD, zeros=ZEROS, mask=MASK), ("lead", "zeros", "mask")),
     (ExtremalSpec, (0.6, 0.3, P), dict(a=0.6, lam=0.3, params=P), ("a", "lam", "params")),
     (QuadratureConfig, (64, 1e-10), dict(max_panels=64, abs_tol=1e-10), ("max_panels", "abs_tol")),
-    (VerificationReport, REPORT_ALL, dict(zip(REPORT_FIELDS, REPORT_ALL)), REPORT_FIELDS),
 ]
 IDS = [c[0].__name__ for c in CONSTRUCTIONS]
-FROZEN = [c for c in CONSTRUCTIONS if c[0] is not VerificationReport]
-HASHABLE = [c for c in FROZEN if c[0] not in (BoundaryCurve, InnerBatch)]
+HASHABLE = [c for c in CONSTRUCTIONS if c[0] not in (BoundaryCurve, InnerBatch)]
 
 
 def _fields(record, names):
@@ -67,12 +60,6 @@ def test_conversions_and_defaults():
     assert (c.thetas.dtype, c.values.dtype, len(c)) == (np.dtype(float), np.dtype(complex), 2)
     assert QuadratureConfig() == QuadratureConfig(1024, 1e-12)
     assert QuadratureConfig(8).abs_tol == 1e-12
-    r, q = VerificationReport(*REPORT_ARGS), VerificationReport(*REPORT_ARGS)
-    assert r.witnesses == [] and r.extra == {}
-    assert r.witnesses is not q.witnesses and r.extra is not q.extra
-    r.witnesses.append(1)
-    r.extra["x"] = 1
-    assert q.witnesses == [] and q.extra == {}
 
 
 @pytest.mark.parametrize("make, message", [
@@ -110,9 +97,6 @@ def test_repr_text():
     assert repr(ExtremalSpec(0.6, 0.3, P)) == (
         "ExtremalSpec(a=(0.6+0j), lam=(0.3+0j), params=JanowskiParams(A=-0.5, B=0.5))")
     assert repr(QuadratureConfig()) == "QuadratureConfig(max_panels=1024, abs_tol=1e-12)"
-    assert repr(VerificationReport(*REPORT_ARGS)) == (
-        "VerificationReport(suite_name='prop1', parameter_sets=5, samples=3200, max_violation=1e-12, "
-        "tolerance=1e-09, passed=True, witnesses=[], extra={})")
 
 
 @pytest.mark.parametrize("cls, args, kwargs, names", HASHABLE, ids=[c[0].__name__ for c in HASHABLE])
@@ -128,16 +112,6 @@ def test_value_records_compare_and_hash_by_fields(cls, args, kwargs, names):
     assert a != cls(**other) and not a == cls(**other)
 
 
-def test_report_equality_is_field_wise_and_unhashable():
-    a = VerificationReport(*REPORT_ARGS, [{"k": 1}], {"n": 2})
-    b = VerificationReport(*REPORT_ARGS, [{"k": 1}], {"n": 2})
-    assert a == b
-    b.extra["n"] = 3
-    assert a != b
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(a)
-
-
 @pytest.mark.parametrize("cls, args", [(BoundaryCurve, ([0.0, 1.0], [0j, 1 + 1j])), (InnerBatch, (LEAD, ZEROS, MASK))])
 def test_array_records_compare_like_their_field_tuples(cls, args):
     a = cls(*args)
@@ -149,7 +123,7 @@ def test_array_records_compare_like_their_field_tuples(cls, args):
         hash(a)
 
 
-@pytest.mark.parametrize("cls, args, kwargs, names", FROZEN, ids=[c[0].__name__ for c in FROZEN])
+@pytest.mark.parametrize("cls, args, kwargs, names", CONSTRUCTIONS, ids=IDS)
 def test_frozen_records_refuse_assignment_and_deletion(cls, args, kwargs, names):
     r = cls(*args)
     before = _fields(r, names)
@@ -163,14 +137,6 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, args, kwargs, names)
     assert all(x is y for x, y in zip(_fields(r, names), before))
 
 
-def test_report_fields_can_be_assigned():
-    r = VerificationReport(*REPORT_ARGS)
-    r.passed = False
-    r.note = "x"
-    del r.note
-    assert not r.passed and not hasattr(r, "note")
-
-
 @pytest.mark.parametrize("cls, args, kwargs, names", CONSTRUCTIONS, ids=IDS)
 @pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)),
                                        lambda r: pickle.loads(pickle.dumps(r, protocol=0))],
@@ -181,6 +147,5 @@ def test_copy_and_pickle_round_trips(cls, args, kwargs, names, roundtrip):
     assert type(s) is cls and s is not r
     assert list(vars(s)) == list(names)
     assert all(_same(x, y) for x, y in zip(_fields(r, names), _fields(s, names)))
-    if cls is not VerificationReport:
-        with pytest.raises(AttributeError):
-            setattr(s, names[0], 0)
+    with pytest.raises(AttributeError):
+        setattr(s, names[0], 0)

@@ -38,7 +38,6 @@ from varregion.verify import (
     DEFAULT_PARAM_SETS,
     DEFAULT_Z0S,
     SUITE_NAMES,
-    VerificationReport,
     _cstr,
     _members_with_probes,
     _polar_grid,
@@ -65,8 +64,8 @@ SUITE_COUNTS = {
 
 def test_prop1_passes():
     r = check_prop1(param_sets=SMALL_SETS, n_samples=24, seed=1)
-    assert r.passed and r.witnesses == []
-    assert r.max_violation <= r.tolerance
+    assert r["passed"] and r["witnesses"] == []
+    assert r["max_violation"] <= r["tolerance"]
 
 
 def test_prop1_extremal_equality_case():
@@ -89,13 +88,13 @@ def test_prop1_fails_a_radius_that_is_too_large(monkeypatch):
 
     monkeypatch.setattr(varregion.verify, "variability_disk", widened)
     r = check_prop1()
-    assert not r.passed and r.witnesses
-    assert all(w["observed"]["distance_minus_r"] < 0.0 for w in r.witnesses)  # signed: inside the circle
+    assert not r["passed"] and r["witnesses"]
+    assert all(w["observed"]["distance_minus_r"] < 0.0 for w in r["witnesses"])  # signed: inside the circle
 
 
 def test_corollary0_passes_and_is_sharp():
     r = check_corollary0(param_sets=SMALL_SETS, n_samples=24, seed=1)
-    assert r.passed and r.witnesses == []
+    assert r["passed"] and r["witnesses"] == []
     # direct sharpness: psi == 1 at real z gives |1 + Bz^2 - 1| = |B| z^2
     for z in (0.3, 0.7):
         w = log_fprime(omega_eval(constant_inners(1.0), 0.0, z), P05)
@@ -106,7 +105,7 @@ def test_corollary0_passes_and_is_sharp():
 
 def test_unit_lambda_suite():
     r = check_unit_lambda(param_sets=SMALL_SETS)
-    assert r.passed and r.witnesses == []
+    assert r["passed"] and r["witnesses"] == []
     assert singleton_value(EvalPoint(0.5, 1.0), P05) == pytest.approx(-LOG_1_25, abs=1e-15)
     assert singleton_value(EvalPoint(0.0, 1.0), P05) == 0.0
     radii = [variability_disk(EvalPoint(0.5, 1 - 2.0**-k), P05).radius for k in range(1, 12)]
@@ -115,8 +114,8 @@ def test_unit_lambda_suite():
 
 def test_rotation_suite_zero_mismatches():
     r = check_rotation(param_sets=SMALL_SETS, n_rotations=8, n_samples=40, seed=2)
-    assert r.passed
-    assert r.max_violation == 0.0
+    assert r["passed"]
+    assert r["max_violation"] == 0.0
 
 
 def test_batched_unit_lambda_radii_equal_per_point_disks(monkeypatch):
@@ -128,7 +127,7 @@ def test_batched_unit_lambda_radii_equal_per_point_disks(monkeypatch):
         return center, radius
 
     monkeypatch.setattr(varregion.verify, "_disk", spy)
-    assert check_unit_lambda(param_sets=SMALL_SETS).passed
+    assert check_unit_lambda(param_sets=SMALL_SETS)["passed"]
     z0s = [z0 for z0 in DEFAULT_Z0S if z0 != 0]
     assert [(z0, B) for z0, B, _ in calls] == [(z0, p.B) for p in SMALL_SETS for z0 in z0s]
     for (z0, B, radii), params in zip(calls, [p for p in SMALL_SETS for _ in z0s]):
@@ -152,7 +151,7 @@ def _assert_rotation_verdicts_equal_per_frame_classify(monkeypatch, z0s, lambdas
     n_rot, per_frame = 8, 30
     r = check_rotation(param_sets=SMALL_SETS, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
                        n_samples=per_frame * len(z0s) * len(lambdas), seed=4)
-    assert r.passed and r.samples == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * per_frame
+    assert r["passed"] and r["samples"] == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * per_frame
     # one call per parameter set: both frames of every (z0, lambda, turn), the rotated point first
     assert [call[1] for call in calls] == list(SMALL_SETS)
     rots = _rotation_turns(n_rot)
@@ -208,11 +207,11 @@ def _assert_rotation_disagreements_reported_in_order(monkeypatch, param_sets, z0
     r = check_rotation(param_sets=param_sets, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
                        n_samples=per_frame * len(z0s) * len(lambdas), seed=seed)
     frames = [(p, i, l) for p in range(len(param_sets)) for i in range(len(z0s)) for l in range(len(lambdas))]
-    assert not r.passed and r.max_violation == 1.0 and r.samples == len(frames) * n_rot * per_frame
+    assert not r["passed"] and r["max_violation"] == 1.0 and r["samples"] == len(frames) * n_rot * per_frame
     assert [w.shape for w in seen] == [(len(z0s), len(lambdas), n_rot, per_frame)] * len(param_sets)
     expected = sorted((*frame, t, j) for frame in frames for t, j in chosen)[:20]
-    assert len(r.witnesses) == 20
-    for (p, i, l, t, j), wit in zip(expected, r.witnesses):
+    assert len(r["witnesses"]) == 20
+    for (p, i, l, t, j), wit in zip(expected, r["witnesses"]):
         params = param_sets[p]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "z0": _cstr(z0s[i]), "lambda": lambdas[l],
                                  "theta": float(2.0 * np.pi * t / n_rot), "w": _cstr(seen[p][i, l, t, j])}
@@ -244,13 +243,13 @@ def test_rotation_rejects_frames_outside_the_domain(z0s, lambdas, message):
 
 def test_coverage_matches_to_roundoff():
     r = check_coverage([(P05, EvalPoint(0.5, 0.5))], grid_n=64)
-    assert r.passed
-    assert r.max_violation < 1e-8
-    assert r.extra["per_combo"][0]["hausdorff_member_to_region"] < 1e-10
-    assert r.extra["per_combo"][0]["hausdorff_region_to_member"] < 1e-10
+    assert r["passed"]
+    assert r["max_violation"] < 1e-8
+    assert r["extra"]["per_combo"][0]["hausdorff_member_to_region"] < 1e-10
+    assert r["extra"]["per_combo"][0]["hausdorff_region_to_member"] < 1e-10
     r = check_coverage([(P05, EvalPoint(0.3 + 0.4j, -0.2 - 0.6j))], grid_n=128)
-    assert r.passed
-    assert r.max_violation < 1e-12
+    assert r["passed"]
+    assert r["max_violation"] < 1e-12
 
 
 def _convex_and_simple(curve: BoundaryCurve, tol: float = 1e-10) -> bool:
@@ -443,7 +442,7 @@ def test_turning_kernel_batches_equal_one_row_calls():
 # them and the suites alike.
 
 def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
-                     lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> VerificationReport:
+                     lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> dict:
     V = varregion.verify
     tally = _Tally(tol)
     members = _members_with_probes(seed, 40)
@@ -463,7 +462,7 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
 
 
 def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
-                          z0s=DEFAULT_Z0S) -> VerificationReport:
+                          z0s=DEFAULT_Z0S) -> dict:
     V = varregion.verify
     tally = _Tally(tol)
     members = _members_with_probes(seed, 40)
@@ -484,7 +483,7 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
 
 
 def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s=DEFAULT_Z0S,
-                           k_max: int = 40) -> VerificationReport:
+                           k_max: int = 40) -> dict:
     V = varregion.verify
     tally = _Tally(tol)
     for params in param_sets:
@@ -513,7 +512,7 @@ def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s
 
 
 def _reference_convexity(tol: float = 1e-10, n: int = 256, param_sets=DEFAULT_PARAM_SETS,
-                         lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> VerificationReport:
+                         lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> dict:
     tally = _Tally(tol)
     curves = 0
     for params in param_sets:
@@ -532,7 +531,7 @@ def _reference_convexity(tol: float = 1e-10, n: int = 256, param_sets=DEFAULT_PA
     return tally.report("convexity", len(param_sets), curves=curves)
 
 
-def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> VerificationReport:
+def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> dict:
     """One single-case report per combo, re-tallied into the suite's report."""
     V = varregion.verify
     tally = _Tally(tol)
@@ -557,7 +556,7 @@ def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> VerificationRepo
     return tally.report("coverage", len(combos), per_combo=d_pairs)
 
 
-def _reference_inclusion(tol: float = 1e-9) -> VerificationReport:
+def _reference_inclusion(tol: float = 1e-9) -> dict:
     """One single-pair report per default pair with B < 1, re-tallied into the suite's report."""
     V = varregion.verify
     tally = _Tally(tol)
@@ -595,17 +594,17 @@ REFERENCE_SUITES = {
 @pytest.mark.parametrize("seed", range(10))
 def test_batched_suites_equal_per_cell_reference_loops(seed):
     for name, reference in REFERENCE_SUITES.items():
-        assert run_suite(name, seed=seed).to_dict() == reference(seed).to_dict(), name
+        assert run_suite(name, seed=seed) == reference(seed), name
     # the reports above hold only what the fixed probes set; at tol=-1 every
     # sample is a witness, so the sampled members reach the report too
     for name in ("prop1", "corollary0"):
         batched = run_suite(name, seed=seed, tol=-1.0)
-        assert batched.witnesses and batched.to_dict() == REFERENCE_SUITES[name](seed, tol=-1.0).to_dict(), name
+        assert batched["witnesses"] and batched == REFERENCE_SUITES[name](seed, tol=-1.0), name
 
 
 def test_member_witnesses_depend_on_the_seed():
     # so the tol=-1 comparisons above see each seed's own members
-    a, b = (run_suite("prop1", seed=s, tol=-1.0).witnesses for s in (0, 1))
+    a, b = (run_suite("prop1", seed=s, tol=-1.0)["witnesses"] for s in (0, 1))
     assert len(a) == len(b) == 20 and a != b
 
 
@@ -628,8 +627,8 @@ def test_batched_suites_equal_reference_loops_off_the_default_grid():
              _reference_convexity(tol, 128, param_sets, lambdas, z0s)),
         ]
         for batched, reference in pairs:
-            assert batched.to_dict() == reference.to_dict(), batched.suite_name
-        witnessed.update(r.suite_name for r, _ in pairs if r.witnesses)
+            assert batched == reference, batched["suite_name"]
+        witnessed.update(r["suite_name"] for r, _ in pairs if r["witnesses"])
     assert witnessed == {"prop1", "corollary0", "unit-lambda"}
 
 
@@ -668,11 +667,11 @@ def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
     forced = _draw_forced(6, cells, 40)  # 6 per parameter set: the first 20 span four of them
     _bump_members(monkeypatch, forced)
     r = check_prop1(seed=6)
-    assert r.to_dict() == _reference_prop1(6).to_dict()
-    assert not r.passed and len(r.witnesses) == 20
+    assert r == _reference_prop1(6)
+    assert not r["passed"] and len(r["witnesses"]) == 20
     V = varregion.verify
     expected = sorted((p, *cell) for p in range(5) for cell in forced)
-    for (p, l, t, _, j), wit in zip(expected, r.witnesses):
+    for (p, l, t, _, j), wit in zip(expected, r["witnesses"]):
         params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
         w = V.log_fprime(V.omega_eval(_members_with_probes(6, 40), lam, z0), params)[j]
@@ -686,10 +685,10 @@ def test_batched_corollary0_witnesses_follow_the_reference_loop(monkeypatch):
     forced = _draw_forced(5, cells, 8)  # 5 per parameter set: the first 20 span four of them
     _bump_members(monkeypatch, forced)
     r = check_corollary0(seed=2)
-    assert not r.passed and len(r.witnesses) == 20
-    assert any("sharp_phi" in w["inputs"] for w in r.witnesses)
-    assert [w["inputs"]["B"] for w in r.witnesses] == [p.B for p in DEFAULT_PARAM_SETS[:4] for _ in range(5)]
-    assert r.to_dict() == _reference_corollary0(2).to_dict()
+    assert not r["passed"] and len(r["witnesses"]) == 20
+    assert any("sharp_phi" in w["inputs"] for w in r["witnesses"])
+    assert [w["inputs"]["B"] for w in r["witnesses"]] == [p.B for p in DEFAULT_PARAM_SETS[:4] for _ in range(5)]
+    assert r == _reference_corollary0(2)
 
 
 def test_batched_unit_lambda_witnesses_follow_the_reference_loop(monkeypatch):
@@ -704,9 +703,9 @@ def test_batched_unit_lambda_witnesses_follow_the_reference_loop(monkeypatch):
     monkeypatch.setattr(varregion.verify, "region_point", moved_point)
     monkeypatch.setattr(varregion.verify, "singleton_value", moved_singleton)
     r = check_unit_lambda()
-    assert not r.passed and len(r.witnesses) == 20
-    assert {"a", "phi"} <= {key for w in r.witnesses for key in w["inputs"]}
-    assert r.to_dict() == _reference_unit_lambda().to_dict()
+    assert not r["passed"] and len(r["witnesses"]) == 20
+    assert {"a", "phi"} <= {key for w in r["witnesses"] for key in w["inputs"]}
+    assert r == _reference_unit_lambda()
 
 
 def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
@@ -727,13 +726,13 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
     monkeypatch.setattr(varregion.region, "_boundary_values", dented)
     monkeypatch.setattr(varregion.verify, "_boundary_values", dented)
     r = check_convexity()
-    assert r.to_dict() == _reference_convexity().to_dict()
-    assert not r.passed and len(r.witnesses) == 20 and r.samples == 80
-    for (p, l, t), wit in zip(sorted(forced), r.witnesses):
+    assert r == _reference_convexity()
+    assert not r["passed"] and len(r["witnesses"]) == 20 and r["samples"] == 80
+    for (p, l, t), wit in zip(sorted(forced), r["witnesses"]):
         params = DEFAULT_PARAM_SETS[p]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": DEFAULT_LAMBDAS[l],
                                  "z0": _cstr(DEFAULT_Z0S[t])}
-        assert wit["observed"]["max_violation"] > r.tolerance
+        assert wit["observed"]["max_violation"] > r["tolerance"]
 
 
 def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch):
@@ -755,34 +754,34 @@ def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch
     monkeypatch.setattr(varregion.verify, "log_fprime", moved_member)
     monkeypatch.setattr(varregion.verify, "special_curvature", inside_curvature)
     coverage, inclusion = run_suite("coverage"), run_suite("inclusion")
-    assert coverage.to_dict() == _reference_coverage().to_dict()
-    assert inclusion.to_dict() == _reference_inclusion().to_dict()
-    assert not coverage.passed and len(coverage.witnesses) == 3
-    assert [w["inputs"]["B"] for w in coverage.witnesses] == [0.5, 0.5, -0.1]
-    assert not inclusion.passed and [w["inputs"]["B"] for w in inclusion.witnesses] == [0.5, 0.5, 0.7]
+    assert coverage == _reference_coverage()
+    assert inclusion == _reference_inclusion()
+    assert not coverage["passed"] and len(coverage["witnesses"]) == 3
+    assert [w["inputs"]["B"] for w in coverage["witnesses"]] == [0.5, 0.5, -0.1]
+    assert not inclusion["passed"] and [w["inputs"]["B"] for w in inclusion["witnesses"]] == [0.5, 0.5, 0.7]
 
 
 def test_strict_inclusion_witness():
     r = check_strict_inclusion([P05])
-    assert r.passed
-    assert r.extra["witnesses_found"][0]["distance_outside"] > 0.3
-    assert 0.9 <= r.extra["witnesses_found"][0]["witness_z"] < 1.0
+    assert r["passed"]
+    assert r["extra"]["witnesses_found"][0]["distance_outside"] > 0.3
+    assert 0.9 <= r["extra"]["witnesses_found"][0]["witness_z"] < 1.0
     with pytest.raises(ValueError, match="B < 1"):
         check_strict_inclusion([JanowskiParams(-1.0, 1.0)])
 
 
 def test_inclusion_default_covers_all_disk_pairs():
     r = check_strict_inclusion()
-    assert r.passed
-    assert r.parameter_sets == 4  # (A, B) = (-1, 1) is the excluded half-plane case
-    assert all(d["distance_outside"] > 0 for d in r.extra["witnesses_found"])
+    assert r["passed"]
+    assert r["parameter_sets"] == 4  # (A, B) = (-1, 1) is the excluded half-plane case
+    assert all(d["distance_outside"] > 0 for d in r["extra"]["witnesses_found"])
 
 
 def test_halfplane_suite():
     r = check_halfplane_univalence(n_samples=24, seed=3)
-    assert r.passed
-    assert r.extra["min_re_fprime"]["B=0.5"] > 2.0 / 3.0 - 1e-9
-    assert r.extra["min_re_fprime"]["B=1.0"] > 0.5 - 1e-9
+    assert r["passed"]
+    assert r["extra"]["min_re_fprime"]["B=0.5"] > 2.0 / 3.0 - 1e-9
+    assert r["extra"]["min_re_fprime"]["B=1.0"] > 0.5 - 1e-9
 
 
 def test_halfplane_values_equal_per_lambda_members(monkeypatch):
@@ -804,14 +803,14 @@ def test_halfplane_values_equal_per_lambda_members(monkeypatch):
         for (params, out), want in zip(calls[3 * i:3 * i + 3], ref):
             assert params == JanowskiParams(0.0, B) and np.array_equal(out, want)
         lo = min(float(np.min(np.exp(w).real)) for w in ref)
-        assert r.extra["min_re_fprime"][f"B={B}"] == min(lo, 1.0 / (1.0 + B * 0.999999))
+        assert r["extra"]["min_re_fprime"][f"B={B}"] == min(lo, 1.0 / (1.0 + B * 0.999999))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_halfplane_members_meet_their_pointwise_bound(seed):
     # the bound is 1 at z = 0, where every member has f' = 1 exactly
     r = run_suite("halfplane", seed=seed)
-    assert r.passed and r.max_violation == 0.0
+    assert r["passed"] and r["max_violation"] == 0.0
 
 
 def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
@@ -819,11 +818,11 @@ def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
     real = varregion.verify.omega_eval
     monkeypatch.setattr(varregion.verify, "omega_eval", lambda inner, lam, z: 1.001 * real(inner, lam, z))
     r = run_suite("halfplane", seed=0)
-    assert not r.passed and (r.samples, r.parameter_sets) == (3, 3)
-    assert min(r.extra["min_re_fprime"].values()) > 0.5
-    assert r.max_violation > 2e-4
-    assert [w["inputs"]["B"] for w in r.witnesses] == [0.5, 1.0]
-    assert all(w["observed"]["max_bound_excess"] > 5e-5 for w in r.witnesses)
+    assert not r["passed"] and (r["samples"], r["parameter_sets"]) == (3, 3)
+    assert min(r["extra"]["min_re_fprime"].values()) > 0.5
+    assert r["max_violation"] > 2e-4
+    assert [w["inputs"]["B"] for w in r["witnesses"]] == [0.5, 1.0]
+    assert all(w["observed"]["max_bound_excess"] > 5e-5 for w in r["witnesses"])
 
 
 def test_halfplane_fails_a_nan_member_value(monkeypatch):
@@ -836,31 +835,31 @@ def test_halfplane_fails_a_nan_member_value(monkeypatch):
 
     monkeypatch.setattr(varregion.verify, "omega_eval", one_nan)
     r = run_suite("halfplane", seed=0)
-    assert not r.passed and np.isnan(r.max_violation) and len(r.witnesses) == 3
+    assert not r["passed"] and np.isnan(r["max_violation"]) and len(r["witnesses"]) == 3
 
 
 def test_convexity_default_sweep():
     r = check_convexity(param_sets=SMALL_SETS, n=64)
-    assert r.passed
+    assert r["passed"]
     for empty in (check_convexity(lambdas=()), check_convexity(z0s=(0.0,))):
-        assert empty.passed and empty.samples == 0 and empty.extra == {"curves": 0}
+        assert empty["passed"] and empty["samples"] == 0 and empty["extra"] == {"curves": 0}
 
 
 def test_reports_deterministic():
-    a = check_prop1(param_sets=(P05,), n_samples=16, seed=9).to_dict()
-    b = check_prop1(param_sets=(P05,), n_samples=16, seed=9).to_dict()
+    a = check_prop1(param_sets=(P05,), n_samples=16, seed=9)
+    b = check_prop1(param_sets=(P05,), n_samples=16, seed=9)
     assert a == b
 
 
 def test_all_suites_pass_and_have_consistent_fields():
     reports = [run_suite(n, seed=0) for n in SUITE_NAMES]
     for r in reports:
-        assert r.passed == (r.max_violation <= r.tolerance)
-        if r.passed:
-            assert r.witnesses == []
-        assert r.samples > 0
-    assert [r.suite_name for r in reports] == list(SUITE_NAMES)
-    assert {r.suite_name: (r.samples, r.parameter_sets) for r in reports} == SUITE_COUNTS
+        assert r["passed"] == (r["max_violation"] <= r["tolerance"])
+        if r["passed"]:
+            assert r["witnesses"] == []
+        assert r["samples"] > 0
+    assert [r["suite_name"] for r in reports] == list(SUITE_NAMES)
+    assert {r["suite_name"]: (r["samples"], r["parameter_sets"]) for r in reports} == SUITE_COUNTS
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -870,7 +869,7 @@ def test_report_counts_match_the_benchmark_checker(seed):
     check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check)
     reports = [run_suite(n, seed=seed) for n in SUITE_NAMES]
-    counts = {r.suite_name: (r.samples, r.parameter_sets) for r in reports}
+    counts = {r["suite_name"]: (r["samples"], r["parameter_sets"]) for r in reports}
     assert counts == check.VERIFY_COUNTS == SUITE_COUNTS
 
 
@@ -883,12 +882,12 @@ def test_tally_array_add_matches_per_sample_adds():
     for lo, hi in ((0, 25), (25, 200)):  # the witness cap is reached inside the second call
         many.add_many(v[lo:hi], lambda k: ({"k": lo + k}, {"v": float(v[lo + k])}))
     a, b = one.report("s", 1), many.report("s", 1)
-    assert (a.samples, a.max_violation, a.witnesses) == (b.samples, b.max_violation, b.witnesses)
-    assert b.samples == 200 and b.max_violation == float(np.max(v))
+    assert (a["samples"], a["max_violation"], a["witnesses"]) == (b["samples"], b["max_violation"], b["witnesses"])
+    assert b["samples"] == 200 and b["max_violation"] == float(np.max(v))
     first = [k for k in range(200) if v[k] > tol][:20]
     assert 0 < sum(k < 25 for k in first) < 20
-    assert [w["inputs"]["k"] for w in b.witnesses] == first
-    assert [w["observed"]["v"] for w in b.witnesses] == [float(v[k]) for k in first]
+    assert [w["inputs"]["k"] for w in b["witnesses"]] == first
+    assert [w["observed"]["v"] for w in b["witnesses"]] == [float(v[k]) for k in first]
 
 
 def test_tally_nan_violation_fails():
@@ -897,8 +896,8 @@ def test_tally_nan_violation_fails():
     t.add(float("nan"), {"k": 1}, {})
     t.add(1.0, {"k": 2}, {})
     r = t.report("s", 1)
-    assert not r.passed and np.isnan(r.max_violation)
-    assert [w["inputs"]["k"] for w in r.witnesses] == [1, 2]
+    assert not r["passed"] and np.isnan(r["max_violation"])
+    assert [w["inputs"]["k"] for w in r["witnesses"]] == [1, 2]
 
 
 def test_verify_runs_without_scipy(tmp_path):
@@ -915,16 +914,22 @@ def test_verify_runs_without_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_to_dict_is_asdict_without_the_copies(name):
+def test_a_report_is_a_dict_of_its_eight_keys_in_order(name):
     r = run_suite(name, seed=0, tol=-1.0)  # no violation is below -1: every sample fails
-    assert not r.passed and r.witnesses
-    d = r.to_dict()
-    assert d["witnesses"] is r.witnesses and d["extra"] is r.extra
-    assert list(d) == ["suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
+    assert type(r) is dict and not r["passed"] and r["witnesses"]
+    assert list(r) == ["suite_name", "parameter_sets", "samples", "max_violation", "tolerance", "passed",
                        "witnesses", "extra"]
-    assert d == {"suite_name": r.suite_name, "parameter_sets": r.parameter_sets, "samples": r.samples,
-                 "max_violation": r.max_violation, "tolerance": r.tolerance, "passed": r.passed,
-                 "witnesses": r.witnesses, "extra": r.extra}
+
+
+def test_a_report_holds_the_tallys_own_witnesses_and_extra_values():
+    tally = _Tally(1e-9)
+    tally.add(1.0, {"k": 0}, {"v": 1.0})
+    found = [{"witness_z": 0.5}]
+    r = tally.report("s", 2, found=found)
+    assert r["witnesses"] is tally.witnesses and r["extra"]["found"] is found
+    assert r == {"suite_name": "s", "parameter_sets": 2, "samples": 1, "max_violation": 1.0, "tolerance": 1e-9,
+                 "passed": False, "witnesses": [{"inputs": {"k": 0}, "observed": {"v": 1.0}}],
+                 "extra": {"found": found}}
 
 
 def test_run_suite_unknown_name():
