@@ -17,7 +17,6 @@ landed outside the region, which indicates a kernel bug).
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import os
@@ -37,10 +36,11 @@ from .region import (
     _theta_grid,
     boundary_curve,
     classify,
+    log_fprime,
     singleton_value,
     variability_disk,
 )
-from .sampler import BLOCK_ROWS, log_fprime, omega_eval, sample_members
+from .sampler import BLOCK_ROWS, omega_eval, sample_members
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -354,14 +354,11 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
         "params": {"A": params.A, "B": params.B},
         "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
     }
-    with np.errstate(all="ignore"):  # a non-finite value is an error of its own, not a warning
-        single = singleton_value(point, params)
-        if single is None:
-            disk = variability_disk(point, params)
-            rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
-            return rec, boundary_curve(point, params, theta_samples)
-    if not cmath.isfinite(single):
-        raise ValueError("singleton value must be finite")
+    single = singleton_value(point, params)
+    if single is None:
+        disk = variability_disk(point, params)
+        rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
+        return rec, boundary_curve(point, params, theta_samples)
     rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
     return rec, None
 
@@ -469,7 +466,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_extremal(args: argparse.Namespace) -> int:
     params = JanowskiParams(args.A, args.B)
-    if not math.isfinite(params.exponent):  # a subnormal B: every F' value would be NaN
+    if not math.isfinite((params.A - params.B) / params.B):  # a subnormal B: every F' value would be NaN
         raise ValueError(f"require a finite (A - B)/B, got B = {args.B!r}")
     spec = ExtremalSpec(a=args.a, lam=args.lam, params=params)
     z = args.z
@@ -491,17 +488,14 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
     """(seed indices, w, status, slack) per chunk of _CHUNK_ROWS members, cut to n.
 
     sample_members draws each of its blocks whole, so row i is the same for
-    every n; only the rows kept are evaluated and classified.  A non-finite
-    value shows in its row and verdict, not as a numpy warning: a non-finite
-    singleton is Outside, with a NaN slack.
+    every n; only the rows kept are evaluated and classified.  A NaN (at a
+    subnormal z0) shows in its row and verdict, not as a numpy warning.
     """
-    with np.errstate(all="ignore"):
-        single = singleton_value(point, params)
+    single = singleton_value(point, params)
     if single is not None:
-        finite = cmath.isfinite(single)
         w = np.full(_CHUNK_ROWS, single)
-        slack = np.full(_CHUNK_ROWS, 0.0 if finite else np.nan)
-        status = np.full(_CHUNK_ROWS, VERDICTS.index(Verdict.BOUNDARY if finite else Verdict.OUTSIDE))
+        slack = np.zeros(_CHUNK_ROWS)
+        status = np.full(_CHUNK_ROWS, VERDICTS.index(Verdict.BOUNDARY))
     for start in range(0, n, _CHUNK_ROWS):
         size = min(_CHUNK_ROWS, n - start)
         if single is None:

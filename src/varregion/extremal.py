@@ -86,7 +86,7 @@ def extremal_fprime(spec: ExtremalSpec, z):
     Equals 1 at z = 0.  Accepts scalar or ndarray z with |z| < 1.
     """
     d = mobius_delta(spec.a * z, spec.lam)
-    return np.exp(spec.params.exponent * np.log(1.0 + spec.params.B * z * d))
+    return np.exp((spec.params.A - spec.params.B) / spec.params.B * np.log(1.0 + spec.params.B * z * d))
 
 
 @functools.cache

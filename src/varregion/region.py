@@ -9,22 +9,22 @@ D(c, r) under w -> ((A - B)/B) Log w.
 
 This module provides the disk automorphisms, the center/radius formulas, the
 boundary parametrization, and an exact membership test via the Schwarz-Pick
-pullback, all valid for any complex |lambda| < 1.
-
-All powers and logarithms use the principal branch.  This is legitimate
-throughout: every quantity passed to Log has the form 1 + B*z0*delta with
-|B*z0*delta| <= |B||z0| < 1, hence positive real part.
+pullback, all valid for any complex |lambda| < 1.  zeta = omega(z0)/z0, omega the Schwarz function,
+ranges over a disk Z free of A and B (_disk), and D(c, r) = 1 + B z0 Z.  log_fprime's map w = (A - B) omega
+L(B omega), L(x) = Log(1 + x)/x, and its inverse in _pullback form neither (A - B)/B nor B z0 (Log principal).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 
 import numpy as np
 
 __all__ = [
     "JanowskiParams",
+    "log_fprime",
     "EvalPoint",
     "Disk",
     "BoundaryCurve",
@@ -92,11 +92,6 @@ class JanowskiParams(_FrozenRecord):
             raise ValueError("require B != 0")
         d = self.__dict__
         d["A"], d["B"] = A, B
-
-    @property
-    def exponent(self) -> float:
-        """(A - B)/B, the power applied to 1 + B*omega(z)."""
-        return (self.A - self.B) / self.B
 
 
 class EvalPoint(_FrozenRecord):
@@ -191,7 +186,7 @@ def mobius_delta_inv(s, lam):
 
 
 def majorant_q(z, A: float, B: float):
-    """The majorant (1 + Bz)^(A/B - 1), or exp(Az) in the degenerate B = 0 case.
+    """The majorant (1 + Bz)^(A/B - 1), f' of the member with omega(z) = z, or exp(Az) in the degenerate B = 0 case.
 
     Principal branch; smooth on the open disk since Re(1 + Bz) > 0 there.
     Unlike the rest of the module, B = 0 is accepted here.
@@ -200,7 +195,7 @@ def majorant_q(z, A: float, B: float):
         raise ValueError(f"require -1 <= A < B <= 1 (B = 0 allowed), got A={A}, B={B}")
     if B == 0.0:
         return np.exp(A * z)
-    return np.exp((A / B - 1.0) * np.log(1.0 + B * z))
+    return np.exp(_log_fprime(z, JanowskiParams(A, B)))
 
 
 def _log1p(x):
@@ -224,42 +219,57 @@ def _log1p(x):
     return out
 
 
-def _disk(z0, lam, B: float):
-    """(center, radius) of the pre-log disk; z0 and lam may be broadcasting ndarrays.
+def _over_b(num, x, v, B: float, slope: float):
+    """num/B for num = f(x), x = B v, f(0) = 0, f'(0) = 1; below |x| < 1e-8 the series v (1 + slope x), exact there."""
+    num = np.asarray(num, complex, order="C")
+    parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
+    parts /= B
+    small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal x loses nothing
+    if small.size:
+        np.put(num, small, np.take(v, small) * (1.0 + slope * np.take(x, small)))
+    return num
 
-    No domain checks: the caller guarantees |z0| < 1 and |lam| < 1.
-    """
-    # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not.
-    # Python abs on scalars: numpy's complex modulus can differ in the last bit.
-    l2, m2 = abs(lam) * abs(lam), abs(z0) ** 2
-    den = 1.0 - l2 * m2
-    center = (1.0 - l2 * m2 + lam * B * (1.0 - m2) * z0) / den
-    radius = abs(B) * (1.0 - l2) * m2 / den
-    return center, radius
+
+def log_fprime(omega, params: JanowskiParams):
+    """log f' = (A - B) omega L(B omega), L(x) = Log(1 + x)/x, where the Schwarz function takes the value omega."""
+    x = params.B * omega
+    return (params.A - params.B) * _over_b(_log1p(x), x, omega, params.B, -0.5)
+
+
+_log_fprime = log_fprime  # the region's own values: a fault put in log_fprime shows against them
+
+
+def _disk(z0, lam):
+    """(center, radius) of the zeta-disk Z, z0 and lam as ndarrays that may broadcast; no domain checks."""
+    # |lam|*|lam| is lam*lam exactly for real lam, unlike pow; Python abs on scalars, as numpy's can differ
+    l2, m = abs(lam) * abs(lam), abs(z0)
+    den = 1.0 - l2 * (m * m)
+    return lam * (1.0 - m * m) / den, m * (1.0 - l2) / den
 
 
 def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
-    """Center and radius of the pre-log disk 1 + B z0 delta(z0 D, lambda).
+    """Center and radius of the pre-log disk 1 + B z0 Z, Z the zeta-disk of _disk.
 
     Valid for any complex |lambda| < 1.  At lambda = 0 this reduces exactly to
     Disk(1, |B| |z0|^2).
     """
     _require_lambda(point.lam)
-    center, radius = _disk(point.z0, point.lam, params.B)
-    return Disk(center=center, radius=radius)
+    center, radius = _disk(point.z0, point.lam)
+    return Disk(center=1.0 + params.B * point.z0 * center, radius=abs(params.B) * (abs(point.z0) * radius))
 
 
 def region_point(a, point: EvalPoint, params: JanowskiParams):
     """((A - B)/B) Log(c + a r) for |a| <= 1; the full region as a ranges over D."""
     if not np.all(np.abs(a) <= 1.0 + 1e-12):
         raise ValueError("require |a| <= 1")
-    disk = variability_disk(point, params)
-    return params.exponent * _log1p((disk.center - 1.0) + a * disk.radius)
+    _require_lambda(point.lam)
+    center, radius = _disk(point.z0, point.lam)  # c + a r = 1 + B omega, omega = z0 center + sign(B) |z0| radius a
+    return _log_fprime(point.z0 * center + math.copysign(abs(point.z0) * radius, params.B) * np.asarray(a), params)
 
 
 def _boundary_values(k, z0, lam, params: JanowskiParams):
-    """((A - B)/B) Log(1 + B z0 delta(k z0, lambda)) for unimodular k."""
-    return params.exponent * _log1p(params.B * z0 * mobius_delta(k * z0, lam))
+    """((A - B)/B) Log(1 + B omega) at omega = z0 delta(k z0, lambda), for unimodular k."""
+    return _log_fprime(z0 * mobius_delta(k * z0, lam), params)
 
 
 def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
@@ -311,8 +321,9 @@ def _require_disk(point: EvalPoint) -> None:
 
 def _pullback(w, z0, lam, params: JanowskiParams):
     """pullback_modulus with z0 and lam as ndarrays that broadcast against w; no domain checks."""
-    zeta = np.expm1(np.asarray(w) / params.exponent) / (params.B * z0)
-    return np.abs(mobius_delta_inv(zeta, lam))
+    u = np.asarray(w) / (params.A - params.B)  # log_fprime's inverse: omega = u E(B u), E(y) = expm1(y)/y
+    y = params.B * u
+    return np.abs(mobius_delta_inv(_over_b(np.expm1(y), y, u, params.B, 0.5) / z0, lam))
 
 
 def _classify(w, z0, lam, params: JanowskiParams, tol: float):
@@ -364,15 +375,18 @@ def janowski_disk(params: JanowskiParams) -> Disk:
 def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
     """The single attainable value of log f'(z0) when z0 = 0 or |lambda| = 1, else None.
 
-    |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z, so the class
-    collapses to one function and the region to ((A - B)/B) Log(1 + B lambda z0).
-    Everywhere else the region is the log-image of variability_disk.
+    |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z: one function, whose value log_fprime(lambda z0)
+    is taken in scalar math, the unit-lambda suite's reference for region_point (which calls _log1p).
     """
     if point.z0 == 0:
         return 0j
-    if abs(abs(point.lam) - 1.0) <= UNIT_TOL:
-        return complex(params.exponent * np.log(1.0 + params.B * point.lam * point.z0))
-    return None
+    if abs(abs(point.lam) - 1.0) > UNIT_TOL:
+        return None
+    omega = point.lam * point.z0
+    x = params.B * omega
+    a, b = x.real, x.imag
+    re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
+    return complex((params.A - params.B) * _over_b(complex(0.5 * re, math.atan2(b, 1.0 + a)), x, omega, params.B, -0.5))
 
 
 def _singleton_note(point: EvalPoint) -> str:

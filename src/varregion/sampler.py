@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .region import JanowskiParams, _FrozenRecord, _log1p, mobius_delta
+from .region import JanowskiParams, _FrozenRecord, mobius_delta
 
 __all__ = [
     "InnerBatch",
@@ -21,7 +21,6 @@ __all__ = [
     "constant_inners",
     "inner_eval",
     "omega_eval",
-    "log_fprime",
     "special_curvature",
 ]
 
@@ -118,11 +117,6 @@ def omega_eval(inner: InnerBatch, lam, z):
     mobius_delta rejects any lambda off the open unit disk.
     """
     return z * mobius_delta(z * inner_eval(inner, z), lam)
-
-
-def log_fprime(omega, params: JanowskiParams):
-    """((A-B)/B) Log(1 + B omega): log f' where the member's Schwarz function is omega."""
-    return params.exponent * _log1p(params.B * omega)
 
 
 def special_curvature(params: JanowskiParams, z):

@@ -27,11 +27,11 @@ from .region import (
     _boundary_values,
     _classify,
     _disk,
-    _log1p,
     _require_disk,
     _unit_circle_grid,
     equivalent_disk_param,
     janowski_disk,
+    log_fprime,
     region_point,
     singleton_value,
     variability_disk,
@@ -39,7 +39,6 @@ from .region import (
 from .sampler import (
     InnerBatch,
     constant_inners,
-    log_fprime,
     omega_eval,
     sample_members,
     special_curvature,
@@ -151,7 +150,7 @@ def check_prop1(
         disks = [variability_disk(EvalPoint(z0, lam), params) for lam in lambdas for z0 in zs]
         center = np.array([d.center for d in disks], dtype=complex).reshape(omega.shape[:2] + (1,))
         radius = np.array([d.radius for d in disks], dtype=float).reshape(omega.shape[:2] + (1,))
-        pullback = np.exp(log_fprime(omega, params) / params.exponent)
+        pullback = np.exp(params.B / (params.A - params.B) * log_fprime(omega, params))
         distance = np.abs(pullback - center) - radius
         # the on-circle probes must sit on the circle: a radius too large fails them too
         violation = distance.copy()
@@ -182,7 +181,7 @@ def check_corollary0(
         _members_with_probes(seed, n_samples), constant_inners(np.exp(1j * phis)))], axis=1)
     for params in param_sets:
         bound = np.array([abs(params.B) * abs(z0) ** 2 for z0 in z0s], dtype=float)[:, None]
-        lhs = np.abs(np.exp(log_fprime(omega, params) / params.exponent) - 1.0)
+        lhs = np.abs(np.exp(params.B / (params.A - params.B) * log_fprime(omega, params)) - 1.0)
         violation = lhs - bound
         violation[:, n_samples:] = np.abs(violation[:, n_samples:])
 
@@ -216,7 +215,7 @@ def check_unit_lambda(
             values = region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-_K_MAX), params)
             # Python abs: numpy's complex modulus can differ in the last bit
             dists = [abs(w - target) for w in values.tolist()]
-            _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX + 1)), params.B)
+            _, radii = _disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX + 1)))
             max_increase = float(np.max(np.diff(radii)))
             # rotation consistency of the collapsed value for unimodular lambda
             pairs = [(singleton_value(EvalPoint(z0, u), params),
@@ -263,14 +262,13 @@ def check_rotation(
     frame_z0 = np.stack(np.broadcast_arrays(z0_rot, z0))
     frame_lam = np.stack(np.broadcast_arrays(lam, lam * rots))[:, None]
     omega = omega_eval(sample_members(seed, per_frame)[0::3], lam, z0_rot)
+    center, radius = _disk(z0_rot, lam)  # exterior values: omega = z0 zeta, zeta 1.2 radii from the center
+    far = z0_rot * (center + 1.2 * radius * circle[2::3])
     for params in param_sets:
-        center, radius = _disk(z0_rot, lam, params.B)
-        w_pre = center + 1.2 * radius * circle[2::3]
-        w_pre = np.where(w_pre.real <= 1e-6, center + 1.05 * radius * circle[2::3], w_pre)
         ws = np.empty(omega.shape[:3] + (per_frame,), complex)
         ws[..., 0::3] = log_fprime(omega, params)
         ws[..., 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
-        ws[..., 2::3] = params.exponent * _log1p(w_pre - 1.0)
+        ws[..., 2::3] = log_fprime(far, params)
         _, (v1, v2) = _classify(ws, frame_z0, frame_lam, params, tol)
 
         def witness(k):

@@ -28,8 +28,8 @@ from varregion import (
     variability_disk,
 )
 from varregion.cli import main as cli_main
-from varregion.region import VERDICTS, classify
-from varregion.sampler import constant_inners, log_fprime, sample_members
+from varregion.region import VERDICTS, classify, log_fprime
+from varregion.sampler import constant_inners, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS, DEFAULT_Z0S
 
 P05 = JanowskiParams(0.0, 0.5)

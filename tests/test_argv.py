@@ -80,17 +80,19 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-_SINGLETON = ("--A=-0.5", "--B=-5e-324", "--lambda=1", "--z0=0.5")  # (A - B)/B overflows
+_SINGLETON = ("--A=-0.5", "--B=-5e-324", "--lambda=1", "--z0=0.5")  # (A - B)/B would overflow; the value is finite
 
 
 @settings(max_examples=1000)
 @given(argvs())
-# an infinite tolerance, and a subnormal B where (A - B)/B overflows: too rare for the strategy to find
+# an infinite tolerance, and a subnormal B where (A - B)/B would overflow (its JSON output must be
+# strict, so finite): too rare for the strategy to find
 @example(_call("verify", "--suite=inclusion", "--tol=inf"))
 @example(_call("sample", "--A=0", "--B=0.5", "--z0=0.5", "--mc-samples=3", "--tol=inf"))
 @example(_call("sample", *_SINGLETON, "--mc-samples=3"))
 @example(_call("sample", *_SINGLETON, "--mc-samples=3", "--format=json"))
 @example(_call("region", *_SINGLETON, "--format=json"))
+@example(_call("region", "--A=-0.5", "--B=1e-310", "--lambda=0.5", "--z0=0.5", "--format=json"))
 @example(_call("extremal", "--A=-0.5", "--B=5e-324", "--a=0.6,0.2", "--z=0.5,0.1"))
 def test_main_at_the_domain_edges_exits_as_documented(call):
     command, argv, values = call

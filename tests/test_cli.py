@@ -233,7 +233,7 @@ _PERCENT_SAMPLE_ARGVS = [
     ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1500"],  # the two singleton kinds
     ["--A=-0.5", "--B=0.5", "--lambda=0.5", "--z0=0", "--mc-samples=1500"],
     ["--A=-0.5", "--B=1e-6", "--lambda=0.5", "--z0=0.5", "--mc-samples=2500"],  # B -> 0: a few |x| < 1e-4
-    pytest.param(["--A=-0.5", "--B=5e-324", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # nan rows, exit 5
+    pytest.param(["--A=-0.5", "--B=5e-324", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # B omega subnormal
                  id="B=5e-324"),
 ]
 
@@ -248,46 +248,47 @@ def test_sample_csv_is_the_percent_rows_of_its_blocks(argv, capsys):
             for i, w, s in zip(*(col.tolist() for col in block[:3]))]
     assert capsys.readouterr().out == "seed_index,re,im,verdict\n" + "".join("%d,%.17g,%.17g,%s\n" % r for r in rows)
     values = np.array([r[1:3] for r in rows])
-    if args.B == 5e-324:
-        assert code == varregion.cli.EXIT_CONTAINMENT and np.isnan(values).all()
-    else:
-        assert code == 0
+    assert code == 0 and np.isfinite(values).all()
     if args.B == 1e-6:
         assert ((values != 0) & (np.abs(values) < 1e-4)).any()
 
 
-# a subnormal B makes the kernels' values non-finite: Outside rows, or no finite curve, singleton or F'
+# a subnormal B: sample and region print finite rows (the zeta-plane maps never form (A - B)/B),
+# while extremal's F' still takes (A - B)/B, which overflows: a domain error
 _TINY_B = ["--A=-0.5", "--lambda=0.5", "--z0=0.5"]
 _TINY_B_SINGLETON = ["--A=-0.5", "--B=-5e-324", "--lambda=1", "--z0=0.5"]
-_NO_CURVE, _NO_SINGLETON = "error: curve samples must be finite\n", "error: singleton value must be finite\n"
+_SINGLETON_NOTE = "note: |lambda| = 1: the region is a singleton\n"
 
 
 @pytest.mark.parametrize("argv,code,err", [
     pytest.param(argv, code, err, id=" ".join(argv)) for argv, code, err in (
-        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10"], 5, None),
-        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 2, _NO_CURVE),
-        (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 5, None),
-        (["region", *_TINY_B, "--B=1e-310"], 2, _NO_CURVE),
-        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10"], 5, None),
-        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=json"], 2, _NO_SINGLETON),
-        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=svg"], 2, _NO_SINGLETON),
-        (["region", *_TINY_B_SINGLETON, "--format=json"], 2, _NO_SINGLETON),
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10"], 0, ""),
+        (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 0, ""),
+        (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 0, ""),
+        (["region", *_TINY_B, "--B=1e-310"], 0, ""),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10"], 0, ""),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=json"], 0, ""),
+        (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=svg"], 0, ""),
+        (["region", *_TINY_B_SINGLETON, "--format=json"], 0, _SINGLETON_NOTE),
         (["extremal", "--A=-1", "--B=1e-310", "--a=0.6,0.2", "--z=0"], 2,
          "error: require a finite (A - B)/B, got B = 1e-310\n"),
         (["extremal", "--A=-0.5", "--B=5e-324", "--a=0.6,0.2", "--z=0.5,0.1"], 2,
          "error: require a finite (A - B)/B, got B = 5e-324\n"))])
-def test_non_finite_kernel_values_print_no_numpy_warning(argv, code, err):
+def test_subnormal_b_prints_finite_rows_or_a_domain_error(argv, code, err):
     src = str(Path(varregion.cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-X", "dev", "-m", "varregion.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == code
-    assert "RuntimeWarning" not in proc.stderr and "varregion/" not in proc.stderr
-    if err is not None:
-        assert (proc.stdout, proc.stderr) == ("", err)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if code:
+        assert proc.stdout == ""
+    elif "--format=json" in argv:
+        json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"not strict JSON: {name}"))
+    elif "--format=svg" in argv:
+        assert "nan" not in proc.stdout and "inf" not in proc.stdout
     else:
-        lines = proc.stderr.splitlines()
-        assert lines[0] == "containment breach: 10 sample(s) outside the region"
-        assert len(lines) == 11 and all(line.startswith("  witness: {'seed_index': ") for line in lines[1:])
+        _, *rows = proc.stdout.splitlines()
+        assert rows and all(math.isfinite(float(c)) for row in rows for c in row.split(",")[:3])
+        assert not any(row.endswith(",Outside") for row in rows)
 
 
 @pytest.mark.parametrize("n", [3, 4, 4096, 5000])
@@ -1133,13 +1134,16 @@ def test_sweep_files_are_strict_json_when_a_rejected_block_is_not_finite(tmp_pat
     assert records[index[2]["file"]]["block"]["A"] == "-inf"
 
 
-def test_sweep_rejects_a_block_whose_singleton_is_not_finite(tmp_path):
-    block = {"A": -0.5, "B": -5e-324, "lambda_re": 1.0, "z0_re": 0.5}  # (A - B)/B overflows
+def test_sweep_writes_the_singleton_of_a_subnormal_b(tmp_path):
+    block = {"A": -0.5, "B": -5e-324, "lambda_re": 1.0, "z0_re": 0.5}  # (A - B)/B would overflow
     out = tmp_path / "out"
     assert run(["sweep", f"--grid={_sweep_grid(tmp_path, [block])}", f"--out={out}", "--theta-samples=8"]) == 0
     text = (out / f"region-{_block_hash(block)}.json").read_text()
-    assert json.loads(text) == {"rejected": True, "reason": "singleton value must be finite", "block": block}
-    assert json.loads((out / "index.json").read_text())["records"][0]["status"] == "rejected"
+    # (A - B) lambda z0 L(B lambda z0), with L(x) = 1 for a subnormal x
+    assert json.loads(text) == {"params": {"A": -0.5, "B": -5e-324}, "point": {"z0": [0.5, 0.0], "lambda": [1.0, 0.0]},
+                                "center": [-0.25, 0.0], "radius": 0.0, "boundary": [],
+                                "note": "|lambda| = 1: the region is a singleton"}
+    assert json.loads((out / "index.json").read_text())["records"][0]["status"] == "ok"
 
 
 def test_sweep_builds_the_unit_circle_grid_once_per_theta_count(tmp_path):

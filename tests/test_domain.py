@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from varregion import EvalPoint, JanowskiParams, boundary_curve, classify
-from varregion.region import VERDICTS, Verdict
-from varregion.sampler import constant_inners, log_fprime, omega_eval, sample_members
+from varregion.region import VERDICTS, Verdict, log_fprime
+from varregion.sampler import constant_inners, omega_eval, sample_members
 
 _BOUNDARY, _OUTSIDE = VERDICTS.index(Verdict.BOUNDARY), VERDICTS.index(Verdict.OUTSIDE)
 _CONSTANTS = constant_inners(np.exp(2j * np.pi * np.arange(16) / 16))  # unimodular
@@ -103,11 +103,6 @@ def _subnormal_products(draw):
     return 10.0**(k - p), 10.0**-k
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the kernels form B z0, and a subnormal product loses the disk's "
-                          "offset, so members read Outside")
-@settings(report_multiple_bugs=False)
 @given(_subnormal_products().flatmap(lambda bz: _cells(b_mod=st.just(bz[0]), z0_mod=st.just(bz[1]))))
 def test_subnormal_b_times_z0(cell):
-    with np.errstate(all="ignore"):  # the NaN and overflow on the way are item 2's too; the verdicts are the property
-        _check_cell(cell)
+    _check_cell(cell)

@@ -318,7 +318,7 @@ def test_fprime_subordination_pullback():
     for spec in _random_specs(20, seed=9):
         z = 0.85 * np.exp(1j * np.linspace(-np.pi, np.pi, 32))
         fp = extremal_fprime(spec, z)
-        omega = (np.exp(np.log(fp) / spec.params.exponent) - 1.0) / spec.params.B
+        omega = (np.exp(np.log(fp) / ((spec.params.A - spec.params.B) / spec.params.B)) - 1.0) / spec.params.B
         assert float(np.max(np.abs(omega))) < 1.0
 
 

@@ -23,8 +23,8 @@ REAL = {name: getattr(varregion.region, name, None) or getattr(varregion.sampler
         for name in ("_disk", "mobius_delta", "inner_eval", "omega_eval", "log_fprime", "_log1p")}
 
 
-def radius_too_large(z0, lam, B):
-    center, radius = REAL["_disk"](z0, lam, B)
+def radius_too_large(z0, lam):
+    center, radius = REAL["_disk"](z0, lam)
     return center, radius * (1.0 + 1e-7)
 
 

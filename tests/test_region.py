@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from varregion import (
     BoundaryCurve,
@@ -24,8 +24,8 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, _log1p, _unit_circle_grid, classify
-from varregion.sampler import log_fprime, omega_eval, sample_members
+from varregion.region import VERDICTS, _log1p, _pullback, _unit_circle_grid, classify, log_fprime
+from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
 # frozen oracle values (high-precision logs, correctly rounded to binary64)
@@ -70,8 +70,6 @@ def test_params_validation():
         JanowskiParams(-1.5, 0.5)
     with pytest.raises(ValueError):
         JanowskiParams(0.0, 1.5)
-    assert JanowskiParams(-1.0, 1.0).exponent == -2.0
-    assert JanowskiParams(0.0, 0.5).exponent == -1.0
 
 
 def test_eval_point_validation():
@@ -242,6 +240,40 @@ def test_log1p_passes_nan_without_a_warning():
     assert np.all(np.isnan(got[:3])) and got[3] == 0.0
 
 
+@st.composite
+def _map_cells(draw):
+    """(params, omega, z0, lambda): |B| log-uniform from 5e-324 to 1 with either sign, A below B,
+    |z0| log-uniform from 1e-17, omega = z0 zeta with |zeta| <= 1 (so |omega| <= 0.999), |lambda| <= 0.99."""
+    B = max(10.0 ** draw(st.floats(-323.3, 0.0)), 5e-324) * draw(st.sampled_from((1.0, -1.0)))
+    A = -1.0 + draw(st.floats(0.0, 1.0, exclude_max=True)) * (B + 1.0)
+    assume(-1.0 <= A < B)
+    z0 = 10.0 ** draw(st.floats(-17.0, np.log10(0.999))) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    zeta = draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    lam = draw(st.floats(0.0, 0.99)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return JanowskiParams(A, B), complex(z0 * zeta), complex(z0), complex(lam)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_map_cells())
+def test_log_fprime_and_its_inverse_match_mpmath(cell):
+    params, omega, z0, lam = cell
+    w = complex(log_fprime(np.array([omega]), params)[0])
+    got = float(_pullback(np.array([w]), z0, lam, params)[0])
+    eps, tiny = 2.0**-52, 2.0**-1074  # relative rounding, and the absolute one of a subnormal result
+    with mpmath.workdps(50):
+        A, B, om = mpmath.mpf(params.A), mpmath.mpf(params.B), mpmath.mpc(omega.real, omega.imag)
+        want = (A - B) / B * mpmath.log1p(B * om)
+        assert abs(mpmath.mpc(w.real, w.imag) - want) <= 4 * (eps * abs(want) + tiny), cell
+        # the round trip gives |delta^-1(omega/z0, lambda)|.  An error eps |w| + tiny in w is one of
+        # eps |omega| + tiny/|A - B| in omega, so of (eps |omega| + tiny/|A - B|)/|z0| in zeta, which
+        # moves |delta^-1| by that times |d delta^-1/d zeta|
+        zeta, l = om / mpmath.mpc(z0.real, z0.imag), mpmath.mpc(lam.real, lam.imag)
+        den = 1 - mpmath.conj(l) * zeta
+        s, slope = abs((zeta - l) / den), (1 - abs(l) ** 2) / abs(den) ** 2
+        zeta_err = eps * abs(zeta) + tiny / (abs(A - B) * abs(z0))
+        assert abs(got - s) <= 4 * (eps * s + tiny + zeta_err * slope), cell
+
+
 # ---------------------------------------------------------------------------
 # the variability disk and its parametrizations
 
@@ -344,7 +376,7 @@ def test_boundary_curve_examples():
 def test_boundary_curve_lambda0_is_log_circle():
     # at lambda = 0 the pre-log image is the circle |u - 1| = |B||z0|^2
     curve = boundary_curve(EvalPoint(0.5, 0.0), P05, 128)
-    u = np.exp(curve.values / P05.exponent)
+    u = np.exp(curve.values / ((P05.A - P05.B) / P05.B))
     assert float(np.max(np.abs(np.abs(u - 1.0) - 0.125))) < 1e-15
 
 
@@ -412,7 +444,7 @@ def test_membership_consistency(params, z0, lam):
             assert classify(w, point, params)[1] == INTERIOR
     d = variability_disk(point, params)
     if d.radius > 0:
-        w = params.exponent * np.log(d.center + 1.5 * d.radius)
+        w = (params.A - params.B) / params.B * np.log(d.center + 1.5 * d.radius)
         assert classify(w, point, params)[1] == OUTSIDE
 
 
@@ -427,7 +459,7 @@ def test_rotation_equivariance_of_verdicts():
         probes = [
             boundary_point(0.7, frame1, params),
             region_point(0.25, frame1, params),
-            params.exponent * np.log(d.center + 1.4 * d.radius),
+            (params.A - params.B) / params.B * np.log(d.center + 1.4 * d.radius),
         ]
         expected = [BOUNDARY, INTERIOR, OUTSIDE]
         for w, want in zip(probes, expected):
@@ -490,9 +522,6 @@ def test_log_fprime_at_a_unimodular_lambda_matches_mpmath_at_tiny_z0():
         assert _singleton_rel_err(got, z0, params) <= 4 * 2.0**-52, z0
 
 
-@pytest.mark.xfail(strict=True, reason="singleton_value takes np.log(1 + B lambda z0), which rounds 1 + x "
-                   "first (2.3e-9 relative at z0 = 1e-8, 1.0e-3 at 1e-13); the scalar sites of ROADMAP "
-                   "item 2 are to take the exact form")
 def test_singleton_value_matches_mpmath_at_tiny_z0():
     params = JanowskiParams(-0.5, 0.5)
     for z0 in _TINY_Z0:

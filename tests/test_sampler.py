@@ -12,14 +12,13 @@ from varregion import (
     omega_eval,
     special_curvature,
 )
-from varregion.region import VERDICTS, classify
+from varregion.region import VERDICTS, classify, log_fprime
 from varregion.sampler import (
     _BLOCK_HAS_ZEROS,
     _BLOCK_MASK,
     BLOCK_ROWS,
     InnerBatch,
     constant_inners,
-    log_fprime,
     sample_members,
 )
 from varregion.verify import DEFAULT_PARAM_SETS
@@ -254,7 +253,7 @@ def test_member_subordination_pullback():
     count = 0
     for params in DEFAULT_PARAM_SETS:
         w = log_fprime(omega_eval(inner, 0.45, z[:, None]), params)
-        omega = (np.exp(w / params.exponent) - 1.0) / params.B
+        omega = (np.exp(w / ((params.A - params.B) / params.B)) - 1.0) / params.B
         assert float(np.max(np.abs(omega))) < 1.0
         count += w.size
     assert count >= 10_000

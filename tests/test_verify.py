@@ -31,8 +31,8 @@ from varregion import (
     singleton_value,
     variability_disk,
 )
-from varregion.region import classify
-from varregion.sampler import constant_inners, log_fprime
+from varregion.region import classify, log_fprime
+from varregion.sampler import constant_inners
 from varregion.verify import (
     DEFAULT_LAMBDAS,
     DEFAULT_PARAM_SETS,
@@ -74,7 +74,7 @@ def test_prop1_extremal_equality_case():
     disk = variability_disk(point, P05)
     for th in np.linspace(-np.pi, np.pi, 16, endpoint=False):
         w = log_fprime(omega_eval(constant_inners(np.exp(1j * th)), 0.5, 0.5), P05)
-        pullback = np.exp(w / P05.exponent)
+        pullback = np.exp(w / ((P05.A - P05.B) / P05.B))
         assert abs(abs(pullback - disk.center) - disk.radius) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_corollary0_passes_and_is_sharp():
     # direct sharpness: psi == 1 at real z gives |1 + Bz^2 - 1| = |B| z^2
     for z in (0.3, 0.7):
         w = log_fprime(omega_eval(constant_inners(1.0), 0.0, z), P05)
-        assert abs(np.exp(w / P05.exponent) - 1.0) == pytest.approx(
+        assert abs(np.exp(w / ((P05.A - P05.B) / P05.B)) - 1.0) == pytest.approx(
             abs(P05.B) * z * z, abs=1e-15
         )
 
@@ -121,17 +121,17 @@ def test_rotation_suite_zero_mismatches():
 def test_batched_unit_lambda_radii_equal_per_point_disks(monkeypatch):
     calls = []
 
-    def spy(z0, lam, B):
-        center, radius = varregion.region._disk(z0, lam, B)
-        calls.append((z0, B, radius))
+    def spy(z0, lam):
+        center, radius = varregion.region._disk(z0, lam)
+        calls.append((z0, radius))
         return center, radius
 
     monkeypatch.setattr(varregion.verify, "_disk", spy)
     assert check_unit_lambda(param_sets=SMALL_SETS)["passed"]
     z0s = [z0 for z0 in DEFAULT_Z0S if z0 != 0]
-    assert [(z0, B) for z0, B, _ in calls] == [(z0, p.B) for p in SMALL_SETS for z0 in z0s]
-    for (z0, B, radii), params in zip(calls, [p for p in SMALL_SETS for _ in z0s]):
-        ref = [variability_disk(EvalPoint(z0, 1 - 2**-k), params).radius for k in range(1, 41)]
+    assert [z0 for z0, _ in calls] == [z0 for _ in SMALL_SETS for z0 in z0s]
+    for z0, radii in calls:
+        ref = [varregion.region._disk(z0, 1 - 2**-k)[1] for k in range(1, 41)]
         assert radii.tolist() == ref
 
 
@@ -452,7 +452,8 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
                 if z0 == 0:
                     continue
                 disk = variability_disk(EvalPoint(z0, lam), params)
-                pullback = np.exp(V.log_fprime(V.omega_eval(members, lam, z0), params) / params.exponent)
+                w = V.log_fprime(V.omega_eval(members, lam, z0), params)
+                pullback = np.exp(params.B / (params.A - params.B) * w)
                 distance = np.abs(pullback - disk.center) - disk.radius
                 probe = np.arange(distance.size) % 8 == 7  # on-circle probes: gated on both sides
                 inputs = {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
@@ -472,10 +473,11 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
         for z0 in z0s:
             bound = abs(params.B) * abs(z0) ** 2
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
-            lhs = np.abs(np.exp(V.log_fprime(V.omega_eval(members, 0.0, z0), params) / params.exponent) - 1.0)
+            to_pre = params.B / (params.A - params.B)  # log f' to the pre-log plane
+            lhs = np.abs(np.exp(to_pre * V.log_fprime(V.omega_eval(members, 0.0, z0), params)) - 1.0)
             tally.add_many(lhs - bound, lambda k: (
                 inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
-            lhs_sharp = np.abs(np.exp(V.log_fprime(V.omega_eval(sharp, 0.0, z0), params) / params.exponent) - 1.0)
+            lhs_sharp = np.abs(np.exp(to_pre * V.log_fprime(V.omega_eval(sharp, 0.0, z0), params)) - 1.0)
             tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
                 dict(inputs, sharp_phi=float(phis[k])),
                 {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
@@ -493,7 +495,7 @@ def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
             target = V.singleton_value(EvalPoint(z0, 1.0), params)
-            _, radii = V._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)), params.B)
+            _, radii = V._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)))
             point = EvalPoint(z0, 1.0 - 2.0**-k_max)
             for a in (0.0, 1.0, -1.0, 1j):
                 d = abs(V.region_point(a, point, params) - target)
@@ -675,7 +677,7 @@ def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
         params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
         w = V.log_fprime(V.omega_eval(_members_with_probes(6, 40), lam, z0), params)[j]
-        assert wit["observed"]["pullback"] == _cstr(np.exp(w / params.exponent))
+        assert wit["observed"]["pullback"] == _cstr(np.exp(params.B / (params.A - params.B) * w))
     assert expected[19][0] == 3
 
 
@@ -788,7 +790,7 @@ def test_halfplane_values_equal_per_lambda_members(monkeypatch):
     calls = []
 
     def spy(omega, params):
-        out = varregion.sampler.log_fprime(omega, params)
+        out = varregion.region.log_fprime(omega, params)
         calls.append((params, out))
         return out
 
