@@ -9,9 +9,11 @@ D(c, r) under w -> ((A - B)/B) Log w.
 
 This module provides the disk automorphisms, the center/radius formulas, the
 boundary parametrization, and an exact membership test via the Schwarz-Pick
-pullback, all valid for any complex |lambda| < 1.  zeta = omega(z0)/z0, omega the Schwarz function,
-ranges over a disk Z free of A and B (_disk), and D(c, r) = 1 + B z0 Z.  log_fprime's map w = (A - B) omega
-L(B omega), L(x) = Log(1 + x)/x, and its inverse in _pullback form neither (A - B)/B nor B z0 (Log principal).
+pullback, all valid for any complex |lambda| < 1.  They work with
+zeta = omega(z0)/z0, omega the Schwarz function, whose disk Z is free of A and B
+(D(c, r) = 1 + B z0 Z), and with one principal-branch map between omega and
+w = log f'(z0) (log_fprime, and its inverse in _pullback) that forms neither
+(A - B)/B nor B z0.
 """
 
 from __future__ import annotations
@@ -219,29 +221,29 @@ def _log1p(x):
     return out
 
 
-def _over_b(num, x, v, B: float, slope: float):
-    """num/B for num = f(x), x = B v, f(0) = 0, f'(0) = 1; below |x| < 1e-8 the series v (1 + slope x), exact there."""
-    num = np.asarray(num, complex, order="C")
+def _over_b(f, v, B: float, slope: float):
+    """f(B v)/B, where f(0) = 0 and f'(0) = 1, with the series v (1 + slope B v) where |B v| < 1e-8, exact there."""
+    x = B * np.asarray(v)
+    num = np.asarray(f(x), complex, order="C")
     parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
     parts /= B
-    small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal x loses nothing
-    if small.size:
-        np.put(num, small, np.take(v, small) * (1.0 + slope * np.take(x, small)))
+    small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal B v loses nothing
+    np.put(num, small, np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
 
 
 def log_fprime(omega, params: JanowskiParams):
     """log f' = (A - B) omega L(B omega), L(x) = Log(1 + x)/x, where the Schwarz function takes the value omega."""
-    x = params.B * omega
-    return (params.A - params.B) * _over_b(_log1p(x), x, omega, params.B, -0.5)
+    return (params.A - params.B) * _over_b(_log1p, omega, params.B, -0.5)
 
 
-_log_fprime = log_fprime  # the region's own values: a fault put in log_fprime shows against them
+_log_fprime = log_fprime  # the region's own values call this name: a fault put in log_fprime shows against them
 
 
 def _disk(z0, lam):
-    """(center, radius) of the zeta-disk Z, z0 and lam as ndarrays that may broadcast; no domain checks."""
-    # |lam|*|lam| is lam*lam exactly for real lam, unlike pow; Python abs on scalars, as numpy's can differ
+    """(center, radius) of the zeta-disk Z; z0 and lam (|z0| < 1, |lam| < 1, unchecked) may be broadcasting ndarrays."""
+    # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not.
+    # Python abs on scalars: numpy's complex modulus can differ in the last bit.
     l2, m = abs(lam) * abs(lam), abs(z0)
     den = 1.0 - l2 * (m * m)
     return lam * (1.0 - m * m) / den, m * (1.0 - l2) / den
@@ -259,10 +261,9 @@ def variability_disk(point: EvalPoint, params: JanowskiParams) -> Disk:
 
 
 def region_point(a, point: EvalPoint, params: JanowskiParams):
-    """((A - B)/B) Log(c + a r) for |a| <= 1; the full region as a ranges over D."""
+    """((A - B)/B) Log(c + a r) for |a| <= 1; the full region as a ranges over D (a singleton at |lambda| = 1)."""
     if not np.all(np.abs(a) <= 1.0 + 1e-12):
         raise ValueError("require |a| <= 1")
-    _require_lambda(point.lam)
     center, radius = _disk(point.z0, point.lam)  # c + a r = 1 + B omega, omega = z0 center + sign(B) |z0| radius a
     return _log_fprime(point.z0 * center + math.copysign(abs(point.z0) * radius, params.B) * np.asarray(a), params)
 
@@ -322,8 +323,7 @@ def _require_disk(point: EvalPoint) -> None:
 def _pullback(w, z0, lam, params: JanowskiParams):
     """pullback_modulus with z0 and lam as ndarrays that broadcast against w; no domain checks."""
     u = np.asarray(w) / (params.A - params.B)  # log_fprime's inverse: omega = u E(B u), E(y) = expm1(y)/y
-    y = params.B * u
-    return np.abs(mobius_delta_inv(_over_b(np.expm1(y), y, u, params.B, 0.5) / z0, lam))
+    return np.abs(mobius_delta_inv(_over_b(np.expm1, u, params.B, 0.5) / z0, lam))
 
 
 def _classify(w, z0, lam, params: JanowskiParams, tol: float):
@@ -375,18 +375,18 @@ def janowski_disk(params: JanowskiParams) -> Disk:
 def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
     """The single attainable value of log f'(z0) when z0 = 0 or |lambda| = 1, else None.
 
-    |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z: one function, whose value log_fprime(lambda z0)
-    is taken in scalar math, the unit-lambda suite's reference for region_point (which calls _log1p).
+    |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z, and z0 = 0 gives
+    omega(z0) = 0: either way the value is log_fprime(lambda z0), taken here in
+    scalar math without _log1p, as the unit-lambda suite's reference for region_point.
     """
-    if point.z0 == 0:
-        return 0j
-    if abs(abs(point.lam) - 1.0) > UNIT_TOL:
+    if point.z0 != 0 and abs(abs(point.lam) - 1.0) > UNIT_TOL:
         return None
-    omega = point.lam * point.z0
-    x = params.B * omega
-    a, b = x.real, x.imag
-    re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
-    return complex((params.A - params.B) * _over_b(complex(0.5 * re, math.atan2(b, 1.0 + a)), x, omega, params.B, -0.5))
+
+    def log1p(x):  # _log1p's two forms
+        a, b = float(x.real), float(x.imag)
+        re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
+        return complex(0.5 * re, math.atan2(b, 1.0 + a))
+    return complex((params.A - params.B) * _over_b(log1p, point.lam * point.z0, params.B, -0.5))
 
 
 def _singleton_note(point: EvalPoint) -> str:
