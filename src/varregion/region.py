@@ -9,11 +9,10 @@ D(c, r) under w -> ((A - B)/B) Log w.
 
 This module provides the disk automorphisms, the center/radius formulas, the
 boundary parametrization, and an exact membership test via the Schwarz-Pick
-pullback, all valid for any complex |lambda| < 1.  They work with
-zeta = omega(z0)/z0, omega the Schwarz function, whose disk Z is free of A and B
-(D(c, r) = 1 + B z0 Z), and with one principal-branch map between omega and
-w = log f'(z0) (log_fprime, and its inverse in _pullback) that forms neither
-(A - B)/B nor B z0.
+pullback, all valid for any complex |lambda| < 1.  They work with zeta =
+omega(z0)/z0, omega the Schwarz function, whose disk Z is free of A and B, and
+with one principal-branch map between omega and w = log f'(z0) (log_fprime,
+inverted in _pullback) that forms neither (A - B)/B nor B z0.
 """
 
 from __future__ import annotations
@@ -221,20 +220,20 @@ def _log1p(x):
     return out
 
 
-def _over_b(f, v, B: float, slope: float):
-    """f(B v)/B, where f(0) = 0 and f'(0) = 1, with the series v (1 + slope B v) where |B v| < 1e-8, exact there."""
+def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
+    """scale f(B v)/B, where f(0) = 0 and f'(0) = 1, with the series scale v (1 + slope B v) where |B v| < 1e-8."""
     x = B * np.asarray(v)
     num = np.asarray(f(x), complex, order="C")
     parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
-    parts /= B
+    parts /= B / scale  # never 0 and, as |A - B| >= ulp(B), never above 2^53 for scale = A - B
     small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal B v loses nothing
-    np.put(num, small, np.take(v, small) * (1.0 + slope * np.take(x, small)))
+    np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
 
 
 def log_fprime(omega, params: JanowskiParams):
     """log f' = (A - B) omega L(B omega), L(x) = Log(1 + x)/x, where the Schwarz function takes the value omega."""
-    return (params.A - params.B) * _over_b(_log1p, omega, params.B, -0.5)
+    return _over_b(_log1p, omega, params.B, -0.5, params.A - params.B)
 
 
 _log_fprime = log_fprime  # the region's own values call this name: a fault put in log_fprime shows against them
@@ -381,12 +380,13 @@ def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
     """
     if point.z0 != 0 and abs(abs(point.lam) - 1.0) > UNIT_TOL:
         return None
-
-    def log1p(x):  # _log1p's two forms
-        a, b = float(x.real), float(x.imag)
-        re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
-        return complex(0.5 * re, math.atan2(b, 1.0 + a))
-    return complex((params.A - params.B) * _over_b(log1p, point.lam * point.z0, params.B, -0.5))
+    omega = point.lam * point.z0
+    x = params.B * omega
+    if abs(x) < 1e-8:  # _over_b's series: a zero or subnormal x loses nothing
+        return (params.A - params.B) * omega * (1.0 - 0.5 * x)
+    a, b = x.real, x.imag
+    re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
+    return (params.A - params.B) * complex(0.5 * re, math.atan2(b, 1.0 + a)) / params.B
 
 
 def _singleton_note(point: EvalPoint) -> str:
