@@ -225,7 +225,7 @@ def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
     x = B * np.asarray(v)
     num = np.asarray(f(x), complex, order="C")
     parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
-    parts /= B / scale  # never 0 and, as |A - B| >= ulp(B), never above 2^53 for scale = A - B
+    parts /= B / scale  # never 0, and for scale = A - B at most 2^53 in size, as |A - B| >= ulp(B)/2
     small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal B v loses nothing
     np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
