@@ -32,7 +32,6 @@ from .region import (
     EvalPoint,
     JanowskiParams,
     Verdict,
-    _singleton_note,
     _theta_grid,
     boundary_curve,
     classify,
@@ -359,7 +358,9 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
         disk = variability_disk(point, params)
         rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
         return rec, boundary_curve(point, params, theta_samples)
-    rec.update(center=_pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
+    note = ("z0 = 0: the region is the singleton {0}" if point.z0 == 0
+            else "|lambda| = 1: the region is a singleton")
+    rec.update(center=_pair(single), radius=0.0, boundary=[], note=note)
     return rec, None
 
 

@@ -187,7 +187,7 @@ def mobius_delta_inv(s, lam):
 
 
 def majorant_q(z, A: float, B: float):
-    """The majorant (1 + Bz)^(A/B - 1), f' of the member with omega(z) = z, or exp(Az) in the degenerate B = 0 case.
+    """The majorant (1 + Bz)^(A/B - 1), or exp(Az) in the degenerate B = 0 case.
 
     Principal branch; smooth on the open disk since Re(1 + Bz) > 0 there.
     Unlike the rest of the module, B = 0 is accepted here.
@@ -196,7 +196,7 @@ def majorant_q(z, A: float, B: float):
         raise ValueError(f"require -1 <= A < B <= 1 (B = 0 allowed), got A={A}, B={B}")
     if B == 0.0:
         return np.exp(A * z)
-    return np.exp(_log_fprime(z, JanowskiParams(A, B)))
+    return np.exp(log_fprime(z, JanowskiParams(A, B)))
 
 
 def _log1p(x):
@@ -236,11 +236,11 @@ def log_fprime(omega, params: JanowskiParams):
     return _over_b(_log1p, omega, params.B, -0.5, params.A - params.B)
 
 
-_log_fprime = log_fprime  # the region's own values call this name: a fault put in log_fprime shows against them
-
-
 def _disk(z0, lam):
-    """(center, radius) of the zeta-disk Z; z0 and lam (|z0| < 1, |lam| < 1, unchecked) may be broadcasting ndarrays."""
+    """(center, radius) of the zeta-disk Z; z0 and lam may be broadcasting ndarrays.
+
+    No domain checks: the caller guarantees |z0| < 1 and |lam| < 1.
+    """
     # |lam|*|lam| equals lam*lam exactly for real lam; pow(|lam|, 2) may not.
     # Python abs on scalars: numpy's complex modulus can differ in the last bit.
     l2, m = abs(lam) * abs(lam), abs(z0)
@@ -264,12 +264,13 @@ def region_point(a, point: EvalPoint, params: JanowskiParams):
     if not np.all(np.abs(a) <= 1.0 + 1e-12):
         raise ValueError("require |a| <= 1")
     center, radius = _disk(point.z0, point.lam)  # c + a r = 1 + B omega, omega = z0 center + sign(B) |z0| radius a
-    return _log_fprime(point.z0 * center + math.copysign(abs(point.z0) * radius, params.B) * np.asarray(a), params)
+    radius = max(radius, 0.0)  # EvalPoint lets |lambda| exceed 1 by UNIT_TOL, where 1 - |lambda|^2 < 0
+    return log_fprime(point.z0 * center + math.copysign(abs(point.z0) * radius, params.B) * np.asarray(a), params)
 
 
 def _boundary_values(k, z0, lam, params: JanowskiParams):
     """((A - B)/B) Log(1 + B omega) at omega = z0 delta(k z0, lambda), for unimodular k."""
-    return _log_fprime(z0 * mobius_delta(k * z0, lam), params)
+    return log_fprime(z0 * mobius_delta(k * z0, lam), params)
 
 
 def boundary_point(theta, point: EvalPoint, params: JanowskiParams):
@@ -387,13 +388,6 @@ def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
     a, b = x.real, x.imag
     re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
     return (params.A - params.B) * complex(0.5 * re, math.atan2(b, 1.0 + a)) / params.B
-
-
-def _singleton_note(point: EvalPoint) -> str:
-    """Why singleton_value is not None at point."""
-    if point.z0 == 0:
-        return "z0 = 0: the region is the singleton {0}"
-    return "|lambda| = 1: the region is a singleton"
 
 
 def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):

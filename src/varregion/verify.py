@@ -27,6 +27,7 @@ from .region import (
     _boundary_values,
     _classify,
     _disk,
+    _log1p,
     _require_disk,
     _unit_circle_grid,
     equivalent_disk_param,
@@ -300,13 +301,16 @@ def check_coverage(
     parameter a(k) is the Mobius image of the inner constant k), so the largest
     gap max_k |m_k - r_k| between matched points is pure numerical noise.  It
     bounds the Hausdorff distance in both directions, so it is what is gated.
+    Member values come from the class's own formula ((A - B)/B) Log(1 + B omega),
+    not from log_fprime, which region_point calls: a fault in that map shows.
     """
     tally = _Tally(tol)
     ks = _polar_grid(grid_n)
     inners = constant_inners(ks)
     per_combo = []
     for params, point in cases:
-        member_vals = log_fprime(omega_eval(inners, point.lam, point.z0), params)
+        omega = omega_eval(inners, point.lam, point.z0)
+        member_vals = (params.A - params.B) / params.B * _log1p(params.B * omega)
         region_vals = region_point(equivalent_disk_param(ks, point, params), point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         gaps = {"hausdorff_member_to_region": h, "hausdorff_region_to_member": h}

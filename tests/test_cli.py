@@ -37,7 +37,7 @@ from varregion.cli import (
     parse_complex,
     region_record,
 )
-from varregion.region import VERDICTS, _singleton_note, classify
+from varregion.region import VERDICTS, classify
 from varregion.verify import SUITE_NAMES, run_suite
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -407,7 +407,8 @@ def _reference_region_record(params, point, n):
     rec = {"params": {"A": params.A, "B": params.B}, "point": {"z0": pair(point.z0), "lambda": pair(point.lam)}}
     single = singleton_value(point, params)
     if single is not None:
-        rec.update(center=pair(single), radius=0.0, boundary=[], note=_singleton_note(point))
+        note = "z0 = 0: the region is the singleton {0}" if point.z0 == 0 else "|lambda| = 1: the region is a singleton"
+        rec.update(center=pair(single), radius=0.0, boundary=[], note=note)
         return rec
     disk, curve = variability_disk(point, params), boundary_curve(point, params, n)
     rec.update(center=pair(disk.center), radius=disk.radius + 0.0,

@@ -60,7 +60,7 @@ FAULTS = [
     ("inner_eval", blaschke_without_conj, {"halfplane"}),
     ("mobius_delta", mobius_delta_without_conj, {"coverage", "halfplane"}),
     ("inner_eval", inner_scaled, {"prop1", "corollary0", "coverage", "halfplane"}),
-    ("log_fprime", log_fprime_of_conj, {"prop1", "coverage"}),
+    ("log_fprime", log_fprime_of_conj, {"prop1", "coverage", "unit-lambda"}),
     ("_log1p", log1p_conj, {"prop1", "unit-lambda"}),
     ("omega_eval", omega_scaled, {"prop1", "corollary0", "coverage", "halfplane"}),
 ]

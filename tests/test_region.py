@@ -497,6 +497,15 @@ def test_region_point_rejects_nan():
         region_point(float("nan"), PT, P05)
 
 
+@pytest.mark.parametrize("lam", [1.0 + 1e-13, (1.0 + 1e-13) * np.exp(0.7j), np.exp(0.7j), -1.0])
+def test_region_point_is_the_singleton_within_the_unit_tolerance(lam):
+    # 1 - |lambda|^2 < 0 above the circle (or by rounding on it): no radius may come out negative
+    point = EvalPoint(0.3 + 0.4j, lam)
+    values = region_point(np.array([0.0, 1.0, -1.0, 1j, -1j]), point, P05)
+    assert np.all(values == values[0])
+    assert abs(values[0] - singleton_value(point, P05)) <= 1e-12
+
+
 def test_singleton_value():
     assert singleton_value(EvalPoint(0.5, 1.0), P05) == pytest.approx(-LOG_1_25, abs=1e-15)
     assert singleton_value(EvalPoint(0.0, 0.3), P05) == 0.0

@@ -543,7 +543,8 @@ def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> dict:
     d_pairs = []
     for params, point in combos:
         ks = _polar_grid(grid_n)
-        member_vals = V.log_fprime(V.omega_eval(constant_inners(ks), point.lam, point.z0), params)
+        omega = V.omega_eval(constant_inners(ks), point.lam, point.z0)
+        member_vals = (params.A - params.B) / params.B * V._log1p(params.B * omega)
         region_vals = V.region_point(V.equivalent_disk_param(ks, point, params), point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         sub = _Tally(tol)
@@ -738,22 +739,15 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
 
 
 def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch):
-    real_omega, real_log_fprime = varregion.verify.omega_eval, varregion.verify.log_fprime
-    real_curvature = varregion.verify.special_curvature
-    lams = []  # the lambda of each omega_eval call, so log_fprime knows whose values it takes
+    real_region_point, real_curvature = varregion.verify.region_point, varregion.verify.special_curvature
 
-    def seen_omega(inner, lam, z):
-        lams.append(lam)
-        return real_omega(inner, lam, z)
-
-    def moved_member(omega, params):  # off the region image where lambda = 0.5 and B < 0.6
-        return real_log_fprime(omega, params) + (1e-6 if lams[-1] == 0.5 and params.B < 0.6 else 0.0)
+    def moved_region(a, point, params):  # off the member image where lambda = 0.5 and B < 0.6
+        return real_region_point(a, point, params) + (1e-6 if point.lam == 0.5 and params.B < 0.6 else 0.0)
 
     def inside_curvature(params, z):  # the disk center for B > 0: no witness outside the disk
         return np.full_like(z, janowski_disk(params).center) if params.B > 0 else real_curvature(params, z)
 
-    monkeypatch.setattr(varregion.verify, "omega_eval", seen_omega)
-    monkeypatch.setattr(varregion.verify, "log_fprime", moved_member)
+    monkeypatch.setattr(varregion.verify, "region_point", moved_region)
     monkeypatch.setattr(varregion.verify, "special_curvature", inside_curvature)
     coverage, inclusion = run_suite("coverage"), run_suite("inclusion")
     assert coverage == _reference_coverage()
