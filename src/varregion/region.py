@@ -181,7 +181,7 @@ def mobius_delta_inv(s, lam):
     """
     _require_lambda(lam)
     den = 1.0 - np.conjugate(lam) * s
-    if np.any(np.abs(den) == 0.0):
+    if np.any(den == 0.0):
         raise ValueError("mobius_delta_inv: denominator 1 - conj(lambda) s vanished")
     return (s - lam) / den
 
@@ -205,18 +205,26 @@ def _log1p(x):
     numpy's complex log rounds 1 + x first, which loses the low bits of a small
     x.  With x = a + ib, Im = atan2(b, 1 + a) and Re = log|1 + x| takes one of
     two forms, each evaluated only where it applies (a NaN entry gives NaN):
-    (1/2) log1p(a (2 + a) + b^2) for a >= -1/2, and (1/2) log((1 + a)^2 + b^2)
+    (1/2) log1p(a (2 + a) + b^2) for a >= -1/2 or NaN, and (1/2) log((1 + a)^2 + b^2)
     below, where 1 + a is exact and log1p's argument would cancel near -1.
     """
     x = np.asarray(x)
-    a, b = x.real, x.imag
-    one_a, b2 = 1.0 + a, b * b
-    near = a >= -0.5
+    a, b = x.real.flatten(), x.imag.flatten()  # contiguous 1-d copies, which every pass below reads
     out = np.empty(x.shape, complex)
-    np.log1p(a * (2.0 + a) + b2, out=out.real, where=near)
-    np.log(one_a * one_a + b2, out=out.real, where=~near)
-    out.real *= 0.5
-    np.arctan2(b, one_a, out=out.imag)
+    flat = out.reshape(-1)
+    one_a = 1.0 + a
+    np.arctan2(b, one_a, out=flat.imag)
+    b *= b
+    t = a * (2.0 + a)
+    t += b
+    far = a < -0.5
+    if far.any():  # rare: log1p never sees a far entry, whose argument may round to -1 or below
+        np.log1p(t, out=t, where=~far)
+        one_a = one_a[far]
+        t[far] = np.log(one_a * one_a + b[far])
+    else:
+        np.log1p(t, out=t)
+    np.multiply(t, 0.5, out=flat.real)
     return out
 
 
@@ -226,9 +234,21 @@ def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
     num = np.asarray(f(x), complex, order="C")
     parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
     parts /= B / scale  # never 0, and for scale = A - B at most 2^53 in size, as |A - B| >= ulp(B)/2
-    small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal B v loses nothing
-    np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
+    small = _series_entries(x)
+    if small.size:  # the series takes v itself: a zero or subnormal B v loses nothing
+        np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
+
+
+def _series_entries(x):
+    """Flat indices of the entries with |x| < 1e-8, which needs |Re x| and |Im x| < 1e-8.
+
+    The complex modulus, the costly part, is taken on those candidates alone.
+    """
+    small = np.abs(x.real) < 1e-8
+    small &= np.abs(x.imag) < 1e-8
+    small = np.flatnonzero(small)
+    return small[np.abs(np.take(x, small)) < 1e-8] if small.size else small
 
 
 def log_fprime(omega, params: JanowskiParams):

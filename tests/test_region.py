@@ -24,7 +24,7 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, _log1p, _pullback, _unit_circle_grid, classify, log_fprime
+from varregion.region import VERDICTS, _log1p, _pullback, _series_entries, _unit_circle_grid, classify, log_fprime
 from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -238,6 +238,52 @@ def test_log1p_passes_nan_without_a_warning():
     x = np.array([complex(NAN, 0.0), complex(0.0, NAN), complex(-0.75, NAN), 0.0])
     got = _log1p(x)
     assert np.all(np.isnan(got[:3])) and got[3] == 0.0
+
+
+def test_log1p_far_branch_raises_no_floating_point_error():
+    # Re x just above -1, where a (2 + a) + b^2 rounds to -1 or below: log1p must never see those
+    edge = np.array([complex(-1.0 + 2.0**-52, 0.0), complex(-1.0 + 2.0**-30, 1e-20), complex(-1.0 + 2.0**-27, -1e-10)])
+    a, b = edge.real, edge.imag
+    assert np.all(a * (2.0 + a) + b * b <= -1.0)
+    near = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.5, -0.25), complex(-0.5, 0.0), 1e-12j])
+    nan = np.array([complex(NAN, 0.0), complex(-0.75, NAN), complex(NAN, NAN)])
+    far = np.array([complex(-0.75, 0.5), complex(-0.9, -0.1)])
+    x = np.concatenate([near, edge, nan, far])[np.random.default_rng(3).permutation(14)].reshape(2, 7)
+    params = JanowskiParams(-0.5, 0.5)
+    with np.errstate(all="raise"):
+        got = _log1p(x)
+        w = log_fprime(x / params.B, params)  # B omega = x exactly: B is a power of 2
+    finite = ~np.isnan(x)
+    assert np.all(np.isnan(got[~finite])) and np.all(np.isfinite(got[finite]))
+    assert np.allclose(got[finite], np.log(1.0 + x[finite]), rtol=1e-12, atol=0.0)
+    small = np.abs(x) < 1e-8
+    assert np.array_equal(w[finite & ~small], (params.A - params.B) / params.B * got[finite & ~small])
+    assert np.all(np.isnan(w[~finite]))
+    # signed zeros keep their sign: Log(1 + x) of -0 - 0j is 0 - 0j
+    assert np.signbit(_log1p(np.array([complex(-0.0, -0.0)])).imag[0])
+
+
+def test_series_entries_equal_the_complex_modulus_test():
+    rng = np.random.default_rng(11)
+    r = 1e-8
+    axis = np.array([np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)])
+    d = r / np.sqrt(2.0)  # the diagonal, one ulp either way in each part
+    diag = np.array([complex(np.nextafter(d, 0.0) if i < 0 else np.nextafter(d, 1.0) if i > 0 else d,
+                             np.nextafter(d, 0.0) if j < 0 else np.nextafter(d, 1.0) if j > 0 else d)
+                     for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    near = r * (1.0 + rng.uniform(-1e-15, 1e-15, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    x = np.concatenate([
+        axis, -axis, 1j * axis, -1j * axis, diag, -diag, np.conj(diag), near,
+        r * np.exp(1j * rng.uniform(-np.pi, np.pi, 100)) * 10.0 ** rng.uniform(-3, 3, 100),
+        [0.0, -0.0, complex(-0.0, -0.0), 5e-324, complex(0.0, -5e-324), complex(5e-324, 5e-324), 1e-310j,
+         complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, 1e-9), complex(np.inf, 0.0), complex(1e-9, -np.inf)],
+    ])
+    with np.errstate(invalid="ignore"):
+        want = np.flatnonzero(np.abs(x) < 1e-8)
+    assert 0 < want.size < x.size
+    assert np.array_equal(_series_entries(x), want)
+    assert np.array_equal(_series_entries(np.stack([x, x])), np.concatenate([want, x.size + want]))
+    assert np.array_equal(_series_entries(x[::-1]), np.sort(x.size - 1 - want))
 
 
 @st.composite
