@@ -82,8 +82,6 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
     """The --out file or directory, None for stdout; OVERRIDE_OUT_DIR takes the place of its directory."""
     if path_str is None:
         return None
-    if not path_str:
-        raise ValueError("require a non-empty --out path")
     override = os.environ.get("OVERRIDE_OUT_DIR")
     if not override:
         return Path(path_str)
@@ -423,35 +421,8 @@ def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) ->
 # commands
 
 
-def _point_args(args: argparse.Namespace) -> tuple[JanowskiParams, EvalPoint]:
-    """Validated (params, point) of a region/sample command, rejecting a bad --theta-samples too."""
-    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
-    _check_theta_samples(args.theta_samples)
-    return params, point
-
-
-def _check_theta_samples(n: int) -> None:
-    """Reject a boundary curve of fewer than 3 samples before any work."""
-    if n < 3:
-        raise ValueError("require theta_samples >= 3")
-
-
-def _check_tol(tol: float) -> None:
-    """Reject a membership tolerance that is not a finite positive number before any work."""
-    if not tol > 0.0:
-        raise ValueError("require tol > 0")
-    if tol == math.inf:
-        raise ValueError("require a finite tol")
-
-
-def _check_seed(seed: int) -> None:
-    """Reject a negative seed before any work, whether or not the command's work would draw from it."""
-    if seed < 0:
-        raise ValueError(f"require seed >= 0, got {seed}")
-
-
 def cmd_region(args: argparse.Namespace) -> int:
-    params, point = _point_args(args)
+    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
     rec, curve = region_record(params, point, args.theta_samples)
     if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
@@ -466,16 +437,10 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
-    params = JanowskiParams(args.A, args.B)
-    if not math.isfinite((params.A - params.B) / params.B):  # a subnormal B: every F' value would be NaN
-        raise ValueError(f"require a finite (A - B)/B, got B = {args.B!r}")
-    spec = ExtremalSpec(a=args.a, lam=args.lam, params=params)
-    z = args.z
-    if not abs(z) < 1.0:
-        raise ValueError(f"require |z| < 1, got |z| = {abs(z)}")
+    spec = ExtremalSpec(a=args.a, lam=args.lam, params=JanowskiParams(args.A, args.B))
     cfg = QuadratureConfig(abs_tol=args.quad_tol, max_panels=args.max_panels)
-    value = extremal_value(spec, z, cfg)
-    deriv = complex(extremal_fprime(spec, z))
+    value = extremal_value(spec, args.z, cfg)
+    deriv = complex(extremal_fprime(spec, args.z))
     text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
     _write_out(args.out, text.encode())
     return EXIT_OK
@@ -507,11 +472,7 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    params, point = _point_args(args)
-    _check_tol(args.tol)
-    if args.mc_samples < 1:
-        raise ValueError("require mc_samples >= 1")
-    _check_seed(args.seed)
+    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
     # a row's end holds its verdict
     shortest = args.format == "json"
     if shortest:
@@ -550,8 +511,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol is not None:
-        _check_tol(args.tol)
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = [run_suite(n, seed=args.seed, tol=args.tol) for n in names]
     _write_out(args.out, _json_text(reports))
@@ -617,7 +576,6 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_theta_samples(args.theta_samples)
     out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -641,15 +599,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
+def _ruled(convert, rule):
+    """A flag's ``type``: ``convert``, then a refusal of each value for which ``rule`` gives a message.
+
+    ``rule(value)`` is the message, or a false value where the rule holds.
+    Both parse paths call it, and argparse prints the refusal as a usage
+    error.  The wrapper keeps convert's ``__name__``, which argparse quotes
+    where convert itself refuses the text (``invalid int value: 'abc'``).
+    """
+
+    def checked(text: str):
+        value = convert(text)
+        message = rule(value)
+        if message:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    checked.__name__ = convert.__name__
+    return checked
+
+
+# the rules that carry no hypothesis of the paper, as flag types; JanowskiParams,
+# EvalPoint and ExtremalSpec check the paper's own when the command runs
+_THETA_SAMPLES = _ruled(int, lambda n: n < 3 and "require theta_samples >= 3")
+_SEED_VALUE = _ruled(int, lambda n: n < 0 and f"require seed >= 0, got {n}")
+_MC_SAMPLES = _ruled(int, lambda n: n < 1 and "require mc_samples >= 1")
+_TOL = _ruled(float, lambda tol: "require tol > 0" if not tol > 0.0 else tol == math.inf and "require a finite tol")
+_OUT_PATH = _ruled(str, lambda path: not path and "require a non-empty --out path")
+_INSIDE_DISK = _ruled(parse_complex, lambda z: not abs(z) < 1.0 and f"require |z| < 1, got |z| = {abs(z)}")
+
 _POINT_FLAGS = {
     "--A": dict(type=float, required=True, help="parameter A (-1 <= A < B)"),
     "--B": dict(type=float, required=True, help="parameter B (A < B <= 1, B != 0)"),
     "--lambda": dict(dest="lam", type=parse_complex, default=0j,
                      help="coefficient parameter; 're' or 're,im' (default 0)"),
 }
-_THETA = {"--theta-samples": dict(type=int, default=256)}
-_SEED = {"--seed": dict(type=int, default=0, help="random seed (default 0)")}
-_OUT = {"--out": dict(default=None, help="output path (default: stdout)")}
+_THETA = {"--theta-samples": dict(type=_THETA_SAMPLES, default=256)}
+_SEED = {"--seed": dict(type=_SEED_VALUE, default=0, help="random seed (default 0)")}
+_OUT = {"--out": dict(type=_OUT_PATH, default=None, help="output path (default: stdout)")}
 _FORMAT = {"--format": dict(choices=("csv", "svg", "json"), default="csv")}
 
 # command -> (its function, its help, {flag: add_argument keywords} in --help
@@ -662,20 +649,20 @@ _COMMANDS = {
     "extremal": (cmd_extremal, "evaluate one extremal map F and F'", {
         **_POINT_FLAGS,
         "--a": dict(type=parse_complex, required=True, help="disk parameter, |a| <= 1"),
-        "--z": dict(type=parse_complex, required=True, help="evaluation point, |z| < 1"),
+        "--z": dict(type=_INSIDE_DISK, required=True, help="evaluation point, |z| < 1"),
         "--quad-tol": dict(type=float, default=1e-12), "--max-panels": dict(type=int, default=1024), **_OUT}),
     "sample": (cmd_sample, "seeded cloud of member values with verdicts", {
         **_POINT_FLAGS, "--z0": dict(type=parse_complex, required=True),
-        "--mc-samples": dict(type=int, default=1000), **_THETA, **_SEED,
-        "--tol": dict(type=float, default=1e-9, help="membership tolerance (default 1e-9)"),
+        "--mc-samples": dict(type=_MC_SAMPLES, default=1000), **_THETA, **_SEED,
+        "--tol": dict(type=_TOL, default=1e-9, help="membership tolerance (default 1e-9)"),
         **_OUT, **_FORMAT}),
     "verify": (cmd_verify, "run verification suites", {
         "--suite": dict(choices=SUITE_NAMES + ("all",), required=True),
-        "--tol": dict(type=float, default=None, help="tolerance of every suite (default: each suite's own)"),
+        "--tol": dict(type=_TOL, default=None, help="tolerance of every suite (default: each suite's own)"),
         **_SEED, **_OUT}),
     "sweep": (cmd_sweep, "batch region records from a grid file", {
         "--grid": dict(required=True, help="grid file of key=value blocks"),
-        "--out": dict(required=True, help="output directory"),
+        "--out": dict(type=_OUT_PATH, required=True, help="output directory"),
         **_THETA}),
 }
 

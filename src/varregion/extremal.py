@@ -11,6 +11,7 @@ elementary antiderivative used as an independent oracle.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,12 +28,19 @@ __all__ = [
 ]
 
 
+def _require_finite_exponent(params: JanowskiParams) -> None:
+    """Reject a B whose (A - B)/B overflows (a subnormal B): every F' value would be NaN."""
+    if not math.isfinite((params.A - params.B) / params.B):
+        raise ValueError(f"require a finite (A - B)/B, got B = {params.B!r}")
+
+
 class ExtremalSpec(_FrozenRecord):
     """Boundary-family member: disk parameter a, coefficient parameter lambda."""
 
     _fields = ("a", "lam", "params")
 
     def __init__(self, a: complex, lam: complex, params: JanowskiParams) -> None:
+        _require_finite_exponent(params)
         a, lam = complex(a), complex(lam)
         if not abs(a) <= 1.0 + 1e-12:
             raise ValueError(f"require |a| <= 1, got |a| = {abs(a)}")
@@ -181,8 +189,10 @@ def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:
 
     ((1 + B lam z)^(A/B) - 1)/(lam A) for A != 0, Log(1 + B lam z)/(B lam) for
     A = 0.  lam = 0 is rejected: the integrand is then identically 1 and
-    F(z) = z needs no oracle.
+    F(z) = z needs no oracle.  So is a B whose (A - B)/B overflows, as in
+    ExtremalSpec.
     """
+    _require_finite_exponent(params)
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda = 0 makes F(z) = z; no closed form needed")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from varregion import (
     fprime_segment_integral,
 )
 from varregion import extremal
+from varregion.cli import main
 from varregion.region import VERDICTS, classify
 
 P05 = JanowskiParams(0.0, 0.5)
@@ -112,6 +115,36 @@ def test_closed_form_domain():
     spec = ExtremalSpec(0.0, 0.0, P05)
     for z in (0.5, -0.3 + 0.2j):
         assert extremal_value(spec, z) == pytest.approx(z, abs=1e-14)
+
+
+@pytest.mark.parametrize("B", [5e-324, 1e-310])
+def test_a_b_whose_exponent_overflows_is_a_domain_error(B):
+    # (A - B)/B overflows, so every F' value would be NaN
+    params = JanowskiParams(-0.5, B)
+    message = "^" + re.escape(f"require a finite (A - B)/B, got B = {B!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, params)
+    with pytest.raises(ValueError, match=message):  # checked first
+        ExtremalSpec(2.0, 0.3 + 0.4j, params)
+    with pytest.raises(ValueError, match=message):
+        closed_form_a0(0.3 + 0.4j, params, 0.5 + 0.1j)
+
+
+# extremal --A=-0.5 --B=1e-8 --lambda=0.3,0.4 --a=0.6,0.2 --z=0.5,0.1: F and F' from mpmath at 40
+# digits (adaptive quadrature of the defining integral), rounded to binary64
+F_SMALL_B = 0.4851419115466063 + 0.06262134892456037j
+FPRIME_SMALL_B = 0.9002521950510878 - 0.13828953759228685j
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: extremal_fprime takes numpy's complex log(1 + x), and (A - B)/B "
+                          "multiplies its rounding by 1/|B|: from |B| ~ 1e-7 on, the quadrature cannot confirm "
+                          "1e-12 and extremal exits 4")
+def test_extremal_at_a_small_b_matches_mpmath(capsys):
+    assert main(["extremal", "--A=-0.5", "--B=1e-8", "--lambda=0.3,0.4", "--a=0.6,0.2", "--z=0.5,0.1"]) == 0
+    value, deriv = (complex(*map(float, line.split())) for line in capsys.readouterr().out.splitlines())
+    assert abs(value - F_SMALL_B) <= 1e-13
+    assert abs(deriv - FPRIME_SMALL_B) <= 1e-13
 
 
 def test_oracle_agreement_grid():
