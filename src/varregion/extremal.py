@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .region import JanowskiParams, _FrozenRecord, _require_lambda, mobius_delta
+from .region import JanowskiParams, _FrozenRecord, _log1p_over_b, _require_lambda, mobius_delta
 
 __all__ = [
     "ExtremalSpec",
@@ -28,19 +28,15 @@ __all__ = [
 ]
 
 
-def _require_finite_exponent(params: JanowskiParams) -> None:
-    """Reject a B whose (A - B)/B overflows (a subnormal B): every F' value would be NaN."""
-    if not math.isfinite((params.A - params.B) / params.B):
-        raise ValueError(f"require a finite (A - B)/B, got B = {params.B!r}")
-
-
 class ExtremalSpec(_FrozenRecord):
     """Boundary-family member: disk parameter a, coefficient parameter lambda."""
 
     _fields = ("a", "lam", "params")
 
     def __init__(self, a: complex, lam: complex, params: JanowskiParams) -> None:
-        _require_finite_exponent(params)
+        # checked first: a subnormal B overflows (A - B)/B, and every F' value would be NaN
+        if not math.isfinite((params.A - params.B) / params.B):
+            raise ValueError(f"require a finite (A - B)/B, got B = {params.B!r}")
         a, lam = complex(a), complex(lam)
         if not abs(a) <= 1.0 + 1e-12:
             raise ValueError(f"require |a| <= 1, got |a| = {abs(a)}")
@@ -187,18 +183,17 @@ def extremal_value(
 def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:
     """Exact antiderivative for a = 0, where the integrand is (1 + B lam zeta)^((A-B)/B).
 
-    ((1 + B lam z)^(A/B) - 1)/(lam A) for A != 0, Log(1 + B lam z)/(B lam) for
-    A = 0.  lam = 0 is rejected: the integrand is then identically 1 and
-    F(z) = z needs no oracle.  So is a B whose (A - B)/B overflows, as in
-    ExtremalSpec.
+    With L = Log(1 + B lam z)/B: expm1(A L)/(lam A) for A != 0, L/lam for A = 0.
+    L is _log1p_over_b's quotient form, the scalar map of singleton_value, so
+    neither form loses the low bits of a small B lam z, and a subnormal B gives
+    a finite value.  lam = 0 is rejected: the integrand is then identically 1
+    and F(z) = z needs no oracle.
     """
-    _require_finite_exponent(params)
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda = 0 makes F(z) = z; no closed form needed")
     _require_lambda(lam)
-    blam = params.B * lam
+    L = _log1p_over_b(lam * complex(z), params.B, 1.0)
     if params.A == 0.0:
-        return complex(np.log(1.0 + blam * z) / blam)
-    apow = np.exp((params.A / params.B) * np.log(1.0 + blam * z))
-    return complex((apow - 1.0) / (lam * params.A))
+        return L / lam
+    return complex(np.expm1(params.A * L)) / (lam * params.A)

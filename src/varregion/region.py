@@ -32,7 +32,6 @@ __all__ = [
     "Verdict",
     "mobius_delta",
     "mobius_delta_inv",
-    "majorant_q",
     "variability_disk",
     "region_point",
     "boundary_point",
@@ -186,19 +185,6 @@ def mobius_delta_inv(s, lam):
     return (s - lam) / den
 
 
-def majorant_q(z, A: float, B: float):
-    """The majorant (1 + Bz)^(A/B - 1), or exp(Az) in the degenerate B = 0 case.
-
-    Principal branch; smooth on the open disk since Re(1 + Bz) > 0 there.
-    Unlike the rest of the module, B = 0 is accepted here.
-    """
-    if not (-1.0 <= A < B <= 1.0):
-        raise ValueError(f"require -1 <= A < B <= 1 (B = 0 allowed), got A={A}, B={B}")
-    if B == 0.0:
-        return np.exp(A * z)
-    return np.exp(log_fprime(z, JanowskiParams(A, B)))
-
-
 def _log1p(x):
     """Principal Log(1 + x) for a complex ndarray x with |x| < 1, from real parts.
 
@@ -238,6 +224,16 @@ def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
     if small.size:  # the series takes v itself: a zero or subnormal B v loses nothing
         np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
+
+
+def _log1p_over_b(v: complex, B: float, scale: float) -> complex:
+    """scale Log(1 + B v)/B for one complex v, in math: _over_b(_log1p, v, B, -0.5, scale) without numpy."""
+    x = B * v
+    if abs(x) < 1e-8:  # _over_b's series: a zero or subnormal x loses nothing
+        return scale * v * (1.0 - 0.5 * x)
+    a, b = x.real, x.imag
+    re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
+    return scale * complex(0.5 * re, math.atan2(b, 1.0 + a)) / B
 
 
 def _series_entries(x):
@@ -397,17 +393,11 @@ def singleton_value(point: EvalPoint, params: JanowskiParams) -> complex | None:
 
     |lambda| = 1 (within UNIT_TOL) forces omega(z) = lambda z, and z0 = 0 gives
     omega(z0) = 0: either way the value is log_fprime(lambda z0), taken here in
-    scalar math without _log1p, as the unit-lambda suite's reference for region_point.
+    scalar math by _log1p_over_b, as the unit-lambda suite's reference for region_point.
     """
     if point.z0 != 0 and abs(abs(point.lam) - 1.0) > UNIT_TOL:
         return None
-    omega = point.lam * point.z0
-    x = params.B * omega
-    if abs(x) < 1e-8:  # _over_b's series: a zero or subnormal x loses nothing
-        return (params.A - params.B) * omega * (1.0 - 0.5 * x)
-    a, b = x.real, x.imag
-    re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
-    return (params.A - params.B) * complex(0.5 * re, math.atan2(b, 1.0 + a)) / params.B
+    return _log1p_over_b(point.lam * point.z0, params.B, params.A - params.B)
 
 
 def equivalent_disk_param(k, point: EvalPoint, params: JanowskiParams):

@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -126,8 +127,27 @@ def test_a_b_whose_exponent_overflows_is_a_domain_error(B):
         ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, params)
     with pytest.raises(ValueError, match=message):  # checked first
         ExtremalSpec(2.0, 0.3 + 0.4j, params)
-    with pytest.raises(ValueError, match=message):
-        closed_form_a0(0.3 + 0.4j, params, 0.5 + 0.1j)
+
+
+_ORACLE_AB = [(0.0, 0.5), (-0.5, 0.5), (-1.0, 1.0), (0.3, 0.7), (-0.9, -0.1), (-1e-10, 0.5),
+              (-0.5, -1e-12), (-0.5, 1e-8), (-0.5, 1e-20), (-0.5, 1e-310), (-1.0, -5e-324),
+              (0.0, 5e-324), (-1.0, 1e-300)]
+_ORACLE_LAM_Z = [(0.3 + 0.4j, 0.5 + 0.1j), (0.9, 0.95), (-0.99j, 0.9j), (1e-8, 0.5),
+                 (0.5, 1e-12 + 1e-12j), (-0.7 + 0.1j, -0.6 - 0.7j)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_a0_matches_mpmath():
+    # small and subnormal B included: L = Log(1 + B lam z)/B is a quotient, never Log of a rounded 1 + x
+    for A, B in _ORACLE_AB:
+        params = JanowskiParams(A, B)
+        for lam, z in _ORACLE_LAM_Z:
+            got = closed_form_a0(lam, params, z)
+            with mpmath.workdps(50):
+                l, mz = mpmath.mpc(complex(lam)), mpmath.mpc(complex(z))
+                L = mpmath.log1p(mpmath.mpf(B) * l * mz) / mpmath.mpf(B)
+                want = L / l if A == 0.0 else mpmath.expm1(mpmath.mpf(A) * L) / (l * mpmath.mpf(A))
+                assert abs(mpmath.mpc(got) - want) <= 4 * 2.0**-52 * abs(want), (A, B, lam, z, got)
 
 
 # extremal --A=-0.5 --B=1e-8 --lambda=0.3,0.4 --a=0.6,0.2 --z=0.5,0.1: F and F' from mpmath at 40

@@ -15,7 +15,6 @@ from varregion import (
     boundary_point,
     equivalent_disk_param,
     janowski_disk,
-    majorant_q,
     mobius_delta,
     mobius_delta_inv,
     pullback_modulus,
@@ -183,33 +182,6 @@ def test_schwarz_pick_contraction():
     assert float(np.max(np.abs(np.abs(mobius_delta(circle, lam)) - 1.0))) < 1e-12
     interior = 0.9 * circle
     assert float(np.max(np.abs(mobius_delta(interior, lam)))) < 1.0
-
-
-# ---------------------------------------------------------------------------
-# subordination target and majorant
-
-
-@pytest.mark.parametrize("params", DEFAULT_PARAM_SETS)
-def test_majorant_differential_identity(params):
-    # z q'/q must reproduce the subordination target (A - B) z/(1 + B z); q' by central differences
-    h = 1e-6
-    rng = np.random.default_rng(3)
-    z = 0.9 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
-    q = majorant_q(z, params.A, params.B)
-    dq = (majorant_q(z + h, params.A, params.B) - majorant_q(z - h, params.A, params.B)) / (2 * h)
-    err = np.abs(z * dq / q - (params.A - params.B) * z / (1.0 + params.B * z))
-    assert float(err.max()) < 1e-6
-
-
-def test_majorant_examples():
-    assert majorant_q(0.0, -0.5, 0.5) == pytest.approx(1.0, abs=1e-16)
-    assert majorant_q(0.5, 0.0, 0.5) == pytest.approx(0.8, abs=1e-15)
-    z = np.array([0.1, -0.3 + 0.2j, 0.5j])
-    np.testing.assert_allclose(majorant_q(z, -0.7, 0.0), np.exp(-0.7 * z), atol=1e-16)
-    with pytest.raises(ValueError):
-        majorant_q(0.3, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        majorant_q(0.3, 0.5, 0.0)  # B = 0 still needs A < B
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,29 @@ def test_render_gallery_script(tmp_path, monkeypatch, capsys):
         svg = (tmp_path / entry["file"]).read_text()
         assert svg.startswith("<svg") and "<polygon" in svg
     assert "wrote 15 SVGs" in capsys.readouterr().out
+
+
+def test_argv_corpus_script(tmp_path, capsys):
+    corpus = json.loads((SCRIPTS / "argv_corpus.json").read_text())
+    sweep = next(a for a in corpus["argvs"] if a[0] == "sweep")
+    taken = ["region", "--A=0", "--B=0.5", "--z0=0.5", "--out=taken"]
+    subnormal = ["extremal", "--A=-0.5", "--B=5e-324", "--lambda=0.3,0.4", "--a=0.6,0.2", "--z=0.5,0.1"]
+    assert taken in corpus["argvs"] and subnormal in corpus["argvs"]
+    small = tmp_path / "corpus.json"
+    small.write_text(json.dumps({"files": corpus["files"], "argvs": [sweep, taken, subnormal]}))
+    out = tmp_path / "run.txt"
+    _run("argv_corpus.py", ["run", f"--corpus={small}", f"--out={out}"])
+    lines = out.read_text().splitlines()
+    assert [line.split()[1] for line in lines] == ["exit=0", "exit=3", "exit=2"]
+    # the sweep's grid is its input, and every record it writes is listed with mode 644
+    assert lines[0].split()[4].startswith(f"files={sweep[1][len('--grid='):]}:644:")
+    assert ";sweep-out/:755;sweep-out/index.json:644:" in lines[0]
+    assert " files=taken/:755 " in lines[1]
+    _run("argv_corpus.py", ["diff", str(out), str(out)])
+    assert capsys.readouterr().out == "0 of 3 argvs differ\n"
+    changed = tmp_path / "changed.txt"
+    changed.write_text(out.read_text().replace("exit=2", "exit=1"))
+    with pytest.raises(SystemExit) as exc:
+        _run("argv_corpus.py", ["diff", str(out), str(changed)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.endswith("1 of 3 argvs differ\n")
