@@ -45,7 +45,7 @@ def test_argv_corpus_script(tmp_path, capsys):
     _run("argv_corpus.py", ["run", f"--corpus={small}", f"--out={out}"])
     lines = out.read_text().splitlines()
     assert [line.split()[1] for line in lines] == ["exit=0", "exit=3", "exit=2"]
-    # the sweep's grid is its input, and every record it writes is listed with mode 644
+    # the sweep's grid is its input, and what it writes is listed with its mode
     assert lines[0].split()[4].startswith(f"files={sweep[1][len('--grid='):]}:644:")
     assert ";sweep-out/:755;sweep-out/index.json:644:" in lines[0]
     assert " files=taken/:755 " in lines[1]
