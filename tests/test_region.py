@@ -23,7 +23,7 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, _log1p, _pullback, _series_entries, _unit_circle_grid, classify, log_fprime
+from varregion.region import VERDICTS, _log1p, _log1p_over_b, _over_b, _pullback, _series_entries, _unit_circle_grid, classify, log_fprime
 from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -204,6 +204,16 @@ def test_log1p_matches_mpmath(r, phi, lower):
     with mpmath.workdps(40):
         want = mpmath.log1p(mpmath.mpc(x.real, x.imag))
         assert abs(mpmath.mpc(got.real, got.imag) - want) <= 4 * 2.0**-52 * abs(want), x
+
+
+@pytest.mark.parametrize("A, B", [(-0.5, 0.5), (-1.0, 1.0), (-0.9, -0.1), (-0.5, -1e-12), (0.0, 1e-310)])
+def test_log1p_over_b_is_the_batch_map_at_one_point(A, B):
+    # the scalar helper against _over_b(_log1p, ...): series, near (a >= -1/2) and far (a < -1/2) branches
+    v = np.array([0.0, 1e-9 - 2e-9j, 0.5 + 0.1j, -0.3 + 0.4j, 0.9j, -0.95 + 0.2j, -0.6 - 0.7j, 0.99])
+    want = _over_b(_log1p, v, B, -0.5, A - B)
+    for k, vk in enumerate(v):
+        got = _log1p_over_b(complex(vk), B, A - B)
+        assert abs(got - want[k]) <= 4 * 2.0**-52 * abs(want[k]), (vk, got, want[k])
 
 
 def test_log1p_passes_nan_and_the_far_branch_without_a_floating_point_error():
