@@ -3,8 +3,8 @@
 
 The corpus (``argv_corpus.json`` next to this script) holds the four benchmark
 workloads' argvs at fixed seeds, drawn through ``perfbench/workloads.py``'s
-round functions together with their sweep grids; the argvs of CI's hash-seed
-step; and the singleton (``|lambda| = 1``, ``z0 = 0``) and small- and
+round functions together with their sweep grids; the CLI argvs of CI's tests
+job (``.github/workflows/tests.yml``); and the singleton (``|lambda| = 1``, ``z0 = 0``) and small- and
 subnormal-``B`` corners.  Paths in it are relative to the directory an argv
 runs in.
 
@@ -12,12 +12,12 @@ runs in.
 temporary directory holding the input files it names, under a fixed
 ``PYTHONHASHSEED`` and umask 022, and writes one line per argv: the exit code,
 the sha256 of stdout and of stderr, and the mode and sha256 of every file left.
-``diff`` compares two such runs and exits 1 when a line differs.  ``build``
-writes the corpus again; the workloads' grids and argvs are then those of the
-current ``perfbench/workloads.py``.
+Argvs run in parallel, one per CPU.  ``diff`` compares two such runs and exits
+1 when a line differs.  ``build`` writes the corpus again; the workloads' grids
+and argvs are then those of the current ``perfbench/workloads.py``.
 
 Usage:
-    python scripts/argv_corpus.py run [--src DIR] [--hash-seed 0] [--jobs 2] [--out head.txt]
+    python scripts/argv_corpus.py run [--src DIR] [--hash-seed 0] [--out head.txt]
     python scripts/argv_corpus.py diff base.txt head.txt
     python scripts/argv_corpus.py build
 """
@@ -45,7 +45,7 @@ WORKLOAD_ROUNDS = [
     ("extremal", (1, 2, 3), range(1)),
 ]
 
-# CI's hash-seed step, with its paths made relative: "grid.txt" is CI_GRID and "taken" a directory
+# the CLI argvs of CI's tests job, with their paths made relative: "grid.txt" is CI_GRID and "taken" a directory
 CI_GRID = ("A=0\nB=0.5\nlambda_re=0.5\nz0_re=0.5\n\nA=-0.5\nB=0.5\nlambda_im=0.3\nz0_re=0.3\nz0_im=0.4\n\n"
            "A=0\nB=0.5\nz0_re=0\n\nA=0.9\nB=0.5\nz0_re=0.5\n\nA=0\nB=nan\nz0_re=-inf\n")
 CI_ARGVS = """
@@ -194,16 +194,21 @@ def _run_one(index: int, argv: list, files: dict, env: dict) -> str:
                 f"files={_left(Path(tmp))} argv={shlex.join(argv)}")
 
 
-def _run(args) -> None:
-    corpus = json.loads(Path(args.corpus).read_text())
-    env = dict(os.environ, PYTHONHASHSEED=str(args.hash_seed), PYTHONPATH=str(Path(args.src).resolve()))
+def _digests(argvs: list, files: dict, src: str, hash_seed: int) -> str:
+    """one _run_one line per argv, in argv order."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(Path(src).resolve()))
     umask = os.umask(0o022)  # every --out file gets mode 0666 less the umask
     try:
-        with ThreadPoolExecutor(args.jobs) as pool:
-            lines = list(pool.map(lambda ia: _run_one(*ia, corpus["files"], env), enumerate(corpus["argvs"])))
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            lines = list(pool.map(lambda ia: _run_one(*ia, files, env), enumerate(argvs)))
     finally:
         os.umask(umask)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _run(args) -> None:
+    corpus = json.loads(CORPUS.read_text())
+    text = _digests(corpus["argvs"], corpus["files"], args.src, args.hash_seed)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -227,8 +232,6 @@ def run(argv=None):
     p = sub.add_parser("run", help="run every argv and write one digest line per argv")
     p.add_argument("--src", default=str(ROOT / "src"), help="the source tree to run (default: this checkout's)")
     p.add_argument("--hash-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--corpus", default=str(CORPUS))
     p.add_argument("--out", default=None, help="write the lines here instead of stdout")
     p.set_defaults(func=_run)
     p = sub.add_parser("diff", help="compare two runs; exit 1 if any line differs")

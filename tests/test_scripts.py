@@ -39,10 +39,9 @@ def test_argv_corpus_script(tmp_path, capsys):
     taken = ["region", "--A=0", "--B=0.5", "--z0=0.5", "--out=taken"]
     subnormal = ["extremal", "--A=-0.5", "--B=5e-324", "--lambda=0.3,0.4", "--a=0.6,0.2", "--z=0.5,0.1"]
     assert taken in corpus["argvs"] and subnormal in corpus["argvs"]
-    small = tmp_path / "corpus.json"
-    small.write_text(json.dumps({"files": corpus["files"], "argvs": [sweep, taken, subnormal]}))
+    digests = runpy.run_path(str(SCRIPTS / "argv_corpus.py"))["_digests"]
     out = tmp_path / "run.txt"
-    _run("argv_corpus.py", ["run", f"--corpus={small}", f"--out={out}"])
+    out.write_text(digests([sweep, taken, subnormal], corpus["files"], str(SCRIPTS.parent / "src"), 0))
     lines = out.read_text().splitlines()
     assert [line.split()[1] for line in lines] == ["exit=0", "exit=3", "exit=2"]
     # the sweep's grid is its input, and what it writes is listed with its mode
