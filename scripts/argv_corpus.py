@@ -3,8 +3,9 @@
 
 The corpus (``argv_corpus.json`` next to this script) holds the four benchmark
 workloads' argvs at fixed seeds, drawn through ``perfbench/workloads.py``'s
-round functions together with their sweep grids; the CLI argvs of CI's tests
-job (``.github/workflows/tests.yml``); and the singleton (``|lambda| = 1``, ``z0 = 0``) and small- and
+round functions together with their sweep grids; the contract argvs, which
+reach each exit code, output format, ``--out`` file and flag form of the five
+commands; and the singleton (``|lambda| = 1``, ``z0 = 0``) and small- and
 subnormal-``B`` corners.  Paths in it are relative to the directory an argv
 runs in.
 
@@ -12,9 +13,12 @@ runs in.
 temporary directory holding the input files it names, under a fixed
 ``PYTHONHASHSEED`` and umask 022, and writes one line per argv: the exit code,
 the sha256 of stdout and of stderr, and the mode and sha256 of every file left.
-Argvs run in parallel, one per CPU.  ``diff`` compares two such runs and exits
-1 when a line differs.  ``build`` writes the corpus again; the workloads' grids
-and argvs are then those of the current ``perfbench/workloads.py``.
+Argvs run in parallel, one per CPU.  After writing the lines, ``run`` exits 1
+and names each argv that crashed or warned: a traceback or a
+``<Name>Warning: `` line in its stderr, or an exit code outside the CLI's 0-5.
+``diff`` compares two such runs and exits 1 when a line differs.  ``build``
+writes the corpus again; the workloads' grids and argvs are then those of the
+current ``perfbench/workloads.py``.
 
 Usage:
     python scripts/argv_corpus.py run [--src DIR] [--hash-seed 0] [--out head.txt]
@@ -26,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -45,10 +50,11 @@ WORKLOAD_ROUNDS = [
     ("extremal", (1, 2, 3), range(1)),
 ]
 
-# the CLI argvs of CI's tests job, with their paths made relative: "grid.txt" is CI_GRID and "taken" a directory
-CI_GRID = ("A=0\nB=0.5\nlambda_re=0.5\nz0_re=0.5\n\nA=-0.5\nB=0.5\nlambda_im=0.3\nz0_re=0.3\nz0_im=0.4\n\n"
+# each command's exit codes, output formats, --out files, flag forms and usage errors;
+# "grid.txt" is CONTRACT_GRID and "taken" a directory
+CONTRACT_GRID = ("A=0\nB=0.5\nlambda_re=0.5\nz0_re=0.5\n\nA=-0.5\nB=0.5\nlambda_im=0.3\nz0_re=0.3\nz0_im=0.4\n\n"
            "A=0\nB=0.5\nz0_re=0\n\nA=0.9\nB=0.5\nz0_re=0.5\n\nA=0\nB=nan\nz0_re=-inf\n")
-CI_ARGVS = """
+CONTRACT_ARGVS = """
 verify --suite all --seed 0
 verify --suite all --seed 7
 verify --suite all --seed 9
@@ -155,10 +161,10 @@ def _corner_argvs() -> list:
 
 
 def _build(_args) -> None:
-    files = {"grid.txt": CI_GRID, "taken": None}
+    files = {"grid.txt": CONTRACT_GRID, "taken": None}
     argvs = _workload_argvs(files)
     argvs += [["verify", "--suite=all", f"--seed={s}"] for s in range(10)]
-    argvs += [shlex.split(line) for line in CI_ARGVS.strip().splitlines()]
+    argvs += [shlex.split(line) for line in CONTRACT_ARGVS.strip().splitlines()]
     argvs += _corner_argvs()
     argvs = [list(a) for a in dict.fromkeys(map(tuple, argvs))]  # the first of each repeated argv
     lines = ",\n".join("  " + json.dumps(a) for a in argvs)
@@ -180,7 +186,23 @@ def _left(top: Path) -> str:
     return ";".join(entries)
 
 
-def _run_one(index: int, argv: list, files: dict, env: dict) -> str:
+# "-X dev" prints every warning as "<file>:<line>: <Name>Warning: <message>"
+_WARNING = re.compile(rb"\w+Warning: ")
+
+
+def _fault(proc: subprocess.CompletedProcess) -> str:
+    """How an argv's run crashed or warned, or "" for a clean run."""
+    if b"Traceback (most recent call last)" in proc.stderr:
+        return "a traceback in stderr"
+    if _WARNING.search(proc.stderr):
+        return "a warning in stderr"
+    if not 0 <= proc.returncode <= 5:
+        return f"exit code {proc.returncode}, outside 0-5"
+    return ""
+
+
+def _run_one(index: int, argv: list, files: dict, env: dict) -> tuple:
+    """The digest line of one argv's run, and "<index> <argv>: <fault>" if it has a _fault, else ""."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             if any(a == name or a.endswith("=" + name) for a in argv):
@@ -190,29 +212,34 @@ def _run_one(index: int, argv: list, files: dict, env: dict) -> str:
                     (Path(tmp) / name).write_text(text)
         proc = subprocess.run([sys.executable, "-X", "dev", "-m", "varregion.cli", *argv],
                               cwd=tmp, env=env, capture_output=True, timeout=600)
+        fault = _fault(proc)
         return (f"{index:04d} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)} "
-                f"files={_left(Path(tmp))} argv={shlex.join(argv)}")
+                f"files={_left(Path(tmp))} argv={shlex.join(argv)}",
+                fault and f"{index:04d} {shlex.join(argv)}: {fault}")
 
 
-def _digests(argvs: list, files: dict, src: str, hash_seed: int) -> str:
-    """one _run_one line per argv, in argv order."""
+def _digests(argvs: list, files: dict, src: str, hash_seed: int) -> tuple:
+    """The _run_one lines, one per argv in argv order, and the faults among them."""
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(Path(src).resolve()))
     umask = os.umask(0o022)  # every --out file gets mode 0666 less the umask
     try:
         with ThreadPoolExecutor(os.cpu_count()) as pool:
-            lines = list(pool.map(lambda ia: _run_one(*ia, files, env), enumerate(argvs)))
+            runs = list(pool.map(lambda ia: _run_one(*ia, files, env), enumerate(argvs)))
     finally:
         os.umask(umask)
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line, _ in runs), [fault for _, fault in runs if fault]
 
 
 def _run(args) -> None:
     corpus = json.loads(CORPUS.read_text())
-    text = _digests(corpus["argvs"], corpus["files"], args.src, args.hash_seed)
+    text, faults = _digests(corpus["argvs"], corpus["files"], args.src, args.hash_seed)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if faults:
+        print(*faults, f"{len(faults)} of {len(corpus['argvs'])} argvs crashed or warned", sep="\n", file=sys.stderr)
+        sys.exit(1)
 
 
 def _diff(args) -> None:
@@ -229,7 +256,7 @@ def _diff(args) -> None:
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("run", help="run every argv and write one digest line per argv")
+    p = sub.add_parser("run", help="run every argv and write one digest line per argv; exit 1 if one crashed or warned")
     p.add_argument("--src", default=str(ROOT / "src"), help="the source tree to run (default: this checkout's)")
     p.add_argument("--hash-seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the lines here instead of stdout")

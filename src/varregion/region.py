@@ -220,9 +220,8 @@ def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
     num = np.asarray(f(x), complex, order="C")
     parts = num.reshape(-1).view(float)  # a real division: numpy's complex one multiplies by 1/B, which overflows
     parts /= B / scale  # never 0, and for scale = A - B at most 2^53 in size, as |A - B| >= ulp(B)/2
-    small = _series_entries(x)
-    if small.size:  # the series takes v itself: a zero or subnormal B v loses nothing
-        np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
+    small = np.flatnonzero(np.abs(x) < 1e-8)  # the series takes v itself: a zero or subnormal B v loses nothing
+    np.put(num, small, scale * np.take(v, small) * (1.0 + slope * np.take(x, small)))
     return num
 
 
@@ -234,17 +233,6 @@ def _log1p_over_b(v: complex, B: float, scale: float) -> complex:
     a, b = x.real, x.imag
     re = math.log1p(a * (2.0 + a) + b * b) if a >= -0.5 else math.log((1.0 + a) ** 2 + b * b)
     return scale * complex(0.5 * re, math.atan2(b, 1.0 + a)) / B
-
-
-def _series_entries(x):
-    """Flat indices of the entries with |x| < 1e-8, which needs |Re x| and |Im x| < 1e-8.
-
-    The complex modulus, the costly part, is taken on those candidates alone.
-    """
-    small = np.abs(x.real) < 1e-8
-    small &= np.abs(x.imag) < 1e-8
-    small = np.flatnonzero(small)
-    return small[np.abs(np.take(x, small)) < 1e-8] if small.size else small
 
 
 def log_fprime(omega, params: JanowskiParams):

@@ -271,6 +271,7 @@ _SINGLETON_NOTE = "note: |lambda| = 1: the region is a singleton\n"
         (["sample", *_TINY_B, "--B=5e-324", "--mc-samples=10", "--format=json"], 0, ""),
         (["sample", *_TINY_B, "--B=1e-310", "--mc-samples=10"], 0, ""),
         (["region", *_TINY_B, "--B=1e-310"], 0, ""),
+        (["region", *_TINY_B, "--B=1e-310", "--format=json"], 0, ""),
         (["sample", *_TINY_B_SINGLETON, "--mc-samples=10"], 0, ""),
         (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=json"], 0, ""),
         (["sample", *_TINY_B_SINGLETON, "--mc-samples=10", "--format=svg"], 0, ""),
@@ -590,6 +591,7 @@ _JSON_SAMPLE_ARGVS = [
       for n in (1, 1023, 1024, 1025, 2500, 4097)),
     ["--A=-0.5", "--B=0.5", "--lambda=1", "--z0=0.5", "--mc-samples=1025"],  # a singleton
     ["--A=-0.5", "--B=1e-3", "--lambda=0.5", "--z0=2e-4", "--mc-samples=1500"],  # every value below 1e-4
+    ["--A=-1", "--B=1e-3", "--lambda=0.5", "--z0=2e-4", "--mc-samples=1025"],  # Re above 1e-4, Im below
     ["--A=-0.5", "--B=1e-16", "--lambda=0.5", "--z0=0.5", "--mc-samples=1025"],  # B -> 0
     ["--A=-1", "--B=1", "--lambda=0.9999999", "--z0=0.3,0.4", "--mc-samples=1025"],  # |lambda| -> 1
 ]
@@ -1080,7 +1082,7 @@ def test_verify_all_is_the_single_suite_reports(seed, capsys):
     assert all(r["passed"] for r in together)
 
 
-@pytest.mark.parametrize("seed,tol", [(0, None), (9, None), (0, 1e-17)])
+@pytest.mark.parametrize("seed,tol", [(0, None), (7, None), (9, None), (0, 1e-17), (7, 1e-17), (9, 1e-17)])
 def test_verify_prints_the_stdlib_encoding_of_its_reports(seed, tol, capsys):
     reports = [run_suite(n, seed=seed, tol=tol) for n in SUITE_NAMES]
     flags = [] if tol is None else [f"--tol={tol!r}"]
@@ -1325,13 +1327,16 @@ def _write_command(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", _WRITE_COMMANDS)
-def test_output_files_take_their_mode_from_the_umask(command, tmp_path, monkeypatch):
+def test_output_files_take_their_mode_from_the_umask(command, tmp_path, monkeypatch, capsys):
     argv, names = _write_command(tmp_path, monkeypatch, command)
     files = [tmp_path / "out" / name for name in names]
     old = os.umask(0o022)
     try:
         assert run(argv) == 0
         fresh = [f.read_bytes() for f in files]
+        if command != "sweep":  # the --out file holds what the command prints without --out
+            assert run(_WRITE_COMMANDS[command]) == 0
+            assert [capsys.readouterr().out.encode()] == fresh
         assert [f.stat().st_mode & 0o777 for f in files] == [0o644] * len(files)
         # replacing a 0600 file gives a 0644 one too, with the same bytes
         for f in files:
@@ -1456,7 +1461,7 @@ def test_main_is_reentrant(tmp_path, capsys):
         ["verify", "--suite", "inclusion"],
         ["sweep", "--grid", str(grid), "--out", str(out), "--theta-samples", "4"],
         ["--help"],
-        ["extremal", "--help"],
+        *([command, "--help"] for command in ("region", "extremal", "sample", "verify", "sweep")),
         ["region", *point],  # missing --z0
         ["verify", "--suite", "inclusion", "--format", "csv"],  # a flag verify does not read
         ["verify", "--suite", "bogus"],
@@ -1473,7 +1478,7 @@ def test_main_is_reentrant(tmp_path, capsys):
     first = [call(argv) for argv in argvs]
     forward = [call(argv) for argv in argvs]
     backward = [call(argv) for argv in reversed(argvs)][::-1]
-    assert [r[0] for r in first] == [0] * 8 + [2] * 5
+    assert [r[0] for r in first] == [0] * 12 + [2] * 5
     for argv, r, f, b in zip(argvs, first, forward, backward):
         assert (f, b) == (r, r), argv
 
@@ -1521,6 +1526,7 @@ _DISPATCH_ARGVS = [
     ["--", *_EXTREMAL], [*_SAMPLE[:-2], "--", "--mc-samples", "5"],
     [*_SAMPLE[:-2], "--mc", "7"], [*_EXTREMAL, "--quad", "1e-10"], [*_EXTREMAL, "--quad-t=1e-9"],
     [*_VALID["region"], "--t", "1e-9"],  # --theta-samples, the one flag of region that --t abbreviates
+    ["verify", "--sui", "inclusion"], [*_VALID["sweep"][:-2], "--theta", "4"],
     [*_EXTREMAL, "--z=0.25"], [*_SAMPLE, "--mc-samples", "3", "--seed", "2", "--seed", "4"],
     [*_EXTREMAL[:3], "-h", *_EXTREMAL[3:]], ["sweep", "--grid=grid.txt", "--out=out", "extra", "-x"],
     ["extremal", "extremal", *_EXTREMAL[1:]], ["verify", "--suite=all", "--seed", "x"],

@@ -23,7 +23,7 @@ from varregion import (
     variability_disk,
 )
 from varregion.extremal import ExtremalSpec, closed_form_a0
-from varregion.region import VERDICTS, _log1p, _log1p_over_b, _over_b, _pullback, _series_entries, _unit_circle_grid, classify, log_fprime
+from varregion.region import VERDICTS, _log1p, _log1p_over_b, _over_b, _pullback, _unit_circle_grid, classify, log_fprime
 from varregion.sampler import omega_eval, sample_members
 from varregion.verify import DEFAULT_PARAM_SETS
 
@@ -237,30 +237,6 @@ def test_log1p_passes_nan_and_the_far_branch_without_a_floating_point_error():
     assert np.all(np.isnan(w[~finite]))
     # signed zeros keep their sign: Log(1 + x) of -0 - 0j is 0 - 0j
     assert np.signbit(_log1p(np.array([complex(-0.0, -0.0)])).imag[0])
-
-
-def test_series_entries_equal_the_complex_modulus_test():
-    rng = np.random.default_rng(11)
-
-    def step(v, k):  # v moved by k = -1, 0 or 1 ulp
-        return np.nextafter(v, k * np.inf) if k else v
-
-    r, d = 1e-8, 1e-8 / np.sqrt(2.0)  # on each axis, and on the diagonal one ulp either way in each part
-    axis = np.array([step(r, k) for k in (-1, 0, 1)])
-    diag = np.array([complex(step(d, i), step(d, j)) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-    near = r * (1.0 + rng.uniform(-1e-15, 1e-15, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
-    x = np.concatenate([
-        axis, -axis, 1j * axis, -1j * axis, diag, -diag, np.conj(diag), near,
-        r * np.exp(1j * rng.uniform(-np.pi, np.pi, 100)) * 10.0 ** rng.uniform(-3, 3, 100),
-        [0.0, -0.0, complex(-0.0, -0.0), 5e-324, complex(0.0, -5e-324), complex(5e-324, 5e-324), 1e-310j,
-         complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, 1e-9), complex(np.inf, 0.0), complex(1e-9, -np.inf)],
-    ])
-    with np.errstate(invalid="ignore"):
-        want = np.flatnonzero(np.abs(x) < 1e-8)
-    assert 0 < want.size < x.size
-    assert np.array_equal(_series_entries(x), want)
-    assert np.array_equal(_series_entries(np.stack([x, x])), np.concatenate([want, x.size + want]))
-    assert np.array_equal(_series_entries(x[::-1]), np.sort(x.size - 1 - want))
 
 
 @st.composite

@@ -33,15 +33,32 @@ def test_render_gallery_script(tmp_path, monkeypatch, capsys):
     assert "wrote 15 SVGs" in capsys.readouterr().out
 
 
-def test_argv_corpus_script(tmp_path, capsys):
+# a stand-in for varregion.cli whose first argument says how its process ends
+_FAULTY_CLI = """\
+import sys
+import warnings
+
+if sys.argv[1] == "crash":
+    raise RuntimeError("a crash")
+if sys.argv[1] == "warn":
+    warnings.warn("a warning", RuntimeWarning)
+sys.exit(7 if sys.argv[1] == "exit" else 0)
+"""
+
+
+def test_argv_corpus_script(tmp_path, monkeypatch, capsys):
     corpus = json.loads((SCRIPTS / "argv_corpus.json").read_text())
     sweep = next(a for a in corpus["argvs"] if a[0] == "sweep")
     taken = ["region", "--A=0", "--B=0.5", "--z0=0.5", "--out=taken"]
     subnormal = ["extremal", "--A=-0.5", "--B=5e-324", "--lambda=0.3,0.4", "--a=0.6,0.2", "--z=0.5,0.1"]
     assert taken in corpus["argvs"] and subnormal in corpus["argvs"]
-    digests = runpy.run_path(str(SCRIPTS / "argv_corpus.py"))["_digests"]
+    script = runpy.run_path(str(SCRIPTS / "argv_corpus.py"))
+    small = tmp_path / "corpus.json"
+    monkeypatch.setitem(script["_run"].__globals__, "CORPUS", small)
+    small.write_text(json.dumps({"files": corpus["files"], "argvs": [sweep, taken, subnormal]}))
     out = tmp_path / "run.txt"
-    out.write_text(digests([sweep, taken, subnormal], corpus["files"], str(SCRIPTS.parent / "src"), 0))
+    script["run"](["run", "--out", str(out)])  # a clean run: no exit
+    assert capsys.readouterr() == ("", "")
     lines = out.read_text().splitlines()
     assert [line.split()[1] for line in lines] == ["exit=0", "exit=3", "exit=2"]
     # the sweep's grid is its input, and what it writes is listed with its mode
@@ -56,3 +73,15 @@ def test_argv_corpus_script(tmp_path, capsys):
         _run("argv_corpus.py", ["diff", str(out), str(changed)])
     assert exc.value.code == 1
     assert capsys.readouterr().out.endswith("1 of 3 argvs differ\n")
+    # a traceback, a warning line or an exit code past 5 fails the run, which still writes every line
+    faulty = tmp_path / "faulty"
+    (faulty / "varregion").mkdir(parents=True)
+    (faulty / "varregion" / "__init__.py").write_text("")
+    (faulty / "varregion" / "cli.py").write_text(_FAULTY_CLI)
+    small.write_text(json.dumps({"files": {}, "argvs": [["clean"], ["crash"], ["warn", "x"], ["exit"]]}))
+    with pytest.raises(SystemExit) as exc:
+        script["run"](["run", "--src", str(faulty), "--out", str(out)])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "0001 crash: a traceback in stderr\n0002 warn x: a warning in stderr\n"
+                                       "0003 exit: exit code 7, outside 0-5\n3 of 4 argvs crashed or warned\n")
+    assert [line.split()[1] for line in out.read_text().splitlines()] == ["exit=0", "exit=1", "exit=0", "exit=7"]
