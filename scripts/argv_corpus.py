@@ -16,9 +16,10 @@ the sha256 of stdout and of stderr, and the mode and sha256 of every file left.
 Argvs run in parallel, one per CPU.  After writing the lines, ``run`` exits 1
 and names each argv that crashed or warned: a traceback or a
 ``<Name>Warning: `` line in its stderr, or an exit code outside the CLI's 0-5.
-``diff`` compares two such runs and exits 1 when a line differs.  ``build``
-writes the corpus again; the workloads' grids and argvs are then those of the
-current ``perfbench/workloads.py``.
+``diff`` compares two such runs argv by argv, so an argv added to the corpus
+shows as one added line, and exits 1 when a line differs or an argv is in one
+run only.  ``build`` writes the corpus again; the workloads' grids and argvs
+are then those of the current ``perfbench/workloads.py``.
 
 Usage:
     python scripts/argv_corpus.py run [--src DIR] [--hash-seed 0] [--out head.txt]
@@ -50,8 +51,10 @@ WORKLOAD_ROUNDS = [
     ("extremal", (1, 2, 3), range(1)),
 ]
 
-# each command's exit codes, output formats, --out files, flag forms and usage errors;
-# "grid.txt" is CONTRACT_GRID and "taken" a directory
+# each command's exit codes, output formats, --out files, flag forms and usage errors, then a lone
+# "--" as the value of each long flag of each command (argparse reads "--name=--" differently from
+# one Python version to the next) and the subnormal-B calls; "grid.txt" is CONTRACT_GRID and
+# "taken" a directory
 CONTRACT_GRID = ("A=0\nB=0.5\nlambda_re=0.5\nz0_re=0.5\n\nA=-0.5\nB=0.5\nlambda_im=0.3\nz0_re=0.3\nz0_im=0.4\n\n"
            "A=0\nB=0.5\nz0_re=0\n\nA=0.9\nB=0.5\nz0_re=0.5\n\nA=0\nB=nan\nz0_re=-inf\n")
 CONTRACT_ARGVS = """
@@ -114,6 +117,48 @@ extremal --help
 sample --help
 verify --help
 sweep --help
+region --B=0.5 --z0=0.5 --theta-samples=4 --A=--
+region --A=0 --z0=0.5 --theta-samples=4 --B=--
+region --A=0 --B=0.5 --z0=0.5 --theta-samples=4 --lambda=--
+region --A=0 --B=0.5 --theta-samples=4 --z0=--
+region --A=0 --B=0.5 --z0=0.5 --theta-samples=--
+region --A=0 --B=0.5 --z0=0.5 --theta-samples=4 --out=--
+region --A=0 --B=0.5 --z0=0.5 --theta-samples=4 --format=--
+extremal --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --A=--
+extremal --A=0 --lambda=0.5 --a=0.3,0.4 --z=0.5 --B=--
+extremal --A=0 --B=0.5 --a=0.3,0.4 --z=0.5 --lambda=--
+extremal --A=0 --B=0.5 --lambda=0.5 --z=0.5 --a=--
+extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=--
+extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --quad-tol=--
+extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --max-panels=--
+extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --out=--
+sample --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --A=--
+sample --A=0 --z0=0.5 --mc-samples=5 --theta-samples=4 --B=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --lambda=--
+sample --A=0 --B=0.5 --mc-samples=5 --theta-samples=4 --z0=--
+sample --A=0 --B=0.5 --z0=0.5 --theta-samples=4 --mc-samples=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --seed=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --tol=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --out=--
+sample --A=0 --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --format=--
+verify --suite=--
+verify --suite=inclusion --tol=--
+verify --suite=inclusion --seed=--
+verify --suite=inclusion --out=--
+sweep --out=out --theta-samples=4 --grid=--
+sweep --grid=grid.txt --theta-samples=4 --out=--
+sweep --grid=grid.txt --out=out --theta-samples=--
+sample --A=-0.5 --lambda=0.5 --z0=0.5 --B=5e-324 --mc-samples=10
+sample --A=-0.5 --lambda=0.5 --z0=0.5 --B=5e-324 --mc-samples=10 --format=json
+sample --A=-0.5 --lambda=0.5 --z0=0.5 --B=1e-310 --mc-samples=10
+region --A=-0.5 --lambda=0.5 --z0=0.5 --B=1e-310
+sample --A=-0.5 --B=-5e-324 --lambda=1 --z0=0.5 --mc-samples=10
+sample --A=-0.5 --B=-5e-324 --lambda=1 --z0=0.5 --mc-samples=10 --format=json
+sample --A=-0.5 --B=-5e-324 --lambda=1 --z0=0.5 --mc-samples=10 --format=svg
+region --A=-0.5 --B=-5e-324 --lambda=1 --z0=0.5 --format=json
+extremal --A=-1 --B=1e-310 --a=0.6,0.2 --z=0
+extremal --A=-0.5 --B=5e-324 --a=0.6,0.2 --z=0.5,0.1
 """
 
 # the corners: (A, B) from B = 1/2 down to subnormal B of either sign, at singleton points
@@ -242,14 +287,26 @@ def _run(args) -> None:
         sys.exit(1)
 
 
+def _by_argv(path: str) -> dict:
+    """A run's lines keyed by argv: each line, and its digests without the index."""
+    runs = {}
+    for line in Path(path).read_text().splitlines():
+        digests = line.split(" ", 1)[1]
+        runs[digests.partition(" argv=")[2]] = line, digests
+    return runs
+
+
 def _diff(args) -> None:
-    base, head = (Path(p).read_text().splitlines() for p in (args.base, args.head))
-    changed = [(b, h) for b, h in zip(base, head) if b != h]
-    for b, h in changed:
-        print(f"- {b}\n+ {h}")
-    print(f"{len(changed)} of {max(len(base), len(head))} argvs differ"
-          + (f"; the runs hold {len(base)} and {len(head)} lines" if len(base) != len(head) else ""))
-    if changed or len(base) != len(head):
+    base, head = _by_argv(args.base), _by_argv(args.head)
+    changed = [a for a in base if a in head and base[a][1] != head[a][1]]
+    removed, added = [a for a in base if a not in head], [a for a in head if a not in base]
+    lines = [f"- {base[a][0]}\n+ {head[a][0]}" for a in changed]
+    lines += [f"- {base[a][0]}" for a in removed] + [f"+ {head[a][0]}" for a in added]
+    summary = f"{len(changed)} of {len(base) - len(removed)} argvs differ"
+    if removed or added:
+        summary += f"; {len(removed)} removed and {len(added)} added"
+    print(*lines, summary, sep="\n")
+    if changed or removed or added:
         sys.exit(1)
 
 
@@ -261,7 +318,7 @@ def run(argv=None):
     p.add_argument("--hash-seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the lines here instead of stdout")
     p.set_defaults(func=_run)
-    p = sub.add_parser("diff", help="compare two runs; exit 1 if any line differs")
+    p = sub.add_parser("diff", help="compare two runs; exit 1 if an argv's line differs or is in one run only")
     p.add_argument("base")
     p.add_argument("head")
     p.set_defaults(func=_diff)

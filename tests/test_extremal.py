@@ -353,24 +353,79 @@ def test_joint_pass_changes_no_bits(case):
         assert _bits(extremal._composite_estimates(spec, z_from, z_to, (p,))[0]) == bits
 
 
+def _reference_segment_integral(spec, z_from, z_to, cfg=None):
+    """fprime_segment_integral as it was with one integrand pass per panel count."""
+    cfg = cfg or QuadratureConfig()
+    if not (abs(z_from) < 1.0 and abs(z_to) < 1.0):
+        raise ValueError("segment endpoints must lie in the open unit disk")
+    if z_from == z_to:
+        return 0j
+    panels, prev = 1, None
+    while True:
+        est = _inline_composite_estimate(spec, z_from, z_to, panels)
+        if prev is not None:
+            achieved = abs(est - prev)
+            if achieved <= cfg.abs_tol:
+                floor = 4.0 * np.finfo(float).eps * abs(est)
+                if cfg.abs_tol < floor:
+                    raise ConvergenceError(
+                        f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                        f"= {floor:.3e}, so no estimate can confirm it", complex(est), float(achieved))
+                return complex(est)
+        if 2 * panels > cfg.max_panels:
+            achieved = float("inf") if prev is None else abs(est - prev)
+            raise ConvergenceError(
+                f"quadrature did not reach abs_tol={cfg.abs_tol} within "
+                f"{cfg.max_panels} panels (achieved {achieved:.3e})", complex(est), float(achieved))
+        prev = est
+        panels *= 2
+
+
+def _seeded_extremal_argv(n, seed):
+    """n extremal argv cycling a = 0, steep, |a| = 1 and |a| < 1, both --quad-tol values and four caps."""
+    rng = np.random.default_rng(seed)
+
+    def polar(lo, hi):
+        return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+
+    argvs = []
+    for j in range(n):
+        B = float(rng.choice([-0.6, -0.4, 0.3, 0.7, 1.0]))
+        A, lam, z = float(rng.uniform(-1.0, B - 0.05)), polar(0.0, 0.99), polar(0.0, 0.99)
+        kind = j % 4
+        if kind == 0:
+            a = 0j
+        elif kind == 1:
+            # 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
+            A, B, lam, z = -1.0, float(rng.uniform(0.8, 1.0)), polar(0.0, 0.1), polar(0.95, 0.99)
+            a = -(z.conjugate() / abs(z)) ** 2
+        else:
+            a = polar(1.0, 1.0) if kind == 2 else polar(0.0, 1.0)
+        argvs.append(["extremal", f"--A={A!r}", f"--B={B!r}"] + [
+            f"--{k}={v.real!r},{v.imag!r}" for k, v in (("lambda", lam), ("a", a), ("z", z))] + [
+            f"--quad-tol={(1e-12, 1e-13)[j // 4 % 2]}", f"--max-panels={(1024, 1024, 1, 2, 3)[j // 8 % 5]}"])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _seeded_extremal_argv(64, seed=19), ids=range(64))
+def test_extremal_prints_what_one_pass_per_level_gives(argv, monkeypatch, capsys):
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(extremal, "fprime_segment_integral", _reference_segment_integral)
+    assert main(argv) == code
+    assert capsys.readouterr() == got
+
+
 def test_level_nodes_are_cached_and_read_only():
-    t = extremal._level_nodes((1, 2))
-    assert t.tobytes() == np.concatenate([_inline_panel_nodes(1)[0], _inline_panel_nodes(2)[0]]).tobytes()
-    assert t.nbytes == 384 and extremal._level_nodes((1, 2)) is t
-    assert extremal._level_nodes((8,)).tobytes() == _inline_panel_nodes(8)[0].tobytes()
-    with pytest.raises(ValueError):
-        t[0, 0] = 0.5
-
-
-@pytest.mark.parametrize("panels", [1, 2, 64, 1024])
-def test_panel_nodes_are_cached_and_read_only(panels):
-    t = extremal._level_nodes((panels,))
-    assert t.shape == (panels, extremal.NODES_PER_PANEL)
-    assert extremal._level_nodes((panels,)) is t
-    with pytest.raises(ValueError):
-        t[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        t += 0.0
+    for levels in ((1, 2), (8,), (1,), (2,), (64,), (1024,)):
+        t = extremal._level_nodes(levels)
+        assert t.tobytes() == np.concatenate([_inline_panel_nodes(p)[0] for p in levels]).tobytes()
+        assert t.shape == (sum(levels), extremal.NODES_PER_PANEL) and extremal._level_nodes(levels) is t
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            t += 0.0
+    assert extremal._level_nodes((1, 2)).nbytes == 384
 
 
 def test_fprime_subordination_pullback():

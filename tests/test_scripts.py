@@ -73,6 +73,14 @@ def test_argv_corpus_script(tmp_path, monkeypatch, capsys):
         _run("argv_corpus.py", ["diff", str(out), str(changed)])
     assert exc.value.code == 1
     assert capsys.readouterr().out.endswith("1 of 3 argvs differ\n")
+    # an argv added ahead of the others moves every index, and shows as the one added line
+    grown = tmp_path / "grown.txt"
+    added = "0000 exit=0 stdout=a stderr=b files= argv=--help"
+    grown.write_text(added + "\n" + "".join(f"{i + 1:04d}{line[4:]}\n" for i, line in enumerate(lines)))
+    with pytest.raises(SystemExit) as exc:
+        _run("argv_corpus.py", ["diff", str(out), str(grown)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == f"+ {added}\n0 of 3 argvs differ; 0 removed and 1 added\n"
     # a traceback, a warning line or an exit code past 5 fails the run, which still writes every line
     faulty = tmp_path / "faulty"
     (faulty / "varregion").mkdir(parents=True)

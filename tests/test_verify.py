@@ -364,27 +364,35 @@ def _random_polygons(seed: int, count: int) -> list[BoundaryCurve]:
     return curves
 
 
-def test_turning_number_agrees_with_crossing_reference():
+_T = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+_CIRCLE = np.exp(1j * _T)
+_TWICE = np.insert(_CIRCLE, 5, _CIRCLE[5])[:-1]  # convex, one point twice
+_SIDE = np.linspace(-1.0, 1.0, 5)  # each corner of the square is its own next point
+_SQUARE = BoundaryCurve(np.arange(20.0), np.concatenate([_SIDE - 1j, 1 + 1j * _SIDE, -_SIDE + 1j, -1 - 1j * _SIDE]))
+
+
+@pytest.fixture(scope="module")
+def turning_curves():
+    """The default grid's curves at 256 points, three curves at 2,048 and 600 random polygons."""
     default = [boundary_curve(EvalPoint(z0, lam), params, 256)
                for params in DEFAULT_PARAM_SETS for lam in DEFAULT_LAMBDAS for z0 in DEFAULT_Z0S]
     fine = [boundary_curve(EvalPoint(z0, lam), params, 2048)
             for params, lam, z0 in ((DEFAULT_PARAM_SETS[2], 0.9, -0.7),
                                     (DEFAULT_PARAM_SETS[4], 0.0, 0.3 + 0.4j),
                                     (DEFAULT_PARAM_SETS[0], 0.5, 0.1j))]
-    t = np.linspace(-np.pi, np.pi, 32, endpoint=False)
-    z = np.exp(1j * t)
-    side = np.linspace(-1.0, 1.0, 5)  # each corner of the square is its own next point
-    square = np.concatenate([side - 1j, 1 + 1j * side, -side + 1j, -1 - 1j * side])
-    repeated = [BoundaryCurve(t, np.insert(z, 5, z[5])[:-1]),  # convex, one point twice
-                BoundaryCurve(np.arange(20.0), square)]
-    random = _random_polygons(4, 600)
+    assert len(default) == 80
+    return default, fine, _random_polygons(4, 600)
+
+
+def test_turning_number_agrees_with_crossing_reference(turning_curves):
+    default, fine, random = turning_curves
+    repeated = [BoundaryCurve(_T, _TWICE), _SQUARE]
     seen = set()
     for curve in default + fine + repeated + random:
         convex, simple = _reference_verdict(curve)
         assert _convex_and_simple(curve) == (convex and simple)
         seen.add((convex, simple))
-    assert len(default) == 80 and all(map(_convex_and_simple, default))
-    assert all(map(_convex_and_simple, repeated))
+    assert all(map(_convex_and_simple, default)) and all(map(_convex_and_simple, repeated))
     # the random set passes, fails on convexity, and crosses itself with turns of one sign
     assert seen == {(True, True), (False, True), (False, False), (True, False)}
 
@@ -409,33 +417,23 @@ def _assert_batches_equal_one_row_calls(curves: list[BoundaryCurve]) -> None:
         assert (sign[c], worst[c], winding[c]) == _reference_turning(curve)
 
 
-def test_turning_kernel_batches_equal_one_row_calls():
-    default = [boundary_curve(EvalPoint(z0, lam), params, 256)
-               for params in DEFAULT_PARAM_SETS for lam in DEFAULT_LAMBDAS for z0 in DEFAULT_Z0S]
-    fine = [boundary_curve(EvalPoint(z0, lam), params, 2048)
-            for params, lam, z0 in ((DEFAULT_PARAM_SETS[2], 0.9, -0.7),
-                                    (DEFAULT_PARAM_SETS[4], 0.0, 0.3 + 0.4j),
-                                    (DEFAULT_PARAM_SETS[0], 0.5, 0.1j))]
-    t = np.linspace(-np.pi, np.pi, 32, endpoint=False)
-    z = np.exp(1j * t)
-    side = np.linspace(-1.0, 1.0, 5)
-    square = np.concatenate([side - 1j, 1 + 1j * side, -side + 1j, -1 - 1j * side])
-    twice = np.insert(z, 5, z[5])[:-1]
-    dent = z.copy()
+def test_turning_kernel_batches_equal_one_row_calls(turning_curves):
+    default, fine, random = turning_curves
+    dent = _CIRCLE.copy()
     dent[9] *= 0.8
     by_length: dict[int, list[BoundaryCurve]] = {}
-    for curve in _random_polygons(4, 600):
+    for curve in random:
         by_length.setdefault(len(curve), []).append(curve)
     # the repeated-point curves, starting from each quadrant: the padding after
     # a row's non-zero edges must turn nothing whatever its first edge
-    repeated = [BoundaryCurve(t, np.roll(c, -shift)) for shift in range(0, 32, 4)
-                for c in (twice, np.insert(dent, 9, dent[9])[:-1])]
-    batches = [default, fine, repeated, [BoundaryCurve(np.arange(20.0), square)], *by_length.values()]
+    repeated = [BoundaryCurve(_T, np.roll(c, -shift)) for shift in range(0, 32, 4)
+                for c in (_TWICE, np.insert(dent, 9, dent[9])[:-1])]
+    batches = [default, fine, repeated, [_SQUARE], *by_length.values()]
     # one row with a zero-length edge among rows without one
-    batches.append([BoundaryCurve(t, z), BoundaryCurve(t, twice), BoundaryCurve(t, dent), BoundaryCurve(t, 2 * z)])
+    batches.append([BoundaryCurve(_T, c) for c in (_CIRCLE, _TWICE, dent, 2 * _CIRCLE)])
     for batch in batches:
         _assert_batches_equal_one_row_calls(batch)
-    assert len(default) == 80 and max(map(len, by_length.values())) > 1
+    assert max(map(len, by_length.values())) > 1
 
 
 # The per-cell loops the batched suites replaced, kept as references.  They
