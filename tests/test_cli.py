@@ -362,33 +362,37 @@ _FLAG_RULES = [
 ]
 
 
-def _rule_argvs(command, flag, value):
-    """command's valid argv with flag set to value, as ``--flag=value`` (the table path) and as ``--flag value``."""
+def _rule_argv(command, flag, value, form):
+    """command's valid argv with flag set to value, as ``--flag=value`` (the table path) or as ``--flag value``."""
     base = [command, *(t for t in _RULE_BASE[command] if t.partition("=")[0] != flag)]
-    return [*base, f"{flag}={value}"], [*base, flag, value]
+    return [*base, f"{flag}={value}"] if form == "equals" else [*base, flag, value]
 
 
+# each flag rule's test runs once per flag form, and expects the same message from both
+_each_flag_form = pytest.mark.parametrize("form", ["equals", "space"])
+
+
+@_each_flag_form
 @pytest.mark.parametrize("command, flag, value, message", _FLAG_RULES,
                          ids=[f"{c} {f}={v}" for c, f, v, _ in _FLAG_RULES])
-def test_each_flag_rule_is_the_same_usage_error_in_both_flag_forms(command, flag, value, message, tmp_path,
+def test_each_flag_rule_is_the_same_usage_error_in_both_flag_forms(command, flag, value, message, form, tmp_path,
                                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for argv in _rule_argvs(command, flag, value):
-        assert run(argv) == 2
-        assert capsys.readouterr() == ("", _usage_error(command, f"argument {flag}: {message}")), argv
+    assert run(_rule_argv(command, flag, value, form)) == 2
+    assert capsys.readouterr() == ("", _usage_error(command, f"argument {flag}: {message}"))
     # refused before any work: nothing is written, sweep makes no --out directory, and its
     # grid.txt, which does not exist, is never read (a read would be an I/O error, exit 3)
     assert list(tmp_path.iterdir()) == []
 
 
+@_each_flag_form
 @pytest.mark.parametrize("command, flag, convert", [
     ("sample", "--seed", "int"), ("verify", "--seed", "int"), ("sample", "--mc-samples", "int"),
     ("sweep", "--theta-samples", "int"), ("verify", "--tol", "float"),
 ])
-def test_a_ruled_flag_that_is_no_number_names_its_converter(command, flag, convert, capsys):
-    for argv in _rule_argvs(command, flag, "abc"):
-        assert run(argv) == 2
-        assert capsys.readouterr() == ("", _usage_error(command, f"argument {flag}: invalid {convert} value: 'abc'"))
+def test_a_ruled_flag_that_is_no_number_names_its_converter(command, flag, convert, form, capsys):
+    assert run(_rule_argv(command, flag, "abc", form)) == 2
+    assert capsys.readouterr() == ("", _usage_error(command, f"argument {flag}: invalid {convert} value: 'abc'"))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1430,28 +1434,30 @@ def _lone_dash_argvs():
                 yield [command, *base, f"{flag}=--"]
 
 
+_LONE_DASH_ARGVS = list(_lone_dash_argvs())
+
+
+def test_every_long_flag_has_a_lone_dash_argv():
+    assert len(_LONE_DASH_ARGVS) == 32  # every flag of region 7, extremal 8, sample 10, verify 4 and sweep 3
+
+
 # argparse's reading of a lone "--" value depends on the Python version; on 3.11 it is []
-def test_a_lone_double_dash_value_ends_in_a_usage_error_not_a_traceback(tmp_path, monkeypatch, capsys):
-    argvs = list(_lone_dash_argvs())
-    assert len(argvs) == 32  # every flag of region 7, extremal 8, sample 10, verify 4 and sweep 3
-    for i, argv in enumerate(argvs):
-        cwd = tmp_path / str(i)  # one working directory per call, to see what each one writes
-        cwd.mkdir()
-        (cwd / "grid.txt").write_text("A=0\nB=0.5\nz0_re=0.5\n")
-        monkeypatch.chdir(cwd)
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code in (0, 2, 3, 4, 5), (argv, code, err)
-        try:
-            parsed = vars(_full_parse(argv))
-        except SystemExit:
-            capsys.readouterr()
-            continue
-        # the table path parses it as the full parser does
-        assert vars(varregion.cli._parse_args(argv)) == parsed, argv
-        if [] in parsed.values():  # Python 3.11, for one: argparse leaves the flag []
-            assert (code, out, err) == (2, "", f"error: no value for {argv[-1][:-3]}\n"), argv
-            assert [p.name for p in cwd.iterdir()] == ["grid.txt"], argv
+@pytest.mark.parametrize("argv", _LONE_DASH_ARGVS, ids=" ".join)
+def test_a_lone_double_dash_value_ends_in_a_usage_error_not_a_traceback(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "grid.txt").write_text("A=0\nB=0.5\nz0_re=0.5\n")
+    monkeypatch.chdir(tmp_path)  # a working directory of its own, to see what the call writes
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5), (code, err)
+    try:
+        parsed = vars(_full_parse(argv))
+    except SystemExit:
+        return
+    # the table path parses it as the full parser does
+    assert vars(varregion.cli._parse_args(argv)) == parsed
+    if [] in parsed.values():  # Python 3.11, for one: argparse leaves the flag []
+        assert (code, out, err) == (2, "", f"error: no value for {argv[-1][:-3]}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
 
 
 @pytest.mark.parametrize("argv", [_EXTREMAL, [*_EXTREMAL, "--seed", "1"], ["extremal", "--help"], []], ids=" ".join)
