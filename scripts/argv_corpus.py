@@ -85,7 +85,8 @@ sample --A=-1 --B=1e-3 --lambda=0.5 --z0=2e-4 --mc-samples=2000 --seed=2 --forma
 sweep --grid grid.txt --out sweep --theta-samples 64
 extremal --A=-0.5 --B 0.5 --lambda 0.3,0.4 --a 0.6,0.2 --z 0.5,0.1
 extremal --A=-1 --B=0.9 --lambda=0.05 --a=-1 --z=0.97
-extremal --A=-1 --B=0.9 --lambda=0.05 --a=-1 --z=0.97 --max-panels 1
+extremal --A=-1 --B=1 --lambda=0 --a=-0.16996714290024112,0.9854497299884603 --z=0.764077345097204,0.6435734695504534
+extremal --A=-1 --B=1 --lambda=0 --a=-0.16996714290024112,0.9854497299884603 --z=0.764077345097204,0.6435734695504534 --quad-tol=1e-11
 sweep --grid grid.txt --out thin --theta-samples=2
 extremal --A=0 --B=0.5 --lambda=0.3,0.4 --a=0.6,0.2 --z=0.5,0.1 --quad-tol=1e-13
 extremal --A 0 --B 0.5 --lambda 0.3,0.4 --a 0.6,0.2 --z 0.5,0.1 --quad-tol 1e-13
@@ -130,7 +131,6 @@ extremal --A=0 --B=0.5 --a=0.3,0.4 --z=0.5 --lambda=--
 extremal --A=0 --B=0.5 --lambda=0.5 --z=0.5 --a=--
 extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=--
 extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --quad-tol=--
-extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --max-panels=--
 extremal --A=0 --B=0.5 --lambda=0.5 --a=0.3,0.4 --z=0.5 --out=--
 sample --B=0.5 --z0=0.5 --mc-samples=5 --theta-samples=4 --A=--
 sample --A=0 --z0=0.5 --mc-samples=5 --theta-samples=4 --B=--

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .extremal import ConvergenceError, ExtremalSpec, QuadratureConfig, extremal_fprime, extremal_value
+from .extremal import ConvergenceError, ExtremalSpec, extremal_fprime, extremal_value
 from .region import (
     VERDICTS,
     BoundaryCurve,
@@ -438,8 +438,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_extremal(args: argparse.Namespace) -> int:
     spec = ExtremalSpec(a=args.a, lam=args.lam, params=JanowskiParams(args.A, args.B))
-    cfg = QuadratureConfig(abs_tol=args.quad_tol, max_panels=args.max_panels)
-    value = extremal_value(spec, args.z, cfg)
+    value = extremal_value(spec, args.z, args.quad_tol)
     deriv = complex(extremal_fprime(spec, args.z))
     text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
     _write_out(args.out, text.encode())
@@ -625,6 +624,7 @@ _THETA_SAMPLES = _ruled(int, lambda n: n < 3 and "require theta_samples >= 3")
 _SEED_VALUE = _ruled(int, lambda n: n < 0 and f"require seed >= 0, got {n}")
 _MC_SAMPLES = _ruled(int, lambda n: n < 1 and "require mc_samples >= 1")
 _TOL = _ruled(float, lambda tol: "require tol > 0" if not tol > 0.0 else tol == math.inf and "require a finite tol")
+_QUAD_TOL = _ruled(float, lambda tol: not tol > 0.0 and "require quad_tol > 0")
 _OUT_PATH = _ruled(str, lambda path: not path and "require a non-empty --out path")
 _INSIDE_DISK = _ruled(parse_complex, lambda z: not abs(z) < 1.0 and f"require |z| < 1, got |z| = {abs(z)}")
 
@@ -650,7 +650,7 @@ _COMMANDS = {
         **_POINT_FLAGS,
         "--a": dict(type=parse_complex, required=True, help="disk parameter, |a| <= 1"),
         "--z": dict(type=_INSIDE_DISK, required=True, help="evaluation point, |z| < 1"),
-        "--quad-tol": dict(type=float, default=1e-12), "--max-panels": dict(type=int, default=1024), **_OUT}),
+        "--quad-tol": dict(type=_QUAD_TOL, default=1e-12), **_OUT}),
     "sample": (cmd_sample, "seeded cloud of member values with verdicts", {
         **_POINT_FLAGS, "--z0": dict(type=parse_complex, required=True),
         "--mc-samples": dict(type=_MC_SAMPLES, default=1000), **_THETA, **_SEED,

@@ -19,7 +19,6 @@ from .region import JanowskiParams, _FrozenRecord, _log1p_over_b, _require_lambd
 
 __all__ = [
     "ExtremalSpec",
-    "QuadratureConfig",
     "ConvergenceError",
     "extremal_fprime",
     "extremal_value",
@@ -45,38 +44,13 @@ class ExtremalSpec(_FrozenRecord):
         d["a"], d["lam"], d["params"] = a, lam, params
 
 
-MAX_PANELS = 65536
 NODES_PER_PANEL = 16  # Gauss-Legendre nodes in each panel
+PANEL_CAP = 1024  # panels double 1, 2, 4, ... up to this
 _EPS4 = 4.0 * np.finfo(float).eps  # times |estimate|: the rounding floor of an estimate
 
 
-class QuadratureConfig(_FrozenRecord):
-    """Composite Gauss-Legendre settings; every panel has NODES_PER_PANEL nodes.
-
-    Panels double (1, 2, 4, ...) until two successive composite estimates
-    differ by at most abs_tol, and never beyond max_panels; max_panels = 1 can
-    therefore never confirm the tolerance.  The estimates for 1 and 2 panels
-    come from one integrand pass over their 48 nodes; every later level takes
-    its own pass.  An abs_tol below the rounding floor 4 eps |estimate| is
-    never confirmed either: two estimates that round to the same double do
-    not meet it.  max_panels is capped at MAX_PANELS,
-    about 80 MiB of panel arrays (~1.2 KiB per panel) while an estimate runs;
-    _level_nodes keeps 128 B per panel of every level reached.
-    """
-
-    _fields = ("max_panels", "abs_tol")
-
-    def __init__(self, max_panels: int = 1024, abs_tol: float = 1e-12) -> None:
-        if not 1 <= max_panels <= MAX_PANELS:
-            raise ValueError(f"require 1 <= max_panels <= {MAX_PANELS}, got {max_panels}")
-        if not abs_tol > 0.0:
-            raise ValueError("require abs_tol > 0")
-        d = self.__dict__
-        d["max_panels"], d["abs_tol"] = max_panels, abs_tol
-
-
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to meet abs_tol within max_panels."""
+    """Quadrature failed to meet abs_tol within PANEL_CAP panels."""
 
     def __init__(self, message: str, estimate: complex, achieved: float):
         super().__init__(message)
@@ -108,8 +82,7 @@ def _level_nodes(levels: tuple[int, ...]) -> np.ndarray:
 
     Panel count p contributes a ``(p, NODES_PER_PANEL)`` block, stacked in the
     order of levels.  The cache keeps 128 B per panel of every levels tuple a
-    process reaches: about 256 KiB up to the default 1,024-panel cap, and
-    about 16 MiB up to MAX_PANELS.
+    process reaches: about 256 KiB up to PANEL_CAP.
     """
     nodes = _gauss_legendre()[0]
     blocks = []
@@ -133,37 +106,40 @@ def _composite_estimates(spec, z_from, z_to, levels):
     return estimates
 
 
-def fprime_segment_integral(
-    spec: ExtremalSpec,
-    z_from: complex,
-    z_to: complex,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
-    """Integral of F' along the straight segment [z_from, z_to] inside the disk."""
-    cfg = cfg or QuadratureConfig()
+def fprime_segment_integral(spec: ExtremalSpec, z_from: complex, z_to: complex, abs_tol: float = 1e-12) -> complex:
+    """Integral of F' along the straight segment [z_from, z_to] inside the disk.
+
+    Panels double (1, 2, 4, ...) until two successive composite estimates
+    differ by at most abs_tol, and never beyond PANEL_CAP.  The estimates for
+    1 and 2 panels come from one integrand pass over their 48 nodes; every
+    later level takes its own pass.  An abs_tol below the rounding floor
+    4 eps |estimate| is never confirmed: two estimates that round to the same
+    double do not meet it.  Either failure is a ConvergenceError.
+    """
+    if not abs_tol > 0.0:
+        raise ValueError("require abs_tol > 0")
     if not (abs(z_from) < 1.0 and abs(z_to) < 1.0):
         raise ValueError("segment endpoints must lie in the open unit disk")
     if z_from == z_to:
         return 0j
-    # one panel alone never confirms abs_tol, so the first pass also takes two when the cap allows
-    est = _composite_estimates(spec, z_from, z_to, (1, 2) if cfg.max_panels >= 2 else (1,))
-    panels = len(est)
+    est = _composite_estimates(spec, z_from, z_to, (1, 2))
+    panels = 2
     while True:
-        achieved = abs(est[-1] - est[-2]) if len(est) > 1 else float("inf")
-        if len(est) > 1 and achieved <= cfg.abs_tol:
+        achieved = abs(est[-1] - est[-2])
+        if achieved <= abs_tol:
             floor = _EPS4 * abs(est[-1])
-            if cfg.abs_tol < floor:
+            if abs_tol < floor:
                 raise ConvergenceError(
-                    f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                    f"abs_tol={abs_tol} is below the rounding floor 4 eps |estimate| "
                     f"= {floor:.3e}, so no estimate can confirm it",
                     estimate=complex(est[-1]),
                     achieved=float(achieved),
                 )
             return complex(est[-1])
-        if 2 * panels > cfg.max_panels:
+        if 2 * panels > PANEL_CAP:
             raise ConvergenceError(
-                f"quadrature did not reach abs_tol={cfg.abs_tol} within "
-                f"{cfg.max_panels} panels (achieved {achieved:.3e})",
+                f"quadrature did not reach abs_tol={abs_tol} within "
+                f"{PANEL_CAP} panels (achieved {achieved:.3e})",
                 estimate=complex(est[-1]),
                 achieved=float(achieved),
             )
@@ -171,13 +147,9 @@ def fprime_segment_integral(
         est += _composite_estimates(spec, z_from, z_to, (panels,))
 
 
-def extremal_value(
-    spec: ExtremalSpec,
-    z: complex,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
+def extremal_value(spec: ExtremalSpec, z: complex, abs_tol: float = 1e-12) -> complex:
     """F_{a,lambda}(z), by adaptive composite Gauss-Legendre from 0 to z."""
-    return fprime_segment_integral(spec, 0j, complex(z), cfg)
+    return fprime_segment_integral(spec, 0j, complex(z), abs_tol)
 
 
 def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:

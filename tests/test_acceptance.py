@@ -11,7 +11,6 @@ from varregion import (
     EvalPoint,
     ExtremalSpec,
     JanowskiParams,
-    QuadratureConfig,
     Verdict,
     boundary_point,
     check_convexity,
@@ -72,7 +71,6 @@ def test_criterion_02_boundary_extremal_agreement():
 
 def test_criterion_03_quadrature_vs_closed_form():
     worst = 0.0
-    cfg = QuadratureConfig(abs_tol=1e-13)
     lams = (0.1, 0.3, 0.5, 0.8)
     Bs = (0.25, 0.5, 0.75, 1.0)
     zs = (0.5, -0.4, 0.3 + 0.4j, -0.2 - 0.5j)
@@ -82,7 +80,7 @@ def test_criterion_03_quadrature_vs_closed_form():
                 params = JanowskiParams(A, B)
                 spec = ExtremalSpec(0.0, lam, params)
                 for z in zs:
-                    diff = abs(extremal_value(spec, z, cfg) - closed_form_a0(lam, params, z))
+                    diff = abs(extremal_value(spec, z, abs_tol=1e-13) - closed_form_a0(lam, params, z))
                     worst = max(worst, diff)
     _criterion(3, "quadrature matches a=0 closed form on 4x4x4 grid, A=0 and A!=0",
                worst < 1e-10, f"max|diff|={worst:.2e}")

@@ -3,8 +3,8 @@
 Each argv is a valid call of ``region``, ``sample``, ``extremal`` or
 ``verify`` with up to three flags given an edge value or left out, every flag
 as ``--flag=value`` or ``--flag value``.  The counts that set a call's cost
-(``--mc-samples``, ``--theta-samples``, ``--max-panels``) are always given,
-small or as an edge value, and no edge value parses as a large integer.
+(``--mc-samples``, ``--theta-samples``) are always given, small or as an
+edge value, and no edge value parses as a large integer.
 """
 
 import contextlib
@@ -32,12 +32,12 @@ COMMANDS = {
                "--seed": ("0", "9"), "--tol": ("1e-9", "0.5"), "--format": ("csv", "json", "svg"),
                "--out": ("out.txt",)},
     "extremal": {**_POINTS, "--a": ("0.6,0.2", "1", "-1"), "--z": ("0.5,0.1", "0", "0.97"),
-                 "--quad-tol": ("1e-12", "1e-6"), "--max-panels": ("64", "1"), "--out": ("out.txt",)},
+                 "--quad-tol": ("1e-12", "1e-6"), "--out": ("out.txt",)},
     "verify": {"--suite": (*SUITE_NAMES, "all"), "--tol": ("1e-9", "1e-17"), "--seed": ("0", "9"),
                "--out": ("out.json",)},
 }
 # flags a call always gives: they bound its cost
-CAPPED = ("--mc-samples", "--theta-samples", "--max-panels")
+CAPPED = ("--mc-samples", "--theta-samples")
 COMPLEX = ("--lambda", "--z0", "--a", "--z")
 EXIT_CODES = {0, 2, 3, 4, 5}  # and 1, from verify alone
 
@@ -90,6 +90,7 @@ _SINGLETON = ("--A=-0.5", "--B=-5e-324", "--lambda=1", "--z0=0.5")  # (A - B)/B 
 # strict, so finite): too rare for the strategy to find
 @example(_call("verify", "--suite=inclusion", "--tol=inf"))
 @example(_call("sample", "--A=0", "--B=0.5", "--z0=0.5", "--mc-samples=3", "--tol=inf"))
+@example(_call("extremal", "--A=-1", "--B=1", "--lambda=0.3,0.4", "--a=-1", "--z=0.97", "--quad-tol=inf"))
 @example(_call("sample", *_SINGLETON, "--mc-samples=3"))
 @example(_call("sample", *_SINGLETON, "--mc-samples=3", "--format=json"))
 @example(_call("region", *_SINGLETON, "--format=json"))

@@ -359,6 +359,7 @@ _FLAG_RULES = [
     *((command, "--out", "", "require a non-empty --out path") for command in _RULE_BASE),
     ("extremal", "--z", "1.5", "require |z| < 1, got |z| = 1.5"),
     ("extremal", "--z", "nan", "require |z| < 1, got |z| = nan"),
+    *(("extremal", "--quad-tol", tol, "require quad_tol > 0") for tol in ("0", "-1", "nan")),
 ]
 
 
@@ -388,11 +389,19 @@ def test_each_flag_rule_is_the_same_usage_error_in_both_flag_forms(command, flag
 @_each_flag_form
 @pytest.mark.parametrize("command, flag, convert", [
     ("sample", "--seed", "int"), ("verify", "--seed", "int"), ("sample", "--mc-samples", "int"),
-    ("sweep", "--theta-samples", "int"), ("verify", "--tol", "float"),
+    ("sweep", "--theta-samples", "int"), ("verify", "--tol", "float"), ("extremal", "--quad-tol", "float"),
 ])
 def test_a_ruled_flag_that_is_no_number_names_its_converter(command, flag, convert, form, capsys):
     assert run(_rule_argv(command, flag, "abc", form)) == 2
     assert capsys.readouterr() == ("", _usage_error(command, f"argument {flag}: invalid {convert} value: 'abc'"))
+
+
+def test_an_infinite_quad_tol_takes_the_two_panel_estimate(capsys):
+    assert run(["extremal", "--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--a=0.6,0.2", "--z=0.5,0.1",
+                "--quad-tol=inf"]) == 0
+    spec = varregion.extremal.ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, JanowskiParams(-0.5, 0.5))
+    two = varregion.extremal._composite_estimates(spec, 0j, 0.5 + 0.1j, (1, 2))[1]
+    assert capsys.readouterr().out.splitlines()[0] == f"{varregion.cli._f15(two.real)} {varregion.cli._f15(two.imag)}"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -709,12 +718,24 @@ def test_lambda_just_past_the_unimodular_band_is_a_domain_error(capsys):
     assert capsys.readouterr().err == "error: require |lambda| <= 1, got |lambda| = 1.000000000001\n"
 
 
+# steep: 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 = 2e-3 of zero, and F is about 250
+_CAP_CORNER = ["extremal", "--A=-1", "--B=1", "--lambda=0", "--a=-0.16996714290024112,0.9854497299884603",
+               "--z=0.764077345097204,0.6435734695504534"]
+# F at _CAP_CORNER, from mpmath at 30 digits
+_CAP_CORNER_F = 192.568170807624431107218529662 + 162.197932718295833357697133889j
+
+
 def test_extremal_nonconvergence_exit_code(capsys):
-    code = run(["extremal", "--A", "-1", "--B", "1", "--lambda", "0.7",
-                "--a", "0.9,0", "--z", "0.8,0", "--quad-tol", "1e-30",
-                "--max-panels", "2"])
-    assert code == 4
-    assert "error" in capsys.readouterr().err
+    # 1e-12 sits within about 5x of the rounding floor 4 eps |F|: 1,024 panels do not confirm it
+    assert run(_CAP_CORNER) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "within 1024 panels" in err
+
+
+def test_extremal_at_the_cap_corner_converges_at_a_looser_quad_tol(capsys):
+    assert run([*_CAP_CORNER, "--quad-tol=1e-11"]) == 0
+    value = complex(*map(float, capsys.readouterr().out.splitlines()[0].split()))
+    assert abs(value - _CAP_CORNER_F) <= 1e-11
 
 
 def test_extremal_tolerance_below_the_rounding_floor_exit_code(capsys):
@@ -723,23 +744,6 @@ def test_extremal_tolerance_below_the_rounding_floor_exit_code(capsys):
                 "--quad-tol=1e-30"])
     assert code == 4
     assert "below the rounding floor" in capsys.readouterr().err
-
-
-def test_extremal_max_panels_cap(monkeypatch, capsys):
-    calls = []
-
-    def counted(*args):
-        calls.extend(args[-1])
-        return composite(*args)
-
-    composite = varregion.extremal._composite_estimates
-    monkeypatch.setattr(varregion.extremal, "_composite_estimates", counted)
-    argv = ["extremal", "--A=0", "--B=0.5", "--lambda=0.5", "--a=0.3,0.4", "--z=0.5"]
-    assert run(argv + ["--max-panels=16777216"]) == 2
-    assert capsys.readouterr().err == "error: require 1 <= max_panels <= 65536, got 16777216\n"
-    assert calls == []
-    assert run(argv + ["--max-panels=65536"]) == 0
-    assert calls
 
 
 def test_sample_csv_deterministic(tmp_path):
@@ -1438,7 +1442,7 @@ _LONE_DASH_ARGVS = list(_lone_dash_argvs())
 
 
 def test_every_long_flag_has_a_lone_dash_argv():
-    assert len(_LONE_DASH_ARGVS) == 32  # every flag of region 7, extremal 8, sample 10, verify 4 and sweep 3
+    assert len(_LONE_DASH_ARGVS) == 31  # every flag of region 7, extremal 7, sample 10, verify 4 and sweep 3
 
 
 # argparse's reading of a lone "--" value depends on the Python version; on 3.11 it is []

@@ -1,16 +1,17 @@
+import cmath
+import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from varregion import (
     ConvergenceError,
     EvalPoint,
     ExtremalSpec,
     JanowskiParams,
-    QuadratureConfig,
     Verdict,
     closed_form_a0,
     extremal_fprime,
@@ -52,11 +53,13 @@ def test_spec_validation():
     ExtremalSpec(np.exp(0.3j), 0.0, P05)  # |a| = 1 is allowed
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_panels=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
+@pytest.mark.parametrize("abs_tol", [0.0, -1e-12, float("nan")])
+def test_abs_tol_must_be_positive(abs_tol):
+    spec = ExtremalSpec(0.5, 0.3, P05)
+    with pytest.raises(ValueError, match=r"^require abs_tol > 0$"):
+        extremal_value(spec, 0.5, abs_tol)
+    with pytest.raises(ValueError, match=r"^require abs_tol > 0$"):
+        fprime_segment_integral(spec, 0j, 0.5, abs_tol)
 
 
 def test_fprime_examples():
@@ -183,9 +186,60 @@ def test_oracle_agreement_grid():
                 params = JanowskiParams(A, B)
                 spec = ExtremalSpec(0.0, lam, params)
                 for z in (0.6, -0.35, 0.3 + 0.45j):
-                    got = extremal_value(spec, z, QuadratureConfig(abs_tol=1e-13))
+                    got = extremal_value(spec, z, abs_tol=1e-13)
                     want = closed_form_a0(lam, params, z)
                     assert abs(got - want) < 1e-10
+
+
+def _one_less(lo, hi):
+    """1 - 10**-x for x uniform in [lo, hi]: moduli log-uniform in their distance to 1."""
+    return st.floats(lo, hi).map(lambda x: 1.0 - 10.0**-x)
+
+
+_TURN = st.floats(-math.pi, math.pi)
+_BULK_B, _BULK_LAM, _BULK_Z = st.floats(1e-2, 1.0), st.floats(0.01, 0.99), st.floats(0.0, 0.99)
+
+
+@st.composite
+def _a0_cells(draw, b_mod=_BULK_B, lam_mod=_BULK_LAM, z_mod=_BULK_Z, A_is_zero=False):
+    """(lambda, params, z): |B|, |lambda| and |z| from the given strategies; signs, arguments and A uniform."""
+    B = draw(b_mod) * draw(st.sampled_from((1.0, -1.0)))
+    A = 0.0 if A_is_zero else -1.0 + draw(st.floats(0.0, 1.0, exclude_max=True)) * (B + 1.0)
+    assume(-1.0 <= A < B)
+    return cmath.rect(draw(lam_mod), draw(_TURN)), JanowskiParams(A, B), cmath.rect(draw(z_mod), draw(_TURN))
+
+
+def _check_a0_cell(cell):
+    # converges within the panel cap, and agrees with the a = 0 antiderivative
+    lam, params, z = cell
+    got = extremal_value(ExtremalSpec(0.0, lam, params), z)
+    assert abs(got - closed_form_a0(lam, params, z)) < 1e-10, cell
+
+
+@given(_a0_cells())
+def test_a0_bulk(cell):
+    _check_a0_cell(cell)
+
+
+@given(_a0_cells(z_mod=_one_less(2.0, 12.0)))
+def test_a0_z_near_the_circle(cell):
+    _check_a0_cell(cell)
+
+
+@given(_a0_cells(lam_mod=_one_less(2.0, 11.0)))
+def test_a0_lambda_near_the_circle(cell):
+    _check_a0_cell(cell)
+
+
+# F' takes numpy's log(1 + x), whose error grows like 1/|B|: below |B| ~ 1e-4 is the small-B xfail above
+@given(_a0_cells(b_mod=st.floats(-4.0, -2.0).map(lambda x: 10.0**x)))
+def test_a0_small_b(cell):
+    _check_a0_cell(cell)
+
+
+@given(_a0_cells(b_mod=st.floats(1e-4, 1.0), A_is_zero=True))
+def test_a0_when_A_is_zero(cell):
+    _check_a0_cell(cell)
 
 
 def test_derivative_consistency():
@@ -214,21 +268,16 @@ def test_segment_endpoint_validation():
 
 
 def test_convergence_error():
-    spec = ExtremalSpec(0.9, 0.7, JanowskiParams(-1.0, 1.0))
-    cfg = QuadratureConfig(max_panels=2, abs_tol=1e-30)
-    with pytest.raises(ConvergenceError) as exc:
-        extremal_value(spec, 0.8, cfg)
-    assert np.isfinite(exc.value.achieved)
+    # 1e-12 sits within about 5x of the rounding floor 4 eps |F| here: 1,024 panels do not confirm it
+    z = 0.764077345097204 + 0.6435734695504534j
+    spec = ExtremalSpec(-0.16996714290024112 + 0.9854497299884603j, 0.0, JanowskiParams(-1.0, 1.0))
+    with pytest.raises(ConvergenceError, match="within 1024 panels") as exc:
+        extremal_value(spec, z)
+    assert 1e-12 < exc.value.achieved < 1e-10
     assert abs(exc.value.estimate) > 0
 
 
-@pytest.mark.parametrize("max_panels, schedule", [
-    (1, [1]),  # a cap of 1 never evaluates 2 panels
-    (2, [1, 2]),
-    (3, [1, 2]),
-    (1000, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
-])
-def test_max_panels_caps_the_panels_evaluated(max_panels, schedule, monkeypatch):
+def test_the_panel_cap_stops_the_doubling(monkeypatch):
     panels, composite = [], extremal._composite_estimates
 
     def counted(*args):
@@ -239,27 +288,21 @@ def test_max_panels_caps_the_panels_evaluated(max_panels, schedule, monkeypatch)
     # steep: 1 + B z delta(a z, lambda) comes within about 1 - |z|^2 of zero
     z = 0.99 * np.exp(0.7j)
     spec = ExtremalSpec(-(np.conj(z) / abs(z)) ** 2, 0.05, JanowskiParams(-1.0, 1.0))
-    with pytest.raises(ConvergenceError, match=f"within {max_panels} panels"):
-        extremal_value(spec, z, QuadratureConfig(max_panels=max_panels, abs_tol=1e-30))
-    assert panels == schedule
+    with pytest.raises(ConvergenceError, match=f"within {extremal.PANEL_CAP} panels"):
+        extremal_value(spec, z, abs_tol=1e-30)
+    assert panels == [2**k for k in range(11)]  # 1, 2, 4, ..., 1,024
 
 
 def test_tolerance_below_the_rounding_floor_is_never_confirmed():
     spec = ExtremalSpec(0.5j, 0.3, JanowskiParams(-0.5, 0.5))
     z = 0.5 + 0.3j
     with pytest.raises(ConvergenceError, match="below the rounding floor") as exc:
-        fprime_segment_integral(spec, 0j, z, QuadratureConfig(abs_tol=1e-30, max_panels=64))
+        fprime_segment_integral(spec, 0j, z, abs_tol=1e-30)
     # the two last estimates agree to the double: only the floor refuses them
     assert exc.value.achieved <= 1e-30
     floor = 4.0 * np.finfo(float).eps * abs(exc.value.estimate)
-    value = fprime_segment_integral(spec, 0j, z, QuadratureConfig(abs_tol=floor, max_panels=64))
+    value = fprime_segment_integral(spec, 0j, z, abs_tol=floor)
     assert value == exc.value.estimate
-
-
-def test_max_panels_is_capped():
-    assert QuadratureConfig(max_panels=extremal.MAX_PANELS).max_panels == 65536
-    with pytest.raises(ValueError, match="max_panels <= 65536"):
-        QuadratureConfig(max_panels=65537)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
@@ -353,9 +396,8 @@ def test_joint_pass_changes_no_bits(case):
         assert _bits(extremal._composite_estimates(spec, z_from, z_to, (p,))[0]) == bits
 
 
-def _reference_segment_integral(spec, z_from, z_to, cfg=None):
+def _reference_segment_integral(spec, z_from, z_to, abs_tol=1e-12):
     """fprime_segment_integral as it was with one integrand pass per panel count."""
-    cfg = cfg or QuadratureConfig()
     if not (abs(z_from) < 1.0 and abs(z_to) < 1.0):
         raise ValueError("segment endpoints must lie in the open unit disk")
     if z_from == z_to:
@@ -365,24 +407,23 @@ def _reference_segment_integral(spec, z_from, z_to, cfg=None):
         est = _inline_composite_estimate(spec, z_from, z_to, panels)
         if prev is not None:
             achieved = abs(est - prev)
-            if achieved <= cfg.abs_tol:
+            if achieved <= abs_tol:
                 floor = 4.0 * np.finfo(float).eps * abs(est)
-                if cfg.abs_tol < floor:
+                if abs_tol < floor:
                     raise ConvergenceError(
-                        f"abs_tol={cfg.abs_tol} is below the rounding floor 4 eps |estimate| "
+                        f"abs_tol={abs_tol} is below the rounding floor 4 eps |estimate| "
                         f"= {floor:.3e}, so no estimate can confirm it", complex(est), float(achieved))
                 return complex(est)
-        if 2 * panels > cfg.max_panels:
-            achieved = float("inf") if prev is None else abs(est - prev)
+        if 2 * panels > 1024:
             raise ConvergenceError(
-                f"quadrature did not reach abs_tol={cfg.abs_tol} within "
-                f"{cfg.max_panels} panels (achieved {achieved:.3e})", complex(est), float(achieved))
+                f"quadrature did not reach abs_tol={abs_tol} within "
+                f"1024 panels (achieved {achieved:.3e})", complex(est), float(achieved))
         prev = est
         panels *= 2
 
 
 def _seeded_extremal_argv(n, seed):
-    """n extremal argv cycling a = 0, steep, |a| = 1 and |a| < 1, both --quad-tol values and four caps."""
+    """n extremal argv cycling a = 0, steep, |a| = 1 and |a| < 1, and both --quad-tol values."""
     rng = np.random.default_rng(seed)
 
     def polar(lo, hi):
@@ -403,7 +444,7 @@ def _seeded_extremal_argv(n, seed):
             a = polar(1.0, 1.0) if kind == 2 else polar(0.0, 1.0)
         argvs.append(["extremal", f"--A={A!r}", f"--B={B!r}"] + [
             f"--{k}={v.real!r},{v.imag!r}" for k, v in (("lambda", lam), ("a", a), ("z", z))] + [
-            f"--quad-tol={(1e-12, 1e-13)[j // 4 % 2]}", f"--max-panels={(1024, 1024, 1, 2, 3)[j // 8 % 5]}"])
+            f"--quad-tol={(1e-12, 1e-13)[j // 4 % 2]}"])
     return argvs
 
 

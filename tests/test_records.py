@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from varregion import BoundaryCurve, Disk, EvalPoint, ExtremalSpec, JanowskiParams, QuadratureConfig
+from varregion import BoundaryCurve, Disk, EvalPoint, ExtremalSpec, JanowskiParams
 from varregion.sampler import InnerBatch
 
 P = JanowskiParams(-0.5, 0.5)
@@ -24,7 +24,6 @@ CONSTRUCTIONS = [
      ("thetas", "values")),
     (InnerBatch, (LEAD, ZEROS, MASK), dict(lead=LEAD, zeros=ZEROS, mask=MASK), ("lead", "zeros", "mask")),
     (ExtremalSpec, (0.6, 0.3, P), dict(a=0.6, lam=0.3, params=P), ("a", "lam", "params")),
-    (QuadratureConfig, (64, 1e-10), dict(max_panels=64, abs_tol=1e-10), ("max_panels", "abs_tol")),
 ]
 IDS = [c[0].__name__ for c in CONSTRUCTIONS]
 HASHABLE = [c for c in CONSTRUCTIONS if c[0] not in (BoundaryCurve, InnerBatch)]
@@ -58,8 +57,6 @@ def test_conversions_and_defaults():
     assert (type(d.center), type(d.radius)) == (complex, float)
     c = BoundaryCurve([0, 1], [0, 1])
     assert (c.thetas.dtype, c.values.dtype, len(c)) == (np.dtype(float), np.dtype(complex), 2)
-    assert QuadratureConfig() == QuadratureConfig(1024, 1e-12)
-    assert QuadratureConfig(8).abs_tol == 1e-12
 
 
 @pytest.mark.parametrize("make, message", [
@@ -76,10 +73,6 @@ def test_conversions_and_defaults():
     (lambda: BoundaryCurve([0.0, 1.0], [0.0, np.nan]), "curve samples must be finite"),
     (lambda: ExtremalSpec(2.0, 0.3, P), "require |a| <= 1, got |a| = 2.0"),
     (lambda: ExtremalSpec(0.5, 1.0, P), "require |lambda| < 1, got |lambda| = 1.0"),
-    (lambda: QuadratureConfig(0), "require 1 <= max_panels <= 65536, got 0"),
-    (lambda: QuadratureConfig(65537), "require 1 <= max_panels <= 65536, got 65537"),
-    (lambda: QuadratureConfig(8, 0.0), "require abs_tol > 0"),
-    (lambda: QuadratureConfig(8, float("nan")), "require abs_tol > 0"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -96,7 +89,6 @@ def test_repr_text():
     assert repr(b) == f"InnerBatch(lead={LEAD!r}, zeros={ZEROS!r}, mask={MASK!r})"
     assert repr(ExtremalSpec(0.6, 0.3, P)) == (
         "ExtremalSpec(a=(0.6+0j), lam=(0.3+0j), params=JanowskiParams(A=-0.5, B=0.5))")
-    assert repr(QuadratureConfig()) == "QuadratureConfig(max_panels=1024, abs_tol=1e-12)"
 
 
 @pytest.mark.parametrize("cls, args, kwargs, names", HASHABLE, ids=[c[0].__name__ for c in HASHABLE])
@@ -108,7 +100,7 @@ def test_value_records_compare_and_hash_by_fields(cls, args, kwargs, names):
     assert a != _fields(a, names)  # another type is never equal
     other = dict(kwargs)
     other[names[-1] if cls is not ExtremalSpec else "a"] = {
-        JanowskiParams: 0.75, EvalPoint: 0.5j, Disk: 0.25, ExtremalSpec: -0.6, QuadratureConfig: 1e-11}[cls]
+        JanowskiParams: 0.75, EvalPoint: 0.5j, Disk: 0.25, ExtremalSpec: -0.6}[cls]
     assert a != cls(**other) and not a == cls(**other)
 
 
