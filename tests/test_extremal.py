@@ -1,11 +1,9 @@
-import cmath
-import math
 import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from varregion import (
     ConvergenceError,
@@ -189,57 +187,6 @@ def test_oracle_agreement_grid():
                     got = extremal_value(spec, z, abs_tol=1e-13)
                     want = closed_form_a0(lam, params, z)
                     assert abs(got - want) < 1e-10
-
-
-def _one_less(lo, hi):
-    """1 - 10**-x for x uniform in [lo, hi]: moduli log-uniform in their distance to 1."""
-    return st.floats(lo, hi).map(lambda x: 1.0 - 10.0**-x)
-
-
-_TURN = st.floats(-math.pi, math.pi)
-_BULK_B, _BULK_LAM, _BULK_Z = st.floats(1e-2, 1.0), st.floats(0.01, 0.99), st.floats(0.0, 0.99)
-
-
-@st.composite
-def _a0_cells(draw, b_mod=_BULK_B, lam_mod=_BULK_LAM, z_mod=_BULK_Z, A_is_zero=False):
-    """(lambda, params, z): |B|, |lambda| and |z| from the given strategies; signs, arguments and A uniform."""
-    B = draw(b_mod) * draw(st.sampled_from((1.0, -1.0)))
-    A = 0.0 if A_is_zero else -1.0 + draw(st.floats(0.0, 1.0, exclude_max=True)) * (B + 1.0)
-    assume(-1.0 <= A < B)
-    return cmath.rect(draw(lam_mod), draw(_TURN)), JanowskiParams(A, B), cmath.rect(draw(z_mod), draw(_TURN))
-
-
-def _check_a0_cell(cell):
-    # converges within the panel cap, and agrees with the a = 0 antiderivative
-    lam, params, z = cell
-    got = extremal_value(ExtremalSpec(0.0, lam, params), z)
-    assert abs(got - closed_form_a0(lam, params, z)) < 1e-10, cell
-
-
-@given(_a0_cells())
-def test_a0_bulk(cell):
-    _check_a0_cell(cell)
-
-
-@given(_a0_cells(z_mod=_one_less(2.0, 12.0)))
-def test_a0_z_near_the_circle(cell):
-    _check_a0_cell(cell)
-
-
-@given(_a0_cells(lam_mod=_one_less(2.0, 11.0)))
-def test_a0_lambda_near_the_circle(cell):
-    _check_a0_cell(cell)
-
-
-# F' takes numpy's log(1 + x), whose error grows like 1/|B|: below |B| ~ 1e-4 is the small-B xfail above
-@given(_a0_cells(b_mod=st.floats(-4.0, -2.0).map(lambda x: 10.0**x)))
-def test_a0_small_b(cell):
-    _check_a0_cell(cell)
-
-
-@given(_a0_cells(b_mod=st.floats(1e-4, 1.0), A_is_zero=True))
-def test_a0_when_A_is_zero(cell):
-    _check_a0_cell(cell)
 
 
 def test_derivative_consistency():
