@@ -362,17 +362,20 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     return rec, None
 
 
-def _theta_fields(theta_samples: int) -> np.ndarray:
-    """The ``_fields`` of the theta column of every curve of theta_samples points, as JSON writes it."""
-    return _fields(_theta_grid(theta_samples)[:, None], shortest=True)
+def _boundary_rows(values: list[np.ndarray], theta_samples: int):
+    """The ``_json_text`` (theta, Re, Im) boundary rows of k disk records, one text each, made as it is taken.
 
-
-def _boundary_rows(curve: BoundaryCurve | None, theta_fields: np.ndarray) -> dict:
-    """``_json_text`` rows of a record: a disk's (theta, Re, Im) rows; none for a singleton."""
-    if curve is None:
-        return {}
-    values = _fields(np.column_stack([curve.values.real, curve.values.imag]) + 0.0, shortest=True)
-    return {"boundary": [_rows_text([theta_fields, values], _JSON_END, _JSON_SEP)]}
+    values holds the theta_samples curve values of each record.  Taking the
+    first text formats the theta column once and the Re and Im cells of all k
+    curves in one ``_fields`` pass; each text is its record's slice of them.
+    Nothing is formatted before, so a sweep call with no disk formats nothing,
+    and a call holds one record's text at a time.
+    """
+    theta_fields = _fields(_theta_grid(theta_samples)[:, None], shortest=True)
+    # a complex array's float64 view holds each value's (Re, Im) as one row
+    cells = _fields(np.concatenate(values).view(np.float64).reshape(-1, 2) + 0.0, shortest=True)
+    for i in range(0, len(cells), theta_samples):
+        yield _rows_text([theta_fields, cells[i:i + theta_samples]], _JSON_END, _JSON_SEP)
 
 
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
@@ -427,7 +430,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
     if args.format == "json":
-        text = _json_text(rec, **_boundary_rows(curve, _theta_fields(args.theta_samples)))
+        rows = {} if curve is None else {"boundary": _boundary_rows([curve.values], args.theta_samples)}
+        text = _json_text(rec, **rows)
     elif args.format == "csv":
         text = _region_csv(rec, curve)
     else:
@@ -496,8 +500,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":
-            text = _json_text(rec, **_boundary_rows(curve, _theta_fields(args.theta_samples)),
-                              samples=parts)
+            rows = {} if curve is None else {"boundary": _boundary_rows([curve.values], args.theta_samples)}
+            text = _json_text(rec, **rows, samples=parts)
         else:
             text = _region_svg(rec, curve, parts)
     _write_out(args.out, text)
@@ -578,18 +582,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every curve of the call has the same theta column: format it once, here
-    theta_fields = _theta_fields(args.theta_samples)
     by_hash: dict[str, dict] = {}  # index entries in first-seen order
+    records, values = [], []  # (file, record, has rows) of each new block; the curve values of its disks
     for block in blocks:
         h = _block_hash(block)
         if h in by_hash:
             by_hash[h]["count"] += 1
             continue
         rec, curve = _sweep_record(block, args.theta_samples)
+        if curve is not None:
+            values.append(curve.values)
         fname = f"region-{h}.json"
-        _write_text(out_dir / fname, _json_text(rec, **_boundary_rows(curve, theta_fields)))
+        records.append((fname, rec, curve is not None))
         by_hash[h] = {"hash": h, "file": fname, "status": "rejected" if rec.get("rejected") else "ok", "count": 1}
+    rows = _boundary_rows(values, args.theta_samples)  # one formatting pass for all the call's disks
+    for fname, rec, disk in records:
+        _write_text(out_dir / fname, _json_text(rec, **({"boundary": [next(rows)]} if disk else {})))
     _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
     return EXIT_OK
 

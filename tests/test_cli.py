@@ -30,7 +30,6 @@ from varregion.cli import (
     _rows_text,
     _sample_blocks,
     _sweep_record,
-    _theta_fields,
     build_parser,
     main,
     parse_complex,
@@ -462,7 +461,7 @@ def _reference_sweep_record(block, n):
 
 
 def _record_text(rec, curve, n, **rows):
-    return _json_text(rec, **_boundary_rows(curve, _theta_fields(n)), **rows)
+    return _json_text(rec, **({} if curve is None else {"boundary": _boundary_rows([curve.values], n)}), **rows)
 
 
 SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300], ["Interior", "Boundary", "Outside"])
@@ -979,17 +978,26 @@ def _sweep_grid(tmp_path, blocks):
     return grid
 
 
-@pytest.mark.parametrize("n", [3, 4, 4096])
-def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, n):
+# a duplicate between two disks: the rows of the disk after it must not shift
+_DUPLICATE_BETWEEN_DISKS = [SWEEP_BLOCKS[0], SWEEP_BLOCKS[5], SWEEP_BLOCKS[0], SWEEP_BLOCKS[3], SWEEP_BLOCKS[1]]
+
+
+# the three disks of SWEEP_BLOCKS stack 3n rows, so from n = 1000 on _fields' BLOCK_ROWS edges fall inside records
+@pytest.mark.parametrize("blocks, n", [pytest.param(SWEEP_BLOCKS, n, id=str(n)) for n in (3, 4, 1000, 1025, 1385, 4096)]
+                         + [pytest.param(_DUPLICATE_BETWEEN_DISKS, n, id=f"duplicate-{n}") for n in (4, 1025)])
+def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, blocks, n):
     out = tmp_path / "out"
-    assert run(["sweep", f"--grid={_sweep_grid(tmp_path, SWEEP_BLOCKS)}", f"--out={out}",
+    assert run(["sweep", f"--grid={_sweep_grid(tmp_path, blocks)}", f"--out={out}",
                 f"--theta-samples={n}"]) == 0
     index = json.loads((out / "index.json").read_text())["records"]
-    assert [e["file"] for e in index] == [f"region-{_block_hash(b)}.json" for b in SWEEP_BLOCKS]
-    for block, entry in zip(SWEEP_BLOCKS, index):
-        expected = json.dumps(_reference_sweep_record(block, n), sort_keys=True, indent=2) + "\n"
+    unique = list({_block_hash(b): b for b in blocks}.values())  # first-seen order
+    assert [e["file"] for e in index] == [f"region-{_block_hash(b)}.json" for b in unique]
+    assert [e["count"] for e in index] == [blocks.count(b) for b in unique]
+    for block, entry in zip(unique, index):
+        ref = _reference_sweep_record(block, n)
+        expected = json.dumps(ref, sort_keys=True, indent=2) + "\n"
         assert (out / entry["file"]).read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
-    assert [e["status"] for e in index] == ["ok"] * 5 + ["rejected"] * 3
+        assert entry["status"] == ("rejected" if "rejected" in ref else "ok")
     # and nothing else: no temp file is left behind
     assert sorted(p.name for p in out.iterdir()) == sorted(["index.json", *(e["file"] for e in index)])
 
@@ -1004,9 +1012,14 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     for call in range(2):  # a second call formats it again: nothing is cached across calls
         assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / str(call)}", f"--theta-samples={n}"]) == 0
         assert sum(cols == [thetas] for cols in formatted) == 1
-        assert len(formatted) == 1 + 3  # and the Re and Im columns of each disk record, in one call
-        assert sorted(len(cols) for cols in formatted) == [1, 2, 2, 2]
+        # and the Re and Im columns of all the call's disk records, 3n rows, in one call
+        assert [(len(cols), len(cols[0])) for cols in formatted] == [(1, n), (2, 3 * n)]
         formatted.clear()
+    # a call with no disk record formats nothing: neither the theta column nor any Re and Im
+    grid = _sweep_grid(tmp_path, SWEEP_BLOCKS[3:] + SWEEP_BLOCKS[3:4])  # singletons and rejected blocks
+    assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'none'}", f"--theta-samples={n}"]) == 0
+    assert formatted == []
+    assert len(list((tmp_path / "none").iterdir())) == 1 + 5
 
 
 def test_sweep_files_are_strict_json_when_a_rejected_block_is_not_finite(tmp_path):
