@@ -362,20 +362,23 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     return rec, None
 
 
-def _boundary_rows(values: list[np.ndarray], theta_samples: int):
-    """The ``_json_text`` (theta, Re, Im) boundary rows of k disk records, one text each, made as it is taken.
+def _theta_fields(theta_samples: int) -> np.ndarray:
+    """The ``_fields`` of the theta column of every curve of theta_samples points, as JSON writes it."""
+    return _fields(_theta_grid(theta_samples)[:, None], shortest=True)
 
-    values holds the theta_samples curve values of each record.  Taking the
-    first text formats the theta column once and the Re and Im cells of all k
-    curves in one ``_fields`` pass; each text is its record's slice of them.
-    Nothing is formatted before, so a sweep call with no disk formats nothing,
-    and a call holds one record's text at a time.
+
+def _boundary_rows(curves: list[BoundaryCurve | None], theta_fields: np.ndarray) -> list[dict]:
+    """``_json_text`` rows of k records: each disk's (theta, Re, Im) rows; none for a singleton.
+
+    The Re and Im cells of all k disks go through one ``_fields`` pass, and
+    each disk's rows are its slice of them.  With no disk nothing is formatted.
     """
-    theta_fields = _fields(_theta_grid(theta_samples)[:, None], shortest=True)
-    # a complex array's float64 view holds each value's (Re, Im) as one row
-    cells = _fields(np.concatenate(values).view(np.float64).reshape(-1, 2) + 0.0, shortest=True)
-    for i in range(0, len(cells), theta_samples):
-        yield _rows_text([theta_fields, cells[i:i + theta_samples]], _JSON_END, _JSON_SEP)
+    disks = [curve.values for curve in curves if curve is not None]
+    if disks:  # a complex array's float64 view holds each value's (Re, Im) as one row
+        cells = _fields(np.concatenate(disks).view(np.float64).reshape(-1, 2) + 0.0, shortest=True)
+        rows = iter(np.split(cells, len(disks)))
+    return [{} if curve is None else {"boundary": [_rows_text([theta_fields, next(rows)], _JSON_END, _JSON_SEP)]}
+            for curve in curves]
 
 
 def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
@@ -430,8 +433,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
     if args.format == "json":
-        rows = {} if curve is None else {"boundary": _boundary_rows([curve.values], args.theta_samples)}
-        text = _json_text(rec, **rows)
+        text = _json_text(rec, **_boundary_rows([curve], _theta_fields(args.theta_samples))[0])
     elif args.format == "csv":
         text = _region_csv(rec, curve)
     else:
@@ -500,8 +502,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":
-            rows = {} if curve is None else {"boundary": _boundary_rows([curve.values], args.theta_samples)}
-            text = _json_text(rec, **rows, samples=parts)
+            text = _json_text(rec, **_boundary_rows([curve], _theta_fields(args.theta_samples))[0], samples=parts)
         else:
             text = _region_svg(rec, curve, parts)
     _write_out(args.out, text)
@@ -578,26 +579,35 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
         return rejected(str(exc))
 
 
+# boundary rows sweep formats at once, 1.25 MiB of field words, so a call's memory does not grow with its grid;
+# at 4 * BLOCK_ROWS a call of 20 disks at 1,000-2,500 samples a curve took 13-21% longer
+_PASS_ROWS = 16 * BLOCK_ROWS
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out, is_dir=True)
     blocks = _parse_grid_file(Path(args.grid))
     out_dir.mkdir(parents=True, exist_ok=True)
     by_hash: dict[str, dict] = {}  # index entries in first-seen order
-    records, values = [], []  # (file, record, has rows) of each new block; the curve values of its disks
+    new = []  # the first block of each hash, and its index entry
     for block in blocks:
         h = _block_hash(block)
         if h in by_hash:
             by_hash[h]["count"] += 1
-            continue
-        rec, curve = _sweep_record(block, args.theta_samples)
-        if curve is not None:
-            values.append(curve.values)
-        fname = f"region-{h}.json"
-        records.append((fname, rec, curve is not None))
-        by_hash[h] = {"hash": h, "file": fname, "status": "rejected" if rec.get("rejected") else "ok", "count": 1}
-    rows = _boundary_rows(values, args.theta_samples)  # one formatting pass for all the call's disks
-    for fname, rec, disk in records:
-        _write_text(out_dir / fname, _json_text(rec, **({"boundary": [next(rows)]} if disk else {})))
+        else:
+            by_hash[h] = {"hash": h, "file": f"region-{h}.json", "count": 1}
+            new.append((block, by_hash[h]))
+    # the new blocks go in passes of at most max(_PASS_ROWS, n) boundary rows, each formatted at once and then written
+    n, theta_fields = args.theta_samples, None  # the theta column is formatted once, at the call's first disk
+    step = max(1, _PASS_ROWS // n)
+    for i in range(0, len(new), step):
+        done = [(entry, *_sweep_record(block, n)) for block, entry in new[i:i + step]]
+        curves = [curve for _, _, curve in done]
+        if theta_fields is None and any(curve is not None for curve in curves):
+            theta_fields = _theta_fields(n)
+        for (entry, rec, _), rows in zip(done, _boundary_rows(curves, theta_fields)):
+            entry["status"] = "rejected" if rec.get("rejected") else "ok"
+            _write_text(out_dir / entry["file"], _json_text(rec, **rows))
     _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from varregion.cli import (
     _rows_text,
     _sample_blocks,
     _sweep_record,
+    _theta_fields,
     build_parser,
     main,
     parse_complex,
@@ -461,7 +462,7 @@ def _reference_sweep_record(block, n):
 
 
 def _record_text(rec, curve, n, **rows):
-    return _json_text(rec, **({} if curve is None else {"boundary": _boundary_rows([curve.values], n)}), **rows)
+    return _json_text(rec, **_boundary_rows([curve], _theta_fields(n))[0], **rows)
 
 
 SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300], ["Interior", "Boundary", "Outside"])
@@ -982,10 +983,16 @@ def _sweep_grid(tmp_path, blocks):
 _DUPLICATE_BETWEEN_DISKS = [SWEEP_BLOCKS[0], SWEEP_BLOCKS[5], SWEEP_BLOCKS[0], SWEEP_BLOCKS[3], SWEEP_BLOCKS[1]]
 
 
-# the three disks of SWEEP_BLOCKS stack 3n rows, so from n = 1000 on _fields' BLOCK_ROWS edges fall inside records
-@pytest.mark.parametrize("blocks, n", [pytest.param(SWEEP_BLOCKS, n, id=str(n)) for n in (3, 4, 1000, 1025, 1385, 4096)]
-                         + [pytest.param(_DUPLICATE_BETWEEN_DISKS, n, id=f"duplicate-{n}") for n in (4, 1025)])
-def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, blocks, n):
+# the three disks of SWEEP_BLOCKS stack 3n rows in one pass, so from n = 1000 on _fields' BLOCK_ROWS edges fall
+# inside records; at 16 samples and pass_rows 16 or 32, a pass holds one or two new blocks
+@pytest.mark.parametrize("blocks, n, pass_rows",
+                         [pytest.param(SWEEP_BLOCKS, n, None, id=str(n)) for n in (3, 4, 1000, 1025, 1385, 4096)]
+                         + [pytest.param(_DUPLICATE_BETWEEN_DISKS, n, None, id=f"duplicate-{n}") for n in (4, 1025)]
+                         + [pytest.param(SWEEP_BLOCKS, 16, 32, id="passes-of-2"),
+                            pytest.param(_DUPLICATE_BETWEEN_DISKS, 16, 16, id="duplicate-passes-of-1")])
+def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, monkeypatch, blocks, n, pass_rows):
+    if pass_rows:
+        monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
     out = tmp_path / "out"
     assert run(["sweep", f"--grid={_sweep_grid(tmp_path, blocks)}", f"--out={out}",
                 f"--theta-samples={n}"]) == 0
@@ -1020,6 +1027,19 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'none'}", f"--theta-samples={n}"]) == 0
     assert formatted == []
     assert len(list((tmp_path / "none").iterdir())) == 1 + 5
+
+
+@pytest.mark.parametrize("pass_rows, passes", [(15, [1, 1, 1]), (32, [2, 1]), (47, [2, 1]), (48, [3])])
+def test_sweep_formats_at_most_a_pass_of_rows_at_once(tmp_path, monkeypatch, pass_rows, passes):
+    n = 16  # so max(1, pass_rows // n) new blocks a pass: the disks of SWEEP_BLOCKS are its first three
+    monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
+    formatted = []
+    fields = varregion.cli._fields
+    monkeypatch.setattr(varregion.cli, "_fields", lambda x, **kw: formatted.append(x.shape) or fields(x, **kw))
+    grid = _sweep_grid(tmp_path, SWEEP_BLOCKS[:1] + SWEEP_BLOCKS)
+    assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'out'}", f"--theta-samples={n}"]) == 0
+    # the theta column once, then the Re and Im of each pass's disks, at most max(pass_rows, n) rows
+    assert formatted == [(n, 1)] + [(disks * n, 2) for disks in passes]
 
 
 def test_sweep_files_are_strict_json_when_a_rejected_block_is_not_finite(tmp_path):
