@@ -68,6 +68,9 @@ region --A=-0.5 --B 0.5 --lambda 0.3,0.4 --z0 0.5 --format json
 region --A=-0.5 --B 0.5 --lambda 0.3,0.4 --z0 0.5 --format svg
 region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --theta-samples=2500 --format=json
 region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --theta-samples=2500 --format=csv
+region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --theta-samples=6000 --format=csv
+region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --theta-samples=6000 --format=json
+region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --theta-samples=9000 --format=json
 region --A=-0.5 --B 0.5 --lambda 0.3,0.4 --z0 0.5 --format csv
 region --A=-0.5 --B=0.5 --lambda=0.3,0.4 --z0=0.5 --format=json --out=region_out.json
 region --A=0 --B=0.5 --z0=0.5 --tol=1e-9
@@ -83,6 +86,7 @@ region --A=-0.5 --B=1e-310 --lambda=0.5 --z0=0.5 --format=json
 sample --A=0 --B=0.5 --lambda=0.5 --z0=1e-10 --mc-samples=2000 --seed=2 --format=json
 sample --A=-1 --B=1e-3 --lambda=0.5 --z0=2e-4 --mc-samples=2000 --seed=2 --format=json
 sweep --grid grid.txt --out sweep --theta-samples 64
+sweep --grid=grid.txt --out=sweep_long --theta-samples=6000
 extremal --A=-0.5 --B 0.5 --lambda 0.3,0.4 --a 0.6,0.2 --z 0.5,0.1
 extremal --A=-1 --B=0.9 --lambda=0.05 --a=-1 --z=0.97
 extremal --A=-1 --B=1 --lambda=0 --a=-0.16996714290024112,0.9854497299884603 --z=0.764077345097204,0.6435734695504534
