@@ -267,26 +267,34 @@ def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: 
     return fast
 
 
-def _fields(x: np.ndarray, shortest: bool = False) -> np.ndarray:
+# cells the digit engine formats at once: blocks of 2,048 cells took 20-30% longer a cell, and blocks of
+# 4,096 to 16,384 cells timed alike in whole sweep and sample calls
+_BLOCK_CELLS = 8192
+
+
+def _fields(x: np.ndarray, shortest: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """The (n, c, 5) uint64 words of the text of each double of the (n, c) array x, NUL padded, from byte 1 on.
 
     The text is ``"%.17g" % v``, or, if shortest, ``json.dumps(v)``: the
-    shortest repr, with NaN and the infinities as json spells them.  Rows go
-    BLOCK_ROWS at a time.  ``_lay_out`` writes the values of ``_digits`` and
-    zero; Python formats the others.
+    shortest repr, with NaN and the infinities as json spells them.  The
+    words go to out, an (n, c, 5) array or view, if one is given.  Rows go
+    ``_BLOCK_CELLS`` cells at a time.  ``_lay_out`` writes the values of
+    ``_digits`` and zero; Python formats the others.
     """
-    words = np.empty(x.shape + (5,), np.uint64)
-    for i in range(0, len(x), BLOCK_ROWS):
-        v, out = x[i:i + BLOCK_ROWS], words[i:i + BLOCK_ROWS]
+    if out is None:
+        out = np.empty(x.shape + (5,), np.uint64)
+    step = max(1, _BLOCK_CELLS // x.shape[1])
+    for i in range(0, len(x), step):
+        v, block = x[i:i + step], out[i:i + step]
         y = np.abs(v)
-        slow = ~_lay_out(v, y, (y >= 1e-4) & (y < 1e16), shortest, out)
+        slow = ~_lay_out(v, y, (y >= 1e-4) & (y < 1e16), shortest, block)
         if slow.any():
             values = v[slow].tolist()
             text = ("\0%r\1" if shortest else "\0%.17g\1") * len(values) % tuple(values)  # one % pass
             if shortest:  # as json spells them
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            out[slow] = np.array(text.split("\1")[:-1], "S40").view(np.uint64).reshape(-1, 5)
-    return words
+            block[slow] = np.array(text.split("\1")[:-1], "S40").view(np.uint64).reshape(-1, 5)
+    return out
 
 
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer of d digits is at least d - 1 of these
@@ -314,31 +322,42 @@ def _index_fields(index: np.ndarray) -> np.ndarray:
     return (_text_tables()[0].take(groups) & keep.take(np.searchsorted(_POW10, index, "right"), 0))[:, None]
 
 
-def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> bytes:
-    """The rows of the fields in groups, side by side: cells joined by sep, each row followed by its end.
+def _row_words(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> np.ndarray:
+    """The (n, w) uint64 words of rows of the cells in groups, side by side: joined by sep, each followed by its end.
 
-    Each group is an (n, c, k) array: c fields of k words each, whose first
-    byte is free (``_fields``, ``_index_fields``).  ``ends`` holds one row end
-    or one per row, as bytes 8m wide.  A one-byte sep (CSV) takes each
+    A group is either an (n, c) array of doubles, which ``_fields`` formats
+    in their cells, as ``json.dumps`` writes them if sep is longer than a
+    byte (JSON) and as ``%.17g`` does if not (CSV); or an (m, c, k) array of
+    fields of k words whose first byte is free (``_fields``,
+    ``_index_fields``), whose m rows repeat down the n.  ``ends`` holds one
+    row end or one per row, as bytes 8j wide.  A one-byte sep takes each
     field's free first byte, a longer one of at most 8 bytes a word of its
-    own.  One ``bytes.translate`` drops the padding.
+    own.  The rows' text is their bytes without the NUL padding.
     """
-    rows, packed = len(groups[0]), len(sep) == 1
-    width = sum(g.shape[1] * (g.shape[2] + (not packed)) for g in groups)
+    rows, own = max(map(len, groups)), int(len(sep) > 1)  # the words a sep takes of its own before each field
+    sizes = [(g.shape[1], 5 if g.ndim == 2 else g.shape[2]) for g in groups]
+    width = sum(c * (k + own) for c, k in sizes)
     words = np.empty((rows, width + ends.itemsize // 8), np.uint64)
     j = 0
-    for g in groups:
-        c, k = g.shape[1], g.shape[2] + (not packed)
-        cells = words[:, j:j + c * k].reshape(rows, c, k)
-        cells[:, :, k - g.shape[2]:] = g
-        if packed:
-            words.view(np.uint8)[:, 8 * j:8 * (j + c * k):8 * k] = ord(sep)
+    for g, (c, k) in zip(groups, sizes):
+        cells = words[:, j:j + c * (k + own)].reshape(rows, c, k + own)
+        if g.ndim == 2:
+            _fields(g, own == 1, cells[:, :, own:])
         else:
+            cells.reshape(-1, len(g), c, k + own)[..., own:] = g
+        if own:
             cells[:, :, 0] = np.frombuffer(sep.ljust(8, b"\0"), np.uint64)
-        j += c * k
-    (words.view(np.uint8) if packed else words)[:, 0] = 0  # no separator before a row's first cell
+        else:
+            words.view(np.uint8)[:, 8 * j:8 * (j + c * k):8 * k] = ord(sep)
+        j += c * (k + own)
+    (words if own else words.view(np.uint8))[:, 0] = 0  # no separator before a row's first cell
     words[:, width:] = ends.view(np.uint64).reshape(len(ends), -1)
-    return words.tobytes().translate(None, b"\0")
+    return words
+
+
+def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") -> bytes:
+    """The text of the ``_row_words`` rows: one ``bytes.translate`` drops the padding."""
+    return _row_words(groups, ends, sep).tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +389,18 @@ def _theta_fields(theta_samples: int) -> np.ndarray:
 def _boundary_rows(curves: list[BoundaryCurve | None], theta_fields: np.ndarray) -> list[dict]:
     """``_json_text`` rows of k records: each disk's (theta, Re, Im) rows; none for a singleton.
 
-    The Re and Im cells of all k disks go through one ``_fields`` pass, and
-    each disk's rows are its slice of them.  With no disk nothing is formatted.
+    The rows of all k disks are laid out in one ``_row_words`` matrix: the
+    theta fields repeat for each disk, and the Re and Im cells of all of
+    them are formatted in place in one ``_fields`` pass.  Each disk's text
+    is its slice of the matrix.  With no disk nothing is formatted.
     """
     disks = [curve.values for curve in curves if curve is not None]
     if disks:  # a complex array's float64 view holds each value's (Re, Im) as one row
-        cells = _fields(np.concatenate(disks).view(np.float64).reshape(-1, 2) + 0.0, shortest=True)
-        rows = iter(np.split(cells, len(disks)))
-    return [{} if curve is None else {"boundary": [_rows_text([theta_fields, next(rows)], _JSON_END, _JSON_SEP)]}
+        values = np.concatenate(disks).view(np.float64).reshape(-1, 2)
+        values += 0.0
+        words = _row_words([theta_fields, values], _JSON_END, _JSON_SEP)
+        slices = iter(words.reshape(len(disks), len(theta_fields), -1))
+    return [{} if curve is None else {"boundary": [next(slices).tobytes().translate(None, b"\0")]}
             for curve in curves]
 
 
@@ -387,7 +410,7 @@ def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
         cells = np.array([[0.0, *rec["center"]]])
     else:
         cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
-    return b"theta,re,im\n" + _rows_text([_fields(cells)], np.array([b"\n"], "S8"))
+    return b"theta,re,im\n" + _rows_text([cells], np.array([b"\n"], "S8"))
 
 
 def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> bytes:
@@ -451,7 +474,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# members per kernel call in sample: at BLOCK_ROWS, numpy's cost per call is ~40% of omega_eval's
+# members per kernel call in sample: at BLOCK_ROWS, numpy's cost per call is ~40% of omega_eval's; a chunk's
+# Re and Im cells are one _fields block
 _CHUNK_ROWS = 4 * BLOCK_ROWS
 
 
@@ -490,7 +514,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.format == "svg":
             parts += w.tolist()
         else:
-            values = _fields(np.column_stack([w.real, w.imag]) + 0.0, shortest)
+            values = np.column_stack([w.real, w.imag]) + 0.0
             parts.append(_rows_text([_index_fields(rows), values], ends[status], _JSON_SEP if shortest else b","))
         outside = status == VERDICTS.index(Verdict.OUTSIDE)
         n_breaches += int(np.count_nonzero(outside))
@@ -579,9 +603,9 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
         return rejected(str(exc))
 
 
-# boundary rows sweep formats at once, 1.25 MiB of field words, so a call's memory does not grow with its grid;
-# at 4 * BLOCK_ROWS a call of 20 disks at 1,000-2,500 samples a curve took 13-21% longer
-_PASS_ROWS = 16 * BLOCK_ROWS
+# boundary rows sweep lays out at once, 168 B a row (1.3 MiB), so a call's memory does not grow with its grid;
+# passes of 16,384 rows timed alike and took 1.7 MiB more RSS at 256 samples a curve
+_PASS_ROWS = 8192
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -21,6 +21,7 @@ from varregion.sampler import BLOCK_ROWS
 from varregion.cli import (
     _JSON_BREAK,
     _JSON_END,
+    _BLOCK_CELLS,
     _JSON_SEP,
     _block_hash,
     _boundary_rows,
@@ -80,19 +81,19 @@ _NEWLINE = np.array([b"\n"], "S8")
 
 
 def _csv_text(cells: np.ndarray, ends: np.ndarray) -> str:
-    """CSV rows of a block of doubles, as ``sample`` and ``region`` write them, decoded."""
-    return _rows_text([_fields(cells)], ends).decode()
+    """CSV rows of doubles, formatted in their cells as ``sample`` and ``region`` write them, decoded."""
+    return _rows_text([cells], ends).decode()
 
 
 def _json_row_list(groups, ends=_JSON_END) -> list[bytes]:
-    """The ``_json_text`` rows value that the ``_fields`` groups make, as the CLI passes it for a record."""
+    """The ``_json_text`` rows value of groups (doubles are formatted in their cells), as the CLI passes it."""
     return [_rows_text(groups, ends, _JSON_SEP)]
 
 
 def _json_cells(values) -> list[str]:
     """The formatter's JSON text of each double of values: one row each, and ``json.dumps`` of each is expected."""
     values = np.asarray(values, dtype=np.float64)
-    text = _json_text({}, cells=_json_row_list([_fields(values[:, None], shortest=True)])).decode()
+    text = _json_text({}, cells=_json_row_list([values[:, None]])).decode()
     return text[len('{\n  "cells": [\n    [\n      '):-len("\n    ]\n  ]\n}\n")].split(_JSON_BREAK.decode())
 
 
@@ -129,8 +130,9 @@ def test_seed_index_field_is_percent_d():
         expected = "".join("%d\n" % i for i in index.tolist())
         assert _rows_text([_index_fields(index)], _NEWLINE).decode() == expected
         # beside a value, as a sample row has it
-        row = "".join("%d,%.17g\n" % (i, 0.5) for i in index.tolist())
-        assert _rows_text([_index_fields(index), _fields(np.full((index.size, 1), 0.5))], _NEWLINE).decode() == row
+        values = np.resize(CSV_SPECIALS + [0.5], (index.size, 1))
+        row = "".join("%d,%.17g\n" % (i, x) for i, x in zip(index.tolist(), values[:, 0].tolist()))
+        assert _rows_text([_index_fields(index), values], _NEWLINE).decode() == row
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -147,7 +149,9 @@ def test_csv_fields_are_percent_17g_at_the_edges_and_over_many_blocks():
         values = np.asarray(values, dtype=np.float64)
         cells = np.resize(values, (-(-values.size // 3), 3))  # whole rows, the last one refilled from the start
         expected = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in cells.tolist())
-        assert "".join(_csv_text(cells[i:i + BLOCK_ROWS], _NEWLINE) for i in range(0, len(cells), BLOCK_ROWS)) == expected
+        # calls one row longer than the engine's block: each is a whole block, then a block of one row
+        step = _BLOCK_CELLS // 3 + 1
+        assert "".join(_csv_text(cells[i:i + step], _NEWLINE) for i in range(0, len(cells), step)) == expected
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -465,7 +469,8 @@ def _record_text(rec, curve, n, **rows):
     return _json_text(rec, **_boundary_rows([curve], _theta_fields(n))[0], **rows)
 
 
-SAMPLE_COLUMNS = ([0, 1, 2], [math.nan, math.inf, 0.5], [-0.0, -math.inf, 1e-300], ["Interior", "Boundary", "Outside"])
+SAMPLE_COLUMNS = ([0, 1, 2, 3, 4], [math.nan, math.inf, 0.5, 1e-5, 5e-324], [-0.0, -math.inf, 1e-300, -5e-324, -1e-5],
+                  ["Interior", "Boundary", "Outside", "Interior", "Boundary"])
 SAMPLE_ROWS = [list(row) for row in zip(*SAMPLE_COLUMNS)]
 
 
@@ -476,8 +481,7 @@ def _sample_pieces() -> list[bytes]:
     """
     index, re, im, names = SAMPLE_COLUMNS
     ends = np.array([_JSON_SEP + f'"{name}"'.encode() + _JSON_BREAK for name in names], "S40")
-    groups = [_fields(np.array(index, np.float64)[:, None]), _fields(np.column_stack([re, im]), shortest=True)]
-    return _json_row_list(groups, ends)
+    return _json_row_list([_fields(np.array(index, np.float64)[:, None]), np.column_stack([re, im])], ends)
 
 
 def _json_records():
@@ -530,7 +534,7 @@ _COLUMNS = st.integers(1, 5).flatmap(
 @given(st.dictionaries(st.text(max_size=4), _CELLS, max_size=4),
        st.dictionaries(st.text(max_size=4), _COLUMNS, max_size=3))
 def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
-    rows = {key: _json_row_list([_fields(np.array(cols).T, shortest=True)]) for key, cols in columns.items()}
+    rows = {key: _json_row_list([np.array(cols).T]) for key, cols in columns.items()}
     merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
     assert _json_text(obj, **rows).decode() == json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
@@ -983,11 +987,17 @@ def _sweep_grid(tmp_path, blocks):
 _DUPLICATE_BETWEEN_DISKS = [SWEEP_BLOCKS[0], SWEEP_BLOCKS[5], SWEEP_BLOCKS[0], SWEEP_BLOCKS[3], SWEEP_BLOCKS[1]]
 
 
-# the three disks of SWEEP_BLOCKS stack 3n rows in one pass, so from n = 1000 on _fields' BLOCK_ROWS edges fall
-# inside records; at 16 samples and pass_rows 16 or 32, a pass holds one or two new blocks
+# the three disks of SWEEP_BLOCKS stack 3n rows in a pass, and _fields cuts their Re and Im cells every
+# _BLOCK_CELLS // 2 rows: from n = _BLOCK_CELLS // 6 + 1 on such an edge falls inside a record, and past
+# _BLOCK_CELLS one falls inside the theta column too; at 16 samples and pass_rows 16 or 32, a pass holds one or
+# two new blocks
+_EDGE_SAMPLES = [_BLOCK_CELLS // 6 + 1, _BLOCK_CELLS // 4 + 1, _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS + 1]
+
+
 @pytest.mark.parametrize("blocks, n, pass_rows",
-                         [pytest.param(SWEEP_BLOCKS, n, None, id=str(n)) for n in (3, 4, 1000, 1025, 1385, 4096)]
-                         + [pytest.param(_DUPLICATE_BETWEEN_DISKS, n, None, id=f"duplicate-{n}") for n in (4, 1025)]
+                         [pytest.param(SWEEP_BLOCKS, n, None, id=str(n)) for n in (3, 4, 4096, *_EDGE_SAMPLES)]
+                         + [pytest.param(_DUPLICATE_BETWEEN_DISKS, n, None, id=f"duplicate-{n}")
+                            for n in (4, _BLOCK_CELLS // 2 + 1)]
                          + [pytest.param(SWEEP_BLOCKS, 16, 32, id="passes-of-2"),
                             pytest.param(_DUPLICATE_BETWEEN_DISKS, 16, 16, id="duplicate-passes-of-1")])
 def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, monkeypatch, blocks, n, pass_rows):
@@ -1014,7 +1024,8 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     thetas = boundary_curve(EvalPoint(0.5, 0.5), P05, n).thetas.tolist()
     formatted = []
     fields = varregion.cli._fields
-    monkeypatch.setattr(varregion.cli, "_fields", lambda x, **kw: formatted.append(x.T.tolist()) or fields(x, **kw))
+    monkeypatch.setattr(varregion.cli, "_fields",
+                        lambda x, *args, **kw: formatted.append(x.T.tolist()) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
     for call in range(2):  # a second call formats it again: nothing is cached across calls
         assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / str(call)}", f"--theta-samples={n}"]) == 0
@@ -1035,7 +1046,8 @@ def test_sweep_formats_at_most_a_pass_of_rows_at_once(tmp_path, monkeypatch, pas
     monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
     formatted = []
     fields = varregion.cli._fields
-    monkeypatch.setattr(varregion.cli, "_fields", lambda x, **kw: formatted.append(x.shape) or fields(x, **kw))
+    monkeypatch.setattr(varregion.cli, "_fields",
+                        lambda x, *args, **kw: formatted.append(x.shape) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS[:1] + SWEEP_BLOCKS)
     assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'out'}", f"--theta-samples={n}"]) == 0
     # the theta column once, then the Re and Im of each pass's disks, at most max(pass_rows, n) rows
