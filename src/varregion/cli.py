@@ -159,9 +159,11 @@ def _text_tables() -> tuple:
     below 1, then 17 digits, each but the first behind a slot for the point.
     ``digits`` maps a 4-digit group to its (slot, digit) cells and ``10000 +
     d`` to the first 8 cells; ``last[j - 1][g]`` is the index of the last
-    nonzero digit of group j if it is g, else 0.  Row ``(sign * 20 + e + 4) *
+    nonzero digit of group j if it is g, else 0.  Row ``(sign * 22 + e + 6) *
     17 + last`` of ``layout`` ANDs a field of exponent e as ``%.17g`` does, and
-    680 rows on as ``repr`` does, which keeps one digit past the point.
+    748 rows on as ``repr`` does, which keeps one digit past the point.  The
+    rows of e = -6 and -5 are those of e = 0 without the sign, in ``%.17g``'s
+    form: ``_lay_out`` moves such a field into exponent notation.
     """
     g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak memory small
     dig = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1).astype(np.uint8) + 48
@@ -179,26 +181,28 @@ def _text_tables() -> tuple:
     layout[0, :, 8::2] = ord(".") * ((np.arange(16) == e) & (lst > e))
     layout[1, :, 7::2] = 255 * (np.arange(17) <= np.maximum(lst, e + 1))
     layout[1, :, 8::2] = ord(".") * (np.arange(16) == e)
+    layout = layout.reshape(2, 2, 20, 17, 40)
+    layout = np.concatenate([np.broadcast_to(layout[0, 0, 4], (2, 2, 2, 17, 40)), layout], 2)
     p10 = np.array([float(10**k) for k in range(23)])  # exact doubles
     c = p10 * 134217729.0
-    return digits.view(np.uint64)[:, 0], last, layout.reshape(1360, 40).view(np.uint64), p10, c - (c - p10)
+    return digits.view(np.uint64)[:, 0], last, layout.reshape(1496, 40).view(np.uint64), p10, c - (c - p10)
 
 
 def _digits(y: np.ndarray, ok: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, e, ok) of doubles y >= 0, ok where y is in ``[1e-4, 1e16)``: where ok stays, y's text has the digits of n.
+    """(n, e, ok) of doubles y >= 0, ok where y is in ``[1e-6, 1e16)``: where ok stays, y's text has the digits of n.
 
     n has 17 digits and stands for ``n * 10**(e - 16)``: y rounded half to
     even (``%.17g``) or, if shortest, ``repr``'s digits padded with zeros
-    (``_shortest``).  ok turns False where log10 rounded e up, where n would
-    have 18 digits and where ``_shortest`` is unsure; n and e are 0 wherever
-    ok is False.
+    (``_shortest``).  ok turns False where e came out too large (log10
+    rounded it up, or y is below 1e-6), where n would have 18 digits and
+    where ``_shortest`` is unsure; n and e are 0 wherever ok is False.
     """
     p10, p10_hi = _text_tables()[3:]
     y = np.where(ok, y, 1.0)
     c = y * 134217729.0  # Veltkamp: y_hi and y_lo hold 26 bits each
     y_hi = c - (c - y)
     y_lo = y - y_hi
-    e = np.floor(np.log10(y)).astype(np.int64)
+    e = np.maximum(np.floor(np.log10(y)), -6).astype(np.int64)  # below -6, 10**(16 - e) is no double
     s, s_hi = p10[16 - e], p10_hi[16 - e]
     s_lo = s - s_hi
     hi = y * s  # y * 10**(16 - e) == hi + lo exactly (Dekker's product, as 10**k is exact for k <= 22)
@@ -250,8 +254,17 @@ def _shortest(hi: np.ndarray, lo: np.ndarray, y: np.ndarray, s: np.ndarray) -> t
     return q + n.astype(np.int64), ~unsure
 
 
+# the exponents of the values below 1e-4 that _digits serves, as the last 4 bytes of a field
+_EXPONENTS = np.array([int.from_bytes(b"e-06", "little") << 32, int.from_bytes(b"e-05", "little") << 32], np.uint64)
+
+
 def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: np.ndarray) -> np.ndarray:
-    """Write the fields of the doubles v, with ``y = |v|``, that ``_digits`` or zero serves to out, and return where."""
+    """Write the fields of the doubles v, with ``y = |v|``, that ``_digits`` or zero serves to out, and return where.
+
+    A value below 1e-4 is written as ``d.ddde-05``: its digits laid out as
+    for e = 0 move 5 bytes down, over the unused ``0.000``, and the sign and
+    exponent go in before and after them.
+    """
     digits, last, layout = _text_tables()[:3]
     n, e, fast = _digits(y, ok, shortest)
     fast |= v == 0
@@ -262,8 +275,15 @@ def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: 
     d0, g3 = t // 10**4, r // 10**4
     g1, g2, g4 = t - d0 * 10**4, q - t * 10**4, r - g3 * 10**4
     lst = np.maximum(np.maximum(last[0].take(g1), last[1].take(g2)), np.maximum(last[2].take(g3), last[3].take(g4)))
-    idx = (np.signbit(v) * 20 + e + (4 + 40 * shortest)) * 17 + lst
+    idx = (np.signbit(v) * 22 + e + (6 + 44 * shortest)) * 17 + lst
     np.bitwise_and(digits.take(np.stack([d0 + 10_000, g1, g2, g3, g4], -1)), layout.take(idx, 0), out=out)
+    small = e < -4
+    if small.any():
+        w = out[small]
+        w[:, :4] = (w[:, :4] >> 40) | (w[:, 1:] << 24)
+        w[:, 4] = (w[:, 4] >> 40) | _EXPONENTS.take(e[small] + 6)
+        w[:, 0] |= np.signbit(v[small]) * np.uint64(ord("-") << 8)
+        out[small] = w
     return fast
 
 
@@ -287,7 +307,7 @@ def _fields(x: np.ndarray, shortest: bool = False, out: np.ndarray | None = None
     for i in range(0, len(x), step):
         v, block = x[i:i + step], out[i:i + step]
         y = np.abs(v)
-        slow = ~_lay_out(v, y, (y >= 1e-4) & (y < 1e16), shortest, block)
+        slow = ~_lay_out(v, y, (y >= 1e-6) & (y < 1e16), shortest, block)
         if slow.any():
             values = v[slow].tolist()
             text = ("\0%r\1" if shortest else "\0%.17g\1") * len(values) % tuple(values)  # one % pass

@@ -98,12 +98,12 @@ def _json_cells(values) -> list[str]:
 
 
 def _ties() -> list[float]:
-    """Doubles halfway between two 17-digit decimals: x = q / 2**(17 - e) for an odd q, per exponent e of 1e-4..1e16.
+    """Doubles halfway between two 17-digit decimals: x = q / 2**(17 - e) for an odd q, per exponent e of 1e-6..1e16.
 
     Then ``x * 10**(16 - e) == q * 5**(16 - e) / 2``, an odd number of halves.
     """
     ties = []
-    for e in range(-4, 16):
+    for e in range(-6, 16):
         q = int(1.5 * 10.0**e * 2 ** (17 - e)) | 1
         for x in (q / 2 ** (17 - e), (q + 2) / 2 ** (17 - e)):
             assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2, x
@@ -116,7 +116,7 @@ def _edges() -> list[float]:
     edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308, sys.float_info.max]
     for k in range(-6, 19):
         edges += (10.0**k, np.nextafter(10.0**k, 0.0), np.nextafter(10.0**k, math.inf))
-    for switch in (1e-4, 1e16, 1e17):  # the last doubles below and the first above the notation switches
+    for switch in (1e-6, 1e-5, 1e-4, 1e16, 1e17):  # the last doubles below and the first above the notation switches
         below = above = switch
         for _ in range(8):
             below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
@@ -167,7 +167,7 @@ def _near_ties() -> list[float]:
     """
     rng = np.random.default_rng(29)
     near = []
-    for e in range(-4, 16):
+    for e in range(-6, 16):
         for k in rng.integers(10**15, 10**16, 4).tolist():
             for mid in (Fraction(2 * (10 * k + 3) + 1, 2), Fraction(10 * k + 5)):
                 x = float(mid * Fraction(10) ** (e - 16))
@@ -176,11 +176,11 @@ def _near_ties() -> list[float]:
 
 
 def _by_length() -> list[float]:
-    """Doubles whose shortest repr has each length from 1 to 17 digits, at exponents from -4 to 15."""
+    """Doubles whose shortest repr has each length from 1 to 17 digits, at exponents from -6 to 15."""
     rng = np.random.default_rng(17)
     values = []
     for length in range(1, 18):
-        for e in range(-4, 16):
+        for e in range(-6, 16):
             digits = int(rng.integers(10 ** (length - 1), 10**length)) // 10 * 10 + int(rng.integers(1, 10))
             values.append(float(f"{str(digits)[:length]}e{e - length + 1}"))
     return values
@@ -194,7 +194,8 @@ def test_json_fields_are_json_dumps_at_the_edges_and_over_many_blocks():
     twos = [float(s * np.nextafter(2.0**k, t))
             for k in range(-20, 60) for t in (0.0, 2.0**k, math.inf) for s in (1, -1)]
     lengths = _by_length()
-    assert sorted({len(repr(x).replace(".", "").replace("-", "").strip("0")) for x in lengths}) == list(range(1, 18))
+    digits = {len(repr(x).split("e")[0].replace(".", "").replace("-", "").strip("0")) for x in lengths}
+    assert sorted(digits) == list(range(1, 18))
     for values in (_edges() + CSV_SPECIALS, twos, _near_ties(), lengths, bits, normals, np.arange(1.0, 30_001.0)):
         values = np.asarray(values, dtype=np.float64).tolist()
         cells = _json_cells(values)
