@@ -268,9 +268,11 @@ def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: 
     digits, last, layout = _text_tables()[:3]
     n, e, fast = _digits(y, ok, shortest)
     fast |= v == 0
-    # n = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; // by a scalar is far cheaper than %
+    # n = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; // by a scalar is far cheaper than %, and
+    # 3-4 times cheaper in int32 than in int64, which q and r fit
     q = n // 10**8
-    r = n - q * 10**8
+    r = (n - q * 10**8).astype(np.int32)
+    q = q.astype(np.int32)
     t = q // 10**4
     d0, g3 = t // 10**4, r // 10**4
     g1, g2, g4 = t - d0 * 10**4, q - t * 10**4, r - g3 * 10**4
@@ -624,7 +626,7 @@ def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, Bo
 
 
 # boundary rows sweep lays out at once, 168 B a row (1.3 MiB), so a call's memory does not grow with its grid;
-# passes of 16,384 rows timed alike and took 1.7 MiB more RSS at 256 samples a curve
+# passes of 16,384 rows were no faster and took 1.7 MiB more RSS at 256 samples a curve
 _PASS_ROWS = 8192
 
 
