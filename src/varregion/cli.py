@@ -261,15 +261,15 @@ _EXPONENTS = np.array([int.from_bytes(b"e-06", "little") << 32, int.from_bytes(b
 def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: np.ndarray) -> np.ndarray:
     """Write the fields of the doubles v, with ``y = |v|``, that ``_digits`` or zero serves to out, and return where.
 
-    A value below 1e-4 is written as ``d.ddde-05``: its digits laid out as
-    for e = 0 move 5 bytes down, over the unused ``0.000``, and the sign and
-    exponent go in before and after them.
+    A value below 1e-4 is written as ``d.ddde-05`` or ``d.ddde-06``: its
+    digits, laid out as for e = 0, move 5 bytes down over the unused
+    ``0.000``, and the sign and exponent go in before and after them.
     """
     digits, last, layout = _text_tables()[:3]
     n, e, fast = _digits(y, ok, shortest)
     fast |= v == 0
     # n = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; // by a scalar is far cheaper than %, and
-    # 3-4 times cheaper in int32 than in int64, which q and r fit
+    # about twice as cheap in int32 as in int64, which q and r fit
     q = n // 10**8
     r = (n - q * 10**8).astype(np.int32)
     q = q.astype(np.int32)
@@ -289,8 +289,8 @@ def _lay_out(v: np.ndarray, y: np.ndarray, ok: np.ndarray, shortest: bool, out: 
     return fast
 
 
-# cells the digit engine formats at once: blocks of 2,048 cells took 20-30% longer a cell, and blocks of
-# 4,096 to 16,384 cells timed alike in whole sweep and sample calls
+# cells the digit engine formats at once: with blocks of 2,048 cells whole sweep calls took 9-20% longer, and
+# blocks of 4,096 to 16,384 cells timed alike in whole sweep and sample calls
 _BLOCK_CELLS = 8192
 
 

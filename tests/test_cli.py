@@ -19,9 +19,9 @@ import varregion.extremal
 from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
 from varregion.sampler import BLOCK_ROWS
 from varregion.cli import (
+    _BLOCK_CELLS,
     _JSON_BREAK,
     _JSON_END,
-    _BLOCK_CELLS,
     _JSON_SEP,
     _block_hash,
     _boundary_rows,
@@ -988,10 +988,9 @@ def _sweep_grid(tmp_path, blocks):
 _DUPLICATE_BETWEEN_DISKS = [SWEEP_BLOCKS[0], SWEEP_BLOCKS[5], SWEEP_BLOCKS[0], SWEEP_BLOCKS[3], SWEEP_BLOCKS[1]]
 
 
-# the three disks of SWEEP_BLOCKS stack 3n rows in a pass, and _fields cuts their Re and Im cells every
-# _BLOCK_CELLS // 2 rows: from n = _BLOCK_CELLS // 6 + 1 on such an edge falls inside a record, and past
-# _BLOCK_CELLS one falls inside the theta column too; at 16 samples and pass_rows 16 or 32, a pass holds one or
-# two new blocks
+# the disks of SWEEP_BLOCKS stack their rows in passes of up to _PASS_ROWS, and _fields cuts a pass's Re and Im
+# cells every _BLOCK_CELLS // 2 rows: at each n of _EDGE_SAMPLES such an edge falls inside a record, and at the
+# last one inside the theta column too; at 16 samples and pass_rows 16 or 32, a pass holds one or two new blocks
 _EDGE_SAMPLES = [_BLOCK_CELLS // 6 + 1, _BLOCK_CELLS // 4 + 1, _BLOCK_CELLS // 2 + 1, _BLOCK_CELLS + 1]
 
 
