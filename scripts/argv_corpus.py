@@ -51,7 +51,8 @@ WORKLOAD_ROUNDS = [
     ("extremal", (1, 2, 3), range(1)),
 ]
 
-# each command's exit codes, output formats, --out files, flag forms and usage errors, then a lone
+# each command's exit codes, output formats, --out files, flag forms and usage errors (with the exits
+# that only parse: no argument, an unknown command, -h and --help), then a lone
 # "--" as the value of each long flag of each command (argparse reads "--name=--" differently from
 # one Python version to the next) and the subnormal-B calls; "grid.txt" is CONTRACT_GRID and
 # "taken" a directory
@@ -117,6 +118,8 @@ region --A=0 --B=0.5 --z0=0.5 --out=
 region --A=0 --B=0.5 --z0=0.5 --out ''
 extremal --A=-0.5 --B 0.5 --lambda 0.3,0.4 --a 0.6,0.2 --z 0.5,0.1 --seed 1
 --help
+-h
+bogus --A=0 --B=0.5 --z0=0.5
 region --help
 extremal --help
 sample --help
@@ -213,7 +216,7 @@ def _build(_args) -> None:
     files = {"grid.txt": CONTRACT_GRID, "taken": None}
     argvs = _workload_argvs(files)
     argvs += [["verify", "--suite=all", f"--seed={s}"] for s in range(10)]
-    argvs += [shlex.split(line) for line in CONTRACT_ARGVS.strip().splitlines()]
+    argvs += [[], *(shlex.split(line) for line in CONTRACT_ARGVS.strip().splitlines())]
     argvs += _corner_argvs()
     argvs = [list(a) for a in dict.fromkeys(map(tuple, argvs))]  # the first of each repeated argv
     lines = ",\n".join("  " + json.dumps(a) for a in argvs)
