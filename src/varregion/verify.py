@@ -20,6 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ._suite_names import SUITE_NAMES
 from .region import (
     VERDICTS,
     EvalPoint,
@@ -450,17 +451,17 @@ def check_halfplane_univalence(
     return tally.report("halfplane", len(Bs), min_re_fprime=min_re)
 
 
-_SUITES: dict[str, Callable[..., dict[str, Any]]] = {
-    "prop1": lambda seed, **tol: check_prop1(seed=seed, **tol),
-    "corollary0": lambda seed, **tol: check_corollary0(seed=seed, **tol),
-    "unit-lambda": lambda seed, **tol: check_unit_lambda(**tol),
-    "rotation": lambda seed, **tol: check_rotation(seed=seed, **tol),
-    "coverage": lambda seed, **tol: check_coverage(**tol),
-    "convexity": lambda seed, **tol: check_convexity(**tol),
-    "inclusion": lambda seed, **tol: check_strict_inclusion(**tol),
-    "halfplane": lambda seed, **tol: check_halfplane_univalence(seed=seed, **tol),
-}
-SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
+# each suite's runner, in SUITE_NAMES order
+_SUITES: dict[str, Callable[..., dict[str, Any]]] = dict(zip(SUITE_NAMES, (
+    lambda seed, **tol: check_prop1(seed=seed, **tol),
+    lambda seed, **tol: check_corollary0(seed=seed, **tol),
+    lambda seed, **tol: check_unit_lambda(**tol),
+    lambda seed, **tol: check_rotation(seed=seed, **tol),
+    lambda seed, **tol: check_coverage(**tol),
+    lambda seed, **tol: check_convexity(**tol),
+    lambda seed, **tol: check_strict_inclusion(**tol),
+    lambda seed, **tol: check_halfplane_univalence(seed=seed, **tol),
+), strict=True))
 
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None) -> dict[str, Any]:

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import varregion._commands
 import varregion.cli
 import varregion.extremal
+import varregion.region
 from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
 from varregion.sampler import BLOCK_ROWS
-from varregion.cli import (
+from varregion._commands import (
     _BLOCK_CELLS,
     _JSON_BREAK,
     _JSON_END,
@@ -32,11 +34,9 @@ from varregion.cli import (
     _sample_blocks,
     _sweep_record,
     _theta_fields,
-    build_parser,
-    main,
-    parse_complex,
     region_record,
 )
+from varregion.cli import build_parser, main, parse_complex
 from varregion.region import VERDICTS, classify
 from varregion.verify import SUITE_NAMES, run_suite
 
@@ -406,7 +406,7 @@ def test_an_infinite_quad_tol_takes_the_two_panel_estimate(capsys):
                 "--quad-tol=inf"]) == 0
     spec = varregion.extremal.ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, JanowskiParams(-0.5, 0.5))
     two = varregion.extremal._composite_estimates(spec, 0j, 0.5 + 0.1j, (1, 2))[1]
-    assert capsys.readouterr().out.splitlines()[0] == f"{varregion.cli._f15(two.real)} {varregion.cli._f15(two.imag)}"
+    assert capsys.readouterr().out.splitlines()[0] == f"{varregion._commands._f15(two.real)} {varregion._commands._f15(two.imag)}"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -804,7 +804,7 @@ def test_sample_at_small_z0_reports_no_breach(capsys):
 def _force_outside(monkeypatch):
     # a correct kernel cannot produce Outside, so force it
     monkeypatch.setattr(
-        varregion.cli, "classify",
+        varregion.region, "classify",
         lambda w, point, params, tol: (
             np.ones(w.shape), np.full(w.shape, VERDICTS.index(Verdict.OUTSIDE))),
     )
@@ -873,7 +873,7 @@ def test_sample_rows_do_not_depend_on_the_chunk_they_fall_in(fmt, capsys, monkey
         else:
             assert part == whole[:n]
     for chunk in (BLOCK_ROWS, 3 * BLOCK_ROWS):  # the same rows, evaluated in other chunks
-        monkeypatch.setattr(varregion.cli, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(varregion._commands, "_CHUNK_ROWS", chunk)
         assert rows(9000) == whole
 
 
@@ -1002,7 +1002,7 @@ _EDGE_SAMPLES = [_BLOCK_CELLS // 6 + 1, _BLOCK_CELLS // 4 + 1, _BLOCK_CELLS // 2
                             pytest.param(_DUPLICATE_BETWEEN_DISKS, 16, 16, id="duplicate-passes-of-1")])
 def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, monkeypatch, blocks, n, pass_rows):
     if pass_rows:
-        monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
+        monkeypatch.setattr(varregion._commands, "_PASS_ROWS", pass_rows)
     out = tmp_path / "out"
     assert run(["sweep", f"--grid={_sweep_grid(tmp_path, blocks)}", f"--out={out}",
                 f"--theta-samples={n}"]) == 0
@@ -1023,8 +1023,8 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     n = 16
     thetas = boundary_curve(EvalPoint(0.5, 0.5), P05, n).thetas.tolist()
     formatted = []
-    fields = varregion.cli._fields
-    monkeypatch.setattr(varregion.cli, "_fields",
+    fields = varregion._commands._fields
+    monkeypatch.setattr(varregion._commands, "_fields",
                         lambda x, *args, **kw: formatted.append(x.T.tolist()) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
     for call in range(2):  # a second call formats it again: nothing is cached across calls
@@ -1043,10 +1043,10 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
 @pytest.mark.parametrize("pass_rows, passes", [(15, [1, 1, 1]), (32, [2, 1]), (47, [2, 1]), (48, [3])])
 def test_sweep_formats_at_most_a_pass_of_rows_at_once(tmp_path, monkeypatch, pass_rows, passes):
     n = 16  # so max(1, pass_rows // n) new blocks a pass: the disks of SWEEP_BLOCKS are its first three
-    monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
+    monkeypatch.setattr(varregion._commands, "_PASS_ROWS", pass_rows)
     formatted = []
-    fields = varregion.cli._fields
-    monkeypatch.setattr(varregion.cli, "_fields",
+    fields = varregion._commands._fields
+    monkeypatch.setattr(varregion._commands, "_fields",
                         lambda x, *args, **kw: formatted.append(x.shape) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS[:1] + SWEEP_BLOCKS)
     assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'out'}", f"--theta-samples={n}"]) == 0
@@ -1225,7 +1225,7 @@ def _temp_files_through(monkeypatch, raw):
     def shim(file, mode="r", *args, **kwargs):
         return io.BufferedWriter(raw(file, mode)) if mode == "xb" else open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(varregion.cli, "open", shim, raising=False)
+    monkeypatch.setattr(varregion._commands, "open", shim, raising=False)
 
 
 @pytest.mark.parametrize("command", ["region", "sweep"])
@@ -1547,18 +1547,46 @@ def test_startup_and_csv_svg_extremal_output_load_no_dataclasses_hashlib_or_json
     assert (tmp_path / "region.svg").exists() and (tmp_path / "region.csv").exists()
 
 
+_PARSE_ONLY_CODE = """\
+import contextlib
+import io
+import sys
+import varregion.cli
+varregion.cli.build_parser()
+point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.5"]
+argvs = [["--help"], [], ["-h"], ["bogus", *point], ["region", "--help"], ["sample", *point, "--seed=-1"],
+         ["verify", "--suite=nope"], ["region", *point, "--theta-samples=2"], ["extremal", *point, "--z=1.5"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    print("codes:", *[varregion.cli.main(argv) for argv in argvs], file=sys.__stdout__)
+print("numpy:", "numpy" in sys.modules)
+assert varregion.cli.main(["region", *point, "--out", sys.argv[1]]) == 0
+print("numpy:", "numpy" in sys.modules)
+"""
+
+
+def test_parsing_alone_imports_no_numpy(tmp_path):
+    # help, no command or an unknown one and argparse's usage errors end before a command runs
+    src = str(Path(varregion.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _PARSE_ONLY_CODE, str(tmp_path / "region.csv")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["codes: 0 2 0 2 0 2 2 2 2", "numpy: False", "numpy: True"]
+    assert (tmp_path / "region.csv").read_text().startswith("theta,re,im\n")
+
+
 _CSV_STARTUP_CODE = """\
 import sys
 import numpy.random
 import varregion.cli
 varregion.cli.build_parser()
-print("tables:", varregion.cli._text_tables.cache_info().currsize)
+import varregion._commands
+print("tables:", varregion._commands._text_tables.cache_info().currsize)
 before = set(sys.modules)
 point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.5"]
 assert varregion.cli.main(["region", *point, "--out", sys.argv[1] + "region.csv"]) == 0
 assert varregion.cli.main(["sample", *point, "--mc-samples=200", "--out", sys.argv[1] + "sample.csv"]) == 0
 print("added:", *sorted({"hashlib", "json"} & (set(sys.modules) - before)))
-print("tables:", varregion.cli._text_tables.cache_info().currsize)
+print("tables:", varregion._commands._text_tables.cache_info().currsize)
 """
 
 
