@@ -406,7 +406,8 @@ def test_an_infinite_quad_tol_takes_the_two_panel_estimate(capsys):
                 "--quad-tol=inf"]) == 0
     spec = varregion.extremal.ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, JanowskiParams(-0.5, 0.5))
     two = varregion.extremal._composite_estimates(spec, 0j, 0.5 + 0.1j, (1, 2))[1]
-    assert capsys.readouterr().out.splitlines()[0] == f"{varregion._commands._f15(two.real)} {varregion._commands._f15(two.imag)}"
+    f15 = varregion._commands._f15
+    assert capsys.readouterr().out.splitlines()[0] == f"{f15(two.real)} {f15(two.imag)}"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
