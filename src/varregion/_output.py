@@ -1,47 +1,23 @@
-"""The bodies of the ``varregion`` commands, and the text engine they write with.
+"""What the commands write, and how: atomic file writes, the digit engine that
+formats floats, and the CSV and JSON texts of records and member rows.
 
-``cli`` parses the command line with the standard library alone and loads
-this module, and with it numpy and the layers, when a command runs.  Each
-``cmd_<name>`` takes the parsed namespace and returns the exit code: 0 ok,
-1 verification failure, 5 containment breach; ``cli.main`` maps the
-exceptions they raise to the other codes.  The layers are called as module
-attributes (``region.classify``), so that a wrapper installed in a layer's
-namespace sees every call.
+It needs numpy, so ``cli`` imports it, with numpy and the layers, only when a
+command runs.  The layers are called as module attributes
+(``region.classify``), so that a wrapper installed in a layer's namespace sees
+every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import extremal, region, sampler, verify
-from .extremal import ExtremalSpec
+from . import region, sampler
 from .region import VERDICTS, BoundaryCurve, EvalPoint, JanowskiParams, Verdict
-
-EXIT_OK = 0
-EXIT_VERIFY_FAIL = 1
-EXIT_CONTAINMENT = 5
-
-_SVG_BANNER = "<!-- varregion: deterministic region rendering -->"
-_SVG_SIZE = 800
-_SVG_MARGIN = 40  # 5% of the fixed viewport on each side
-
-GRID_KEYS = ("A", "B", "lambda_re", "lambda_im", "z0_re", "z0_im")
-GRID_REQUIRED = ("A", "B", "z0_re")
-
-
-def _f15(x: float) -> str:
-    return f"{x + 0.0:.15g}"
-
-
-def _pair(w: complex) -> list[float]:
-    return [w.real + 0.0, w.imag + 0.0]
 
 
 def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
@@ -348,27 +324,6 @@ def _rows_text(groups: list[np.ndarray], ends: np.ndarray, sep: bytes = b",") ->
     return _row_words(groups, ends, sep).tobytes().translate(None, b"\0")
 
 
-# ---------------------------------------------------------------------------
-# region records
-
-
-def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) -> tuple[dict, BoundaryCurve | None]:
-    """A region record without boundary rows, and their curve; a singleton has a note, no rows and no curve."""
-    rec: dict = {
-        "params": {"A": params.A, "B": params.B},
-        "point": {"z0": _pair(point.z0), "lambda": _pair(point.lam)},
-    }
-    single = region.singleton_value(point, params)
-    if single is None:
-        disk = region.variability_disk(point, params)
-        rec.update(center=_pair(disk.center), radius=disk.radius + 0.0)
-        return rec, region.boundary_curve(point, params, theta_samples)
-    note = ("z0 = 0: the region is the singleton {0}" if point.z0 == 0
-            else "|lambda| = 1: the region is a singleton")
-    rec.update(center=_pair(single), radius=0.0, boundary=[], note=note)
-    return rec, None
-
-
 def _theta_fields(theta_samples: int) -> np.ndarray:
     """The ``_fields`` of the theta column of every curve of theta_samples points, as JSON writes it."""
     return _fields(region._theta_grid(theta_samples)[:, None], shortest=True)
@@ -401,67 +356,6 @@ def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
     return b"theta,re,im\n" + _rows_text([cells], np.array([b"\n"], "S8"))
 
 
-def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> bytes:
-    """A record's boundary polygon and cloud as dots; a singleton with no cloud shows its value."""
-    boundary = [] if curve is None else (curve.values + 0.0).tolist()
-    if not (boundary or cloud):
-        cloud = [complex(*rec["center"])]
-    pts = boundary + cloud
-    xs, ys = [p.real for p in pts], [p.imag for p in pts]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    span = max(x1 - x0, y1 - y0, 1e-30)
-    usable = _SVG_SIZE - 2 * _SVG_MARGIN
-    scale = usable / span
-    # the offsets that centre the drawing on each axis
-    dx, dy = (usable - (x1 - x0) * scale) / 2, (usable - (y1 - y0) * scale) / 2
-
-    def to_px(p: complex) -> tuple[float, float]:
-        # real axis rightward, imaginary axis upward
-        return _SVG_MARGIN + (p.real - x0) * scale + dx, _SVG_SIZE - (_SVG_MARGIN + (p.imag - y0) * scale + dy)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
-        _SVG_BANNER,
-    ]
-    if boundary:
-        coords = " ".join("%.3f,%.3f" % to_px(p) for p in boundary)
-        parts.append(f'<polygon points="{coords}" fill="none" stroke="black" stroke-width="1"/>')
-    for p in cloud:
-        x, y = to_px(p)
-        parts.append('<circle cx="%.3f" cy="%.3f" r="0.5" fill="black"/>' % (x, y))
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode()
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_region(args: argparse.Namespace) -> int:
-    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
-    rec, curve = region_record(params, point, args.theta_samples)
-    if curve is None:
-        print(f"note: {rec['note']}", file=sys.stderr)
-    if args.format == "json":
-        text = _json_text(rec, **_boundary_rows([curve], _theta_fields(args.theta_samples))[0])
-    elif args.format == "csv":
-        text = _region_csv(rec, curve)
-    else:
-        text = _region_svg(rec, curve, [])
-    _write_out(args.out, text)
-    return EXIT_OK
-
-
-def cmd_extremal(args: argparse.Namespace) -> int:
-    spec = ExtremalSpec(a=args.a, lam=args.lam, params=JanowskiParams(args.A, args.B))
-    value = extremal.extremal_value(spec, args.z, args.quad_tol)
-    deriv = complex(extremal.extremal_fprime(spec, args.z))
-    text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
-    _write_out(args.out, text.encode())
-    return EXIT_OK
-
-
 # members per kernel call in sample: at BLOCK_ROWS, numpy's cost per call is ~40% of omega_eval's; a chunk's
 # Re and Im cells are one _fields block
 _CHUNK_ROWS = 4 * sampler.BLOCK_ROWS
@@ -488,138 +382,3 @@ def _sample_blocks(point: EvalPoint, params: JanowskiParams, n: int, seed: int, 
                 slack, status = region.classify(w, point, params, tol)
         yield np.arange(start, start + size), w[:size], status[:size], slack[:size]
 
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    params, point = JanowskiParams(args.A, args.B), EvalPoint(args.z0, args.lam)
-    # a row's end holds its verdict
-    shortest = args.format == "json"
-    if shortest:
-        ends = np.array([_JSON_SEP + f'"{v.value}"'.encode() + _JSON_BREAK for v in VERDICTS], "S40")
-    else:
-        ends = np.array([f",{v.value}\n".encode() for v in VERDICTS], "S16")
-    parts: list = []  # CSV or JSON text per chunk, or SVG cloud points
-    n_breaches, witnesses = 0, []  # stderr lists the first 20 breaches
-    for rows, w, status, slack in _sample_blocks(point, params, args.mc_samples, args.seed, args.tol):
-        if args.format == "svg":
-            parts += w.tolist()
-        else:
-            values = np.column_stack([w.real, w.imag]) + 0.0
-            parts.append(_rows_text([_index_fields(rows), values], ends[status], _JSON_SEP if shortest else b","))
-        outside = status == VERDICTS.index(Verdict.OUTSIDE)
-        n_breaches += int(np.count_nonzero(outside))
-        for k in np.flatnonzero(outside)[:20 - len(witnesses)].tolist():
-            witnesses.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
-                              "slack": float(slack[k])})
-    if args.format == "csv":
-        text = b"".join([b"seed_index,re,im,verdict\n", *parts])
-    else:
-        rec, curve = region_record(params, point, args.theta_samples)
-        if args.format == "json":
-            text = _json_text(rec, **_boundary_rows([curve], _theta_fields(args.theta_samples))[0], samples=parts)
-        else:
-            text = _region_svg(rec, curve, parts)
-    _write_out(args.out, text)
-    if n_breaches:
-        print(f"containment breach: {n_breaches} sample(s) outside the region", file=sys.stderr)
-        for b in witnesses:
-            print(f"  witness: {b}", file=sys.stderr)
-        return EXIT_CONTAINMENT
-    return EXIT_OK
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
-    reports = [verify.run_suite(n, seed=args.seed, tol=args.tol) for n in names]
-    _write_out(args.out, _json_text(reports))
-    failed = ", ".join(r["suite_name"] for r in reports if not r["passed"])
-    if not failed:
-        return EXIT_OK
-    print(f"verification failed: {failed}", file=sys.stderr)
-    return EXIT_VERIFY_FAIL
-
-
-def _parse_grid_file(path: Path) -> list[dict[str, float]]:
-    blocks: list[dict[str, float]] = []
-    current: dict[str, float] = {}
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                if current:
-                    blocks.append(current)
-                    current = {}
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"parse error at line {line_no}: expected key=value, got {line!r}")
-            if key not in GRID_KEYS:
-                raise ValueError(f"parse error at line {line_no}: unknown key {key!r}")
-            if key in current:
-                raise ValueError(f"parse error at line {line_no}: duplicate key {key!r} in block")
-            try:
-                current[key] = float(value.strip())
-            except ValueError:
-                raise ValueError(f"parse error at line {line_no}: invalid number {value.strip()!r}") from None
-    if current:
-        blocks.append(current)
-    return blocks
-
-
-def _block_hash(block: dict[str, float]) -> str:
-    import hashlib  # here, not at the top: only sweep needs it, and loading OpenSSL is slow
-
-    canonical = "\n".join(f"{k}={block[k]!r}" for k in sorted(block))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _sweep_record(block: dict[str, float], theta_samples: int) -> tuple[dict, BoundaryCurve | None]:
-    """``region_record`` of a block; a rejected block's record says why and has no curve."""
-
-    def rejected(reason: str) -> tuple[dict, None]:
-        # NaN and the infinities as their repr strings, so that the record is strict JSON
-        strict = {key: v if math.isfinite(v) else repr(v) for key, v in block.items()}
-        return {"rejected": True, "reason": reason, "block": strict}, None
-
-    for key in GRID_REQUIRED:
-        if key not in block:
-            return rejected(f"missing key {key!r}")
-    lam = complex(block.get("lambda_re", 0.0), block.get("lambda_im", 0.0))
-    z0 = complex(block["z0_re"], block.get("z0_im", 0.0))
-    try:
-        return region_record(JanowskiParams(block["A"], block["B"]), EvalPoint(z0, lam), theta_samples)
-    except ValueError as exc:
-        return rejected(str(exc))
-
-
-# boundary rows sweep lays out at once, 168 B a row (1.3 MiB), so a call's memory does not grow with its grid;
-# passes of 16,384 rows were no faster and took 1.7 MiB more RSS at 256 samples a curve
-_PASS_ROWS = 8192
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out(args.out, is_dir=True)
-    blocks = _parse_grid_file(Path(args.grid))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_hash: dict[str, dict] = {}  # index entries in first-seen order
-    new = []  # the first block of each hash, and its index entry
-    for block in blocks:
-        h = _block_hash(block)
-        if h in by_hash:
-            by_hash[h]["count"] += 1
-        else:
-            by_hash[h] = {"hash": h, "file": f"region-{h}.json", "count": 1}
-            new.append((block, by_hash[h]))
-    # the new blocks go in passes of at most max(_PASS_ROWS, n) boundary rows, each formatted at once and then written
-    n, theta_fields = args.theta_samples, None  # the theta column is formatted once, at the call's first disk
-    step = max(1, _PASS_ROWS // n)
-    for i in range(0, len(new), step):
-        done = [(entry, *_sweep_record(block, n)) for block, entry in new[i:i + step]]
-        curves = [curve for _, _, curve in done]
-        if theta_fields is None and any(curve is not None for curve in curves):
-            theta_fields = _theta_fields(n)
-        for (entry, rec, _), rows in zip(done, _boundary_rows(curves, theta_fields)):
-            entry["status"] = "rejected" if rec.get("rejected") else "ok"
-            _write_text(out_dir / entry["file"], _json_text(rec, **rows))
-    _write_text(out_dir / "index.json", _json_text({"records": list(by_hash.values())}))
-    return EXIT_OK

@@ -14,29 +14,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import varregion._commands
+import varregion._output
 import varregion.cli
 import varregion.extremal
 import varregion.region
 from varregion import EvalPoint, JanowskiParams, Verdict, boundary_curve, singleton_value, variability_disk
 from varregion.sampler import BLOCK_ROWS
-from varregion._commands import (
+from varregion._output import (
     _BLOCK_CELLS,
     _JSON_BREAK,
     _JSON_END,
     _JSON_SEP,
-    _block_hash,
     _boundary_rows,
     _fields,
     _index_fields,
     _json_text,
     _rows_text,
     _sample_blocks,
-    _sweep_record,
     _theta_fields,
-    region_record,
 )
-from varregion.cli import build_parser, main, parse_complex
+from varregion.cli import _block_hash, _sweep_record, build_parser, main, parse_complex, region_record
 from varregion.region import VERDICTS, classify
 from varregion.verify import SUITE_NAMES, run_suite
 
@@ -406,8 +403,7 @@ def test_an_infinite_quad_tol_takes_the_two_panel_estimate(capsys):
                 "--quad-tol=inf"]) == 0
     spec = varregion.extremal.ExtremalSpec(0.6 + 0.2j, 0.3 + 0.4j, JanowskiParams(-0.5, 0.5))
     two = varregion.extremal._composite_estimates(spec, 0j, 0.5 + 0.1j, (1, 2))[1]
-    f15 = varregion._commands._f15
-    assert capsys.readouterr().out.splitlines()[0] == f"{f15(two.real)} {f15(two.imag)}"
+    assert capsys.readouterr().out.splitlines()[0] == f"{varregion.cli._f15(two.real)} {varregion.cli._f15(two.imag)}"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -874,7 +870,7 @@ def test_sample_rows_do_not_depend_on_the_chunk_they_fall_in(fmt, capsys, monkey
         else:
             assert part == whole[:n]
     for chunk in (BLOCK_ROWS, 3 * BLOCK_ROWS):  # the same rows, evaluated in other chunks
-        monkeypatch.setattr(varregion._commands, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(varregion._output, "_CHUNK_ROWS", chunk)
         assert rows(9000) == whole
 
 
@@ -1003,7 +999,7 @@ _EDGE_SAMPLES = [_BLOCK_CELLS // 6 + 1, _BLOCK_CELLS // 4 + 1, _BLOCK_CELLS // 2
                             pytest.param(_DUPLICATE_BETWEEN_DISKS, 16, 16, id="duplicate-passes-of-1")])
 def test_sweep_files_are_the_stdlib_encoding_of_their_records(tmp_path, monkeypatch, blocks, n, pass_rows):
     if pass_rows:
-        monkeypatch.setattr(varregion._commands, "_PASS_ROWS", pass_rows)
+        monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
     out = tmp_path / "out"
     assert run(["sweep", f"--grid={_sweep_grid(tmp_path, blocks)}", f"--out={out}",
                 f"--theta-samples={n}"]) == 0
@@ -1024,8 +1020,8 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
     n = 16
     thetas = boundary_curve(EvalPoint(0.5, 0.5), P05, n).thetas.tolist()
     formatted = []
-    fields = varregion._commands._fields
-    monkeypatch.setattr(varregion._commands, "_fields",
+    fields = varregion._output._fields
+    monkeypatch.setattr(varregion._output, "_fields",
                         lambda x, *args, **kw: formatted.append(x.T.tolist()) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS + SWEEP_BLOCKS[:2])  # 3 disk blocks, 2 of them twice
     for call in range(2):  # a second call formats it again: nothing is cached across calls
@@ -1044,10 +1040,10 @@ def test_sweep_encodes_the_theta_column_once_per_call(tmp_path, monkeypatch):
 @pytest.mark.parametrize("pass_rows, passes", [(15, [1, 1, 1]), (32, [2, 1]), (47, [2, 1]), (48, [3])])
 def test_sweep_formats_at_most_a_pass_of_rows_at_once(tmp_path, monkeypatch, pass_rows, passes):
     n = 16  # so max(1, pass_rows // n) new blocks a pass: the disks of SWEEP_BLOCKS are its first three
-    monkeypatch.setattr(varregion._commands, "_PASS_ROWS", pass_rows)
+    monkeypatch.setattr(varregion.cli, "_PASS_ROWS", pass_rows)
     formatted = []
-    fields = varregion._commands._fields
-    monkeypatch.setattr(varregion._commands, "_fields",
+    fields = varregion._output._fields
+    monkeypatch.setattr(varregion._output, "_fields",
                         lambda x, *args, **kw: formatted.append(x.shape) or fields(x, *args, **kw))
     grid = _sweep_grid(tmp_path, SWEEP_BLOCKS[:1] + SWEEP_BLOCKS)
     assert run(["sweep", f"--grid={grid}", f"--out={tmp_path / 'out'}", f"--theta-samples={n}"]) == 0
@@ -1226,7 +1222,7 @@ def _temp_files_through(monkeypatch, raw):
     def shim(file, mode="r", *args, **kwargs):
         return io.BufferedWriter(raw(file, mode)) if mode == "xb" else open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(varregion._commands, "open", shim, raising=False)
+    monkeypatch.setattr(varregion._output, "open", shim, raising=False)
 
 
 @pytest.mark.parametrize("command", ["region", "sweep"])
@@ -1580,14 +1576,14 @@ import sys
 import numpy.random
 import varregion.cli
 varregion.cli.build_parser()
-import varregion._commands
-print("tables:", varregion._commands._text_tables.cache_info().currsize)
+import varregion._output
+print("tables:", varregion._output._text_tables.cache_info().currsize)
 before = set(sys.modules)
 point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4", "--z0=0.5"]
 assert varregion.cli.main(["region", *point, "--out", sys.argv[1] + "region.csv"]) == 0
 assert varregion.cli.main(["sample", *point, "--mc-samples=200", "--out", sys.argv[1] + "sample.csv"]) == 0
 print("added:", *sorted({"hashlib", "json"} & (set(sys.modules) - before)))
-print("tables:", varregion._commands._text_tables.cache_info().currsize)
+print("tables:", varregion._output._text_tables.cache_info().currsize)
 """
 
 

@@ -58,4 +58,4 @@ def test_cli_section_lists_the_shared_flags_each_command_takes():
     listed = {command: set(re.findall(r"`(--[\w-]+)`", flags))
               for command, flags in re.findall(r"^- `(\w+)`: (.*)$", _cli_section(), re.M)}
     shared = {"--seed", "--tol", "--out", "--format"}
-    assert listed == {command: shared & flags.keys() for command, (_, flags) in _COMMANDS.items()}
+    assert listed == {command: shared & flags.keys() for command, (_, _, flags) in _COMMANDS.items()}
