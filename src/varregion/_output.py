@@ -81,7 +81,7 @@ def _json_text(obj, **rows) -> bytes:
     further, and a JSON string holds no raw newline.  Without rows this is the
     stdlib call, encoded (as ASCII: json escapes the rest).
     """
-    import json  # here, not at the top: CSV, SVG and extremal output skip it
+    import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
     text = json.dumps({**obj, **dict.fromkeys(rows)} if rows else obj, sort_keys=True, indent=2).encode()
     pieces = []

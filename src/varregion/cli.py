@@ -83,7 +83,11 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    """A layer's public name, as that layer binds it at the time of the lookup, which loads the layers."""
+    """A layer's public name, as the layer binds it at the time of the lookup; the lookup loads the layers.
+
+    So ``cli.boundary_curve`` is the function the commands call, also while a
+    wrapper is installed in ``region``.
+    """
     if not name.startswith("_"):
         _load()
         for layer in (extremal, region, sampler, verify):
@@ -216,7 +220,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = verify.SUITE_NAMES if args.suite == "all" else [args.suite]
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(n, seed=args.seed, tol=args.tol) for n in names]
     _output._write_out(args.out, _output._json_text(reports))
     failed = ", ".join(r["suite_name"] for r in reports if not r["passed"])
