@@ -155,17 +155,14 @@ def extremal_value(spec: ExtremalSpec, z: complex, abs_tol: float = 1e-12) -> co
 def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:
     """Exact antiderivative for a = 0, where the integrand is (1 + B lam zeta)^((A-B)/B).
 
-    With L = Log(1 + B lam z)/B: expm1(A L)/(lam A) for A != 0, L/lam for A = 0.
-    L is _log1p_over_b's quotient form, the scalar map of singleton_value, so
-    neither form loses the low bits of a small B lam z, and a subnormal B gives
-    a finite value.  lam = 0 is rejected: the integrand is then identically 1
-    and F(z) = z needs no oracle.
+    F(z) = expm1(A lam L)/(A lam) with L = Log(1 + B lam z)/(B lam), written as
+    F = L E(A lam L), E(y) = expm1(y)/y, so that nothing divides by lam or A.
+    L is _log1p_over_b's quotient form z Log(1 + x)/x at x = B lam z, the scalar
+    map of singleton_value, and E takes its series 1 + y/2 where |y| < 1e-8:
+    both hold at a small, subnormal or zero lam or B, where F(z) = z.
     """
     lam = complex(lam)
-    if lam == 0:
-        raise ValueError("lambda = 0 makes F(z) = z; no closed form needed")
     _require_lambda(lam)
-    L = _log1p_over_b(lam * complex(z), params.B, 1.0)
-    if params.A == 0.0:
-        return L / lam
-    return complex(np.expm1(params.A * L)) / (lam * params.A)
+    L = _log1p_over_b(complex(z), params.B * lam, 1.0)
+    y = params.A * lam * L
+    return L * (1.0 + 0.5 * y if abs(y) < 1e-8 else complex(np.expm1(y)) / y)

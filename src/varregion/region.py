@@ -225,8 +225,11 @@ def _over_b(f, v, B: float, slope: float, scale: float = 1.0):
     return num
 
 
-def _log1p_over_b(v: complex, B: float, scale: float) -> complex:
-    """scale Log(1 + B v)/B for one complex v, in math: _over_b(_log1p, v, B, -0.5, scale) without numpy."""
+def _log1p_over_b(v: complex, B: complex, scale: float) -> complex:
+    """scale Log(1 + B v)/B for one complex v, in math: _over_b(_log1p, v, B, -0.5, scale) without numpy.
+
+    B may be complex, and 0: closed_form_a0 passes B lambda, and the series takes B v = 0.
+    """
     x = B * v
     if abs(x) < 1e-8:  # _over_b's series: a zero or subnormal x loses nothing
         return scale * v * (1.0 - 0.5 * x)

@@ -203,14 +203,26 @@ def check_unit_lambda(
     z0s: Sequence[complex] = DEFAULT_Z0S,
     tol: float = 1e-9,
 ) -> dict[str, Any]:
-    """|lambda| = 1 collapse: r -> 0 monotonically and the disk converges to the singleton."""
+    """|lambda| = 1 collapse: r -> 0 monotonically and the disk converges to the singleton.
+
+    The singleton at each unimodular lambda = u of three is paired with the
+    value at the center of the disk at lambda = u (1 - 2^-_K_MAX), so a fault
+    that turns complex lambda shows.
+    """
     tally = _Tally(tol)
     a_values = (0.0, 1.0, -1.0, 1j)
     phis = (0.0, 1.0, 2.5)
-    # the zeta-radii as |lambda| -> 1 depend on z0 alone: their largest step is taken once per z0
-    lams = 1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX + 1))
-    max_increases = {z0: float(np.max(np.diff(_disk(z0, lams)[1]))) for z0 in z0s if z0 != 0}
+    units = np.exp(1j * np.array(phis))
+    # the zeta-disks of the ladder 1 - 2^-k and of the lambdas u (1 - 2^-_K_MAX) depend on z0 alone:
+    # one _disk call per z0 gives its largest radius step and the Schwarz values at the centers
+    lams = np.concatenate((1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX + 1)), units * (1.0 - 2.0**-_K_MAX)))
+    max_increases, centers = {}, {}
+    for z0 in z0s:
+        if z0 != 0:
+            center, radius = _disk(z0, lams)
+            max_increases[z0], centers[z0] = float(np.max(np.diff(radius[:_K_MAX]))), z0 * center[_K_MAX:]
     for params in param_sets:
+        center_values = dict(zip(centers, log_fprime(np.array(list(centers.values())), params).tolist()))
         for z0 in z0s:
             if z0 == 0:
                 target = singleton_value(EvalPoint(0.0, 1.0), params)
@@ -221,9 +233,8 @@ def check_unit_lambda(
             # Python abs: numpy's complex modulus can differ in the last bit
             dists = [abs(w - target) for w in values.tolist()]
             max_increase = max_increases[z0]
-            # rotation consistency of the collapsed value for unimodular lambda
-            pairs = [(singleton_value(EvalPoint(z0, u), params),
-                      singleton_value(EvalPoint(u * z0, 1.0), params)) for u in np.exp(1j * np.array(phis))]
+            pairs = [(singleton_value(EvalPoint(z0, u), params), center)
+                     for u, center in zip(units.tolist(), center_values[z0])]
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
             tally.add_many(dists, lambda k: (
                 dict(inputs, k=_K_MAX, a=_cstr(a_values[k])), {"distance_to_singleton": dists[k]}))

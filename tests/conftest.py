@@ -1,8 +1,19 @@
+import importlib
+import pkgutil
+
 import hypothesis
 import numpy as np
 import pytest
 
+import varregion
+
 np.seterr(all="warn", under="ignore")
+
+# hypothesis mixes the literal constants of every loaded local module into its draws, so a
+# derandomized property draws the same cells whatever test files run only if the whole
+# package is loaded before the first test
+for _module in pkgutil.iter_modules(varregion.__path__):
+    importlib.import_module(f"varregion.{_module.name}")
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=60, derandomize=True

@@ -36,7 +36,7 @@ def _one_less(lo, hi):
 _B, _LAM, _Z0 = _exp10(-4.0, 0.0), st.floats(0.01, 0.99), st.floats(0.05, 0.95)
 # (|B|, |lambda|, |z0|).  10**-323.3 rounds to 5e-324, the least subnormal, 10**-307.6
 # is just above the least normal, and 10**x is 0 below x = -323.6, so subnormal_lambda
-# reaches 0 (lambda -> 0 is a corner: the a = 0 antiderivative divides by lambda).
+# reaches 0 (lambda -> 0 is a corner: the a = 0 antiderivative's quotients meet 0/0 there).
 # |lambda| within UNIT_TOL = 1e-12 of 1 is the singleton, with no curve, so
 # lambda_near_the_circle stops at 1 - 1e-11.  |B z0| = 10**-p is subnormal from p = 308
 STRATA = {
@@ -104,21 +104,18 @@ _SMALL_B = pytest.mark.xfail(strict=True, raises=(AssertionError, ConvergenceErr
                              reason="ROADMAP items 2 and 15: extremal_fprime takes numpy's log(1 + x), and (A - B)/B "
                                     "multiplies its rounding by 1/|B|: the quadrature misses closed_form_a0 or cannot "
                                     "confirm 1e-12, and from |B| ~ 1e-308 down ExtremalSpec refuses the cell")
-_SUBNORMAL_LAMBDA = pytest.mark.xfail(strict=True, raises=(AssertionError, ZeroDivisionError),
-                                      reason="ROADMAP item 2: closed_form_a0 forms lam z and lam A, which lose their "
-                                             "digits or vanish at a subnormal lambda")
 
 
 @_PROPERTY
 @pytest.mark.parametrize("stratum, A_is_zero", [
-    *_strata(tiny_B=_SMALL_B, subnormal_lambda=_SUBNORMAL_LAMBDA, subnormal_B_z0=_SMALL_B),
+    *_strata(tiny_B=_SMALL_B, subnormal_B_z0=_SMALL_B),
     pytest.param("bulk", True, id="bulk-A=0")])
 @given(data=st.data())
 def test_a0_quadrature(stratum, A_is_zero, data):
-    # converges within the panel cap, and agrees with the a = 0 antiderivative (F(z) = z at lambda = 0)
+    # converges within the panel cap, and agrees with the a = 0 antiderivative
     cell = params, point = data.draw(cells(stratum, A_is_zero))
     lam, z = point.lam, point.z0
-    want = z if lam == 0 else closed_form_a0(lam, params, z)
+    want = closed_form_a0(lam, params, z)
     assert abs(extremal_value(ExtremalSpec(0.0, lam, params), z) - want) < 1e-10, cell
 
 

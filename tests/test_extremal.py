@@ -1,3 +1,4 @@
+import cmath
 import re
 
 import mpmath
@@ -109,13 +110,12 @@ def test_value_against_high_precision_quadrature():
 
 def test_closed_form_domain():
     assert closed_form_a0(0.3, P05, 0.0) == 0.0
-    with pytest.raises(ValueError, match="lambda = 0"):
-        closed_form_a0(0.0, P05, 0.5)
     with pytest.raises(ValueError, match=r"\|lambda\| < 1"):
         closed_form_a0(float("nan"), P05, 0.5)
-    # lambda = 0 needs no oracle: the integrand is 1 and F(z) = z
+    # at lambda = 0 the integrand is 1 and F(z) = z, in the closed form and the quadrature alike
     spec = ExtremalSpec(0.0, 0.0, P05)
     for z in (0.5, -0.3 + 0.2j):
+        assert closed_form_a0(0.0, P05, z) == z
         assert extremal_value(spec, z) == pytest.approx(z, abs=1e-14)
 
 
@@ -141,20 +141,24 @@ _ORACLE_AB = [(0.0, 0.5), (-0.5, 0.5), (-1.0, 1.0), (0.3, 0.7), (-0.9, -0.1), (-
               (-0.5, -1e-12), (-0.5, 1e-8), (-0.5, 1e-20), (-0.5, 1e-310), (-1.0, -5e-324),
               (0.0, 5e-324), (-1.0, 1e-300), (0.0, 1e-20), (0.0, 1e-310)]
 _ORACLE_LAM_Z = [(0.3 + 0.4j, 0.5 + 0.1j), (0.9, 0.95), (-0.99j, 0.9j), (1e-8, 0.5),
-                 (0.5, 1e-12 + 1e-12j), (-0.7 + 0.1j, -0.6 - 0.7j)]
+                 (0.5, 1e-12 + 1e-12j), (-0.7 + 0.1j, -0.6 - 0.7j), (0.0, 0.5 + 0.1j),
+                 (1e-320, 0.99 * cmath.exp(0.3j)), (5e-324, -0.6 - 0.7j), (1e-300j, 0.9j)]
 
 
 @pytest.mark.filterwarnings("error")
 def test_closed_form_a0_matches_mpmath():
-    # small and subnormal B included: L = Log(1 + B lam z)/B is a quotient, never Log of a rounded 1 + x
+    # small and subnormal B and lambda included, and lambda = 0: F = z (Log(1 + x)/x) E(A lam L),
+    # x = B lam z, E(y) = expm1(y)/y, is quotients throughout, with no Log of a rounded 1 + x
     for A, B in _ORACLE_AB:
         params = JanowskiParams(A, B)
         for lam, z in _ORACLE_LAM_Z:
             got = closed_form_a0(lam, params, z)
             with mpmath.workdps(50):
                 l, mz = mpmath.mpc(complex(lam)), mpmath.mpc(complex(z))
-                L = mpmath.log1p(mpmath.mpf(B) * l * mz) / mpmath.mpf(B)
-                want = L / l if A == 0.0 else mpmath.expm1(mpmath.mpf(A) * L) / (l * mpmath.mpf(A))
+                x = mpmath.mpf(B) * l * mz
+                L = mz * mpmath.log1p(x) / x if x else mz
+                y = mpmath.mpf(A) * l * L
+                want = L * mpmath.expm1(y) / y if y else L
                 assert abs(mpmath.mpc(got) - want) <= 4 * 2.0**-52 * abs(want), (A, B, lam, z, got)
 
 

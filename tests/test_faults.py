@@ -28,6 +28,10 @@ def radius_too_large(z0, lam):
     return center, radius * (1.0 + 1e-7)
 
 
+def disk_of_conj(z0, lam):
+    return REAL["_disk"](z0, np.conjugate(lam))
+
+
 def blaschke_without_conj(b, z):
     out = b.lead + 0.0 * z
     for alpha, active in zip(b.zeros, b.mask):
@@ -57,6 +61,7 @@ def log1p_conj(x):
 
 FAULTS = [
     ("_disk", radius_too_large, {"prop1", "coverage"}),
+    ("_disk", disk_of_conj, {"unit-lambda"}),
     ("inner_eval", blaschke_without_conj, {"halfplane"}),
     ("mobius_delta", mobius_delta_without_conj, {"coverage", "halfplane"}),
     ("inner_eval", inner_scaled, {"prop1", "corollary0", "coverage", "halfplane"}),

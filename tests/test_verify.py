@@ -117,22 +117,27 @@ def test_rotation_suite_zero_mismatches():
     assert r["max_violation"] == 0.0
 
 
-def test_batched_unit_lambda_radii_equal_per_point_disks(monkeypatch):
+def test_batched_unit_lambda_disks_equal_per_point_disks(monkeypatch):
     calls = []
 
     def spy(z0, lam):
         center, radius = varregion.region._disk(z0, lam)
-        calls.append((z0, radius))
+        calls.append((z0, lam, center, radius))
         return center, radius
 
     monkeypatch.setattr(varregion.verify, "_disk", spy)
     assert check_unit_lambda(param_sets=SMALL_SETS)["passed"]
     z0s = [z0 for z0 in DEFAULT_Z0S if z0 != 0]
-    # one _disk call per nonzero z0: the radii do not depend on the parameter set
-    assert [z0 for z0, _ in calls] == z0s
-    for z0, radii in calls:
-        ref = [varregion.region._disk(z0, 1 - 2**-k)[1] for k in range(1, 41)]
-        assert radii.tolist() == ref
+    # one _disk call per nonzero z0, as the disks do not depend on the parameter set: the
+    # radii of the ladder 1 - 2^-k, then the centers at lambda = e^{i phi} (1 - 2^-40)
+    assert [z0 for z0, *_ in calls] == z0s
+    for z0, lam, center, radius in calls:
+        assert radius[:40].tolist() == [varregion.region._disk(z0, 1 - 2**-k)[1] for k in range(1, 41)]
+        unit_lams = np.exp(1j * np.array([0.0, 1.0, 2.5])) * (1 - 2**-40)
+        assert lam[40:].tolist() == unit_lams.tolist()
+        # each lambda as an array of one: numpy's complex modulus can differ in the last bit from Python's
+        ref = [varregion.region._disk(z0, unit_lams[i:i + 1])[0][0] for i in range(3)]
+        assert center[40:].tolist() == ref
 
 
 def _rotation_turns(n: int) -> np.ndarray:
@@ -494,6 +499,8 @@ def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s
                 continue
             target = V.singleton_value(EvalPoint(z0, 1.0), params)
             _, radii = V._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)))
+            units = np.exp(1j * np.array([0.0, 1.0, 2.5]))
+            centers, _ = V._disk(z0, units * (1.0 - 2.0**-k_max))
             point = EvalPoint(z0, 1.0 - 2.0**-k_max)
             for a in (0.0, 1.0, -1.0, 1j):
                 d = abs(V.region_point(a, point, params) - target)
@@ -502,10 +509,9 @@ def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s
             drops = np.diff(radii)
             tally.add(float(np.max(drops)), {"A": params.A, "B": params.B, "z0": _cstr(z0)},
                       {"max_radius_increase": float(np.max(drops))})
-            for phi in (0.0, 1.0, 2.5):
-                u = np.exp(1j * phi)
+            # the singleton at lambda = u against the value at the center of the disk at u (1 - 2^-k_max)
+            for phi, u, rhs in zip((0.0, 1.0, 2.5), units.tolist(), V.log_fprime(z0 * centers, params).tolist()):
                 lhs = V.singleton_value(EvalPoint(z0, u), params)
-                rhs = V.singleton_value(EvalPoint(u * z0, 1.0), params)
                 tally.add(abs(lhs - rhs), {"A": params.A, "B": params.B, "z0": _cstr(z0), "phi": phi},
                           {"lhs": _cstr(lhs), "rhs": _cstr(rhs)})
     return tally.report("unit-lambda", len(param_sets))
