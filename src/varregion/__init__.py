@@ -4,28 +4,27 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+# the verification suites, in the order ``verify --suite all`` runs them; here, free
+# of numpy, so that the CLI's ``--suite`` choices come from the registry's own tuple
+SUITE_NAMES: tuple[str, ...] = (
+    "prop1", "corollary0", "unit-lambda", "rotation", "coverage", "convexity", "inclusion", "halfplane",
+)
+
 # every public name is listed once, in its layer's __all__; the layers, which
 # need numpy, load on first use, so that importing varregion.cli does not
 _LAYERS = ("extremal", "region", "sampler", "verify")
 
 
-def _publish() -> None:
-    """Import the layers and bind here each name of their ``__all__``."""
-    for layer in _LAYERS:
-        module = _import_module(f"{__name__}.{layer}")
-        globals().update((name, getattr(module, name)) for name in module.__all__)
-
-
 def __getattr__(name: str):
+    """A submodule, or a layer's public name as the layer binds it at the time of the lookup."""
     if name in (*_LAYERS, "cli"):  # a submodule loads alone
         return _import_module(f"{__name__}.{name}")
     if not name.startswith("_"):
-        _publish()
-        if name in globals():
-            return globals()[name]
+        for layer in map(__getattr__, _LAYERS):
+            if name in layer.__all__:
+                return getattr(layer, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    _publish()
-    return sorted(globals())
+    return sorted({*globals(), *(name for layer in map(__getattr__, _LAYERS) for name in layer.__all__)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -30,20 +31,34 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
     return Path(override) if is_dir else Path(override) / Path(path_str).name
 
 
-def _write_text(path: Path, data: bytes) -> None:
-    """Write data to path atomically, through a temp file in path's directory that a rename moves into place.
+def _write_text(path: Path, pieces: list[bytes]) -> None:
+    """Write the byte pieces to path atomically, through a temp file that a rename moves into place.
 
-    The temp file's name is unique to the call (pid and random bytes), and mode ``"x"``
-    refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
+    path's links are followed: the temp file goes next to the file they name,
+    so a symlink keeps pointing at its target, which gets the new bytes.  An
+    existing target that is neither a regular file nor a directory (a FIFO, a
+    device) is written in place.  The temp file's name is unique to the call
+    (pid and random bytes), and mode ``"x"`` refuses one that exists.  A later
+    failure removes it; an ``OSError`` names only ``path``.
     """
-    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    real = path
+    try:
+        kind = stat.S_IFMT(os.lstat(path).st_mode)
+        if kind == stat.S_IFLNK:
+            real = os.path.realpath(path)
+            kind = stat.S_IFMT(os.stat(real).st_mode)
+    except OSError:  # nothing there yet; anything else, the write below reports
+        kind = stat.S_IFREG
+    in_place = kind not in (stat.S_IFREG, stat.S_IFDIR)
+    tmp = real if in_place else f"{real}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
     fh = None
     try:
-        with open(tmp, "xb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        with open(tmp, "wb" if in_place else "xb") as fh:
+            fh.writelines(pieces)
+        if not in_place:
+            os.replace(tmp, real)
     except BaseException as exc:
-        if fh is not None:
+        if fh is not None and not in_place:
             try:
                 os.unlink(tmp)
             except OSError:
@@ -53,14 +68,15 @@ def _write_text(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_out(out: str | None, data: bytes) -> None:
+def _write_out(out: str | None, pieces: list[bytes]) -> None:
     """Write a command's one output: to stdout as text, or to its --out file, making the file's directory first."""
     path = _resolve_out(out)
     if path is None:
-        sys.stdout.write(data.decode())
+        for piece in pieces:
+            sys.stdout.write(piece.decode())
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_text(path, data)
+    _write_text(path, pieces)
 
 
 # json.dumps(..., indent=2) around a top-level row list: before it, between two
@@ -70,8 +86,8 @@ _JSON_SEP = b",\n      "
 _JSON_END = np.array([_JSON_BREAK], "S24")
 
 
-def _json_text(obj, **rows) -> bytes:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in, byte for byte, as bytes.
+def _json_text(obj, **rows) -> list[bytes]:
+    """Byte pieces that join to ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with ``rows`` merged in.
 
     ``rows`` maps top-level keys of a dict with string keys to the
     ``_rows_text`` blocks of a non-empty row list, each row ending in
@@ -79,7 +95,7 @@ def _json_text(obj, **rows) -> bytes:
     key, and the row list takes the place of each top-level
     ``\\n  "<key>": null``.  That text is unique: deeper keys are indented
     further, and a JSON string holds no raw newline.  Without rows this is the
-    stdlib call, encoded (as ASCII: json escapes the rest).
+    stdlib call, encoded (as ASCII: json escapes the rest), byte for byte.
     """
     import json  # here, not at the top: start-up and CSV, SVG and extremal output skip it
 
@@ -90,7 +106,7 @@ def _json_text(obj, **rows) -> bytes:
         head, _, text = text.partition(field + b"null")
         *blocks, last = rows[key]
         pieces += (head, field, _JSON_OPEN, *blocks, last[:-len(_JSON_BREAK)], _JSON_CLOSE)
-    return b"".join([*pieces, text, b"\n"])
+    return [*pieces, text, b"\n"]
 
 
 @functools.cache
@@ -347,13 +363,13 @@ def _boundary_rows(curves: list[BoundaryCurve | None], theta_fields: np.ndarray)
             for curve in curves]
 
 
-def _region_csv(rec: dict, curve: BoundaryCurve | None) -> bytes:
-    """Boundary rows of a record; a singleton's one row is its value at theta 0."""
+def _region_csv(rec: dict, curve: BoundaryCurve | None) -> list[bytes]:
+    """Boundary rows of a record, as its header and rows; a singleton's one row is its value at theta 0."""
     if curve is None:
         cells = np.array([[0.0, *rec["center"]]])
     else:
         cells = np.column_stack([curve.thetas, curve.values.real + 0.0, curve.values.imag + 0.0])
-    return b"theta,re,im\n" + _rows_text([cells], np.array([b"\n"], "S8"))
+    return [b"theta,re,im\n", _rows_text([cells], np.array([b"\n"], "S8"))]
 
 
 # members per kernel call in sample: at BLOCK_ROWS, numpy's cost per call is ~40% of omega_eval's; a chunk's

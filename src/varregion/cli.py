@@ -7,7 +7,9 @@ grid file).  Output formats are CSV, SVG and JSON; every command is a
 deterministic function of its flags and seed.  A file is written atomically:
 its bytes go to a temp file in the target's directory, which a rename then
 moves into place, so the target holds either its old or its new bytes.  Like
-``open(path, "w")``, the file gets mode 0o666 less the umask.
+``open(path, "w")``, the file gets mode 0o666 less the umask, a symlink is
+followed and keeps pointing at its target, and a FIFO or a device node is
+written in place.
 
 Importing this module and parsing load the standard library alone.  numpy,
 the layers and ``_output`` load when a command runs, so help, no command, an
@@ -25,7 +27,7 @@ import functools
 import math
 import sys
 
-from ._suite_names import SUITE_NAMES
+from . import SUITE_NAMES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,17 +85,10 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    """A layer's public name, as the layer binds it at the time of the lookup; the lookup loads the layers.
-
-    So ``cli.boundary_curve`` is the function the commands call, also while a
-    wrapper is installed in ``region``.
-    """
-    if not name.startswith("_"):
-        _load()
-        for layer in (extremal, region, sampler, verify):
-            if name in layer.__all__:
-                return getattr(layer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A layer's public name as the package resolves it, live: ``cli.boundary_curve`` is what the commands call."""
+    if name.startswith("_"):  # the package's own, such as __path__, are not cli's
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +113,7 @@ def region_record(params: JanowskiParams, point: EvalPoint, theta_samples: int) 
     return rec, None
 
 
-def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> bytes:
+def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) -> list[bytes]:
     """A record's boundary polygon and cloud as dots; a singleton with no cloud shows its value."""
     boundary = [] if curve is None else (curve.values + 0.0).tolist()
     if not (boundary or cloud):
@@ -148,7 +143,7 @@ def _region_svg(rec: dict, curve: BoundaryCurve | None, cloud: list[complex]) ->
         x, y = to_px(p)
         parts.append('<circle cx="%.3f" cy="%.3f" r="0.5" fill="black"/>' % (x, y))
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode()
+    return [("\n".join(parts) + "\n").encode()]
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +156,12 @@ def cmd_region(args: argparse.Namespace) -> int:
     if curve is None:
         print(f"note: {rec['note']}", file=sys.stderr)
     if args.format == "json":
-        text = _output._json_text(rec, **_output._boundary_rows([curve], _output._theta_fields(args.theta_samples))[0])
+        pieces = _output._json_text(rec, **_output._boundary_rows([curve], _output._theta_fields(args.theta_samples))[0])
     elif args.format == "csv":
-        text = _output._region_csv(rec, curve)
+        pieces = _output._region_csv(rec, curve)
     else:
-        text = _region_svg(rec, curve, [])
-    _output._write_out(args.out, text)
+        pieces = _region_svg(rec, curve, [])
+    _output._write_out(args.out, pieces)
     return EXIT_OK
 
 
@@ -175,7 +170,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     value = extremal.extremal_value(spec, args.z, args.quad_tol)
     deriv = complex(extremal.extremal_fprime(spec, args.z))
     text = f"{_f15(value.real)} {_f15(value.imag)}\n{_f15(deriv.real)} {_f15(deriv.imag)}\n"
-    _output._write_out(args.out, text.encode())
+    _output._write_out(args.out, [text.encode()])
     return EXIT_OK
 
 
@@ -202,15 +197,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
             witnesses.append({"seed_index": int(rows[k]), "value": [float(w[k].real), float(w[k].imag)],
                               "slack": float(slack[k])})
     if args.format == "csv":
-        text = b"".join([b"seed_index,re,im,verdict\n", *parts])
+        pieces = [b"seed_index,re,im,verdict\n", *parts]
     else:
         rec, curve = region_record(params, point, args.theta_samples)
         if args.format == "json":
             boundary = _output._boundary_rows([curve], _output._theta_fields(args.theta_samples))[0]
-            text = _output._json_text(rec, **boundary, samples=parts)
+            pieces = _output._json_text(rec, **boundary, samples=parts)
         else:
-            text = _region_svg(rec, curve, parts)
-    _output._write_out(args.out, text)
+            pieces = _region_svg(rec, curve, parts)
+    _output._write_out(args.out, pieces)
     if n_breaches:
         print(f"containment breach: {n_breaches} sample(s) outside the region", file=sys.stderr)
         for b in witnesses:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._suite_names import SUITE_NAMES
+from . import SUITE_NAMES
 from .region import (
     VERDICTS,
     EvalPoint,

@@ -5,8 +5,10 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +92,7 @@ def _json_row_list(groups, ends=_JSON_END) -> list[bytes]:
 def _json_cells(values) -> list[str]:
     """The formatter's JSON text of each double of values: one row each, and ``json.dumps`` of each is expected."""
     values = np.asarray(values, dtype=np.float64)
-    text = _json_text({}, cells=_json_row_list([values[:, None]])).decode()
+    text = b"".join(_json_text({}, cells=_json_row_list([values[:, None]]))).decode()
     return text[len('{\n  "cells": [\n    [\n      '):-len("\n    ]\n  ]\n}\n")].split(_JSON_BREAK.decode())
 
 
@@ -464,7 +466,7 @@ def _reference_sweep_record(block, n):
 
 
 def _record_text(rec, curve, n, **rows):
-    return _json_text(rec, **_boundary_rows([curve], _theta_fields(n))[0], **rows)
+    return b"".join(_json_text(rec, **_boundary_rows([curve], _theta_fields(n))[0], **rows))
 
 
 SAMPLE_COLUMNS = ([0, 1, 2, 3, 4], [math.nan, math.inf, 0.5, 1e-5, 5e-324], [-0.0, -math.inf, 1e-300, -5e-324, -1e-5],
@@ -501,10 +503,10 @@ def _json_records():
     reports = [run_suite("inclusion", seed=0, tol=1e-9)]
     index = {"records": [{"hash": "0123", "file": "region-0123.json", "status": "ok", "count": 2}]}
     int_keys = {1: [[1.5]], 2: "x"}
-    cases += [(obj, _json_text(obj)) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
+    cases += [(obj, b"".join(_json_text(obj))) for obj in (reports, index, int_keys)]  # no rows: the stdlib call
     # a nested key of the same name stays; the other values may hold the row separators
     other = {"meta": {"samples": None}, "a": "x, y", "b": [[{"k": 1}]], "c": [["], [", 1]]}
-    cases.append(({**other, "samples": SAMPLE_ROWS}, _json_text(other, samples=_sample_pieces())))
+    cases.append(({**other, "samples": SAMPLE_ROWS}, b"".join(_json_text(other, samples=_sample_pieces()))))
     return cases
 
 
@@ -534,7 +536,7 @@ _COLUMNS = st.integers(1, 5).flatmap(
 def test_json_text_matches_stdlib_for_generated_dicts(obj, columns):
     rows = {key: _json_row_list([np.array(cols).T]) for key, cols in columns.items()}
     merged = {**obj, **{key: [list(row) for row in zip(*cols)] for key, cols in columns.items()}}
-    assert _json_text(obj, **rows).decode() == json.dumps(merged, sort_keys=True, indent=2) + "\n"
+    assert b"".join(_json_text(obj, **rows)).decode() == json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["region", "sample"])
@@ -1254,6 +1256,43 @@ def test_a_directory_in_the_way_is_named_alike_on_every_run(tmp_path, monkeypatc
         errs.append(capsys.readouterr().err)
     assert errs == ["I/O error: [Errno 21] Is a directory: 'taken'\n"] * 2
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+_REGION_ARGV = ["region", "--A=0", "--B=0.5", "--z0=0.5", "--theta-samples=4"]
+
+
+def test_a_symlinked_out_file_stays_a_link_and_its_target_gets_the_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(_REGION_ARGV) == 0
+    expected = capsys.readouterr().out
+    Path("data").mkdir()
+    Path("data/target.csv").write_text("old bytes\n")
+    Path("link.csv").symlink_to("data/target.csv")
+    assert run([*_REGION_ARGV, "--out=link.csv"]) == 0
+    assert os.readlink("link.csv") == "data/target.csv"
+    assert Path("data/target.csv").read_text() == expected
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_out_is_written_in_place(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(_REGION_ARGV) == 0
+    expected = capsys.readouterr().out.encode()
+    os.mkfifo("fifo.csv")
+    os.link("fifo.csv", "alias")  # a second name of the FIFO, kept if the command replaces fifo.csv
+    got = []
+    reader = threading.Thread(target=lambda: got.append((tmp_path / "alias").read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run([*_REGION_ARGV, "--out=fifo.csv"]) == 0
+        reader.join(timeout=10)
+    finally:
+        if reader.is_alive():  # the command never opened the FIFO: the reader gets an end of file
+            os.close(os.open("alias", os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert got == [expected]
+    assert stat.S_ISFIFO(os.stat("fifo.csv").st_mode)
 
 
 @pytest.mark.parametrize("command", _WRITE_COMMANDS)

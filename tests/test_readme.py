@@ -38,6 +38,19 @@ def test_the_package_republishes_every_module_api_and_nothing_else():
     assert public - names <= {*modules, "cli"}
 
 
+def test_the_package_and_cli_read_a_layers_binding_at_each_lookup(monkeypatch):
+    original = varregion.boundary_curve
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(varregion.region, "boundary_curve", patched)
+    assert varregion.boundary_curve is patched
+    assert varregion.cli.boundary_curve is patched
+    monkeypatch.undo()
+    assert varregion.boundary_curve is original and varregion.cli.boundary_curve is original
+
+
 def _cli_section() -> str:
     return README.read_text().partition("\n## CLI\n")[2].partition("\n## ")[0]
 
