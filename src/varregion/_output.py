@@ -32,33 +32,30 @@ def _resolve_out(path_str: str | None, is_dir: bool = False) -> Path | None:
 
 
 def _write_text(path: Path, pieces: list[bytes]) -> None:
-    """Write the byte pieces to path atomically, through a temp file that a rename moves into place.
+    """Write the byte pieces to path atomically, through a temp file in path's directory that a rename moves into place.
 
-    path's links are followed: the temp file goes next to the file they name,
-    so a symlink keeps pointing at its target, which gets the new bytes.  An
-    existing target that is neither a regular file nor a directory (a FIFO, a
-    device) is written in place.  The temp file's name is unique to the call
-    (pid and random bytes), and mode ``"x"`` refuses one that exists.  A later
-    failure removes it; an ``OSError`` names only ``path``.
+    The temp file's name is unique to the call (pid and random bytes), and mode ``"x"``
+    refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
+    Anything at path but a regular file or a directory (a symlink, a FIFO, a device) is
+    opened with ``"wb"`` and written in place, so the kernel follows a link under its own
+    rules, as for ``open(path, "w")``.
     """
-    real = path
     try:
-        kind = stat.S_IFMT(os.lstat(path).st_mode)
-        if kind == stat.S_IFLNK:
-            real = os.path.realpath(path)
-            kind = stat.S_IFMT(os.stat(real).st_mode)
+        mode = os.lstat(path).st_mode
     except OSError:  # nothing there yet; anything else, the write below reports
-        kind = stat.S_IFREG
-    in_place = kind not in (stat.S_IFREG, stat.S_IFDIR)
-    tmp = real if in_place else f"{real}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+        mode = stat.S_IFREG
+    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
     fh = None
     try:
-        with open(tmp, "wb" if in_place else "xb") as fh:
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            with open(path, "wb") as out:
+                out.writelines(pieces)
+            return
+        with open(tmp, "xb") as fh:
             fh.writelines(pieces)
-        if not in_place:
-            os.replace(tmp, real)
+        os.replace(tmp, path)
     except BaseException as exc:
-        if fh is not None and not in_place:
+        if fh is not None:
             try:
                 os.unlink(tmp)
             except OSError:

@@ -7,9 +7,9 @@ grid file).  Output formats are CSV, SVG and JSON; every command is a
 deterministic function of its flags and seed.  A file is written atomically:
 its bytes go to a temp file in the target's directory, which a rename then
 moves into place, so the target holds either its old or its new bytes.  Like
-``open(path, "w")``, the file gets mode 0o666 less the umask, a symlink is
-followed and keeps pointing at its target, and a FIFO or a device node is
-written in place.
+``open(path, "w")``, the file gets mode 0o666 less the umask.  A symlink, a
+FIFO or a device node at the path is opened and written in place, not
+renamed over, so the kernel follows a link under its own rules.
 
 Importing this module and parsing load the standard library alone.  numpy,
 the layers and ``_output`` load when a command runs, so help, no command, an

@@ -1274,6 +1274,16 @@ def test_a_symlinked_out_file_stays_a_link_and_its_target_gets_the_bytes(tmp_pat
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_a_symlink_to_a_directory_is_named_in_the_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").mkdir()
+    Path("link").symlink_to("taken")
+    assert run([*_REGION_ARGV, "--out=link"]) == 3
+    assert capsys.readouterr().err == "I/O error: [Errno 21] Is a directory: 'link'\n"
+    assert os.readlink("link") == "taken" and list(Path("taken").iterdir()) == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_a_fifo_out_is_written_in_place(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
