@@ -19,6 +19,8 @@ def __getattr__(name: str):
     """A submodule, or a layer's public name as the layer binds it at the time of the lookup."""
     if name in (*_LAYERS, "cli"):  # a submodule loads alone
         return _import_module(f"{__name__}.{name}")
+    if name == "__all__":  # what a star import binds: every layer's public names
+        return [public for layer in map(__getattr__, _LAYERS) for public in layer.__all__]
     if not name.startswith("_"):
         for layer in map(__getattr__, _LAYERS):
             if name in layer.__all__:
@@ -27,4 +29,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *(name for layer in map(__getattr__, _LAYERS) for name in layer.__all__)})
+    return sorted({*globals(), *__getattr__("__all__")})

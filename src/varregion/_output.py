@@ -2,9 +2,7 @@
 formats floats, and the CSV and JSON texts of records and member rows.
 
 It needs numpy, so ``cli`` imports it, with numpy and the layers, only when a
-command runs.  The layers are called as module attributes
-(``region.classify``), so that a wrapper installed in a layer's namespace sees
-every call.
+command runs.
 """
 
 from __future__ import annotations

@@ -71,9 +71,6 @@ def _load() -> None:
 
     ``main`` calls it once a command line has parsed, and ``region_record``
     and ``_sweep_record``, which callers reach without ``main``, call it too.
-    The commands call layer functions through their modules
-    (``region.boundary_curve``), so a wrapper installed in a layer's namespace
-    sees every call.
     """
     global np, _output, extremal, region, sampler, verify
     global VERDICTS, BoundaryCurve, EvalPoint, ExtremalSpec, JanowskiParams, Verdict

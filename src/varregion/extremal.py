@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .region import JanowskiParams, _FrozenRecord, _log1p_over_b, _require_lambda, mobius_delta
+from . import region
+from .region import JanowskiParams, _FrozenRecord
 
 __all__ = [
     "ExtremalSpec",
@@ -39,7 +40,7 @@ class ExtremalSpec(_FrozenRecord):
         a, lam = complex(a), complex(lam)
         if not abs(a) <= 1.0 + 1e-12:
             raise ValueError(f"require |a| <= 1, got |a| = {abs(a)}")
-        _require_lambda(lam)
+        region._require_lambda(lam)
         d = self.__dict__
         d["a"], d["lam"], d["params"] = a, lam, params
 
@@ -63,7 +64,7 @@ def extremal_fprime(spec: ExtremalSpec, z):
 
     Equals 1 at z = 0.  Accepts scalar or ndarray z with |z| < 1.
     """
-    d = mobius_delta(spec.a * z, spec.lam)
+    d = region.mobius_delta(spec.a * z, spec.lam)
     return np.exp((spec.params.A - spec.params.B) / spec.params.B * np.log(1.0 + spec.params.B * z * d))
 
 
@@ -124,27 +125,19 @@ def fprime_segment_integral(spec: ExtremalSpec, z_from: complex, z_to: complex, 
         return 0j
     est = _composite_estimates(spec, z_from, z_to, (1, 2))
     panels = 2
-    while True:
-        achieved = abs(est[-1] - est[-2])
-        if achieved <= abs_tol:
-            floor = _EPS4 * abs(est[-1])
-            if abs_tol < floor:
-                raise ConvergenceError(
-                    f"abs_tol={abs_tol} is below the rounding floor 4 eps |estimate| "
-                    f"= {floor:.3e}, so no estimate can confirm it",
-                    estimate=complex(est[-1]),
-                    achieved=float(achieved),
-                )
-            return complex(est[-1])
-        if 2 * panels > PANEL_CAP:
-            raise ConvergenceError(
-                f"quadrature did not reach abs_tol={abs_tol} within "
-                f"{PANEL_CAP} panels (achieved {achieved:.3e})",
-                estimate=complex(est[-1]),
-                achieved=float(achieved),
-            )
+    # not <=, so that a NaN difference keeps doubling up to the cap
+    while not (achieved := abs(est[-1] - est[-2])) <= abs_tol and 2 * panels <= PANEL_CAP:
         panels *= 2
         est += _composite_estimates(spec, z_from, z_to, (panels,))
+    if achieved <= abs_tol:
+        floor = _EPS4 * abs(est[-1])
+        if abs_tol >= floor:
+            return complex(est[-1])
+        message = (f"abs_tol={abs_tol} is below the rounding floor 4 eps |estimate| = {floor:.3e}, "
+                   "so no estimate can confirm it")
+    else:
+        message = f"quadrature did not reach abs_tol={abs_tol} within {PANEL_CAP} panels (achieved {achieved:.3e})"
+    raise ConvergenceError(message, estimate=complex(est[-1]), achieved=float(achieved))
 
 
 def extremal_value(spec: ExtremalSpec, z: complex, abs_tol: float = 1e-12) -> complex:
@@ -162,7 +155,7 @@ def closed_form_a0(lam: complex, params: JanowskiParams, z: complex) -> complex:
     both hold at a small, subnormal or zero lam or B, where F(z) = z.
     """
     lam = complex(lam)
-    _require_lambda(lam)
-    L = _log1p_over_b(complex(z), params.B * lam, 1.0)
+    region._require_lambda(lam)
+    L = region._log1p_over_b(complex(z), params.B * lam, 1.0)
     y = params.A * lam * L
     return L * (1.0 + 0.5 * y if abs(y) < 1e-8 else complex(np.expm1(y)) / y)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .region import JanowskiParams, _FrozenRecord, mobius_delta
+from . import region
+from .region import JanowskiParams, _FrozenRecord
 
 __all__ = [
     "InnerBatch",
@@ -116,7 +117,7 @@ def omega_eval(inner: InnerBatch, lam, z):
     function per entry, so one call evaluates inner once for every lambda.
     mobius_delta rejects any lambda off the open unit disk.
     """
-    return z * mobius_delta(z * inner_eval(inner, z), lam)
+    return z * region.mobius_delta(z * inner_eval(inner, z), lam)
 
 
 def special_curvature(params: JanowskiParams, z):

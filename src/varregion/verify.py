@@ -20,31 +20,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import SUITE_NAMES
-from .region import (
-    VERDICTS,
-    EvalPoint,
-    JanowskiParams,
-    _boundary_values,
-    _classify,
-    _disk,
-    _log1p,
-    _require_disk,
-    _unit_circle_grid,
-    equivalent_disk_param,
-    janowski_disk,
-    log_fprime,
-    region_point,
-    singleton_value,
-    variability_disk,
-)
-from .sampler import (
-    InnerBatch,
-    constant_inners,
-    omega_eval,
-    sample_members,
-    special_curvature,
-)
+from . import SUITE_NAMES, region, sampler
+from .region import VERDICTS, EvalPoint, JanowskiParams
+from .sampler import InnerBatch
 
 __all__ = [
     "DEFAULT_PARAM_SETS",
@@ -125,12 +103,12 @@ def _cstr(w: complex) -> str:
 
 def _members_with_probes(seed: int, n: int) -> InnerBatch:
     """Rows 0..n-1 of the member stream of seed, every eighth one an extremal probe."""
-    members = sample_members(seed, n)
+    members = sampler.sample_members(seed, n)
     i = np.arange(n)
     probe = i % 8 == 7
     # on-circle probe: constant unimodular inner reproduces the extremal family
     # and must sit exactly on the boundary circle
-    circle = constant_inners(np.exp(1j * (2.0 * np.pi * (i / max(n, 1)) - np.pi)))
+    circle = sampler.constant_inners(np.exp(1j * (2.0 * np.pi * (i / max(n, 1)) - np.pi)))
     return InnerBatch(np.where(probe, circle.lead, members.lead), members.zeros, members.mask & ~probe)
 
 
@@ -146,13 +124,13 @@ def check_prop1(
     tally = _Tally(tol)
     zs = [z0 for z0 in z0s if z0 != 0]
     # one (lambda, z0, member) grid of Schwarz values serves every parameter set
-    omega = omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas, complex)[:, None, None],
+    omega = sampler.omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas, complex)[:, None, None],
                        np.array(zs, dtype=complex)[:, None])
     for params in param_sets:
-        disks = [variability_disk(EvalPoint(z0, lam), params) for lam in lambdas for z0 in zs]
+        disks = [region.variability_disk(EvalPoint(z0, lam), params) for lam in lambdas for z0 in zs]
         center = np.array([d.center for d in disks], dtype=complex).reshape(omega.shape[:2] + (1,))
         radius = np.array([d.radius for d in disks], dtype=float).reshape(omega.shape[:2] + (1,))
-        pullback = np.exp(params.B / (params.A - params.B) * log_fprime(omega, params))
+        pullback = np.exp(params.B / (params.A - params.B) * region.log_fprime(omega, params))
         distance = np.abs(pullback - center) - radius
         # the on-circle probes must sit on the circle: a radius too large fails them too
         violation = distance.copy()
@@ -179,11 +157,11 @@ def check_corollary0(
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
     z0_col = np.array(z0s, dtype=complex)[:, None]
     # row t: the members at z0s[t], then the sharpness probes (equality up to roundoff)
-    omega = np.concatenate([omega_eval(inners, 0.0, z0_col) for inners in (
-        _members_with_probes(seed, n_samples), constant_inners(np.exp(1j * phis)))], axis=1)
+    omega = np.concatenate([sampler.omega_eval(inners, 0.0, z0_col) for inners in (
+        _members_with_probes(seed, n_samples), sampler.constant_inners(np.exp(1j * phis)))], axis=1)
     for params in param_sets:
         bound = np.array([abs(params.B) * abs(z0) ** 2 for z0 in z0s], dtype=float)[:, None]
-        lhs = np.abs(np.exp(params.B / (params.A - params.B) * log_fprime(omega, params)) - 1.0)
+        lhs = np.abs(np.exp(params.B / (params.A - params.B) * region.log_fprime(omega, params)) - 1.0)
         violation = lhs - bound
         violation[:, n_samples:] = np.abs(violation[:, n_samples:])
 
@@ -219,21 +197,21 @@ def check_unit_lambda(
     max_increases, centers = {}, {}
     for z0 in z0s:
         if z0 != 0:
-            center, radius = _disk(z0, lams)
+            center, radius = region._disk(z0, lams)
             max_increases[z0], centers[z0] = float(np.max(np.diff(radius[:_K_MAX]))), z0 * center[_K_MAX:]
     for params in param_sets:
-        center_values = dict(zip(centers, log_fprime(np.array(list(centers.values())), params).tolist()))
+        center_values = dict(zip(centers, region.log_fprime(np.array(list(centers.values())), params).tolist()))
         for z0 in z0s:
             if z0 == 0:
-                target = singleton_value(EvalPoint(0.0, 1.0), params)
+                target = region.singleton_value(EvalPoint(0.0, 1.0), params)
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
-            target = singleton_value(EvalPoint(z0, 1.0), params)
-            values = region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-_K_MAX), params)
+            target = region.singleton_value(EvalPoint(z0, 1.0), params)
+            values = region.region_point(np.array(a_values), EvalPoint(z0, 1.0 - 2.0**-_K_MAX), params)
             # Python abs: numpy's complex modulus can differ in the last bit
             dists = [abs(w - target) for w in values.tolist()]
             max_increase = max_increases[z0]
-            pairs = [(singleton_value(EvalPoint(z0, u), params), center)
+            pairs = [(region.singleton_value(EvalPoint(z0, u), params), center)
                      for u, center in zip(units.tolist(), center_values[z0])]
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
             tally.add_many(dists, lambda k: (
@@ -265,7 +243,7 @@ def check_rotation(
     tally = _Tally(tol)
     for z0 in z0s:
         for lam in lambdas:
-            _require_disk(EvalPoint(z0, lam))
+            region._require_disk(EvalPoint(z0, lam))
     turns = 2.0 * np.pi * np.arange(n_rotations) / n_rotations
     rots = np.exp(1j * turns)[:, None]
     per_frame = max(1, n_samples // (len(z0s) * len(lambdas)))
@@ -276,15 +254,15 @@ def check_rotation(
     z0_rot = rots * z0
     frame_z0 = np.stack(np.broadcast_arrays(z0_rot, z0))
     frame_lam = np.stack(np.broadcast_arrays(lam, lam * rots))[:, None]
-    omega = omega_eval(sample_members(seed, per_frame)[0::3], lam, z0_rot)
-    center, radius = _disk(z0_rot, lam)  # exterior values: omega = z0 zeta, zeta 1.2 radii from the center
+    omega = sampler.omega_eval(sampler.sample_members(seed, per_frame)[0::3], lam, z0_rot)
+    center, radius = region._disk(z0_rot, lam)  # exterior values: omega = z0 zeta, zeta 1.2 radii from the center
     far = z0_rot * (center + 1.2 * radius * circle[2::3])
     for params in param_sets:
         ws = np.empty(omega.shape[:3] + (per_frame,), complex)
-        ws[..., 0::3] = log_fprime(omega, params)
-        ws[..., 1::3] = _boundary_values(circle[1::3], z0_rot, lam, params)
-        ws[..., 2::3] = log_fprime(far, params)
-        _, (v1, v2) = _classify(ws, frame_z0, frame_lam, params, tol)
+        ws[..., 0::3] = region.log_fprime(omega, params)
+        ws[..., 1::3] = region._boundary_values(circle[1::3], z0_rot, lam, params)
+        ws[..., 2::3] = region.log_fprime(far, params)
+        _, (v1, v2) = region._classify(ws, frame_z0, frame_lam, params, tol)
 
         def witness(k):
             i, l, t, j = np.unravel_index(k, ws.shape)
@@ -320,18 +298,18 @@ def check_coverage(
     """
     tally = _Tally(tol)
     ks = _polar_grid(grid_n)
-    inners = constant_inners(ks)
+    inners = sampler.constant_inners(ks)
     per_combo = []
     omega_at = disk_param_at = None
     for params, point in cases:
         # omega depends on the point alone and a(k) on the point and the sign of B:
         # each is formed again only when that changes from the case before
         if point != omega_at:
-            omega_at, omega = point, omega_eval(inners, point.lam, point.z0)
+            omega_at, omega = point, sampler.omega_eval(inners, point.lam, point.z0)
         if (point, params.B > 0.0) != disk_param_at:
-            disk_param_at, disk_param = (point, params.B > 0.0), equivalent_disk_param(ks, point, params)
-        member_vals = (params.A - params.B) / params.B * _log1p(params.B * omega)
-        region_vals = region_point(disk_param, point, params)
+            disk_param_at, disk_param = (point, params.B > 0.0), region.equivalent_disk_param(ks, point, params)
+        member_vals = (params.A - params.B) / params.B * region._log1p(params.B * omega)
+        region_vals = region.region_point(disk_param, point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         gaps = {"hausdorff_member_to_region": h, "hausdorff_region_to_member": h}
         per_combo.append(gaps)
@@ -381,10 +359,10 @@ def check_convexity(
     cells = [(lam, EvalPoint(z0, lam)) for lam in lambdas for z0 in zs]
     z0_col = np.array(zs, dtype=complex)[:, None]
     lam = np.array(lambdas, complex)[:, None, None]
-    k = _unit_circle_grid(n)
+    k = region._unit_circle_grid(n)
     for params in param_sets:
         # the curves of one parameter set are the rows of one (lambda x z0, n) array
-        values = _boundary_values(k, z0_col, lam, params).reshape(-1, n)
+        values = region._boundary_values(k, z0_col, lam, params).reshape(-1, n)
         sign, worst, winding = _turning(values)
         # a curve's violation is the larger of its two checks
         violation = np.maximum(worst, np.abs(winding - sign))
@@ -405,8 +383,8 @@ def check_strict_inclusion(
     zs = np.linspace(0.5, 0.999, 200)
     found = []
     for params in param_sets:
-        disk = janowski_disk(params)
-        dist = np.abs(special_curvature(params, zs.astype(complex)) - disk.center) - disk.radius
+        disk = region.janowski_disk(params)
+        dist = np.abs(sampler.special_curvature(params, zs.astype(complex)) - disk.center) - disk.radius
         i = int(np.argmax(dist))
         witness = {
             "witness_z": float(zs[i]), "distance_outside": float(dist[i]),
@@ -437,7 +415,7 @@ def check_halfplane_univalence(
     lambdas = (0.0, 0.3, 0.5 + 0.2j)
     # the Schwarz values of every lambda in one (lambda, grid point, member) array; f' is
     # taken one lambda at a time, so its temporaries stay the size of one lambda's values
-    omegas = omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas)[:, None, None], zgrid)
+    omegas = sampler.omega_eval(_members_with_probes(seed, n_samples), np.array(lambdas)[:, None, None], zgrid)
     r = np.abs(zgrid)
     rhos = [r * (r + abs(lam)) / (1.0 + abs(lam) * r) for lam in lambdas]
     min_re = {}
@@ -445,7 +423,7 @@ def check_halfplane_univalence(
         params = JanowskiParams(0.0, B)
         lo, excess = np.inf, -np.inf
         for omega, rho in zip(omegas, rhos):
-            w = log_fprime(omega, params)
+            w = region.log_fprime(omega, params)
             # Re f' alone, with no complex exp.  numpy's real exp can differ from the complex one in the
             # last bit, which no value of a passing report sees: the minimum is `edge`, the largest excess 0 at z = 0
             re_fprime = np.exp(w.real) * np.cos(w.imag)

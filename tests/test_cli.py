@@ -1247,6 +1247,28 @@ def test_a_failed_write_leaves_no_trace(command, step, tmp_path, monkeypatch, ca
     assert all((tmp_path / "out" / name).read_text() == "old bytes\n" for name in names)
 
 
+class _InterruptedWrites(io.FileIO):
+    """A raw file whose every write is interrupted, as by Ctrl-C."""
+
+    def write(self, data):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command", ["region", "sweep"])
+def test_an_interrupted_write_propagates_and_leaves_no_trace(command, tmp_path, monkeypatch):
+    # not an I/O error: main lets the interrupt through, with no exit code
+    argv, names = _write_command(tmp_path, monkeypatch, command)
+    (tmp_path / "out").mkdir()
+    for name in names:
+        (tmp_path / "out" / name).write_text("old bytes\n")
+    _temp_files_through(monkeypatch, _InterruptedWrites)
+    with pytest.raises(KeyboardInterrupt):
+        run(argv)
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(names)
+    assert all((tmp_path / "out" / name).read_text() == "old bytes\n" for name in names)
+
+
 def test_a_directory_in_the_way_is_named_alike_on_every_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("taken").mkdir()

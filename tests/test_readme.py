@@ -23,8 +23,14 @@ def test_library_quick_start_runs_as_commented():
 
 def test_star_import_of_every_module():
     # a stale __all__ entry fails only here: a plain import never reads __all__
-    for module in ("region", "sampler", "extremal", "verify"):
+    layers = ("region", "sampler", "extremal", "verify")
+    for module in layers:
         exec(f"from varregion.{module} import *", {})
+    # the package's star import binds every layer's public names, and dir() lists them
+    ns: dict = {}
+    exec("from varregion import *", ns)
+    public = {name for layer in layers for name in importlib.import_module(f"varregion.{layer}").__all__}
+    assert public <= set(ns) and public <= set(dir(varregion))
 
 
 def test_the_package_republishes_every_module_api_and_nothing_else():

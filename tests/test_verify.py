@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 import varregion
-import varregion.region
-import varregion.sampler
-import varregion.verify
 from varregion import (
     BoundaryCurve,
     Disk,
@@ -26,7 +23,9 @@ from varregion import (
     check_unit_lambda,
     janowski_disk,
     omega_eval,
+    region,
     run_suite,
+    sampler,
     singleton_value,
     variability_disk,
 )
@@ -79,13 +78,13 @@ def test_prop1_extremal_equality_case():
 
 def test_prop1_fails_a_radius_that_is_too_large(monkeypatch):
     # a larger disk still holds every member; only the on-circle probes can tell
-    real = varregion.verify.variability_disk
+    real = region.variability_disk
 
     def widened(point, params):
         disk = real(point, params)
         return Disk(disk.center, disk.radius * (1.0 + 1e-7))
 
-    monkeypatch.setattr(varregion.verify, "variability_disk", widened)
+    monkeypatch.setattr(region, "variability_disk", widened)
     r = check_prop1()
     assert not r["passed"] and r["witnesses"]
     assert all(w["observed"]["distance_minus_r"] < 0.0 for w in r["witnesses"])  # signed: inside the circle
@@ -119,24 +118,29 @@ def test_rotation_suite_zero_mismatches():
 
 def test_batched_unit_lambda_disks_equal_per_point_disks(monkeypatch):
     calls = []
+    real = region._disk
 
     def spy(z0, lam):
-        center, radius = varregion.region._disk(z0, lam)
+        center, radius = real(z0, lam)
         calls.append((z0, lam, center, radius))
         return center, radius
 
-    monkeypatch.setattr(varregion.verify, "_disk", spy)
+    monkeypatch.setattr(region, "_disk", spy)
     assert check_unit_lambda(param_sets=SMALL_SETS)["passed"]
     z0s = [z0 for z0 in DEFAULT_Z0S if z0 != 0]
-    # one _disk call per nonzero z0, as the disks do not depend on the parameter set: the
+    batched = [call for call in calls if isinstance(call[1], np.ndarray)]
+    # region_point's own scalar calls: one per parameter set and nonzero z0, at lambda = 1 - 2^-40
+    assert [(z0, lam) for z0, lam, *_ in calls if not isinstance(lam, np.ndarray)] == [
+        (z0, 1.0 - 2.0**-40) for _ in SMALL_SETS for z0 in z0s]
+    # one batched _disk call per nonzero z0, as the disks do not depend on the parameter set: the
     # radii of the ladder 1 - 2^-k, then the centers at lambda = e^{i phi} (1 - 2^-40)
-    assert [z0 for z0, *_ in calls] == z0s
-    for z0, lam, center, radius in calls:
-        assert radius[:40].tolist() == [varregion.region._disk(z0, 1 - 2**-k)[1] for k in range(1, 41)]
+    assert [z0 for z0, *_ in batched] == z0s
+    for z0, lam, center, radius in batched:
+        assert radius[:40].tolist() == [region._disk(z0, 1 - 2**-k)[1] for k in range(1, 41)]
         unit_lams = np.exp(1j * np.array([0.0, 1.0, 2.5])) * (1 - 2**-40)
         assert lam[40:].tolist() == unit_lams.tolist()
         # each lambda as an array of one: numpy's complex modulus can differ in the last bit from Python's
-        ref = [varregion.region._disk(z0, unit_lams[i:i + 1])[0][0] for i in range(3)]
+        ref = [region._disk(z0, unit_lams[i:i + 1])[0][0] for i in range(3)]
         assert center[40:].tolist() == ref
 
 
@@ -146,16 +150,18 @@ def _rotation_turns(n: int) -> np.ndarray:
 
 def _assert_rotation_verdicts_equal_per_frame_classify(monkeypatch, z0s, lambdas):
     calls = []
+    real = region._classify
 
     def spy(w, z0, lam, params, tol):
-        slack, status = varregion.region._classify(w, z0, lam, params, tol)
+        slack, status = real(w, z0, lam, params, tol)
         calls.append((w, params, status, *np.broadcast_arrays(z0, lam)))
         return slack, status
 
-    monkeypatch.setattr(varregion.verify, "_classify", spy)
+    monkeypatch.setattr(region, "_classify", spy)
     n_rot, per_frame = 8, 30
     r = check_rotation(param_sets=SMALL_SETS, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
                        n_samples=per_frame * len(z0s) * len(lambdas), seed=4)
+    monkeypatch.undo()  # the reference classify calls below go through _classify
     assert r["passed"] and r["samples"] == len(SMALL_SETS) * len(z0s) * len(lambdas) * n_rot * per_frame
     # one call per parameter set: both frames of every (z0, lambda, turn), the rotated point first
     assert [call[1] for call in calls] == list(SMALL_SETS)
@@ -207,8 +213,8 @@ def _assert_rotation_disagreements_reported_in_order(monkeypatch, param_sets, z0
         out[1] += bump  # the rotated-lambda frame only
         return out
 
-    real_pullback = varregion.region._pullback
-    monkeypatch.setattr(varregion.region, "_pullback", disagreeing_pullback)
+    real_pullback = region._pullback
+    monkeypatch.setattr(region, "_pullback", disagreeing_pullback)
     r = check_rotation(param_sets=param_sets, z0s=z0s, lambdas=lambdas, n_rotations=n_rot,
                        n_samples=per_frame * len(z0s) * len(lambdas), seed=seed)
     frames = [(p, i, l) for p in range(len(param_sets)) for i in range(len(z0s)) for l in range(len(lambdas))]
@@ -441,12 +447,11 @@ def test_turning_kernel_batches_equal_one_row_calls(turning_curves):
 
 
 # The per-cell loops the batched suites replaced, kept as references.  They
-# look kernels up on varregion.verify at call time, so a monkeypatch reaches
+# look kernels up on their modules at call time, so a monkeypatch reaches
 # them and the suites alike.
 
 def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
                      lambdas=DEFAULT_LAMBDAS, z0s=DEFAULT_Z0S) -> dict:
-    V = varregion.verify
     tally = _Tally(tol)
     members = _members_with_probes(seed, 40)
     for params in param_sets:
@@ -455,7 +460,7 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
                 if z0 == 0:
                     continue
                 disk = variability_disk(EvalPoint(z0, lam), params)
-                w = V.log_fprime(V.omega_eval(members, lam, z0), params)
+                w = region.log_fprime(sampler.omega_eval(members, lam, z0), params)
                 pullback = np.exp(params.B / (params.A - params.B) * w)
                 distance = np.abs(pullback - disk.center) - disk.radius
                 probe = np.arange(distance.size) % 8 == 7  # on-circle probes: gated on both sides
@@ -467,7 +472,6 @@ def _reference_prop1(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS
 
 def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS,
                           z0s=DEFAULT_Z0S) -> dict:
-    V = varregion.verify
     tally = _Tally(tol)
     members = _members_with_probes(seed, 40)
     phis = np.linspace(-np.pi, np.pi, 8, endpoint=False)
@@ -477,10 +481,10 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
             bound = abs(params.B) * abs(z0) ** 2
             inputs = {"A": params.A, "B": params.B, "z0": _cstr(z0)}
             to_pre = params.B / (params.A - params.B)  # log f' to the pre-log plane
-            lhs = np.abs(np.exp(to_pre * V.log_fprime(V.omega_eval(members, 0.0, z0), params)) - 1.0)
+            lhs = np.abs(np.exp(to_pre * region.log_fprime(sampler.omega_eval(members, 0.0, z0), params)) - 1.0)
             tally.add_many(lhs - bound, lambda k: (
                 inputs, {"lhs": float(lhs[k]), "bound": float(bound)}))
-            lhs_sharp = np.abs(np.exp(to_pre * V.log_fprime(V.omega_eval(sharp, 0.0, z0), params)) - 1.0)
+            lhs_sharp = np.abs(np.exp(to_pre * region.log_fprime(sampler.omega_eval(sharp, 0.0, z0), params)) - 1.0)
             tally.add_many(np.abs(lhs_sharp - bound), lambda k: (
                 dict(inputs, sharp_phi=float(phis[k])),
                 {"lhs": float(lhs_sharp[k]), "bound": float(bound)}))
@@ -489,29 +493,28 @@ def _reference_corollary0(seed: int, tol: float = 1e-9, param_sets=DEFAULT_PARAM
 
 def _reference_unit_lambda(tol: float = 1e-9, param_sets=DEFAULT_PARAM_SETS, z0s=DEFAULT_Z0S,
                            k_max: int = 40) -> dict:
-    V = varregion.verify
     tally = _Tally(tol)
     for params in param_sets:
         for z0 in z0s:
             if z0 == 0:
-                target = V.singleton_value(EvalPoint(0.0, 1.0), params)
+                target = region.singleton_value(EvalPoint(0.0, 1.0), params)
                 tally.add(abs(target), {"z0": "0"}, {"singleton": _cstr(target)})
                 continue
-            target = V.singleton_value(EvalPoint(z0, 1.0), params)
-            _, radii = V._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)))
+            target = region.singleton_value(EvalPoint(z0, 1.0), params)
+            _, radii = region._disk(z0, 1.0 - np.ldexp(1.0, -np.arange(1, k_max + 1)))
             units = np.exp(1j * np.array([0.0, 1.0, 2.5]))
-            centers, _ = V._disk(z0, units * (1.0 - 2.0**-k_max))
+            centers, _ = region._disk(z0, units * (1.0 - 2.0**-k_max))
             point = EvalPoint(z0, 1.0 - 2.0**-k_max)
             for a in (0.0, 1.0, -1.0, 1j):
-                d = abs(V.region_point(a, point, params) - target)
+                d = abs(region.region_point(a, point, params) - target)
                 tally.add(d, {"A": params.A, "B": params.B, "z0": _cstr(z0), "k": k_max, "a": _cstr(a)},
                           {"distance_to_singleton": float(d)})
             drops = np.diff(radii)
             tally.add(float(np.max(drops)), {"A": params.A, "B": params.B, "z0": _cstr(z0)},
                       {"max_radius_increase": float(np.max(drops))})
             # the singleton at lambda = u against the value at the center of the disk at u (1 - 2^-k_max)
-            for phi, u, rhs in zip((0.0, 1.0, 2.5), units.tolist(), V.log_fprime(z0 * centers, params).tolist()):
-                lhs = V.singleton_value(EvalPoint(z0, u), params)
+            for phi, u, rhs in zip((0.0, 1.0, 2.5), units.tolist(), region.log_fprime(z0 * centers, params).tolist()):
+                lhs = region.singleton_value(EvalPoint(z0, u), params)
                 tally.add(abs(lhs - rhs), {"A": params.A, "B": params.B, "z0": _cstr(z0), "phi": phi},
                           {"lhs": _cstr(lhs), "rhs": _cstr(rhs)})
     return tally.report("unit-lambda", len(param_sets))
@@ -539,7 +542,6 @@ def _reference_convexity(tol: float = 1e-10, n: int = 256, param_sets=DEFAULT_PA
 
 def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> dict:
     """One single-case report per combo, re-tallied into the suite's report."""
-    V = varregion.verify
     tally = _Tally(tol)
     combos = [
         (params, EvalPoint(0.5, 0.5)) for params in DEFAULT_PARAM_SETS
@@ -547,9 +549,9 @@ def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> dict:
     d_pairs = []
     for params, point in combos:
         ks = _polar_grid(grid_n)
-        omega = V.omega_eval(constant_inners(ks), point.lam, point.z0)
-        member_vals = (params.A - params.B) / params.B * V._log1p(params.B * omega)
-        region_vals = V.region_point(V.equivalent_disk_param(ks, point, params), point, params)
+        omega = sampler.omega_eval(constant_inners(ks), point.lam, point.z0)
+        member_vals = (params.A - params.B) / params.B * region._log1p(params.B * omega)
+        region_vals = region.region_point(region.equivalent_disk_param(ks, point, params), point, params)
         h = float(np.max(np.abs(member_vals - region_vals)))
         sub = _Tally(tol)
         sub.add(h, {}, None)
@@ -565,14 +567,13 @@ def _reference_coverage(tol: float = 1e-8, grid_n: int = 96) -> dict:
 
 def _reference_inclusion(tol: float = 1e-9) -> dict:
     """One single-pair report per default pair with B < 1, re-tallied into the suite's report."""
-    V = varregion.verify
     tally = _Tally(tol)
     details = []
     pairs = [p for p in DEFAULT_PARAM_SETS if p.B < 1.0]
     for params in pairs:
         zs = np.linspace(0.5, 0.999, 200)
         disk = janowski_disk(params)
-        kappa = V.special_curvature(params, zs.astype(complex))
+        kappa = sampler.special_curvature(params, zs.astype(complex))
         dist = np.abs(kappa - disk.center) - disk.radius
         i = int(np.argmax(dist))
         best = float(dist[i])
@@ -649,7 +650,7 @@ def _bump_members(monkeypatch, forced: set) -> None:
     Rows of 40 members move far out of the region; rows of 8 (the corollary0
     sharpness probes) move to omega = 0, far inside the bound they must meet.
     """
-    real = varregion.verify.omega_eval
+    real = sampler.omega_eval
 
     def bumped(inner, lam, z):
         omega = real(inner, lam, z)
@@ -660,7 +661,7 @@ def _bump_members(monkeypatch, forced: set) -> None:
                 omega[e] = 0.0 if rows == 8 else omega[e] + 10.0
         return omega
 
-    monkeypatch.setattr(varregion.verify, "omega_eval", bumped)
+    monkeypatch.setattr(sampler, "omega_eval", bumped)
 
 
 def _draw_forced(count: int, cells: list[tuple], samples: int) -> set:
@@ -676,12 +677,11 @@ def test_batched_prop1_witnesses_in_params_lambda_z0_sample_order(monkeypatch):
     r = check_prop1(seed=6)
     assert r == _reference_prop1(6)
     assert not r["passed"] and len(r["witnesses"]) == 20
-    V = varregion.verify
     expected = sorted((p, *cell) for p in range(5) for cell in forced)
     for (p, l, t, _, j), wit in zip(expected, r["witnesses"]):
         params, lam, z0 = DEFAULT_PARAM_SETS[p], DEFAULT_LAMBDAS[l], DEFAULT_Z0S[t]
         assert wit["inputs"] == {"A": params.A, "B": params.B, "lambda": lam, "z0": _cstr(z0)}
-        w = V.log_fprime(V.omega_eval(_members_with_probes(6, 40), lam, z0), params)[j]
+        w = region.log_fprime(sampler.omega_eval(_members_with_probes(6, 40), lam, z0), params)[j]
         assert wit["observed"]["pullback"] == _cstr(np.exp(params.B / (params.A - params.B) * w))
     assert expected[19][0] == 3
 
@@ -699,7 +699,7 @@ def test_batched_corollary0_witnesses_follow_the_reference_loop(monkeypatch):
 
 
 def test_batched_unit_lambda_witnesses_follow_the_reference_loop(monkeypatch):
-    real_point, real_singleton = varregion.verify.region_point, varregion.verify.singleton_value
+    real_point, real_singleton = region.region_point, region.singleton_value
 
     def moved_point(a, point, params):  # a = -1 and a = 1j off the singleton where B < 0.6
         return real_point(a, point, params) + np.where(np.isin(a, (-1.0, 1j)) & (params.B < 0.6), 1.0, 0.0)
@@ -707,8 +707,8 @@ def test_batched_unit_lambda_witnesses_follow_the_reference_loop(monkeypatch):
     def moved_singleton(point, params):  # rotated singletons off at phi = 1
         return real_singleton(point, params) + (1.0 if point.lam == np.exp(1j) else 0.0)
 
-    monkeypatch.setattr(varregion.verify, "region_point", moved_point)
-    monkeypatch.setattr(varregion.verify, "singleton_value", moved_singleton)
+    monkeypatch.setattr(region, "region_point", moved_point)
+    monkeypatch.setattr(region, "singleton_value", moved_singleton)
     r = check_unit_lambda()
     assert not r["passed"] and len(r["witnesses"]) == 20
     assert {"a", "phi"} <= {key for w in r["witnesses"] for key in w["inputs"]}
@@ -729,9 +729,8 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
                 row[5] = center + 0.5 * (row[5] - center)
         return values
 
-    real = varregion.region._boundary_values
-    monkeypatch.setattr(varregion.region, "_boundary_values", dented)
-    monkeypatch.setattr(varregion.verify, "_boundary_values", dented)
+    real = region._boundary_values
+    monkeypatch.setattr(region, "_boundary_values", dented)
     r = check_convexity()
     assert r == _reference_convexity()
     assert not r["passed"] and len(r["witnesses"]) == 20 and r["samples"] == 80
@@ -743,7 +742,7 @@ def test_batched_convexity_witnesses_in_params_lambda_z0_order(monkeypatch):
 
 
 def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch):
-    real_region_point, real_curvature = varregion.verify.region_point, varregion.verify.special_curvature
+    real_region_point, real_curvature = region.region_point, sampler.special_curvature
 
     def moved_region(a, point, params):  # off the member image where lambda = 0.5 and B < 0.6
         return real_region_point(a, point, params) + (1e-6 if point.lam == 0.5 and params.B < 0.6 else 0.0)
@@ -751,8 +750,8 @@ def test_coverage_and_inclusion_witnesses_follow_the_reference_loops(monkeypatch
     def inside_curvature(params, z):  # the disk center for B > 0: no witness outside the disk
         return np.full_like(z, janowski_disk(params).center) if params.B > 0 else real_curvature(params, z)
 
-    monkeypatch.setattr(varregion.verify, "region_point", moved_region)
-    monkeypatch.setattr(varregion.verify, "special_curvature", inside_curvature)
+    monkeypatch.setattr(region, "region_point", moved_region)
+    monkeypatch.setattr(sampler, "special_curvature", inside_curvature)
     coverage, inclusion = run_suite("coverage"), run_suite("inclusion")
     assert coverage == _reference_coverage()
     assert inclusion == _reference_inclusion()
@@ -786,13 +785,14 @@ def test_halfplane_suite():
 
 def test_halfplane_values_equal_per_lambda_members(monkeypatch):
     calls = []
+    real = region.log_fprime
 
     def spy(omega, params):
-        out = varregion.region.log_fprime(omega, params)
+        out = real(omega, params)
         calls.append((params, out))
         return out
 
-    monkeypatch.setattr(varregion.verify, "log_fprime", spy)
+    monkeypatch.setattr(region, "log_fprime", spy)
     r = check_halfplane_univalence(n_samples=24, seed=3)
     members = _members_with_probes(3, 24)
     zgrid = 0.95 * _polar_grid(12)[:, None]
@@ -815,8 +815,8 @@ def test_halfplane_members_meet_their_pointwise_bound(seed):
 
 def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
     # omega scaled by 1.001 leaves Re f' far above 1/2, so only the pointwise bound can tell
-    real = varregion.verify.omega_eval
-    monkeypatch.setattr(varregion.verify, "omega_eval", lambda inner, lam, z: 1.001 * real(inner, lam, z))
+    real = sampler.omega_eval
+    monkeypatch.setattr(sampler, "omega_eval", lambda inner, lam, z: 1.001 * real(inner, lam, z))
     r = run_suite("halfplane", seed=0)
     assert not r["passed"] and (r["samples"], r["parameter_sets"]) == (3, 3)
     assert min(r["extra"]["min_re_fprime"].values()) > 0.5
@@ -826,14 +826,14 @@ def test_halfplane_fails_members_that_break_their_pointwise_bound(monkeypatch):
 
 
 def test_halfplane_fails_a_nan_member_value(monkeypatch):
-    real = varregion.verify.omega_eval
+    real = sampler.omega_eval
 
     def one_nan(inner, lam, z):
         omega = real(inner, lam, z)
         omega[:, 5, 3] = np.nan  # at one grid point and member, for every lambda
         return omega
 
-    monkeypatch.setattr(varregion.verify, "omega_eval", one_nan)
+    monkeypatch.setattr(sampler, "omega_eval", one_nan)
     r = run_suite("halfplane", seed=0)
     assert not r["passed"] and np.isnan(r["max_violation"]) and len(r["witnesses"]) == 3
 
