@@ -33,7 +33,9 @@ def _write_text(path: Path, pieces: list[bytes]) -> None:
     """Write the byte pieces to path atomically, through a temp file in path's directory that a rename moves into place.
 
     The temp file's name is unique to the call (pid and random bytes), and mode ``"x"``
-    refuses one that exists.  A later failure removes it; an ``OSError`` names only ``path``.
+    refuses one that exists.  It keeps at most the first 200 bytes of path's name, so
+    that any name up to NAME_MAX (255 bytes) leaves room for the 25 bytes that follow.
+    A later failure removes it; an ``OSError`` names only ``path``.
     Anything at path but a regular file or a directory (a symlink, a FIFO, a device) is
     opened with ``"wb"`` and written in place, so the kernel follows a link under its own
     rules, as for ``open(path, "w")``.
@@ -42,7 +44,8 @@ def _write_text(path: Path, pieces: list[bytes]) -> None:
         mode = os.lstat(path).st_mode
     except OSError:  # nothing there yet; anything else, the write below reports
         mode = stat.S_IFREG
-    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f"{os.fsdecode(os.fsencode(name)[:200])}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
     fh = None
     try:
         if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):

@@ -68,13 +68,17 @@ def extremal_fprime(spec: ExtremalSpec, z):
     return np.exp((spec.params.A - spec.params.B) / spec.params.B * np.log(1.0 + spec.params.B * z * d))
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(NODES_PER_PANEL)`` nodes and weights, computed on first use and read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+# the Gauss-Legendre rule on [-1, 1], read-only: the doubles of numpy's
+# leggauss(NODES_PER_PANEL), which are exactly antisymmetric in the nodes and
+# symmetric in the weights, so the positive nodes (ascending) and their weights
+# are mirrored
+_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+               0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+                 0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_NODES = np.array(tuple(-x for x in _HALF_NODES[::-1]) + _HALF_NODES)
+_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
 @functools.cache
@@ -85,12 +89,11 @@ def _level_nodes(levels: tuple[int, ...]) -> np.ndarray:
     order of levels.  The cache keeps 128 B per panel of every levels tuple a
     process reaches: about 256 KiB up to PANEL_CAP.
     """
-    nodes = _gauss_legendre()[0]
     blocks = []
     for panels in levels:
         edges = np.linspace(0.0, 1.0, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        blocks.append(mid + (0.5 / panels) * nodes[None, :])
+        blocks.append(mid + (0.5 / panels) * _NODES[None, :])
     t = np.concatenate(blocks)
     t.flags.writeable = False
     return t
@@ -98,8 +101,7 @@ def _level_nodes(levels: tuple[int, ...]) -> np.ndarray:
 
 def _composite_estimates(spec, z_from, z_to, levels):
     """One composite estimate per panel count in levels, from one integrand pass over all their nodes."""
-    weights = _gauss_legendre()[1]
-    wg = weights * extremal_fprime(spec, z_from + _level_nodes(levels) * (z_to - z_from))
+    wg = _WEIGHTS * extremal_fprime(spec, z_from + _level_nodes(levels) * (z_to - z_from))
     estimates, row = [], 0
     for panels in levels:
         estimates.append((z_to - z_from) * (0.5 / panels) * wg[row:row + panels].sum())

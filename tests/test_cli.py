@@ -1359,6 +1359,21 @@ def test_a_file_at_the_temp_name_is_left_alone(command, tmp_path, monkeypatch, c
     assert all((out / name).read_text() == "old bytes\n" for name in names)
 
 
+# 255 bytes, NAME_MAX: the temp name keeps the first 200 of them, which cuts the two-byte é in half
+@pytest.mark.parametrize("command, name", [
+    ("region", "a" * 251 + ".csv"), ("region", "a" + "é" * 125 + ".csv"),
+    ("verify", "a" * 250 + ".json"), ("verify", "a" + "é" * 124 + "a.json"),
+], ids=["region-ascii", "region-utf8", "verify-ascii", "verify-utf8"])
+def test_an_out_name_of_255_bytes_is_written(command, name, tmp_path, monkeypatch, capsys):
+    assert len(os.fsencode(name)) == 255
+    monkeypatch.chdir(tmp_path)
+    argv = _REGION_ARGV if command == "region" else ["verify", "--suite=inclusion"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert run([*argv, f"--out={name}"]) == 0
+    assert os.listdir() == [name] and Path(name).read_bytes() == expected
+
+
 def test_stdout_output(capsys):
     assert run(["region", "--A", "0", "--B", "0.5", "--lambda", "0.5",
                 "--z0", "0.5,0", "--theta-samples", "4"]) == 0
@@ -1594,7 +1609,7 @@ point = ["--A=-0.5", "--B=0.5", "--lambda=0.3,0.4"]
 assert varregion.cli.main(["extremal", *point, "--a=0.6,0.2", "--z=0.5,0.1"]) == 0
 for fmt in ("csv", "svg"):
     assert varregion.cli.main(["region", *point, "--z0=0.5", f"--format={fmt}", "--out", sys.argv[2] + fmt]) == 0
-print("added:", *sorted({"dataclasses", "hashlib", "json"} & (set(sys.modules) - before)))
+print("added:", *sorted({"dataclasses", "hashlib", "json", "numpy.polynomial"} & (set(sys.modules) - before)))
 import numpy.random
 before = set(sys.modules)
 assert varregion.cli.main(["sample", *point, "--z0=0.5", "--mc-samples=200", "--out", sys.argv[1]]) == 0
@@ -1605,7 +1620,8 @@ print("added:", *sorted({"dataclasses", "hashlib", "json"} & (set(sys.modules) -
 def test_startup_and_csv_svg_extremal_output_load_no_dataclasses_hashlib_or_json(tmp_path):
     # compared against the modules loaded after numpy, so that a site hook or
     # a numpy that imports one of them itself does not fail this test; sample
-    # draws from numpy.random, which loads hashlib (through secrets) itself
+    # draws from numpy.random, which loads hashlib (through secrets) itself;
+    # extremal's Gauss-Legendre rule is a table of constants, not leggauss
     src = str(Path(varregion.cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _STARTUP_CODE, str(tmp_path / "s.csv"), str(tmp_path / "region.")],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)

@@ -256,14 +256,22 @@ def test_tolerance_below_the_rounding_floor_is_never_confirmed():
     assert value == exc.value.estimate
 
 
-def test_gauss_legendre_rule_is_cached_and_read_only():
-    nodes, weights = extremal._gauss_legendre()
+def test_gauss_legendre_rule_is_leggauss_read_only_symmetric_and_exact_to_degree_31():
+    nodes, weights = extremal._NODES, extremal._WEIGHTS
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(extremal.NODES_PER_PANEL)
     assert nodes.tobytes() == ref_nodes.tobytes() and weights.tobytes() == ref_weights.tobytes()
     assert not nodes.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError):
         nodes[0] = 0.0
-    assert extremal._gauss_legendre() is extremal._gauss_legendre()
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert nodes.tobytes() == (-nodes[::-1]).tobytes() and weights.tobytes() == weights[::-1].tobytes()
+    # the literals on their own, whatever leggauss gives: a 16-point rule is exact up to degree 31
+    with mpmath.workdps(60):
+        for k in range(2 * extremal.NODES_PER_PANEL):
+            moment = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.mpf(float(x)) ** k for x, w in zip(nodes, weights))
+            exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            assert abs(moment - exact) <= 4 * np.finfo(float).eps, k
 
 
 def _inline_panel_nodes(panels):

@@ -93,3 +93,12 @@ def test_argv_corpus_script(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "0001 crash: a traceback in stderr\n0002 warn x: a warning in stderr\n"
                                        "0003 exit: exit code 7, outside 0-5\n3 of 4 argvs crashed or warned\n")
     assert [line.split()[1] for line in out.read_text().splitlines()] == ["exit=0", "exit=1", "exit=0", "exit=7"]
+
+
+def test_process_times_script(capsys):
+    _run("process_times.py", ["--runs", "3", "--argv=--help"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["runs"] == 3 and "compileall" in report["bytecode"]
+    assert list(report["processes"]) == ["python -c pass", "python -c 'import numpy'", "src --help"]
+    for times in report["processes"].values():
+        assert 0 < times["q1_ms"] <= times["median_ms"] <= times["q3_ms"] and times["exits"] == [0]
